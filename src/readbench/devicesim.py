@@ -184,7 +184,7 @@ def load_model(path_or_name: str) -> DeviceModel:
     return DeviceModel(**values)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimRequest:
     offset: int
     length: int
@@ -265,7 +265,8 @@ def submit(state: SimState, req: SimRequest) -> None:
     if len(state.pending) >= state.pending_bound:
         raise Backpressure(f"more than {state.pending_bound} requests queued")
     state.pending.append(req)
-    _fill_slots(state)
+    if state.active < state.model.parallelism:
+        _fill_slots(state)
 
 
 def _next_pending(state: SimState) -> SimRequest:
@@ -282,21 +283,29 @@ def _next_pending(state: SimState) -> SimRequest:
 
 def _fill_slots(state: SimState) -> None:
     model = state.model
-    while state.active < model.parallelism and state.pending:
+    parallelism = model.parallelism
+    bandwidth = model.bandwidth_limit_bps
+    pending = state.pending
+    in_flight = state.in_flight
+    clock = state.clock
+    while state.active < parallelism and pending:
         req = _next_pending(state)
-        start = max(req.submit_time, state.clock)
-        dur = service_time(model, state, req.offset, req.length,
-                           polled=req.polled, at=start)
-        completion = start + dur
-        if model.bandwidth_limit_bps > 0:
-            tb = req.length / model.bandwidth_limit_bps * 1e6
+        start = req.submit_time
+        if clock > start:
+            start = clock
+        completion = start + service_time(model, state, req.offset, req.length,
+                                          req.polled, start)
+        if bandwidth > 0:
+            tb = req.length / bandwidth * 1e6
             # the transfer is the trailing part of service and must
             # serialize on the shared channel
-            channel_start = max(state.channel_free, completion - tb)
+            channel_start = completion - tb
+            if state.channel_free > channel_start:
+                channel_start = state.channel_free
             completion = channel_start + tb
             state.channel_free = completion
         state._seq += 1
-        heapq.heappush(state.in_flight, (completion, state._seq, req))
+        heapq.heappush(in_flight, (completion, state._seq, req))
         state.active += 1
 
 
@@ -306,16 +315,18 @@ def advance(state: SimState) -> list[tuple[SimRequest, float]]:
     Returns (request, completion_time) pairs; the clock never moves
     backwards and stays put when nothing is in flight.
     """
-    if not state.in_flight:
+    in_flight = state.in_flight
+    if not in_flight:
         return []
-    t = state.in_flight[0][0]
-    done: list[tuple[SimRequest, float]] = []
-    while state.in_flight and state.in_flight[0][0] == t:
-        _, _, req = heapq.heappop(state.in_flight)
-        state.active -= 1
-        done.append((req, t))
-    state.clock = max(state.clock, t)
-    _fill_slots(state)
+    t = in_flight[0][0]
+    done = [(heapq.heappop(in_flight)[2], t)]
+    while in_flight and in_flight[0][0] == t:
+        done.append((heapq.heappop(in_flight)[2], t))
+    state.active -= len(done)
+    if t > state.clock:
+        state.clock = t
+    if state.pending:
+        _fill_slots(state)
     return done
 
 

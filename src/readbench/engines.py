@@ -20,21 +20,24 @@ Real-file targets use actual threads and the native syscall backends.
 from __future__ import annotations
 
 import hashlib
+import os
 import queue as queue_mod
 import threading
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator
 
+import numpy as np
+
 from . import aio_native, fill, uring_native
 from .devicesim import SimRequest, SimState, advance, submit
 from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
-from .measurement import (CpuUsage, LatencySample, LatencyStats,
-                          aggregate_latencies, compute_throughput, measure_cpu,
-                          snapshot_cpu)
-from .rng import SplitMix64, worker_seed
+from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
+                          compute_throughput, measure_cpu, snapshot_cpu)
+from .rng import GOLDEN, MASK64, worker_seed
 from .target import TargetHandle, alloc_aligned, read_block, read_block_polled
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
@@ -46,6 +49,9 @@ MAX_QUEUE = 4096
 
 #: how long a harvest may wait before the run is flagged as stalled
 HARVEST_TIMEOUT_S = 1.0
+
+#: random offsets are drawn this many at a time
+_OFFSET_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -170,12 +176,21 @@ class RunRecord:
 
 
 def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
-    """Per-worker stream of block-aligned offsets."""
+    """Per-worker stream of block-aligned offsets.
+
+    Random offsets are ``(SplitMix64(worker_seed).next_u64() % nblocks) *
+    block_size``; the sequence is computed in numpy chunks, the k-th value
+    being ``mix64(seed + k * GOLDEN)``.
+    """
     nblocks = workload.target.capacity // workload.block_size
     if workload.pattern == "random":
-        rng = SplitMix64(worker_seed(workload.seed, worker))
+        state = worker_seed(workload.seed, worker)
+        steps = np.arange(1, _OFFSET_CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
         while True:
-            yield (rng.next_u64() % nblocks) * workload.block_size
+            words = fill._mix64_array(steps + np.uint64(state))
+            yield from ((words % np.uint64(nblocks))
+                        * np.uint64(workload.block_size)).tolist()
+            state = (state + _OFFSET_CHUNK * GOLDEN) & MASK64
     else:
         i = (nblocks // workload.threads) * worker
         while True:
@@ -217,96 +232,94 @@ def _depth_and_batch(engine: EngineConfig) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 class _SimWorker:
-    __slots__ = ("stream", "remaining", "outstanding", "ready", "submitted",
+    __slots__ = ("tag", "stream", "remaining", "outstanding", "ready",
                  "max_outstanding")
 
-    def __init__(self, stream, remaining):
+    def __init__(self, tag, stream, remaining):
+        self.tag = tag
         self.stream = stream
         self.remaining = remaining  # None in duration mode
         self.outstanding = 0
-        self.ready: list[tuple[SimRequest, float]] = []
-        self.submitted = 0
+        self.ready = 0  # completed but not yet harvested
         self.max_outstanding = 0
 
 
 def _simulate(workload: WorkloadSpec, engine: EngineConfig):
-    """Run the workload in virtual time; returns (samples, bytes, elapsed_s,
-    checksum hex, notes)."""
+    """Run the workload in virtual time; returns (duration log, bytes,
+    elapsed_s, checksum hex, notes, extra)."""
     depth, batch = _depth_and_batch(engine)
     polled = engine.kind == "polled"
     state: SimState = workload.target.fresh_sim_state()
+    block = workload.block_size
+    fill_seed = workload.target.fill_seed
+    budget_mode = workload.request_budget is not None
     warmup_us = workload.warmup_s * 1e6
     measure_end = None
-    if workload.duration_s is not None:
+    if not budget_mode:
         measure_end = warmup_us + workload.duration_s * 1e6
+    windowed = measure_end is not None or warmup_us > 0
 
     workers = []
     for w in range(workload.threads):
         remaining = (split_budget(workload.request_budget, workload.threads, w)
-                     if workload.request_budget is not None else None)
-        workers.append(_SimWorker(offset_stream(workload, w), remaining))
+                     if budget_mode else None)
+        workers.append(_SimWorker(w, offset_stream(workload, w), remaining))
 
     checksum = _Checksum() if workload.verify else None
+    outstanding = 0
 
-    def may_submit(wk: _SimWorker, now: float) -> bool:
-        if wk.remaining is not None:
-            return wk.remaining > 0
-        return now < measure_end
+    def refill(wk: _SimWorker, n: int, now: float) -> None:
+        """Submit up to n more requests for one worker at virtual time now."""
+        nonlocal outstanding
+        if budget_mode:
+            n = min(n, wk.remaining)
+            wk.remaining -= n
+        elif now >= measure_end:
+            return
+        stream, tag = wk.stream, wk.tag
+        for _ in range(n):
+            offset = next(stream)
+            submit(state, SimRequest(offset, block, now, polled, tag))
+            if checksum is not None:
+                checksum.add(fill.pattern_bytes(fill_seed, offset, block))
+        wk.outstanding += n
+        outstanding += n
+        if wk.outstanding > wk.max_outstanding:
+            wk.max_outstanding = wk.outstanding
 
-    def submit_one(idx: int, wk: _SimWorker, now: float) -> None:
-        offset = next(wk.stream)
-        req = SimRequest(offset, workload.block_size, submit_time=now,
-                         polled=polled, tag=idx)
-        submit(state, req)
-        wk.outstanding += 1
-        wk.max_outstanding = max(wk.max_outstanding, wk.outstanding)
-        wk.submitted += 1
-        if wk.remaining is not None:
-            wk.remaining -= 1
-        if checksum is not None:
-            checksum.add(fill.pattern_bytes(workload.target.fill_seed,
-                                            offset, workload.block_size))
+    for wk in workers:
+        refill(wk, depth, 0.0)
 
-    for idx, wk in enumerate(workers):
-        for _ in range(depth):
-            if may_submit(wk, 0.0):
-                submit_one(idx, wk, 0.0)
-
-    samples: list[LatencySample] = []
-    measured_bytes = 0
+    log = array("q")
     last_completion = warmup_us
-    short_harvests = 0
 
-    while any(wk.outstanding for wk in workers):
+    while outstanding:
         for req, t in advance(state):
-            workers[req.tag].ready.append((req, t))
+            submitted = req.submit_time
+            if not windowed or (submitted >= warmup_us and (
+                    measure_end is None or submitted < measure_end)):
+                log.append(round(t - submitted))
+                if t > last_completion:
+                    last_completion = t
+            workers[req.tag].ready += 1
         now = state.clock
-        for idx, wk in enumerate(workers):
+        for wk in workers:
             # harvest once >= batch completions are ready, or on final drain
-            while wk.ready and (len(wk.ready) >= batch
-                                or not may_submit(wk, now)):
-                if len(wk.ready) < batch and may_submit(wk, now):
-                    short_harvests += 1
-                harvested = wk.ready
-                wk.ready = []
-                wk.outstanding -= len(harvested)
-                for req, t in harvested:
-                    if req.submit_time >= warmup_us and (
-                            measure_end is None or req.submit_time < measure_end):
-                        samples.append(LatencySample(
-                            duration_us=int(round(t - req.submit_time)),
-                            nbytes=req.length))
-                        measured_bytes += req.length
-                        last_completion = max(last_completion, t)
-                for _ in range(len(harvested)):
-                    if may_submit(wk, now):
-                        submit_one(idx, wk, now)
+            # when nothing more will be submitted; that is never a short
+            # harvest, so simulated runs report none
+            n = wk.ready
+            if n and (n >= batch or (wk.remaining == 0 if budget_mode
+                                     else now >= measure_end)):
+                wk.ready = 0
+                wk.outstanding -= n
+                outstanding -= n
+                refill(wk, n, now)
 
     elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
     notes = ["simulated"]
     extra = {"max_inflight": max(wk.max_outstanding for wk in workers),
-             "short_harvests": short_harvests}
-    return samples, measured_bytes, elapsed_s, (
+             "short_harvests": 0}
+    return log, len(log) * block, elapsed_s, (
         checksum.hexdigest() if checksum else ""), notes, extra
 
 
@@ -335,7 +348,6 @@ class _EmulatedAsyncQueue:
                 return
             data, offset, buf = item
             try:
-                import os
                 n = os.preadv(self.handle.fd, [buf], offset)
                 self._done.put((data, n))
             except OSError as exc:
@@ -380,12 +392,12 @@ def _make_async_backend(engine: EngineConfig, handle: TargetHandle,
 
 
 class _RealWorkerResult:
-    __slots__ = ("samples", "nbytes", "checksum", "error", "notes",
+    __slots__ = ("submits", "durations", "checksum", "error", "notes",
                  "max_inflight")
 
     def __init__(self):
-        self.samples: list[tuple[float, int]] = []  # (submit_wall_s, us)
-        self.nbytes = 0
+        self.submits = array("d")  # monotonic submit time, s
+        self.durations = array("q")  # us, same index as submits
         self.checksum = _Checksum()
         self.error: BaseException | None = None
         self.notes: list[str] = []
@@ -402,13 +414,14 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
     seed = handle.fill_seed
+    submits, durations = result.submits, result.durations
 
     def record(submit_t: float, dur_us: int, offset: int, buf) -> None:
         if workload.verify:
             fill.check_block(buf, offset, seed)
             result.checksum.add(buf)
-        result.samples.append((submit_t, dur_us))
-        result.nbytes += block
+        submits.append(submit_t)
+        durations.append(dur_us)
 
     _issued = [0]
 
@@ -509,16 +522,17 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
         raise AbortedRun(f"{len(failed)} worker(s) failed: {failed[0]!r}") from failed[0]
 
     warmup_cut = start_wall + workload.warmup_s
-    samples: list[LatencySample] = []
-    measured_bytes = 0
+    submits = np.concatenate([np.array(r.submits, dtype=np.float64)
+                              for r in results])
+    durations = np.concatenate([np.array(r.durations, dtype=np.int64)
+                                for r in results])
+    keep = submits >= warmup_cut
+    if deadline is not None:
+        keep &= submits < deadline
+    submits, durations = submits[keep], durations[keep]
     last = warmup_cut
-    block = workload.block_size
-    for r in results:
-        for submit_t, dur in r.samples:
-            if submit_t >= warmup_cut and (deadline is None or submit_t < deadline):
-                samples.append(LatencySample(duration_us=max(dur, 0), nbytes=block))
-                measured_bytes += block
-                last = max(last, submit_t + dur / 1e6)
+    if durations.size:
+        last = max(last, float((submits + durations / 1e6).max()))
     elapsed = max(last - warmup_cut, 1e-9)
 
     checksum = _Checksum()
@@ -530,7 +544,8 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
             if n not in notes:
                 notes.append(n)
     extra = {"max_inflight": max(r.max_inflight for r in results)}
-    return samples, measured_bytes, elapsed, (
+    log = np.maximum(durations, 0)
+    return log, log.size * workload.block_size, elapsed, (
         checksum.hexdigest() if workload.verify else ""), notes, extra
 
 
@@ -548,10 +563,10 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
     cpu_before = snapshot_cpu()
     wall0 = time.monotonic()
     if workload.target.is_simulated:
-        samples, nbytes, elapsed_s, checksum, notes, extra = _simulate(
+        log, nbytes, elapsed_s, checksum, notes, extra = _simulate(
             workload, engine)
     else:
-        samples, nbytes, elapsed_s, checksum, notes, extra = _run_real(
+        log, nbytes, elapsed_s, checksum, notes, extra = _run_real(
             workload, engine)
     wall = max(time.monotonic() - wall0, 1e-9)
     cpu = measure_cpu(cpu_before, snapshot_cpu(), wall)
@@ -563,7 +578,7 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
         workload=workload.describe(),
         engine=engine,
         throughput_mb_s=compute_throughput(nbytes, elapsed_s),
-        latency=aggregate_latencies(samples),
+        latency=aggregate_latencies(log),
         cpu=cpu,
         label=label.text,
         started_at=started_at,
@@ -619,7 +634,7 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
             return offsets
         return [next(stream) for _ in range(engine.queue_size)]
 
-    makespans: list[LatencySample] = []
+    makespans = array("q")
     if handle.is_simulated:
         state = handle.fresh_sim_state()
         for _ in range(reps):
@@ -634,8 +649,7 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
                 for req, t in advance(state):
                     pending.discard(id(req))
                     t_last = max(t_last, t)
-            makespans.append(LatencySample(
-                duration_us=int(round(t_last - t0)), nbytes=block * len(offs)))
+            makespans.append(round(t_last - t0))
     else:
         n = len(offsets) if offsets is not None else engine.queue_size
         buffers = [alloc_aligned(block) if handle.direct
@@ -650,10 +664,13 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
                     [(i, o, buffers[i]) for i, o in enumerate(offs)])
                 got = 0
                 while got < len(offs):
-                    got += len(backend.wait(len(offs) - got, HARVEST_TIMEOUT_S))
-                makespans.append(LatencySample(
-                    duration_us=int((time.monotonic() - t0) * 1e6),
-                    nbytes=block * len(offs)))
+                    done = backend.wait(len(offs) - got, HARVEST_TIMEOUT_S)
+                    for data, res in done:
+                        if res != block:
+                            raise IoError(f"scattered read at {offs[int(data)]} "
+                                          f"returned {res}")
+                    got += len(done)
+                makespans.append(int((time.monotonic() - t0) * 1e6))
         finally:
             backend.close()
     return aggregate_latencies(makespans)
@@ -661,7 +678,6 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
 
 def probe_engines() -> dict[str, dict]:
     """Which engines (and ring features) this system supports."""
-    import os
     info: dict[str, dict] = {
         "sync": {"available": True, "detail": "positional reads"},
         "polled": {"available": hasattr(os, "preadv"),

@@ -1,5 +1,11 @@
 """Latency sample aggregation, throughput math, and CPU accounting.
 
+Engines keep the durations of a run as an int64 log of integer microseconds
+(an ``array('q')`` or an ndarray), one entry per completed read, so a long
+run costs 8 bytes per sample and no Python object per request.
+:class:`LatencySample` is the public adapter for callers that hold
+individual samples; ``aggregate_latencies`` accepts either form.
+
 Percentiles are nearest-rank on the sorted integer-microsecond durations:
 the k-th order statistic with k = ceil(q * count).  CPU accounting covers
 both the benchmark process and named kernel worker threads (submission-queue
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -110,12 +117,23 @@ def nearest_rank(sorted_durations: Sequence[int], q: float) -> int:
     return int(sorted_durations[k - 1])
 
 
-def aggregate_latencies(samples: Iterable[LatencySample]) -> LatencyStats:
-    """Summarize samples into min/max/mean/p99/p99.9 by nearest rank."""
-    durations = np.fromiter((s.duration_us for s in samples), dtype=np.int64)
+def aggregate_latencies(
+        samples: array | np.ndarray | Iterable[LatencySample]) -> LatencyStats:
+    """Summarize samples into min/max/mean/p99/p99.9 by nearest rank.
+
+    ``samples`` is an int64 duration log (``array('q')`` or ndarray, in
+    microseconds; it is copied, not sorted in place) or an iterable of
+    :class:`LatencySample`.
+    """
+    if isinstance(samples, (array, np.ndarray)):
+        durations = np.array(samples, dtype=np.int64)
+    else:
+        durations = np.fromiter((s.duration_us for s in samples), dtype=np.int64)
     if durations.size == 0:
         raise EmptySampleSet("no latency samples to aggregate")
     durations.sort()
+    if durations[0] < 0:
+        raise ValueError("duration must be >= 0")
     return LatencyStats(
         count=int(durations.size),
         min_us=int(durations[0]),

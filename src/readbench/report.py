@@ -123,7 +123,8 @@ class ResultStore:
                 f.write(json.dumps(d, sort_keys=True) + "\n")
 
     def read(self) -> tuple[list[RunRecord], int]:
-        """All parseable records plus the count of skipped corrupt lines."""
+        """All valid records plus the count of skipped lines: corrupt JSON,
+        missing or mistyped fields, or values that fail validation."""
         records: list[RunRecord] = []
         skipped = 0
         try:
@@ -139,7 +140,7 @@ class ResultStore:
                     d = json.loads(line)
                     d.pop("schema_version", None)
                     records.append(RunRecord.from_dict(d))
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, AttributeError):
                     skipped += 1
         return records, skipped
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readbench import engines
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
                                run, run_kernel_async, run_polled, run_ring,
                                run_sync, run_threadpool, split_budget)
-from readbench.errors import VerifyError
+from readbench.errors import IoError, VerifyError
 from readbench.target import open_target, prepare_target, simulated_target
 
 
@@ -208,6 +209,26 @@ class TestScattered:
         e = EngineConfig(kind="aio", queue_size=64)
         stats = read_scattered(w, e, offsets=[0, 4096, 8192])
         assert stats.count == 10
+
+    def test_failed_completion_raises(self, tmp_path, monkeypatch):
+        class FailingBackend:
+            def submit_reads(self, entries):
+                self.slots = [slot for slot, _, _ in entries]
+
+            def wait(self, min_nr, timeout_s=None):
+                return [(slot, -5) for slot in self.slots]
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: FailingBackend())
+        path = str(tmp_path / "real.dat")
+        prepare_target(path, size=1 << 20, seed=3).close()
+        with open_target(path, seed=3, direct=False) as h:
+            with pytest.raises(IoError, match="returned -5"):
+                read_scattered(workload(h, request_budget=4),
+                               EngineConfig(kind="aio", queue_size=4))
 
 
 class TestRealFile:

@@ -128,6 +128,24 @@ class TestResultStore:
         assert skipped == 1
         assert len(back) == 2
 
+    @pytest.mark.parametrize("engine", [{"kind": "nvme"}, {"queue_size": 0},
+                                        None])
+    def test_invalid_lines_skipped(self, tmp_path, engine):
+        path = tmp_path / "runs.jsonl"
+        store = ResultStore(str(path))
+        store.append(make_record())
+        bad = make_record().as_dict()
+        if engine is None:
+            bad = 5  # valid JSON, but not an object
+        else:
+            bad["engine"].update(engine)
+        with open(path, "a") as f:
+            f.write(json.dumps(bad) + "\n")
+        store.append(make_record(label="PT2", kind="pool"))
+        back, skipped = read_records(store)
+        assert skipped == 1
+        assert [r.label for r in back] == ["P", "PT2"]
+
     def test_unknown_fields_preserved(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         store = ResultStore(str(path))

@@ -1,0 +1,136 @@
+"""Golden replay: simulated records pinned to their exact values.
+
+The simulator's statistics must replay bit for bit across refactors of the
+engine loop, the device scheduler, the offset stream and the sample store.
+The values below were produced by the per-request-object implementation
+(one ``LatencySample`` per request, one ``SplitMix64.next_u64`` per random
+offset); any change to them is a behaviour change, not a speed-up.
+"""
+
+import itertools
+from array import array
+
+import numpy as np
+import pytest
+
+from readbench import engines
+from readbench.devicesim import preset_model
+from readbench.engines import (EngineConfig, WorkloadSpec, offset_stream,
+                               read_scattered, run)
+from readbench.errors import EmptySampleSet
+from readbench.measurement import (LatencySample, LatencyStats,
+                                   aggregate_latencies)
+from readbench.rng import SplitMix64, worker_seed
+from readbench.target import simulated_target
+
+GiB = 1 << 30
+
+#: name -> (model, capacity, fill seed, workload fields, engine,
+#:          latency, throughput_mb_s, data_checksum, extra)
+GOLDEN = {
+    "hdd-sync": (
+        "hdd", GiB, 7, dict(block_size=65536, request_budget=2000, seed=1),
+        EngineConfig(kind="sync"),
+        LatencyStats(count=2000, min_us=3140, max_us=21717,
+                     mean_us=10917.9695, p99_us=19701, p999_us=21549),
+        6.002583067046276, "", {"max_inflight": 1, "short_harvests": 0}),
+    "sata-aio-q32b8-T2": (
+        "sata-ssd", GiB, 2, dict(threads=2, request_budget=20000, seed=4),
+        EngineConfig(kind="aio", queue_size=32, batch_size=8),
+        LatencyStats(count=20000, min_us=137, max_us=48666,
+                     mean_us=1280.41225, p99_us=1049, p999_us=48650),
+        193.64975893131728, "", {"max_inflight": 32, "short_harvests": 0}),
+    "nvme-polled-verify": (
+        "nvme-ssd", 1 << 28, 5, dict(request_budget=5000, seed=9, verify=True),
+        EngineConfig(kind="polled"),
+        LatencyStats(count=5000, min_us=91, max_us=99, mean_us=95.2188,
+                     p99_us=99, p999_us=99),
+        43.02151208150956,
+        "8b9cd67ad4338f44792cd7465fc937d552478f1ec321052ea5d084f3d1a974e4",
+        {"max_inflight": 1, "short_harvests": 0}),
+    "ull-uring-q16b4-T3-warmup-duration": (
+        "ull", GiB, 3, dict(threads=3, warmup_s=0.002, duration_s=0.02,
+                            seed=11),
+        EngineConfig(kind="uring", queue_size=16, batch_size=4),
+        LatencyStats(count=8720, min_us=80, max_us=143,
+                     mean_us=106.7579128440367, p99_us=133, p999_us=139),
+        1776.2032125361886, "", {"max_inflight": 16, "short_harvests": 0}),
+    "sata-pool-T2-sequential-verify": (
+        "sata-ssd", 1 << 26, 1, dict(threads=2, pattern="sequential",
+                                     request_budget=8000, seed=2, verify=True),
+        EngineConfig(kind="pool"),
+        LatencyStats(count=8000, min_us=137, max_us=157, mean_us=139.295875,
+                     p99_us=155, p999_us=157),
+        58.73172188982324,
+        "8cdea4ed8a69abf6fe529eac32a277f79308be96e953976c5e60380daab4572d",
+        {"max_inflight": 1, "short_harvests": 0}),
+    "anchor-nvme-uring-q64b8-verify": (
+        "nvme-ssd", GiB, 1, dict(request_budget=30000, seed=3, verify=True),
+        EngineConfig(kind="uring", queue_size=64, batch_size=8),
+        LatencyStats(count=30000, min_us=91, max_us=200,
+                     mean_us=118.34053333333334, p99_us=137, p999_us=162),
+        2108.5026582284877,
+        "2fafdb5ae22d5d2afe9ac9cda3053d6dc2d6f33b784dcf1ab035d709274147a1",
+        {"max_inflight": 64, "short_harvests": 0}),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_simulated_record_is_pinned(name):
+    (model, capacity, fill_seed, fields, engine,
+     latency, throughput, checksum, extra) = GOLDEN[name]
+    with simulated_target(preset_model(model), capacity, seed=fill_seed) as h:
+        rec = run(WorkloadSpec(target=h, **fields), engine)
+    assert (rec.latency, rec.throughput_mb_s, rec.data_checksum, rec.extra) \
+        == (latency, throughput, checksum, extra)
+
+
+def test_scattered_makespans_are_pinned():
+    with simulated_target(preset_model("hdd"), GiB, seed=7) as h:
+        w = WorkloadSpec(target=h, block_size=262144, request_budget=200,
+                         seed=6)
+        got = read_scattered(w, EngineConfig(kind="aio", queue_size=5))
+    assert got == LatencyStats(count=200, min_us=37404, max_us=72562,
+                               mean_us=53625.01, p99_us=67367, p999_us=72562)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("pattern", ["random", "sequential"])
+def test_offset_stream_matches_reference(pattern, threads):
+    block = 4096
+    with simulated_target(preset_model("ull"), 1 << 26, seed=1) as h:
+        nblocks = h.capacity // block
+        w = WorkloadSpec(target=h, pattern=pattern, block_size=block,
+                         threads=threads, request_budget=1, seed=12345)
+        n = 3 * engines._OFFSET_CHUNK + 17
+        for worker in range(threads):
+            got = list(itertools.islice(offset_stream(w, worker), n))
+            if pattern == "random":
+                rng = SplitMix64(worker_seed(w.seed, worker))
+                want = [(rng.next_u64() % nblocks) * block for _ in range(n)]
+            else:
+                first = (nblocks // threads) * worker
+                want = [((first + i) % nblocks) * block for i in range(n)]
+            assert got == want
+            assert all(type(x) is int for x in got)
+
+
+def test_aggregate_accepts_logs_and_samples():
+    durations = [7, 0, 123456789, 42, 42, 9, 1000] * 300
+    as_samples = aggregate_latencies(
+        [LatencySample(duration_us=d, nbytes=4096) for d in durations])
+    log = array("q", durations)
+    assert aggregate_latencies(log) == as_samples
+    assert aggregate_latencies(np.array(durations, dtype=np.int64)) == as_samples
+    assert list(log) == durations  # the caller's log is not sorted in place
+
+
+@pytest.mark.parametrize("empty", [array("q"), np.array([], dtype=np.int64), []])
+def test_aggregate_empty_log_raises(empty):
+    with pytest.raises(EmptySampleSet):
+        aggregate_latencies(empty)
+
+
+def test_aggregate_rejects_negative_durations():
+    with pytest.raises(ValueError):
+        aggregate_latencies(array("q", [5, -1]))
