@@ -9,6 +9,7 @@ the interface works (synchronously inside the kernel) on buffered ones too.
 from __future__ import annotations
 
 import ctypes
+import errno
 import os
 
 from .errors import EngineUnsupported
@@ -96,13 +97,16 @@ class AioQueue:
         ts = None
         if timeout_s is not None:
             ts = _Timespec(int(timeout_s), int(timeout_s % 1 * 1e9))
-        ret = _libc.syscall(_SYS_io_getevents, self._ctx,
-                            ctypes.c_long(min_nr), ctypes.c_long(self.depth),
-                            self._events,
-                            ctypes.byref(ts) if ts is not None else None)
-        if ret < 0:
-            raise OSError(ctypes.get_errno(),
-                          f"io_getevents failed: {_errno_str()}")
+        while True:
+            ret = _libc.syscall(_SYS_io_getevents, self._ctx,
+                                ctypes.c_long(min_nr), ctypes.c_long(self.depth),
+                                self._events,
+                                ctypes.byref(ts) if ts is not None else None)
+            if ret >= 0:
+                break
+            err = ctypes.get_errno()
+            if err != errno.EINTR:
+                raise OSError(err, f"io_getevents failed: {os.strerror(err)}")
         return [(self._events[i].data, self._events[i].res) for i in range(ret)]
 
     def close(self) -> None:

@@ -50,6 +50,13 @@ MAX_QUEUE = 4096
 #: how long a harvest may wait before the run is flagged as stalled
 HARVEST_TIMEOUT_S = 1.0
 
+#: a harvest that sees no completion for this long ends the run
+STALL_LIMIT_S = 30.0
+
+#: with verify on, sync, polled and pool workers read into up to this many
+#: arena slots and check them in one batch once the arena is full
+VERIFY_SLOTS = 32
+
 #: random offsets are drawn this many at a time
 _OFFSET_CHUNK = 4096
 
@@ -213,7 +220,7 @@ class _Checksum:
         self.blocks = 0
 
     def add(self, data) -> None:
-        h = hashlib.sha256(bytes(data)).digest()
+        h = hashlib.sha256(data).digest()
         self.value = (self.value + int.from_bytes(h, "big")) % _CHECKSUM_MOD
         self.blocks += 1
 
@@ -358,14 +365,17 @@ class _EmulatedAsyncQueue:
             self._work.put(entry)
 
     def wait(self, min_nr: int, timeout_s=None):
-        out = [self._done.get()]
-        while len(out) < min_nr:
-            out.append(self._done.get())
-        while True:
-            try:
+        """Up to min_nr completions, fewer if timeout_s runs out first."""
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        out = []
+        try:
+            while len(out) < min_nr:
+                left = None if deadline is None else max(deadline - time.monotonic(), 0)
+                out.append(self._done.get(timeout=left))
+            while True:
                 out.append(self._done.get_nowait())
-            except queue_mod.Empty:
-                return out
+        except queue_mod.Empty:
+            return out
 
     def close(self):
         for _ in self._threads:
@@ -391,6 +401,36 @@ def _make_async_backend(engine: EngineConfig, handle: TargetHandle,
         return _EmulatedAsyncQueue(handle, depth, buffers)
 
 
+def _arena(n: int, block: int) -> tuple[list[memoryview], np.ndarray]:
+    """n one-block slot buffers carved from one page-aligned mapping, and the
+    (n, block // 8) uint64 view of them that batched verification reads."""
+    mem = alloc_aligned(n * block)
+    slots = [mem[i * block:(i + 1) * block] for i in range(n)]
+    return slots, np.frombuffer(mem, dtype="<u8").reshape(n, block // fill.WORD)
+
+
+def _harvest(backend, min_nr: int, notes: list[str]) -> list[tuple[int, int]]:
+    """Wait for completions; IoError once none arrived for STALL_LIMIT_S."""
+    start = time.monotonic()
+    while True:
+        done = backend.wait(min_nr, HARVEST_TIMEOUT_S)
+        if done:
+            return done
+        if "harvest stalled beyond timeout" not in notes:
+            notes.append("harvest stalled beyond timeout")
+        waited = time.monotonic() - start
+        if waited >= STALL_LIMIT_S:
+            raise IoError(f"harvest stalled: no completion in {waited:.1f} s")
+
+
+def _check_batch(rows: np.ndarray, offsets: list[int], bufs: list[memoryview],
+                 seed: int, checksum: "_Checksum") -> None:
+    """Verify read blocks in one compare, then add them to the checksum."""
+    fill.check_blocks(rows, offsets, seed)
+    for buf in bufs:
+        checksum.add(buf)
+
+
 class _RealWorkerResult:
     __slots__ = ("submits", "durations", "checksum", "error", "notes",
                  "max_inflight")
@@ -405,8 +445,7 @@ class _RealWorkerResult:
 
 
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
-                 start_wall: float, deadline: float | None,
-                 result: _RealWorkerResult) -> None:
+                 deadline: float | None, result: _RealWorkerResult) -> None:
     handle = workload.target
     block = workload.block_size
     depth, batch = _depth_and_batch(engine)
@@ -414,76 +453,84 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
     seed = handle.fill_seed
-    submits, durations = result.submits, result.durations
+    verify = workload.verify
+    submits, durations, checksum = result.submits, result.durations, result.checksum
 
-    def record(submit_t: float, dur_us: int, offset: int, buf) -> None:
-        if workload.verify:
-            fill.check_block(buf, offset, seed)
-            result.checksum.add(buf)
-        submits.append(submit_t)
-        durations.append(dur_us)
-
-    _issued = [0]
-
-    def want_more(now: float) -> bool:
+    def want_more(issued: int, now: float) -> bool:
         if remaining is not None:
-            return _issued[0] < remaining
+            return issued < remaining
         return now < deadline
 
-    if engine.kind in ("sync", "polled", "pool"):
-        buf = alloc_aligned(block) if handle.direct else memoryview(bytearray(block))
+    if engine.kind not in ASYNC_KINDS:
+        nslots = 1
+        if verify:
+            # large blocks gain nothing from batching; keep their arena small
+            nslots = max(1, min(VERIFY_SLOTS, fill.CHECK_CHUNK_BYTES // block))
+        bufs, rows = _arena(nslots, block)
+        offsets = [0] * nslots
         reader = read_block_polled if engine.kind == "polled" else read_block
+        issued = n = 0
         while True:
             now = time.monotonic()
-            if not want_more(now):
+            if not want_more(issued, now):
                 break
             offset = next(stream)
-            dur = reader(handle, offset, buf)
-            _issued[0] += 1
-            result.max_inflight = max(result.max_inflight, 1)
-            record(now, dur, offset, buf)
+            durations.append(reader(handle, offset, bufs[n]))
+            submits.append(now)
+            issued += 1
+            if verify:
+                offsets[n] = offset
+                n += 1
+                if n == nslots:
+                    _check_batch(rows, offsets, bufs, seed, checksum)
+                    n = 0
+        if n:
+            _check_batch(rows[:n], offsets[:n], bufs[:n], seed, checksum)
+        result.max_inflight = min(issued, 1)
         if engine.kind == "polled" and handle.polled_fallback:
             result.notes.append("polled reads unsupported, fell back to plain reads")
         return
 
-    buffers = [alloc_aligned(block) if handle.direct else memoryview(bytearray(block))
-               for _ in range(depth)]
-    backend = _make_async_backend(engine, handle, depth, buffers, result.notes)
+    bufs, rows = _arena(depth, block)
+    backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
         inflight: dict[int, tuple[float, int]] = {}  # slot -> (submit, offset)
         free = deque(range(depth))
+        issued = 0
 
         def fill_queue() -> None:
+            nonlocal issued
             entries = []
             now = time.monotonic()
-            while free and want_more(now):
+            while free and want_more(issued, now):
                 slot = free.popleft()
                 offset = next(stream)
-                entries.append((slot, offset, buffers[slot]))
+                entries.append((slot, offset, bufs[slot]))
                 inflight[slot] = (now, offset)
-                _issued[0] += 1
+                issued += 1
             if entries:
                 backend.submit_reads(entries)
             result.max_inflight = max(result.max_inflight, len(inflight))
 
         fill_queue()
-        stalled = False
         while inflight:
-            done = backend.wait(min(batch, len(inflight)), HARVEST_TIMEOUT_S)
-            if not done:
-                if not stalled:
-                    result.notes.append("harvest stalled beyond timeout")
-                    stalled = True
-                continue
+            done = _harvest(backend, min(batch, len(inflight)), result.notes)
             now = time.monotonic()
+            slots, offsets = [], []
             for data, res in done:
                 slot = int(data)
                 submit_t, offset = inflight.pop(slot)
                 if res != block:
                     raise IoError(f"async read at {offset} returned {res}")
-                record(submit_t, int((now - submit_t) * 1e6), offset,
-                       buffers[slot])
-                free.append(slot)
+                submits.append(submit_t)
+                durations.append(int((now - submit_t) * 1e6))
+                slots.append(slot)
+                offsets.append(offset)
+            if verify:
+                # before the slots are refilled
+                _check_batch(rows[slots], offsets, [bufs[s] for s in slots],
+                             seed, checksum)
+            free.extend(slots)
             fill_queue()
     finally:
         backend.close()
@@ -498,7 +545,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
 
     def runner(w: int) -> None:
         try:
-            _real_worker(workload, engine, w, start_wall, deadline, results[w])
+            _real_worker(workload, engine, w, deadline, results[w])
         except BaseException as exc:  # collected and re-raised by the parent
             results[w].error = exc
 
@@ -652,8 +699,7 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
             makespans.append(round(t_last - t0))
     else:
         n = len(offsets) if offsets is not None else engine.queue_size
-        buffers = [alloc_aligned(block) if handle.direct
-                   else memoryview(bytearray(block)) for _ in range(n)]
+        buffers, _ = _arena(n, block)
         notes: list[str] = []
         backend = _make_async_backend(engine, handle, n, buffers, notes)
         try:
@@ -664,7 +710,7 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
                     [(i, o, buffers[i]) for i, o in enumerate(offs)])
                 got = 0
                 while got < len(offs):
-                    done = backend.wait(len(offs) - got, HARVEST_TIMEOUT_S)
+                    done = _harvest(backend, len(offs) - got, notes)
                     for data, res in done:
                         if res != block:
                             raise IoError(f"scattered read at {offs[int(data)]} "

@@ -14,6 +14,11 @@ from .errors import VerifyError
 
 WORD = 8
 
+#: check_blocks compares at most this many bytes per numpy pass (longer
+#: blocks in chunk-sized pieces), which bounds its temporaries whatever the
+#: batch or block size
+CHECK_CHUNK_BYTES = 1 << 17
+
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
     # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2^64
@@ -36,24 +41,50 @@ def pattern_bytes(seed: int, offset: int, nbytes: int) -> bytes:
     return pattern_words(seed, offset, nbytes).astype("<u8").tobytes()
 
 
+def check_blocks(rows, offsets, seed: int) -> None:
+    """Verify a batch of blocks in one vectorised compare.
+
+    ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
+    ``offsets`` the n target byte offsets they were read from.  Raises
+    VerifyError naming the first bad word's byte offset, in row order.
+    """
+    offs = np.asarray(offsets, dtype=np.uint64)
+    words = rows.shape[1]
+    sub = CHECK_CHUNK_BYTES // WORD
+    if words > sub and words % sub == 0:
+        # split long rows into chunk-sized ones; row order stays offset order
+        offs = (offs[:, None] + np.arange(0, words * WORD, sub * WORD,
+                                          dtype=np.uint64)).ravel()
+        rows, words = rows.reshape(-1, sub), sub
+    ramp = np.arange(0, words * WORD, WORD, dtype=np.uint64)
+    step = max(1, CHECK_CHUNK_BYTES // max(words * WORD, 1))
+    seed = np.uint64(seed)
+    for i in range(0, len(offs), step):
+        expected = offs[i:i + step, None] + ramp
+        expected ^= seed
+        bad = rows[i:i + step] != _mix64_array(expected)
+        if bad.any():
+            row, word = divmod(int(bad.argmax()), words)
+            raise VerifyError(int(offs[i + row]) + word * WORD)
+
+
+def check_block(buffer, offset: int, seed: int) -> None:
+    """Raise VerifyError naming the first bad offset on any mismatch."""
+    if offset % WORD:
+        raise ValueError("offset must be a multiple of 8")
+    check_blocks(np.frombuffer(buffer, dtype="<u8")[None, :], (offset,), seed)
+
+
 def first_mismatch(buffer, offset: int, seed: int) -> int | None:
     """Byte offset (within the target) of the first non-matching word,
     or None if the buffer matches the pattern exactly."""
-    buf = np.frombuffer(buffer, dtype="<u8")
-    expected = pattern_words(seed, offset, len(buffer))
-    bad = np.nonzero(buf != expected)[0]
-    if bad.size == 0:
-        return None
-    return offset + int(bad[0]) * WORD
+    try:
+        check_block(buffer, offset, seed)
+    except VerifyError as exc:
+        return exc.offset
+    return None
 
 
 def verify_block(buffer, offset: int, seed: int) -> bool:
     """True iff every 8-byte word in the buffer matches the fill pattern."""
     return first_mismatch(buffer, offset, seed) is None
-
-
-def check_block(buffer, offset: int, seed: int) -> None:
-    """Raise VerifyError naming the first bad offset on any mismatch."""
-    bad = first_mismatch(buffer, offset, seed)
-    if bad is not None:
-        raise VerifyError(bad)

@@ -1,17 +1,20 @@
 """Engine configuration, simulated runs, and real-file cross-checks."""
 
+import ctypes
+import errno
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readbench import engines
+from readbench import aio_native, engines
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
                                run, run_kernel_async, run_polled, run_ring,
                                run_sync, run_threadpool, split_budget)
-from readbench.errors import IoError, VerifyError
+from readbench.errors import AbortedRun, IoError, VerifyError
 from readbench.target import open_target, prepare_target, simulated_target
 
 
@@ -231,6 +234,85 @@ class TestScattered:
                                EngineConfig(kind="aio", queue_size=4))
 
 
+class StalledBackend:
+    """Accepts every read and never completes one."""
+
+    def submit_reads(self, entries):
+        pass
+
+    def wait(self, min_nr, timeout_s=None):
+        return []
+
+    def close(self):
+        pass
+
+
+class TestFaults:
+    @pytest.fixture
+    def real(self, tmp_path):
+        path = str(tmp_path / "real.dat")
+        prepare_target(path, size=1 << 20, seed=3).close()
+        with open_target(path, seed=3, direct=False) as h:
+            yield h
+
+    def test_stalled_run_ends_with_named_error(self, real, monkeypatch):
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: StalledBackend())
+        monkeypatch.setattr(engines, "STALL_LIMIT_S", 0.05)
+        t0 = time.monotonic()
+        with pytest.raises(AbortedRun, match="harvest stalled"):
+            run(workload(real, request_budget=4),
+                EngineConfig(kind="uring", queue_size=4))
+        with pytest.raises(IoError, match="harvest stalled"):
+            read_scattered(workload(real, request_budget=4),
+                           EngineConfig(kind="aio", queue_size=4))
+        assert time.monotonic() - t0 < 5.0
+
+    def test_emulated_queue_wait_honours_timeout(self, real):
+        buf = memoryview(bytearray(4096))
+        q = engines._EmulatedAsyncQueue(real, 1, [buf])
+        try:
+            t0 = time.monotonic()
+            assert q.wait(1, 0.1) == []
+            assert time.monotonic() - t0 < 0.2
+            q.submit_reads([(0, 8192, buf)])
+            assert q.wait(1, 5.0) == [(0, 4096)]
+        finally:
+            q.close()
+
+    def test_aio_wait_retries_eintr(self, real, monkeypatch):
+        ok, why = aio_native.probe()
+        if not ok:
+            pytest.skip(why)
+        libc = aio_native._libc
+
+        class Interrupting:
+            """io_getevents fails once with EINTR, then reaches the kernel."""
+            interrupted = 0
+
+            def syscall(self, nr, *args):
+                if nr == aio_native._SYS_io_getevents and not self.interrupted:
+                    self.interrupted += 1
+                    ctypes.set_errno(errno.EINTR)
+                    return -1
+                return libc.syscall(nr, *args)
+
+        bufs = [memoryview(bytearray(4096)) for _ in range(2)]
+        q = aio_native.AioQueue(real.fd, 4)
+        try:
+            q.submit_reads([(i, i * 4096, b) for i, b in enumerate(bufs)])
+            fake = Interrupting()
+            monkeypatch.setattr(aio_native, "_libc", fake)
+            done = []
+            while len(done) < 2:
+                done += q.wait(2 - len(done), 1.0)
+            assert fake.interrupted == 1
+            assert sorted(done) == [(0, 4096), (1, 4096)]
+        finally:
+            monkeypatch.undo()
+            q.close()
+
+
 class TestRealFile:
     def test_cross_engine_checksums_match(self, tmp_path):
         path = str(tmp_path / "real.dat")
@@ -263,6 +345,25 @@ class TestRealFile:
                 run_sync(WorkloadSpec(target=h, pattern="sequential",
                                       block_size=65536, request_budget=16,
                                       seed=1, verify=True))
+
+
+@pytest.mark.parametrize("kind", ["sync", "pool", "aio", "uring"])
+def test_corruption_offset_named_by_every_engine(tmp_path, kind):
+    path = str(tmp_path / "bad.dat")
+    prepare_target(path, size=1 << 20, seed=5).close()
+    with open(path, "r+b") as f:
+        f.seek(984041)  # block 240: in the last, partial verify batch
+        f.write(b"\x00" if f.read(1) != b"\x00" else b"\x01")
+    threads, queue, batch = {"pool": (2, 1, 1), "aio": (1, 8, 2),
+                             "uring": (1, 8, 2)}.get(kind, (1, 1, 1))
+    engine = EngineConfig(kind=kind, queue_size=queue, batch_size=batch,
+                          allow_fallback=True)
+    with open_target(path, seed=5, direct=False) as h:
+        with pytest.raises(VerifyError) as ei:
+            run(WorkloadSpec(target=h, pattern="sequential", block_size=4096,
+                             request_budget=250, threads=threads, seed=1,
+                             verify=True), engine)
+    assert ei.value.offset == 984040
 
 
 def test_probe_engines_shape():

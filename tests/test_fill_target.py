@@ -2,13 +2,15 @@
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readbench.errors import AlignmentError, IoError, VerifyError
-from readbench.fill import (check_block, first_mismatch, pattern_bytes,
-                            pattern_words, verify_block)
+from readbench.fill import (CHECK_CHUNK_BYTES, check_block, check_blocks,
+                            first_mismatch, pattern_bytes, pattern_words,
+                            verify_block)
 from readbench.rng import GOLDEN, MASK64, SplitMix64, mix64, worker_seed
 from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
                               read_block, recommended_file_size,
@@ -79,6 +81,52 @@ def test_verify_and_mismatch():
     with pytest.raises(VerifyError) as ei:
         check_block(buf, 8192, seed)
     assert ei.value.offset == 8192 + (100 // 8) * 8
+
+
+def pattern_rows(seed, offsets, block=4096):
+    return np.stack([pattern_words(seed, o, block) for o in offsets])
+
+
+# the larger batch takes two CHECK_CHUNK_BYTES passes
+@pytest.mark.parametrize("nrows", [8, CHECK_CHUNK_BYTES // 4096 + 8])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("word", [0, 511])
+def test_check_blocks_names_first_bad_offset(nrows, where, word):
+    seed = 0xC0FFEE
+    offsets = [4096 * (3 * k + 1) for k in range(nrows)]
+    rows = pattern_rows(seed, offsets)
+    check_blocks(rows, offsets, seed)
+    row = {"first": 0, "middle": nrows // 2, "last": nrows - 1}[where]
+    rows.view(np.uint8)[row, word * 8 + 5] ^= 0x10
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(rows, offsets, seed)
+    assert ei.value.offset == first_mismatch(rows[row].tobytes(), offsets[row], seed)
+    assert ei.value.offset == offsets[row] + word * 8
+
+
+def test_check_blocks_splits_long_rows():
+    seed = 11
+    block = 2 * CHECK_CHUNK_BYTES
+    offsets = [5 * block, 2 * block, 7 * block]
+    rows = pattern_rows(seed, offsets, block)
+    check_blocks(rows, offsets, seed)
+    word = CHECK_CHUNK_BYTES // 8 + 5  # in the second piece of row 1
+    rows[1, word] ^= 1 << 40
+    rows[2, 0] ^= 1
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(rows, offsets, seed)
+    assert ei.value.offset == offsets[1] + word * 8
+
+
+def test_check_blocks_reports_in_row_order():
+    seed = 3
+    offsets = [4096 * k for k in range(8, 0, -1)]  # descending offsets
+    rows = pattern_rows(seed, offsets)
+    rows[2, 7] ^= 1
+    rows[6, 0] ^= 1  # lower offset, later row
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(rows, offsets, seed)
+    assert ei.value.offset == offsets[2] + 7 * 8
 
 
 @given(st.integers(min_value=0, max_value=MASK64),
