@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import devicesim, engines, report, sweep
 from .errors import EngineUnsupported, NoSuchPreset, ReadBenchError
@@ -174,15 +175,7 @@ def _parse_plan_file(path: str) -> dict:
     if not os.path.exists(path):
         raise NoSuchPreset(f"{path!r} is neither a named plan "
                            f"({', '.join(NAMED_PLANS)}) nor a plan file")
-    settings: dict[str, str] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
-    return settings
+    return devicesim.read_key_values(path)
 
 
 def _plan_from_args(args, target) -> sweep.ExperimentPlan:
@@ -204,7 +197,6 @@ def _plan_from_args(args, target) -> sweep.ExperimentPlan:
                                     sweep.batch_grid(eng.queue_size), wl, eng,
                                     args.repeat)
     settings = _parse_plan_file(name)
-    from dataclasses import replace
     if "block" in settings:
         wl = replace(wl, block_size=int(settings["block"]))
     if "threads" in settings:
@@ -252,7 +244,6 @@ def _cmd_sweep(args) -> int:
             storage = aliases.get(storage, storage)
             rows = [r for r in table.rows if r.storage == storage] or table.rows
             for row in rows:
-                from dataclasses import replace
                 wl = _workload_from_args(args, target)
                 wl = replace(wl, threads=row.threads)
                 eng = engines.EngineConfig(

@@ -163,25 +163,32 @@ def load_model(path_or_name: str) -> DeviceModel:
                            f"({', '.join(preset_names())}) nor a model file")
     values: dict[str, Any] = {}
     field_types = {f.name: f.type for f in fields(DeviceModel)}
-    with open(path_or_name) as f:
+    for key, raw in read_key_values(path_or_name).items():
+        if key == "schema":
+            continue
+        if key not in field_types:
+            raise ValueError(f"unknown model field {key!r}")
+        typ = field_types[key]
+        if typ in ("str", str):
+            values[key] = raw
+        elif typ in ("int", int):
+            values[key] = int(raw)
+        else:
+            values[key] = float(raw)
+    return DeviceModel(**values)
+
+
+def read_key_values(path: str) -> dict[str, str]:
+    """``key = value`` lines of a model or plan file; ``#`` starts a
+    comment and a later key overrides an earlier one."""
+    settings: dict[str, str] = {}
+    with open(path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key == "schema":
-                continue
-            if key not in field_types:
-                raise ValueError(f"unknown model field {key!r}")
-            typ = field_types[key]
-            if typ in ("str", str):
-                values[key] = raw
-            elif typ in ("int", int):
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
-    return DeviceModel(**values)
+            if line:
+                key, _, value = line.partition("=")
+                settings[key.strip()] = value.strip()
+    return settings
 
 
 @dataclass(slots=True)

@@ -15,18 +15,21 @@ Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit.
 Real-file targets use actual threads and the native syscall backends.
+Scattered multi-block reads and sequential whole-target scans run on these
+same two loops, through :func:`duration_log`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import queue as queue_mod
 import threading
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -251,9 +254,11 @@ class _SimWorker:
         self.max_outstanding = 0
 
 
-def _simulate(workload: WorkloadSpec, engine: EngineConfig):
+def _simulate(workload: WorkloadSpec, engine: EngineConfig,
+              offsets: Iterator[int] | None = None):
     """Run the workload in virtual time; returns (duration log, bytes,
-    elapsed_s, checksum hex, notes, extra)."""
+    elapsed_s, checksum hex, notes, extra).  ``offsets``, when given,
+    replaces the offset stream of a single-worker run."""
     depth, batch = _depth_and_batch(engine)
     polled = engine.kind == "polled"
     state: SimState = workload.target.fresh_sim_state()
@@ -270,7 +275,8 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig):
     for w in range(workload.threads):
         remaining = (split_budget(workload.request_budget, workload.threads, w)
                      if budget_mode else None)
-        workers.append(_SimWorker(w, offset_stream(workload, w), remaining))
+        stream = offset_stream(workload, w) if offsets is None else offsets
+        workers.append(_SimWorker(w, stream, remaining))
 
     checksum = _Checksum() if workload.verify else None
     outstanding = 0
@@ -410,17 +416,22 @@ def _arena(n: int, block: int) -> tuple[list[memoryview], np.ndarray]:
 
 
 def _harvest(backend, min_nr: int, notes: list[str]) -> list[tuple[int, int]]:
-    """Wait for completions; IoError once none arrived for STALL_LIMIT_S."""
+    """Wait for at least min_nr completions; IoError once none arrived for
+    STALL_LIMIT_S."""
+    done: list[tuple[int, int]] = []
     start = time.monotonic()
-    while True:
-        done = backend.wait(min_nr, HARVEST_TIMEOUT_S)
-        if done:
-            return done
+    while len(done) < min_nr:
+        got = backend.wait(min_nr - len(done), HARVEST_TIMEOUT_S)
+        if got:
+            done += got
+            start = time.monotonic()
+            continue
         if "harvest stalled beyond timeout" not in notes:
             notes.append("harvest stalled beyond timeout")
         waited = time.monotonic() - start
         if waited >= STALL_LIMIT_S:
             raise IoError(f"harvest stalled: no completion in {waited:.1f} s")
+    return done
 
 
 def _check_batch(rows: np.ndarray, offsets: list[int], bufs: list[memoryview],
@@ -445,11 +456,12 @@ class _RealWorkerResult:
 
 
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
-                 deadline: float | None, result: _RealWorkerResult) -> None:
+                 deadline: float | None, result: _RealWorkerResult,
+                 offsets: Iterator[int] | None = None) -> None:
     handle = workload.target
     block = workload.block_size
     depth, batch = _depth_and_batch(engine)
-    stream = offset_stream(workload, w)
+    stream = offset_stream(workload, w) if offsets is None else offsets
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
     seed = handle.fill_seed
@@ -659,11 +671,26 @@ def run_ring(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
     return run(workload, engine)
 
 
+def duration_log(workload: WorkloadSpec, engine: EngineConfig,
+                 offsets: Iterator[int] | None = None) -> array:
+    """Per-request latencies (us), in harvest order, of a single-worker
+    request-budget run without warm-up; ``offsets``, when given, replaces
+    the offset stream."""
+    if workload.target.is_simulated:
+        return _simulate(workload, engine, offsets)[0]
+    result = _RealWorkerResult()
+    _real_worker(workload, engine, 0, None, result, offsets)
+    return result.durations
+
+
 def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
                    offsets: list[int] | None = None) -> LatencyStats:
     """Multi-block single-wait reads: submit a group of blocks at once,
     wait for all of them, record the group's makespan.  Repeats for the
-    request budget (one budget unit = one group)."""
+    request budget (one budget unit = one group).
+
+    One worker runs with queue = batch = group size, so every harvest is
+    one whole group and a makespan is the slowest read of its group."""
     if engine.kind not in ASYNC_KINDS:
         raise ValueError("scattered reads require an async engine")
     if workload.request_budget is None:
@@ -671,55 +698,13 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
     if offsets is not None and len(offsets) > engine.queue_size:
         raise ValueError("more offsets than queue slots")
 
-    handle = workload.target
-    block = workload.block_size
+    n = engine.queue_size if offsets is None else len(offsets)
     reps = workload.request_budget
-    stream = offset_stream(workload, 0)
-
-    def group() -> list[int]:
-        if offsets is not None:
-            return offsets
-        return [next(stream) for _ in range(engine.queue_size)]
-
-    makespans = array("q")
-    if handle.is_simulated:
-        state = handle.fresh_sim_state()
-        for _ in range(reps):
-            offs = group()
-            t0 = state.clock
-            reqs = [SimRequest(o, block, submit_time=t0) for o in offs]
-            for r in reqs:
-                submit(state, r)
-            pending = set(map(id, reqs))
-            t_last = t0
-            while pending:
-                for req, t in advance(state):
-                    pending.discard(id(req))
-                    t_last = max(t_last, t)
-            makespans.append(round(t_last - t0))
-    else:
-        n = len(offsets) if offsets is not None else engine.queue_size
-        buffers, _ = _arena(n, block)
-        notes: list[str] = []
-        backend = _make_async_backend(engine, handle, n, buffers, notes)
-        try:
-            for _ in range(reps):
-                offs = group()
-                t0 = time.monotonic()
-                backend.submit_reads(
-                    [(i, o, buffers[i]) for i, o in enumerate(offs)])
-                got = 0
-                while got < len(offs):
-                    done = _harvest(backend, len(offs) - got, notes)
-                    for data, res in done:
-                        if res != block:
-                            raise IoError(f"scattered read at {offs[int(data)]} "
-                                          f"returned {res}")
-                    got += len(done)
-                makespans.append(int((time.monotonic() - t0) * 1e6))
-        finally:
-            backend.close()
-    return aggregate_latencies(makespans)
+    log = duration_log(
+        replace(workload, threads=1, warmup_s=0.0, request_budget=reps * n),
+        replace(engine, queue_size=n, batch_size=n),
+        None if offsets is None else itertools.cycle(offsets))
+    return aggregate_latencies(np.asarray(log).reshape(reps, n).max(axis=1))
 
 
 def probe_engines() -> dict[str, dict]:

@@ -11,6 +11,7 @@ canonical token order (M before F); ``parse_label`` accepts M/F either way.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .engines import EngineConfig, RunRecord
@@ -145,14 +146,6 @@ class ResultStore:
         return records, skipped
 
 
-def write_records(store: ResultStore, records: list[RunRecord]) -> None:
-    store.write(records)
-
-
-def read_records(store: ResultStore) -> tuple[list[RunRecord], int]:
-    return store.read()
-
-
 def latency_table(records: list[RunRecord]) -> str:
     """CSV of min/mean/p99/p99.9/max per (label, block size)."""
     header = "block_size,label,count,min_us,mean_us,p99_us,p999_us,max_us"
@@ -209,7 +202,6 @@ def _marker(shape: str, x: float, y: float, r: float, fill: str) -> str:
                f"{x - r:.2f},{y + t:.2f} {x - r:.2f},{y - t:.2f} {x - t:.2f},{y - t:.2f}")
         return f'<polygon points="{pts}" {style}/>'
     # remaining shapes: regular polygons
-    import math
     n = {"pentagon": 5, "star": 10, "hexagon": 6}.get(shape, 6)
     pts = []
     for i in range(n):
@@ -249,8 +241,6 @@ def scatter_summary(records: list[RunRecord]) -> str:
     point carries its label, and the best record per block size (maximum
     throughput with the standard tie-breaks) is drawn larger.
     """
-    import math
-
     from .sweep import select_best
 
     if not records:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .devicesim import SimRequest, advance, submit
-from .engines import EngineConfig, RunRecord, WorkloadSpec, run
+from .engines import EngineConfig, RunRecord, WorkloadSpec, duration_log, run
 from .errors import NoSuchPreset, ReadBenchError
-from .target import TargetHandle, alloc_aligned, read_block
+from .target import TargetHandle
 
 AXES = ("block_size", "threads", "queue_size", "batch_size")
 
@@ -107,28 +106,17 @@ class ScanTimeline:
 
 def whole_scan(target: TargetHandle, block: int,
                window_bytes: int | None = None) -> ScanTimeline:
-    """Read the full capacity sequentially; report MB/s per window."""
-    if block < 4096 or target.capacity % block:
-        raise ValueError("block must be >= 4 KiB and divide capacity")
+    """Read the full capacity sequentially at depth 1; report MB/s per
+    window.  ``block`` is a run block size: a power of two in 4 KiB..64 MiB
+    that divides the capacity."""
+    workload = WorkloadSpec(target=target, pattern="sequential",
+                            block_size=block,
+                            request_budget=target.capacity // block)
     if window_bytes is None:
         window_bytes = max(target.capacity // 64, block)
-    window_bytes = max(window_bytes // block, 1) * block
+    per_window = max(window_bytes // block, 1)
+    lat_us = duration_log(workload, EngineConfig(kind="sync"))
 
-    lat_us: list[float] = []
-    if target.is_simulated:
-        state = target.fresh_sim_state()
-        for offset in range(0, target.capacity, block):
-            req = SimRequest(offset, block, submit_time=state.clock)
-            submit(state, req)
-            done = advance(state)
-            assert len(done) == 1
-            lat_us.append(done[0][1] - req.submit_time)
-    else:
-        buf = alloc_aligned(block) if target.direct else memoryview(bytearray(block))
-        for offset in range(0, target.capacity, block):
-            lat_us.append(read_block(target, offset, buf))
-
-    per_window = window_bytes // block
     mb_s: list[float] = []
     elapsed: list[float] = []
     for i in range(0, len(lat_us), per_window):
@@ -136,7 +124,7 @@ def whole_scan(target: TargetHandle, block: int,
         t = sum(chunk) / 1e6
         elapsed.append(t)
         mb_s.append(len(chunk) * block / t / 1e6)
-    return ScanTimeline(window_bytes=window_bytes, window_mb_s=mb_s,
+    return ScanTimeline(window_bytes=per_window * block, window_mb_s=mb_s,
                         window_elapsed_s=elapsed,
                         total_bytes=target.capacity, total_s=sum(elapsed))
 

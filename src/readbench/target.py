@@ -1,9 +1,10 @@
 """Read targets: real files (buffered or direct) and simulated devices.
 
-Both kinds answer positional block reads through the same API, so engines
-never care which backend they drive.  Real-file content is the offset-derived
-fill pattern from :mod:`readbench.fill`; simulated targets synthesize the
-same pattern on the fly, making byte-level verification work identically.
+Real-file content is the offset-derived fill pattern from
+:mod:`readbench.fill`, read here by positional block reads.  A simulated
+target holds only a device model: the engines replay it in virtual time
+and never read it through :func:`read_block`, which refuses a handle
+without an open file.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import mmap
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fill
-from .devicesim import DeviceModel, SimRequest, SimState, advance, submit
+from .devicesim import DeviceModel, SimState
 from .errors import AlignmentError, IoError, PrepareError
 from .rng import MASK64
 
@@ -26,27 +27,19 @@ _PREPARE_CHUNK = 1 << 20
 @dataclass
 class TargetHandle:
     """An open read target.  Real files carry an fd; simulated targets carry
-    a device model plus a private scheduler state for standalone reads."""
+    a device model."""
 
     capacity: int
     fill_seed: int
     path: str | None = None
     fd: int | None = None
     direct: bool = False
-    polled_hint: bool = False
     model: DeviceModel | None = None
     polled_fallback: bool = False
-    _sim: SimState | None = field(default=None, repr=False)
 
     @property
     def is_simulated(self) -> bool:
         return self.model is not None
-
-    @property
-    def sim_state(self) -> SimState:
-        if self._sim is None:
-            self._sim = SimState(self.model, self.capacity)
-        return self._sim
 
     def fresh_sim_state(self) -> SimState:
         """Independent scheduler state (engines own their request history)."""
@@ -100,8 +93,7 @@ def prepare_target(path: str, size: int, seed: int) -> TargetHandle:
     return open_target(path, seed, direct=False)
 
 
-def open_target(path: str, seed: int, direct: bool = True,
-                polled_hint: bool = False) -> TargetHandle:
+def open_target(path: str, seed: int, direct: bool = True) -> TargetHandle:
     """Open an existing file (or block device) for benchmarking."""
     flags = os.O_RDONLY
     if direct:
@@ -112,7 +104,7 @@ def open_target(path: str, seed: int, direct: bool = True,
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     return TargetHandle(capacity=size, fill_seed=seed & MASK64, path=path,
-                        fd=fd, direct=direct, polled_hint=polled_hint)
+                        fd=fd, direct=direct)
 
 
 def simulated_target(model: DeviceModel, capacity: int, seed: int = 0) -> TargetHandle:
@@ -121,34 +113,27 @@ def simulated_target(model: DeviceModel, capacity: int, seed: int = 0) -> Target
     return TargetHandle(capacity=capacity, fill_seed=seed & MASK64, model=model)
 
 
+def _require_file(handle: TargetHandle) -> None:
+    if handle.fd is None:
+        raise IoError("target has no open file; simulated targets are read "
+                      "only through the engines")
+
+
 def _check_bounds(handle: TargetHandle, offset: int, length: int) -> None:
+    _require_file(handle)
     if offset < 0 or offset + length > handle.capacity:
         raise IoError(f"read [{offset}, {offset + length}) beyond capacity "
                       f"{handle.capacity}")
-    if not handle.is_simulated and handle.direct:
+    if handle.direct:
         if offset % ALIGNMENT or length % ALIGNMENT:
             raise AlignmentError(
                 f"direct mode requires {ALIGNMENT}-aligned offset and length, "
                 f"got offset={offset} length={length}")
 
 
-def _sim_read(handle: TargetHandle, offset: int, buffer, polled: bool) -> int:
-    state = handle.sim_state
-    req = SimRequest(offset, len(buffer), submit_time=state.clock, polled=polled)
-    submit(state, req)
-    while True:
-        done = advance(state)
-        for r, t in done:
-            if r is req:
-                buffer[:] = fill.pattern_bytes(handle.fill_seed, offset, len(buffer))
-                return int(round(t - req.submit_time))
-
-
 def read_block(handle: TargetHandle, offset: int, buffer) -> int:
     """Fill the buffer from the target; returns observed latency in us."""
     _check_bounds(handle, offset, len(buffer))
-    if handle.is_simulated:
-        return _sim_read(handle, offset, buffer, polled=False)
     t0 = time.perf_counter_ns()
     n = os.preadv(handle.fd, [buffer], offset)
     t1 = time.perf_counter_ns()
@@ -164,8 +149,6 @@ def read_block_polled(handle: TargetHandle, offset: int, buffer) -> int:
     filesystem doesn't support polled reads.
     """
     _check_bounds(handle, offset, len(buffer))
-    if handle.is_simulated:
-        return _sim_read(handle, offset, buffer, polled=True)
     if not handle.direct:
         # the kernel only polls direct-mode completions
         handle.polled_fallback = True
@@ -184,16 +167,14 @@ def read_block_polled(handle: TargetHandle, offset: int, buffer) -> int:
 
 def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
     """Sequentially verify the whole target against its fill pattern."""
-    buf = alloc_aligned(block) if not handle.is_simulated else memoryview(bytearray(block))
+    _require_file(handle)
+    buf = alloc_aligned(block)
     offset = 0
     while offset < handle.capacity:
         n = min(block, handle.capacity - offset)
         view = buf[:n]
-        if handle.is_simulated:
-            view[:] = fill.pattern_bytes(handle.fill_seed, offset, n)
-        else:
-            got = os.preadv(handle.fd, [view], offset)
-            if got != n:
-                raise IoError(f"short read at {offset}: {got} of {n} bytes")
+        got = os.preadv(handle.fd, [view], offset)
+        if got != n:
+            raise IoError(f"short read at {offset}: {got} of {n} bytes")
         fill.check_block(view, offset, handle.fill_seed)
         offset += n

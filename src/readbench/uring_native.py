@@ -12,10 +12,12 @@ single-threaded-per-ring use here.
 from __future__ import annotations
 
 import ctypes
+import errno
 import mmap
 import os
+import time
 
-from .errors import EngineUnsupported
+from .errors import EngineUnsupported, IoError
 
 _SYS_setup = 425
 _SYS_enter = 426
@@ -27,9 +29,11 @@ _OFF_SQES = 0x10000000
 
 _SETUP_SQPOLL = 1 << 1
 _FEAT_SINGLE_MMAP = 1 << 0
+_FEAT_EXT_ARG = 1 << 8
 
 _ENTER_GETEVENTS = 1 << 0
 _ENTER_SQ_WAKEUP = 1 << 1
+_ENTER_EXT_ARG = 1 << 3
 
 _OP_READ = 22
 _OP_READ_FIXED = 4
@@ -82,6 +86,15 @@ class _Cqe(ctypes.Structure):
                 ("flags", ctypes.c_uint32)]
 
 
+class _Timespec(ctypes.Structure):
+    _fields_ = [("tv_sec", ctypes.c_int64), ("tv_nsec", ctypes.c_int64)]
+
+
+class _GeteventsArg(ctypes.Structure):
+    _fields_ = [("sigmask", ctypes.c_uint64), ("sigmask_sz", ctypes.c_uint32),
+                ("pad", ctypes.c_uint32), ("ts", ctypes.c_uint64)]
+
+
 class _Iovec(ctypes.Structure):
     _fields_ = [("iov_base", ctypes.c_void_p), ("iov_len", ctypes.c_size_t)]
 
@@ -115,6 +128,9 @@ class UringQueue:
         self.ring_fd = ring_fd
         self._mmaps: list[mmap.mmap] = []
         try:
+            if not params.features & _FEAT_EXT_ARG:
+                raise EngineUnsupported("timed completion wait",
+                                        "kernel lacks IORING_FEAT_EXT_ARG")
             self._map_rings(params)
             if fixed_files or kernel_poll:
                 # SQPOLL requires registered files on older kernels; register
@@ -206,20 +222,35 @@ class UringQueue:
             if self._sq_flags.value & _SQ_NEED_WAKEUP:
                 self._enter(0, 0, _ENTER_SQ_WAKEUP)
         else:
-            self._enter(len(entries), 0, 0)
+            submitted = self._enter(len(entries), 0, 0)
+            if submitted != len(entries):
+                raise IoError(f"io_uring_enter submitted {submitted} of "
+                              f"{len(entries)} reads")
 
-    def _enter(self, to_submit: int, min_complete: int, flags: int) -> int:
-        ret = _libc.syscall(_SYS_enter, ctypes.c_uint(self.ring_fd),
-                            ctypes.c_uint(to_submit),
-                            ctypes.c_uint(min_complete),
-                            ctypes.c_uint(flags), None,
-                            ctypes.c_size_t(0))
-        if ret < 0:
+    def _enter(self, to_submit: int, min_complete: int, flags: int,
+               timeout_s: float | None = None) -> int:
+        """io_uring_enter, retried on EINTR; with timeout_s, a wait that
+        times out returns 0."""
+        arg, argsz = None, 0
+        if timeout_s is not None:
+            sec = int(timeout_s)
+            ts = _Timespec(sec, int((timeout_s - sec) * 1e9))
+            ext = _GeteventsArg(ts=ctypes.addressof(ts))
+            arg, argsz = ctypes.byref(ext), ctypes.sizeof(ext)
+            flags |= _ENTER_EXT_ARG
+        while True:
+            ret = _libc.syscall(_SYS_enter, ctypes.c_uint(self.ring_fd),
+                                ctypes.c_uint(to_submit),
+                                ctypes.c_uint(min_complete),
+                                ctypes.c_uint(flags), arg,
+                                ctypes.c_size_t(argsz))
+            if ret >= 0:
+                return ret
             err = ctypes.get_errno()
-            if err == 4:  # EINTR: retry
-                return self._enter(to_submit, min_complete, flags)
-            raise OSError(err, f"io_uring_enter failed: {os.strerror(err)}")
-        return ret
+            if err == errno.ETIME and timeout_s is not None:
+                return 0
+            if err != errno.EINTR:
+                raise OSError(err, f"io_uring_enter failed: {os.strerror(err)}")
 
     def _reap(self) -> list[tuple[int, int]]:
         out = []
@@ -233,10 +264,17 @@ class UringQueue:
         return out
 
     def wait(self, min_nr: int, timeout_s: float | None = None) -> list[tuple[int, int]]:
-        """Block for at least min_nr completions; returns (user_data, res)."""
+        """At least min_nr completions, fewer if timeout_s runs out first;
+        returns (user_data, res) pairs."""
         done = self._reap()
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while len(done) < min_nr:
-            self._enter(0, min_nr - len(done), _ENTER_GETEVENTS)
+            left = None
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+            self._enter(0, min_nr - len(done), _ENTER_GETEVENTS, left)
             done.extend(self._reap())
         return done
 

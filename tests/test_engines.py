@@ -2,13 +2,15 @@
 
 import ctypes
 import errno
+import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readbench import aio_native, engines
+from readbench import aio_native, engines, uring_native
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
@@ -247,6 +249,31 @@ class StalledBackend:
         pass
 
 
+class TrickleBackend:
+    """Completes one read per wait call, oldest first."""
+
+    def __init__(self):
+        self.queued = deque()
+        self.submits = []  # entries per submit_reads call
+
+    def submit_reads(self, entries):
+        self.submits.append(len(entries))
+        self.queued.extend(entries)
+
+    def wait(self, min_nr, timeout_s=None):
+        slot, _, buf = self.queued.popleft()
+        return [(slot, len(buf))]
+
+    def close(self):
+        pass
+
+
+def _native_or_skip(kind):
+    ok, why = {"aio": aio_native, "uring": uring_native}[kind].probe()
+    if not ok:
+        pytest.skip(why)
+
+
 class TestFaults:
     @pytest.fixture
     def real(self, tmp_path):
@@ -267,6 +294,53 @@ class TestFaults:
             read_scattered(workload(real, request_budget=4),
                            EngineConfig(kind="aio", queue_size=4))
         assert time.monotonic() - t0 < 5.0
+
+    def test_harvest_waits_for_a_full_batch(self, real, monkeypatch):
+        made = []
+
+        def trickle(*args):
+            made.append(TrickleBackend())
+            return made[-1]
+
+        monkeypatch.setattr(engines, "_make_async_backend", trickle)
+        run(workload(real, request_budget=40),
+            EngineConfig(kind="aio", queue_size=8, batch_size=4))
+        assert made[0].submits == [8] + [4] * 8
+        stats = read_scattered(workload(real, request_budget=5),
+                               EngineConfig(kind="aio", queue_size=4))
+        assert stats.count == 5
+        assert made[1].submits == [4] * 5
+
+    def test_uring_wait_honours_timeout(self, real):
+        _native_or_skip("uring")
+        q = uring_native.UringQueue(real.fd, 4)
+        out = {}
+
+        def idle_wait():
+            t0 = time.monotonic()
+            out["done"] = q.wait(1, 0.1)
+            out["s"] = time.monotonic() - t0
+
+        # a wait that ignores its timeout never returns; the daemon thread
+        # turns that into a failure instead of a hung suite
+        waiter = threading.Thread(target=idle_wait, daemon=True)
+        waiter.start()
+        waiter.join(5.0)
+        assert not waiter.is_alive(), "idle ring wait ignored its timeout"
+        q.close()
+        assert out["done"] == [] and out["s"] < 1.0
+
+    def test_uring_short_submit_raises(self, real, monkeypatch):
+        _native_or_skip("uring")
+        bufs = [memoryview(bytearray(4096)) for _ in range(2)]
+        q = uring_native.UringQueue(real.fd, 4)
+        try:
+            monkeypatch.setattr(q, "_enter", lambda *args: 1)
+            with pytest.raises(IoError, match="submitted 1 of 2"):
+                q.submit_reads([(i, i * 4096, b) for i, b in enumerate(bufs)])
+        finally:
+            monkeypatch.undo()
+            q.close()
 
     def test_emulated_queue_wait_honours_timeout(self, real):
         buf = memoryview(bytearray(4096))
@@ -333,6 +407,18 @@ class TestRealFile:
                 rec = make(workload(h, request_budget=64, verify=True))
                 sums.add(rec.data_checksum)
         assert len(sums) == 1
+
+    @pytest.mark.parametrize("offsets", [None, [0, 8192, 4096]])
+    @pytest.mark.parametrize("kind", ["aio", "uring"])
+    def test_scattered_reads(self, tmp_path, kind, offsets):
+        _native_or_skip(kind)
+        path = str(tmp_path / "real.dat")
+        prepare_target(path, size=1 << 20, seed=17).close()
+        with open_target(path, seed=17, direct=False) as h:
+            stats = read_scattered(workload(h, request_budget=12, verify=True),
+                                   EngineConfig(kind=kind, queue_size=4),
+                                   offsets=offsets)
+        assert stats.count == 12
 
     def test_corruption_detected(self, tmp_path):
         path = str(tmp_path / "bad.dat")

@@ -13,8 +13,9 @@ from readbench.fill import (CHECK_CHUNK_BYTES, check_block, check_blocks,
                             verify_block)
 from readbench.rng import GOLDEN, MASK64, SplitMix64, mix64, worker_seed
 from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
-                              read_block, recommended_file_size,
-                              simulated_target, verify_file)
+                              read_block, read_block_polled,
+                              recommended_file_size, simulated_target,
+                              verify_file)
 from readbench.devicesim import preset_model
 
 
@@ -181,14 +182,11 @@ class TestFileTarget:
 
 
 class TestSimulatedTarget:
-    def test_reads_return_pattern(self):
+    def test_block_reads_refused(self):
+        # simulated targets are replayed by the engines, never read directly
         with simulated_target(preset_model("nvme-ssd"), 1 << 24, seed=5) as h:
-            buf = bytearray(4096)
-            us = read_block(h, 12288, buf)
-            assert us > 0
-            check_block(buf, 12288, 5)
-
-    def test_bounds(self):
-        with simulated_target(preset_model("nvme-ssd"), 1 << 20, seed=5) as h:
-            with pytest.raises(IoError):
-                read_block(h, 1 << 20, bytearray(4096))
+            for read in (read_block, read_block_polled):
+                with pytest.raises(IoError, match="simulated"):
+                    read(h, 12288, bytearray(4096))
+            with pytest.raises(IoError, match="simulated"):
+                verify_file(h)

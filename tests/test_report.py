@@ -11,8 +11,7 @@ from readbench.engines import EngineConfig, RunRecord
 from readbench.errors import LabelParseError
 from readbench.measurement import CpuUsage, LatencyStats
 from readbench.report import (Label, ResultStore, encode_label, latency_table,
-                              parse_label, read_records, scatter_points_csv,
-                              scatter_summary, write_records)
+                              parse_label, scatter_points_csv, scatter_summary)
 
 
 def make_record(label="P", block=4096, tput=100.0, p999=500, cpu=10.0,
@@ -106,8 +105,8 @@ class TestResultStore:
         store = ResultStore(str(tmp_path / "runs.jsonl"))
         recs = [make_record(label="P"), make_record(label="A16B1",
                                                     kind="aio", queue=16)]
-        write_records(store, recs)
-        back, skipped = read_records(store)
+        store.write(recs)
+        back, skipped = store.read()
         assert skipped == 0
         assert [r.as_dict() for r in back] == [r.as_dict() for r in recs]
 
@@ -124,7 +123,7 @@ class TestResultStore:
         with open(path, "a") as f:
             f.write("{not json\n")
         store.append(make_record(label="PT2", kind="pool"))
-        back, skipped = read_records(store)
+        back, skipped = store.read()
         assert skipped == 1
         assert len(back) == 2
 
@@ -142,7 +141,7 @@ class TestResultStore:
         with open(path, "a") as f:
             f.write(json.dumps(bad) + "\n")
         store.append(make_record(label="PT2", kind="pool"))
-        back, skipped = read_records(store)
+        back, skipped = store.read()
         assert skipped == 1
         assert [r.label for r in back] == ["P", "PT2"]
 
@@ -155,7 +154,7 @@ class TestResultStore:
         d["schema_version"] = 1
         with open(path, "w") as f:
             f.write(json.dumps(d, sort_keys=True) + "\n")
-        back, _ = read_records(store)
+        back, _ = store.read()
         assert back[0].extra.get("future_field") == {"x": 1}
 
 

@@ -21,6 +21,7 @@ from readbench.errors import EmptySampleSet
 from readbench.measurement import (LatencySample, LatencyStats,
                                    aggregate_latencies)
 from readbench.rng import SplitMix64, worker_seed
+from readbench.sweep import whole_scan
 from readbench.target import simulated_target
 
 GiB = 1 << 30
@@ -92,6 +93,27 @@ def test_scattered_makespans_are_pinned():
         got = read_scattered(w, EngineConfig(kind="aio", queue_size=5))
     assert got == LatencyStats(count=200, min_us=37404, max_us=72562,
                                mean_us=53625.01, p99_us=67367, p999_us=72562)
+
+
+#: per-window scan time (us) of the hdd whole scan, outermost window first
+SCAN_WINDOW_US = [
+    67306, 67731, 68161, 68596, 69037, 69484, 69936, 70395, 70860, 71330,
+    71808, 72292, 72780, 73280, 73776, 74288, 74810, 75334, 75865, 76406,
+    76954, 77509, 78073, 78644, 79225, 79814, 80411, 81019, 81633, 82260,
+    82896, 83539, 84195, 84860, 85536, 86223, 86920, 87630, 88352, 89085,
+    89830, 90584, 91357, 92143, 92939, 93752, 94577, 95419, 96273, 97144,
+    98032, 98934, 99855, 100793, 101748, 102720, 103714, 104720, 105755,
+    106808, 107880, 108975, 110094, 111232]
+
+
+def test_whole_scan_timeline_is_pinned():
+    # per-block latencies are integer us, as in every run record
+    with simulated_target(preset_model("hdd"), GiB, seed=7) as h:
+        tl = whole_scan(h, block=1 << 20)
+    assert (tl.window_bytes, tl.total_bytes) == (16 << 20, GiB)
+    assert tl.window_elapsed_s == [us / 1e6 for us in SCAN_WINDOW_US]
+    assert (tl.window_mb_s[0], tl.window_mb_s[-1], tl.total_s) \
+        == (249.26776216087717, 150.83084004602992, 5.483531)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

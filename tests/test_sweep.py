@@ -8,12 +8,12 @@ from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import EngineConfig, RunRecord, WorkloadSpec
 from readbench.errors import NoSuchPreset
 from readbench.measurement import CpuUsage, LatencyStats
-from readbench.report import ResultStore, read_records
+from readbench.report import ResultStore
 from readbench.sweep import (BLOCK_GRID, QUEUE_GRID, THREAD_GRID,
                              ExperimentPlan, PlanError, batch_grid,
                              paper_best_configs, run_plan, select_best,
                              whole_scan)
-from readbench.target import simulated_target
+from readbench.target import open_target, prepare_target, simulated_target
 
 
 def flat_model(latency_us=100.0, parallelism=8, **over):
@@ -80,7 +80,7 @@ class TestPlans:
             assert all(isinstance(r, RunRecord) for r in out)
             # deeper queues earn more throughput on a parallel device
             assert out[2].throughput_mb_s > out[0].throughput_mb_s
-            back, _ = read_records(store)
+            back, _ = store.read()
             assert len(back) == 3
 
     def test_thread_axis_upgrades_to_pool(self):
@@ -122,6 +122,15 @@ class TestWholeScan:
             assert tl.window_mb_s[0] > tl.window_mb_s[-1]
             assert all(b <= a * 1.001 for a, b in
                        zip(tl.window_mb_s, tl.window_mb_s[1:]))
+
+    def test_real_file_windows(self, tmp_path):
+        path = str(tmp_path / "scan.dat")
+        prepare_target(path, size=4 << 20, seed=2).close()
+        with open_target(path, seed=2, direct=False) as h:
+            tl = whole_scan(h, block=1 << 16, window_bytes=1 << 20)
+        assert len(tl.window_mb_s) == 4
+        assert tl.total_bytes == 4 << 20
+        assert all(mb > 0 for mb in tl.window_mb_s)
 
     def test_block_must_divide_capacity(self):
         with simulated_target(flat_model(), (1 << 24) + 4096, seed=1) as h:
