@@ -175,7 +175,11 @@ def _parse_plan_file(path: str) -> dict:
     if not os.path.exists(path):
         raise NoSuchPreset(f"{path!r} is neither a named plan "
                            f"({', '.join(NAMED_PLANS)}) nor a plan file")
-    return devicesim.read_key_values(path)
+    settings = devicesim.read_key_values(path)
+    for key in ("axis", "values"):
+        if key not in settings:
+            raise ValueError(f"plan file {path!r} has no {key!r} key")
+    return settings
 
 
 def _plan_from_args(args, target) -> sweep.ExperimentPlan:

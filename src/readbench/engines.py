@@ -619,16 +619,19 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
     from .report import encode_label  # local import: report depends on us
 
     started_at = datetime.now(timezone.utc).isoformat()
-    cpu_before = snapshot_cpu()
-    wall0 = time.monotonic()
     if workload.target.is_simulated:
         log, nbytes, elapsed_s, checksum, notes, extra = _simulate(
             workload, engine)
+        # the device model spends no host CPU, and host CPU would make
+        # replays, selection and plots differ from run to run
+        cpu = CpuUsage.of(0.0, elapsed_s)
     else:
+        cpu_before = snapshot_cpu()
+        wall0 = time.monotonic()
         log, nbytes, elapsed_s, checksum, notes, extra = _run_real(
             workload, engine)
-    wall = max(time.monotonic() - wall0, 1e-9)
-    cpu = measure_cpu(cpu_before, snapshot_cpu(), wall)
+        wall = max(time.monotonic() - wall0, 1e-9)
+        cpu = measure_cpu(cpu_before, snapshot_cpu(), wall)
 
     label = encode_label(engine, workload.threads)
     if label.note:

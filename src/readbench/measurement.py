@@ -7,26 +7,23 @@ run costs 8 bytes per sample and no Python object per request.
 individual samples; ``aggregate_latencies`` accepts either form.
 
 Percentiles are nearest-rank on the sorted integer-microsecond durations:
-the k-th order statistic with k = ceil(q * count).  CPU accounting covers
-both the benchmark process and named kernel worker threads (submission-queue
-poll threads) that do work on its behalf but are invisible in normal
-process statistics.
+the k-th order statistic with k = ceil(q * count).  CPU accounting reads
+the process CPU clock, which sums every thread of the process, the kernel's
+io_uring submission-poll thread included: that thread is a task of the
+process that set up the ring.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ClockError, EmptySampleSet, InvalidInterval
-
-#: Kernel thread-name prefixes that count as external CPU on our behalf.
-POLL_THREAD_PREFIXES = ("iou-sqp", "io_uring-sq")
 
 
 @dataclass(frozen=True)
@@ -72,42 +69,29 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class CpuUsage:
-    """CPU seconds consumed over a wall interval.
-
-    external_cpu covers named kernel worker threads outside the process;
-    percent_of_core is derived and recomputable from the other fields.
-    """
+    """CPU seconds consumed over a wall interval; percent_of_core is derived
+    and recomputable from the other fields."""
 
     process_cpu: float
-    external_cpu: float
     wall: float
     percent_of_core: float
 
     @classmethod
-    def of(cls, process_cpu: float, external_cpu: float, wall: float) -> "CpuUsage":
-        return cls(process_cpu, external_cpu, wall,
-                   100.0 * (process_cpu + external_cpu) / wall)
+    def of(cls, process_cpu: float, wall: float) -> "CpuUsage":
+        return cls(process_cpu, wall, 100.0 * process_cpu / wall)
 
     def as_dict(self) -> dict:
         return {
             "process_cpu": self.process_cpu,
-            "external_cpu": self.external_cpu,
             "wall": self.wall,
             "percent_of_core": self.percent_of_core,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CpuUsage":
-        return cls(d["process_cpu"], d["external_cpu"], d["wall"],
-                   d["percent_of_core"])
-
-
-@dataclass(frozen=True)
-class CpuSnapshot:
-    """Point-in-time CPU counters: process seconds + matching external seconds."""
-
-    process_s: float
-    external_s: float
+        """Other keys are ignored: older records carry a per-thread-name
+        CPU share as well."""
+        return cls(d["process_cpu"], d["wall"], d["percent_of_core"])
 
 
 def nearest_rank(sorted_durations: Sequence[int], q: float) -> int:
@@ -151,71 +135,16 @@ def compute_throughput(total_bytes: int, elapsed_s: float) -> float:
     return total_bytes / elapsed_s / 1e6
 
 
-def measure_cpu(before: CpuSnapshot, after: CpuSnapshot, wall: float) -> CpuUsage:
-    """CPU usage between two snapshots over a wall interval."""
+def measure_cpu(before_s: float, after_s: float, wall: float) -> CpuUsage:
+    """CPU usage between two :func:`snapshot_cpu` readings over a wall
+    interval."""
     if wall <= 0:
         raise InvalidInterval(f"wall must be > 0, got {wall}")
-    dp = after.process_s - before.process_s
-    de = after.external_s - before.external_s
-    if dp < 0 or de < 0:
-        raise ClockError("CPU-time counters went backwards")
-    return CpuUsage.of(dp, de, wall)
+    if after_s < before_s:
+        raise ClockError("process CPU clock went backwards")
+    return CpuUsage.of(after_s - before_s, wall)
 
 
-class LinuxProcessTable:
-    """Reads CPU times from /proc: the process itself plus kernel threads
-    matched by name (utime+stime fields of each stat file)."""
-
-    def __init__(self, proc: str = "/proc"):
-        self.proc = proc
-        self.tick = os.sysconf("SC_CLK_TCK")
-
-    def _stat_cpu_seconds(self, stat_path: str) -> float | None:
-        try:
-            with open(stat_path, "rb") as f:
-                data = f.read()
-        except OSError:
-            return None
-        # comm may contain spaces; fields are positional after the last ')'
-        rest = data[data.rfind(b")") + 2:].split()
-        utime, stime = int(rest[11]), int(rest[12])
-        return (utime + stime) / self.tick
-
-    def process_cpu_seconds(self) -> float:
-        cpu = self._stat_cpu_seconds(f"{self.proc}/self/stat")
-        if cpu is None:
-            raise ClockError("cannot read process CPU time")
-        return cpu
-
-    def external_cpu_seconds(self, name_matches: Callable[[str], bool]) -> float:
-        total = 0.0
-        try:
-            pids = [p for p in os.listdir(self.proc) if p.isdigit()]
-        except OSError:
-            return 0.0
-        for pid in pids:
-            try:
-                with open(f"{self.proc}/{pid}/comm") as f:
-                    name = f.read().strip()
-            except OSError:
-                continue
-            if not name_matches(name):
-                continue
-            cpu = self._stat_cpu_seconds(f"{self.proc}/{pid}/stat")
-            if cpu is not None:
-                total += cpu
-        return total
-
-
-def poll_thread_predicate(name: str) -> bool:
-    return name.startswith(POLL_THREAD_PREFIXES)
-
-
-def snapshot_cpu(table=None, name_matches: Callable[[str], bool] = poll_thread_predicate) -> CpuSnapshot:
-    """Take a CPU snapshot from a process table (Linux /proc by default)."""
-    if table is None:
-        table = LinuxProcessTable()
-    return CpuSnapshot(
-        process_s=table.process_cpu_seconds(),
-        external_s=table.external_cpu_seconds(name_matches),
-    )
+def snapshot_cpu() -> float:
+    """CPU seconds used so far by every thread of this process."""
+    return time.process_time()

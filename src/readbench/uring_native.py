@@ -6,7 +6,7 @@ registered buffers, and the kernel-side submission poll thread.
 
 Ring memory is touched with plain stores; x86 total-store-order plus the
 acquire/release semantics of io_uring_enter make this safe for the
-single-threaded-per-ring use here.
+single-threaded-per-ring use here, so other architectures are refused.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import ctypes
 import errno
 import mmap
 import os
+import platform
 import time
 
 from .errors import EngineUnsupported, IoError
@@ -109,6 +110,9 @@ class UringQueue:
     def __init__(self, fd: int, depth: int, fixed_files: bool = False,
                  fixed_buffers: bool = False, kernel_poll: bool = False,
                  buffers: list[memoryview] | None = None):
+        if platform.machine() != "x86_64":
+            raise EngineUnsupported("completion ring", "ring access assumes "
+                                    f"x86 store ordering, not {platform.machine()}")
         self.fd = fd
         self.depth = depth
         self.fixed_files = fixed_files

@@ -102,6 +102,16 @@ class TestSweepReport:
         assert rc == 0
         assert len(open(out).read().splitlines()) == 2
 
+    @pytest.mark.parametrize("text,missing", [("axis = threads\n", "values"),
+                                              ("values = 1,2\n", "axis")],
+                             ids=["no-values", "no-axis"])
+    def test_plan_file_missing_key(self, tmp_path, capsys, text, missing):
+        plan = tmp_path / "p.plan"
+        plan.write_text(text)
+        assert run_cli("sweep", "--model", "ull", "--plan", str(plan),
+                       "--requests", "10") == 1
+        assert f"has no '{missing}' key" in capsys.readouterr().err
+
     def test_unknown_plan(self):
         assert run_cli("sweep", "--model", "nvme", "--plan", "bogus",
                        "--requests", "10") == 2

@@ -16,7 +16,8 @@ from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
                                run, run_kernel_async, run_polled, run_ring,
                                run_sync, run_threadpool, split_budget)
-from readbench.errors import AbortedRun, IoError, VerifyError
+from readbench.errors import (AbortedRun, EngineUnsupported, IoError,
+                              VerifyError)
 from readbench.target import open_target, prepare_target, simulated_target
 
 
@@ -152,6 +153,14 @@ class TestSimulatedRuns:
         assert a.latency == b.latency
         assert a.throughput_mb_s == b.throughput_mb_s
         assert a.data_checksum == b.data_checksum
+
+    def test_records_replay_except_start_time(self, sim):
+        e = EngineConfig(kind="uring", queue_size=16, batch_size=4)
+        a, b = (run_ring(workload(sim, threads=2), e).as_dict()
+                for _ in range(2))
+        del a["started_at"], b["started_at"]
+        assert a == b
+        assert a["cpu"]["process_cpu"] == 0.0
 
     def test_verify_checksum_engine_independent(self, sim):
         recs = [
@@ -341,6 +350,18 @@ class TestFaults:
         finally:
             monkeypatch.undo()
             q.close()
+
+    def test_uring_refused_off_x86(self, real, monkeypatch):
+        monkeypatch.setattr(uring_native.platform, "machine", lambda: "aarch64")
+        ok, why = uring_native.probe()
+        assert not ok and "aarch64" in why
+        assert not probe_engines()["uring"]["available"]
+        w = workload(real, request_budget=8)
+        with pytest.raises(EngineUnsupported):
+            run(w, EngineConfig(kind="uring", queue_size=4))
+        rec = run(w, EngineConfig(kind="uring", queue_size=4,
+                                  allow_fallback=True))
+        assert rec.latency.count == 8 and "emulated" in rec.notes
 
     def test_emulated_queue_wait_honours_timeout(self, real):
         buf = memoryview(bytearray(4096))

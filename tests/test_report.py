@@ -23,9 +23,25 @@ def make_record(label="P", block=4096, tput=100.0, p999=500, cpu=10.0,
         throughput_mb_s=tput,
         latency=LatencyStats(count=100, min_us=10, max_us=p999 + 100,
                              mean_us=50.0, p99_us=p999 - 10, p999_us=p999),
-        cpu=CpuUsage(process_cpu=0.1, external_cpu=0.0, wall=1.0,
-                     percent_of_core=cpu),
+        cpu=CpuUsage(process_cpu=0.1, wall=1.0, percent_of_core=cpu),
         label=label, started_at=started)
+
+
+#: a record as stored before CPU was read from the process clock: its cpu
+#: object also held the CPU of poll threads found by name
+_OLDER_LINE = (
+    '{"cpu": {"external_cpu": 0.02, "percent_of_core": 150.0, '
+    '"process_cpu": 0.01, "wall": 0.02}, "data_checksum": "", "engine": '
+    '{"batch_size": 1, "fixed_buffers": false, "fixed_files": false, '
+    '"kernel_poll": false, "kind": "aio", "queue_size": 4}, "label": "A4B1", '
+    '"latency": {"count": 20, "max_us": 123, "mean_us": 97.35, "min_us": 91, '
+    '"p999_us": 123, "p99_us": 123}, "max_inflight": 4, "notes": '
+    '"simulated", "schema_version": 1, "short_harvests": 0, "started_at": '
+    '"2026-10-18T02:38:09.781335+00:00", "throughput_mb_s": '
+    '159.26570405149337, "workload": {"block_size": 4096, "duration_s": '
+    'null, "pattern": "random", "request_budget": 20, "seed": 3, "target": '
+    '{"capacity": 16777216, "fill_seed": 1, "kind": "simulated", "model": '
+    '"nvme-ssd"}, "threads": 1, "verify": false, "warmup_s": 0.0}}')
 
 
 KNOWN_LABELS = {
@@ -115,6 +131,19 @@ class TestResultStore:
         store.append(make_record())
         line = (tmp_path / "runs.jsonl").read_text().splitlines()[0]
         assert json.loads(line)["schema_version"] == 1
+
+    def test_older_cpu_format_reads(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(_OLDER_LINE + "\n")
+        store = ResultStore(str(path))
+        (back,), skipped = store.read()
+        assert skipped == 0
+        assert back.cpu == CpuUsage(process_cpu=0.01, wall=0.02,
+                                    percent_of_core=150.0)
+        store.append(back)
+        line = path.read_text().splitlines()[-1]
+        assert set(json.loads(line)["cpu"]) == {"process_cpu", "wall",
+                                                "percent_of_core"}
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "runs.jsonl"

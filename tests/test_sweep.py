@@ -34,7 +34,7 @@ def fake_record(tput, p999, cpu=10.0, queue=1, label="P", started="t0"):
         throughput_mb_s=tput,
         latency=LatencyStats(count=10, min_us=1, max_us=p999, mean_us=5.0,
                              p99_us=p999, p999_us=p999),
-        cpu=CpuUsage(0.1, 0.0, 1.0, cpu), label=label, started_at=started)
+        cpu=CpuUsage(0.1, 1.0, cpu), label=label, started_at=started)
 
 
 class TestGrids:
