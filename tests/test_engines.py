@@ -2,6 +2,7 @@
 
 import ctypes
 import errno
+import os
 import threading
 import time
 from collections import deque
@@ -259,9 +260,11 @@ class StalledBackend:
 
 
 class TrickleBackend:
-    """Completes one read per wait call, oldest first."""
+    """Completes one read per wait call, oldest first; reads the block from
+    ``fd`` when one is given."""
 
-    def __init__(self):
+    def __init__(self, fd=None):
+        self.fd = fd
         self.queued = deque()
         self.submits = []  # entries per submit_reads call
 
@@ -270,7 +273,9 @@ class TrickleBackend:
         self.queued.extend(entries)
 
     def wait(self, min_nr, timeout_s=None):
-        slot, _, buf = self.queued.popleft()
+        slot, offset, buf = self.queued.popleft()
+        if self.fd is not None:
+            os.preadv(self.fd, [buf], offset)
         return [(slot, len(buf))]
 
     def close(self):
@@ -319,6 +324,20 @@ class TestFaults:
                                EngineConfig(kind="aio", queue_size=4))
         assert stats.count == 5
         assert made[1].submits == [4] * 5
+
+    def test_partial_harvest_names_bad_block(self, real, monkeypatch):
+        # harvests of 3 from a queue of 8 gather out-of-order slots; block
+        # 16 sits in slot 0 of the harvest of slots [7, 0, 1]
+        with open(real.path, "r+b") as f:
+            f.seek(16 * 4096 + 77)
+            f.write(b"\x00" if f.read(1) != b"\x00" else b"\x01")
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: TrickleBackend(real.fd))
+        with pytest.raises(VerifyError) as ei:
+            run(workload(real, pattern="sequential", request_budget=40,
+                         verify=True),
+                EngineConfig(kind="aio", queue_size=8, batch_size=3))
+        assert ei.value.offset == 16 * 4096 + 72
 
     def test_uring_wait_honours_timeout(self, real):
         _native_or_skip("uring")
@@ -428,6 +447,24 @@ class TestRealFile:
                 rec = make(workload(h, request_budget=64, verify=True))
                 sums.add(rec.data_checksum)
         assert len(sums) == 1
+
+    @pytest.mark.parametrize("block", [4096, 262144])
+    @pytest.mark.parametrize("engine,threads", [
+        (EngineConfig(kind="uring", queue_size=8, batch_size=2,
+                      allow_fallback=True), 1),
+        (EngineConfig(kind="pool"), 2)])
+    def test_checksum_equals_simulated(self, tmp_path, block, engine, threads):
+        # a simulated run digests the fill pattern of the offsets it
+        # submits; real workers' digests merge to the same value
+        path = str(tmp_path / "real.dat")
+        prepare_target(path, size=1 << 22, seed=17).close()
+        with open_target(path, seed=17, direct=False) as h:
+            real = run(workload(h, block_size=block, request_budget=48,
+                                threads=threads, verify=True), engine)
+        with simulated_target(preset_model("ull"), 1 << 22, seed=17) as h:
+            sim = run(workload(h, block_size=block, request_budget=48,
+                               threads=threads, verify=True), engine)
+        assert real.data_checksum == sim.data_checksum != ""
 
     @pytest.mark.parametrize("offsets", [None, [0, 8192, 4096]])
     @pytest.mark.parametrize("kind", ["aio", "uring"])

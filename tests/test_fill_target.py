@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readbench.errors import AlignmentError, IoError, VerifyError
-from readbench.fill import (CHECK_CHUNK_BYTES, check_block, check_blocks,
-                            first_mismatch, pattern_bytes, pattern_words,
-                            verify_block)
+from readbench.fill import (CHECK_CHUNK_BYTES, LANES, check_block,
+                            check_blocks, digest, first_mismatch, hexdigest,
+                            new_scratch, pattern_bytes, pattern_rows,
+                            pattern_words, verify_block)
 from readbench.rng import GOLDEN, MASK64, SplitMix64, mix64, worker_seed
 from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
                               read_block, read_block_polled,
@@ -130,6 +131,41 @@ def test_check_blocks_reports_in_row_order():
     assert ei.value.offset == offsets[2] + 7 * 8
 
 
+def test_shared_scratch_reuse():
+    """One scratch checks a bad batch, then a clean one, then a bad batch of
+    256 KiB rows that are split into pieces."""
+    seed = 21
+    scratch = new_scratch()
+    offsets = [4096 * k for k in (9, 2, 40, 7)]
+    rows = pattern_rows(seed, offsets, 4096)
+    rows[3, 100] ^= 1 << 63
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(rows, offsets, seed, scratch)
+    assert ei.value.offset == offsets[3] + 100 * 8
+    rows[3, 100] ^= 1 << 63
+    check_blocks(rows, offsets, seed, scratch)
+    block = 2 * CHECK_CHUNK_BYTES
+    offsets = [3 * block, block]
+    rows = pattern_rows(seed, offsets, block)
+    check_blocks(rows, offsets, seed, scratch)
+    word = CHECK_CHUNK_BYTES // 8 + 77  # in the second piece of row 1
+    rows[1, word] ^= 4
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(rows, offsets, seed, scratch)
+    assert ei.value.offset == offsets[1] + word * 8
+
+
+def test_pattern_rows_match_pattern_words():
+    seed = 0xFEED
+    offsets = [8, 4096 * 77, 2 * CHECK_CHUNK_BYTES]
+    block = CHECK_CHUNK_BYTES + 4096  # a long and a short piece per row
+    rows = pattern_rows(seed, offsets, block)
+    for row, o in zip(rows, offsets):
+        assert row.tobytes() == pattern_bytes(seed, o, block)
+    with pytest.raises(ValueError):
+        pattern_rows(seed, [4], 4096)
+
+
 @given(st.integers(min_value=0, max_value=MASK64),
        st.integers(min_value=0, max_value=2**40),
        st.integers(min_value=0, max_value=511))
@@ -139,6 +175,92 @@ def test_corruption_always_detected(seed, block, byte_index):
     buf = bytearray(pattern_bytes(seed, offset, 512))
     buf[byte_index] ^= 0x01
     assert first_mismatch(buf, offset, seed) is not None
+
+
+# ---------------------------------------------------------------------------
+# content digest
+# ---------------------------------------------------------------------------
+
+def digest_oracle(rows, lanes=(0,) * LANES):
+    """Pure-Python reference of fill.digest: per chunk-sized piece of each
+    row, LANES weighted sums over the piece's quarters, plus the piece's
+    first word index, mixed and added to the lanes mod 2**64."""
+    lanes = list(lanes)
+    chunk = CHECK_CHUNK_BYTES // 8
+    for row in rows.tolist():
+        for lo in range(0, len(row), chunk):
+            piece = row[lo:lo + chunk]
+            quarter = len(piece) // LANES
+            for j in range(LANES):
+                s = sum(((mix64_oracle(i + GOLDEN) | 1) * piece[i]) & MASK64
+                        for i in range(j * quarter, (j + 1) * quarter))
+                mixed = mix64_oracle((s + lo) & MASK64)
+                lanes[j] = (lanes[j] + mixed) & MASK64
+    return "".join(format(v, "016x") for v in lanes)
+
+
+def digest_of(*batches, lanes=None):
+    lanes = np.zeros(LANES, dtype=np.uint64) if lanes is None else lanes
+    scratch = new_scratch()
+    for rows in batches:
+        digest(rows, lanes, scratch)
+    return hexdigest(lanes)
+
+
+#: 3 blocks of the fill pattern with seed 2026
+TINY = pattern_rows(2026, [0, 4096, 12288], 4096)
+
+
+def test_digest_pinned():
+    assert digest_of(TINY) == (
+        "e29143dc264369c244259c472093ff2a433c0b7f7118dae2ebcca3f90c5ea6c4")
+    assert len(digest_of(TINY)) == 64 == len(digest_of())
+
+
+@pytest.mark.parametrize("block", [4096, 2 * CHECK_CHUNK_BYTES])
+def test_digest_matches_oracle(block):
+    rows = pattern_rows(5, [block * k for k in (3, 0, 8)], block)
+    rows[1, 17] = MASK64
+    assert digest_of(rows) == digest_oracle(rows)
+
+
+def test_digest_independent_of_order_and_batching():
+    rows = pattern_rows(8, [4096 * k for k in range(40)], 4096)
+    whole = digest_of(rows)
+    assert digest_of(rows[::-1]) == whole
+    assert digest_of(rows[np.random.default_rng(1).permutation(40)]) == whole
+    assert digest_of(rows[:13], rows[13:]) == whole
+    # two workers' lanes merge by lane-wise addition
+    a, b = np.zeros(LANES, np.uint64), np.zeros(LANES, np.uint64)
+    digest_of(rows[::2], lanes=a)
+    digest_of(rows[1::2], lanes=b)
+    assert hexdigest(a + b) == whole
+
+
+@given(st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=511),
+       st.integers(min_value=0, max_value=63))
+@settings(max_examples=100, deadline=None)
+def test_digest_sees_every_bit(row, word, bit):
+    rows = TINY.copy()
+    rows[row, word] ^= np.uint64(1 << bit)
+    assert digest_of(rows) != digest_of(TINY)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (5, 300), (0, 511)])
+def test_digest_sees_swapped_words(a, b):
+    rows = TINY.copy()
+    rows[1, [a, b]] = rows[1, [b, a]]
+    assert digest_of(rows) != digest_of(TINY)
+
+
+def test_digest_lanes_wrap():
+    start = [MASK64 - k for k in range(LANES)]
+    lanes = np.array(start, dtype=np.uint64)
+    assert digest_of(TINY, lanes=lanes) == digest_oracle(TINY, start)
+    added = [int(v, 16) for v in (digest_of(TINY)[i:i + 16]
+                                  for i in range(0, 64, 16))]
+    assert lanes.tolist() == [(s + d) & MASK64 for s, d in zip(start, added)]
 
 
 class TestFileTarget:

@@ -47,7 +47,7 @@ GOLDEN = {
         LatencyStats(count=5000, min_us=91, max_us=99, mean_us=95.2188,
                      p99_us=99, p999_us=99),
         43.02151208150956,
-        "8b9cd67ad4338f44792cd7465fc937d552478f1ec321052ea5d084f3d1a974e4",
+        "071f37d22509a0f950c94c057b35d09a06cb934aa22390223c8c4184f6abd72c",
         {"max_inflight": 1, "short_harvests": 0}),
     "ull-uring-q16b4-T3-warmup-duration": (
         "ull", GiB, 3, dict(threads=3, warmup_s=0.002, duration_s=0.02,
@@ -63,7 +63,7 @@ GOLDEN = {
         LatencyStats(count=8000, min_us=137, max_us=157, mean_us=139.295875,
                      p99_us=155, p999_us=157),
         58.73172188982324,
-        "8cdea4ed8a69abf6fe529eac32a277f79308be96e953976c5e60380daab4572d",
+        "7f0fcd67b2a153592e68f147e8b3d5a94bf55f2896f212cf0355f68c466326b3",
         {"max_inflight": 1, "short_harvests": 0}),
     "anchor-nvme-uring-q64b8-verify": (
         "nvme-ssd", GiB, 1, dict(request_budget=30000, seed=3, verify=True),
@@ -71,7 +71,7 @@ GOLDEN = {
         LatencyStats(count=30000, min_us=91, max_us=200,
                      mean_us=118.34053333333334, p99_us=137, p999_us=162),
         2108.5026582284877,
-        "2fafdb5ae22d5d2afe9ac9cda3053d6dc2d6f33b784dcf1ab035d709274147a1",
+        "0718d17db0e00fa32bf008c618497300cf458faa7afc26c5047f07d3aeebaf8d",
         {"max_inflight": 64, "short_harvests": 0}),
 }
 
