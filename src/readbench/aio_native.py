@@ -4,6 +4,9 @@ Wraps io_setup / io_submit / io_getevents / io_destroy with ctypes so the
 kernel-async engine runs without a C extension.  One queue per worker
 thread; reads are truly asynchronous only on direct-mode descriptors, but
 the interface works (synchronously inside the kernel) on buffered ones too.
+
+iocb i reads slot i's buffer; io_submit copies the iocbs, so a submit
+writes just offsets, through a numpy view.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ from __future__ import annotations
 import ctypes
 import errno
 import os
+import threading
 
-from .errors import EngineUnsupported
+import numpy as np
+
+from .errors import EngineUnsupported, IoError
 
 _SYS_io_setup = 206
 _SYS_io_destroy = 207
@@ -23,31 +29,16 @@ _IOCB_CMD_PREAD = 0
 
 _libc = ctypes.CDLL(None, use_errno=True)
 
+#: struct iocb
+_IOCB = np.dtype([
+    ("aio_data", "<u8"), ("aio_key", "<u4"), ("aio_rw_flags", "<u4"),
+    ("aio_lio_opcode", "<u2"), ("aio_reqprio", "<i2"), ("aio_fildes", "<u4"),
+    ("aio_buf", "<u8"), ("aio_nbytes", "<u8"), ("aio_offset", "<i8"),
+    ("aio_reserved2", "<u8"), ("aio_flags", "<u4"), ("aio_resfd", "<u4"),
+])
 
-class _Iocb(ctypes.Structure):
-    _fields_ = [
-        ("aio_data", ctypes.c_uint64),
-        ("aio_key", ctypes.c_uint32),
-        ("aio_rw_flags", ctypes.c_uint32),
-        ("aio_lio_opcode", ctypes.c_uint16),
-        ("aio_reqprio", ctypes.c_int16),
-        ("aio_fildes", ctypes.c_uint32),
-        ("aio_buf", ctypes.c_uint64),
-        ("aio_nbytes", ctypes.c_uint64),
-        ("aio_offset", ctypes.c_int64),
-        ("aio_reserved2", ctypes.c_uint64),
-        ("aio_flags", ctypes.c_uint32),
-        ("aio_resfd", ctypes.c_uint32),
-    ]
-
-
-class _IoEvent(ctypes.Structure):
-    _fields_ = [
-        ("data", ctypes.c_uint64),
-        ("obj", ctypes.c_uint64),
-        ("res", ctypes.c_int64),
-        ("res2", ctypes.c_int64),
-    ]
+#: struct io_event is four int64 words: data, obj, res, res2
+_EVENT_WORDS = 4
 
 
 class _Timespec(ctypes.Structure):
@@ -58,60 +49,83 @@ def _errno_str() -> str:
     return os.strerror(ctypes.get_errno())
 
 
-class AioQueue:
-    """One kernel AIO context of fixed depth, reading one file descriptor."""
+def _destroy(ctx: ctypes.c_ulong, drained: bool) -> None:
+    """io_destroy a context.  With none in flight it only waits (~30 ms)
+    for the kernel to retire the context, so a daemon thread makes it; else
+    it cancels them and returns once each has ended, so the buffers outlive
+    every kernel write."""
+    if drained:
+        threading.Thread(target=_libc.syscall, args=(_SYS_io_destroy, ctx),
+                         daemon=True).start()
+    else:
+        _libc.syscall(_SYS_io_destroy, ctx)
 
-    def __init__(self, fd: int, depth: int):
-        self.fd = fd
+
+class AioQueue:
+    """One kernel AIO context reading one file descriptor, with one slot
+    per buffer; slot i reads into ``buffers[i]``."""
+
+    def __init__(self, fd: int, depth: int, buffers: list[memoryview]):
+        if len(buffers) != depth:
+            raise ValueError(f"{len(buffers)} buffers for {depth} slots")
         self.depth = depth
+        self.inflight = 0
         self._ctx = ctypes.c_ulong(0)
         ret = _libc.syscall(_SYS_io_setup, ctypes.c_uint(depth),
                             ctypes.byref(self._ctx))
         if ret < 0:
             raise EngineUnsupported("kernel async queue", _errno_str())
-        self._iocbs = (_Iocb * depth)()
-        self._events = (_IoEvent * depth)()
+        self._buffers = buffers  # the kernel writes into them
+        # io_submit reads the iocbs through _addrs
+        iocbs = self._iocbs = np.zeros(depth, dtype=_IOCB)
+        iocbs["aio_data"] = np.arange(depth)
+        iocbs["aio_lio_opcode"] = _IOCB_CMD_PREAD
+        iocbs["aio_fildes"] = fd
+        iocbs["aio_buf"] = [ctypes.addressof(ctypes.c_char.from_buffer(b))
+                            for b in buffers]
+        iocbs["aio_nbytes"] = [len(b) for b in buffers]
+        self._offsets = iocbs["aio_offset"]
+        self._addrs = (iocbs.ctypes.data
+                       + _IOCB.itemsize * np.arange(depth, dtype=np.uint64))
+        self._ptrs = np.empty(depth, dtype=np.uint64)  # struct iocb *[]
+        self._ptrs_arg = ctypes.c_void_p(self._ptrs.ctypes.data)
+        self._events = np.zeros((depth, _EVENT_WORDS), dtype=np.int64)
+        self._events_arg = ctypes.c_void_p(self._events.ctypes.data)
 
-    def submit_reads(self, entries: list[tuple[int, int, memoryview]]) -> None:
-        """Submit (user_data, offset, buffer) reads in one syscall."""
-        n = len(entries)
-        ptrs = (ctypes.POINTER(_Iocb) * n)()
-        for i, (data, offset, buf) in enumerate(entries):
-            cb = self._iocbs[data % self.depth]
-            ctypes.memset(ctypes.byref(cb), 0, ctypes.sizeof(cb))
-            cb.aio_data = data
-            cb.aio_lio_opcode = _IOCB_CMD_PREAD
-            cb.aio_fildes = self.fd
-            addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-            cb.aio_buf = addr
-            cb.aio_nbytes = len(buf)
-            cb.aio_offset = offset
-            ptrs[i] = ctypes.pointer(cb)
-        ret = _libc.syscall(_SYS_io_submit, self._ctx, ctypes.c_long(n), ptrs)
+    def submit_reads(self, slots: np.ndarray, offsets: np.ndarray) -> None:
+        """Submit one read per slot, at the matching offset, in one
+        syscall; IoError if the kernel takes fewer than all of them."""
+        n = len(slots)
+        self._offsets[slots] = offsets
+        self._ptrs[:n] = self._addrs[slots]
+        ret = _libc.syscall(_SYS_io_submit, self._ctx, ctypes.c_long(n),
+                            self._ptrs_arg)
+        self.inflight += max(ret, 0)
         if ret != n:
-            raise OSError(ctypes.get_errno(),
-                          f"io_submit returned {ret}: {_errno_str()}")
+            raise IoError(f"io_submit submitted {ret} of {n} reads"
+                          + (f": {_errno_str()}" if ret < 0 else ""))
 
-    def wait(self, min_nr: int, timeout_s: float | None = None) -> list[tuple[int, int]]:
-        """Block for at least min_nr completions; returns (user_data, res)."""
+    def wait(self, min_nr: int, timeout_s: float | None = None) -> np.ndarray:
+        """Block for at least min_nr completions, fewer if timeout_s runs
+        out first; returns a (k, 2) int64 array of (slot, res) rows."""
         ts = None
         if timeout_s is not None:
-            ts = _Timespec(int(timeout_s), int(timeout_s % 1 * 1e9))
+            ts = ctypes.byref(_Timespec(int(timeout_s), int(timeout_s % 1 * 1e9)))
         while True:
             ret = _libc.syscall(_SYS_io_getevents, self._ctx,
                                 ctypes.c_long(min_nr), ctypes.c_long(self.depth),
-                                self._events,
-                                ctypes.byref(ts) if ts is not None else None)
+                                self._events_arg, ts)
             if ret >= 0:
                 break
             err = ctypes.get_errno()
             if err != errno.EINTR:
                 raise OSError(err, f"io_getevents failed: {os.strerror(err)}")
-        return [(self._events[i].data, self._events[i].res) for i in range(ret)]
+        self.inflight -= ret
+        return self._events[:ret, ::2].copy()  # data and res
 
     def close(self) -> None:
         if self._ctx.value:
-            _libc.syscall(_SYS_io_destroy, self._ctx)
+            _destroy(self._ctx, drained=self.inflight == 0)
             self._ctx = ctypes.c_ulong(0)
 
 
@@ -121,5 +135,5 @@ def probe() -> tuple[bool, str]:
     ret = _libc.syscall(_SYS_io_setup, ctypes.c_uint(1), ctypes.byref(ctx))
     if ret < 0:
         return False, _errno_str()
-    _libc.syscall(_SYS_io_destroy, ctx)
+    _destroy(ctx, drained=True)
     return True, ""

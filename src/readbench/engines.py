@@ -27,7 +27,6 @@ import queue as queue_mod
 import threading
 import time
 from array import array
-from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterator
@@ -370,18 +369,18 @@ class _EmulatedAsyncQueue:
             item = self._work.get()
             if item is None:
                 return
-            data, offset, buf = item
+            slot, offset = item
             try:
-                n = os.preadv(self.handle.fd, [buf], offset)
-                self._done.put((data, n))
+                n = os.preadv(self.handle.fd, [self.buffers[slot]], offset)
+                self._done.put((slot, n))
             except OSError as exc:
-                self._done.put((data, -exc.errno))
+                self._done.put((slot, -exc.errno))
 
-    def submit_reads(self, entries):
-        for entry in entries:
-            self._work.put(entry)
+    def submit_reads(self, slots, offsets):
+        for item in zip(slots.tolist(), offsets.tolist()):
+            self._work.put(item)
 
-    def wait(self, min_nr: int, timeout_s=None):
+    def wait(self, min_nr: int, timeout_s=None) -> np.ndarray:
         """Up to min_nr completions, fewer if timeout_s runs out first."""
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         out = []
@@ -392,7 +391,7 @@ class _EmulatedAsyncQueue:
             while True:
                 out.append(self._done.get_nowait())
         except queue_mod.Empty:
-            return out
+            return np.array(out, dtype=np.int64).reshape(-1, 2)
 
     def close(self):
         for _ in self._threads:
@@ -405,11 +404,11 @@ def _make_async_backend(engine: EngineConfig, handle: TargetHandle,
                         depth: int, buffers, notes: list[str]):
     try:
         if engine.kind == "aio":
-            return aio_native.AioQueue(handle.fd, depth)
+            return aio_native.AioQueue(handle.fd, depth, buffers)
         return uring_native.UringQueue(
-            handle.fd, depth, fixed_files=engine.fixed_files,
+            handle.fd, depth, buffers, fixed_files=engine.fixed_files,
             fixed_buffers=engine.fixed_buffers,
-            kernel_poll=engine.kernel_poll, buffers=buffers)
+            kernel_poll=engine.kernel_poll)
     except EngineUnsupported:
         if not engine.allow_fallback:
             raise
@@ -426,15 +425,18 @@ def _arena(n: int, block: int) -> tuple[list[memoryview], np.ndarray]:
     return slots, np.frombuffer(mem, dtype="<u8").reshape(n, block // fill.WORD)
 
 
-def _harvest(backend, min_nr: int, notes: list[str]) -> list[tuple[int, int]]:
-    """Wait for at least min_nr completions; IoError once none arrived for
-    STALL_LIMIT_S."""
-    done: list[tuple[int, int]] = []
+_NO_ROWS = np.empty((0, 2), dtype=np.int64)
+
+
+def _harvest(backend, min_nr: int, notes: list[str]) -> np.ndarray:
+    """Wait for at least min_nr completions, as (slot, res) rows; IoError
+    once none arrived for STALL_LIMIT_S."""
+    done = _NO_ROWS
     start = time.monotonic()
     while len(done) < min_nr:
-        got = backend.wait(min_nr - len(done), HARVEST_TIMEOUT_S)
-        if got:
-            done += got
+        rows = backend.wait(min_nr - len(done), HARVEST_TIMEOUT_S)
+        if len(rows):
+            done = np.concatenate((done, rows)) if len(done) else rows
             start = time.monotonic()
             continue
         if "harvest stalled beyond timeout" not in notes:
@@ -450,7 +452,7 @@ class _RealWorkerResult:
                  "max_inflight")
 
     def __init__(self):
-        self.submits = array("d")  # monotonic submit time, s
+        self.submits = array("d")  # monotonic submit time, us
         self.durations = array("q")  # us, same index as submits
         self.checksum = _Checksum()
         self.error: BaseException | None = None
@@ -491,7 +493,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 break
             offset = next(stream)
             durations.append(reader(handle, offset, bufs[n]))
-            submits.append(now)
+            submits.append(now * 1e6)
             issued += 1
             if verify:
                 offsets[n] = offset
@@ -513,47 +515,46 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
-        inflight: dict[int, tuple[float, int]] = {}  # slot -> (submit, offset)
-        free = deque(range(depth))
-        issued = 0
-
-        def fill_queue() -> None:
-            nonlocal issued
-            entries = []
+        submit_us = np.zeros(depth)  # per slot: monotonic submit time, us
+        slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
+        full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
+        slots = np.arange(depth)  # to submit: all at first, then a harvest's
+        issued = inflight = 0
+        while True:
+            # once want_more turns false it stays false, so slots that are
+            # not refilled are never needed again
             now = time.monotonic()
-            while free and want_more(issued, now):
-                slot = free.popleft()
-                offset = next(stream)
-                entries.append((slot, offset, bufs[slot]))
-                inflight[slot] = (now, offset)
-                issued += 1
-            if entries:
-                backend.submit_reads(entries)
-            result.max_inflight = max(result.max_inflight, len(inflight))
-
-        fill_queue()
-        while inflight:
-            done = _harvest(backend, min(batch, len(inflight)), result.notes)
-            now = time.monotonic()
-            slots, offsets = [], []
-            for data, res in done:
-                slot = int(data)
-                submit_t, offset = inflight.pop(slot)
-                if res != block:
-                    raise IoError(f"async read at {offset} returned {res}")
-                submits.append(submit_t)
-                durations.append(int((now - submit_t) * 1e6))
-                slots.append(slot)
-                offsets.append(offset)
+            n = len(slots) if remaining is None else min(len(slots), remaining - issued)
+            if n and want_more(issued, now):
+                slots = slots[:n]
+                offsets = np.fromiter(stream, np.int64, n)
+                submit_us[slots] = now * 1e6
+                slot_off[slots] = offsets
+                backend.submit_reads(slots, offsets)
+                issued += n
+                inflight += n
+                result.max_inflight = max(result.max_inflight, inflight)
+            if not inflight:
+                break
+            done = _harvest(backend, min(batch, inflight), result.notes)
+            now_us = time.monotonic() * 1e6
+            inflight -= len(done)
+            slots, res = done[:, 0], done[:, 1]
+            if res.tobytes() != full[:res.nbytes]:
+                i = np.flatnonzero(res != block)[0]
+                raise IoError(f"async read at {slot_off[slots[i]]} "
+                              f"returned {res[i]}")
+            started = submit_us[slots]
+            submits.frombytes(started.tobytes())
+            durations.frombytes((now_us - started).astype(np.int64).tobytes())
             if verify:
                 # before the slots are refilled
+                offsets = slot_off[slots]
                 for i in range(0, len(slots), per):
                     group = slots[i:i + per]
                     checksum.add(np.take(rows, group, axis=0, mode="clip",
                                          out=picked[:len(group)]),
                                  offsets[i:i + per], seed)
-            free.extend(slots)
-            fill_queue()
     finally:
         backend.close()
 
@@ -592,7 +593,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
 
     warmup_cut = start_wall + workload.warmup_s
     submits = np.concatenate([np.array(r.submits, dtype=np.float64)
-                              for r in results])
+                              for r in results]) / 1e6
     durations = np.concatenate([np.array(r.durations, dtype=np.int64)
                                 for r in results])
     keep = submits >= warmup_cut

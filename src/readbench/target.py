@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fill
 from .devicesim import DeviceModel, SimState
-from .errors import AlignmentError, IoError, PrepareError
+from .errors import AlignmentError, IoError, PrepareError, VerifyError
 from .rng import MASK64
 
 ALIGNMENT = 4096
@@ -187,6 +187,13 @@ def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
         got = os.preadv(handle.fd, [view], offset)
         if got != n:
             raise IoError(f"short read at {offset}: {got} of {n} bytes")
-        fill.check_blocks(np.frombuffer(view, dtype="<u8")[None], (offset,),
-                          handle.fill_seed, scratch)
+        whole = n - n % fill.WORD
+        if whole:
+            fill.check_blocks(np.frombuffer(view[:whole], dtype="<u8")[None],
+                              (offset,), handle.fill_seed, scratch)
+        if whole < n:  # the last 1-7 bytes, part of one word
+            want = fill.pattern_bytes(handle.fill_seed, offset + whole, fill.WORD)
+            for i, b in enumerate(view[whole:]):
+                if b != want[i]:
+                    raise VerifyError(offset + whole + i)
         offset += n

@@ -4,6 +4,9 @@ A minimal read-only ring: setup, mmap of the SQ/CQ rings and SQE array,
 submission through io_uring_enter, and optional registered files,
 registered buffers, and the kernel-side submission poll thread.
 
+SQE i reads slot i's buffer; the kernel reads an SQE only while submitting
+it, so a submit writes just offsets and SQ indices, through numpy views.
+
 Ring memory is touched with plain stores; x86 total-store-order plus the
 acquire/release semantics of io_uring_enter make this safe for the
 single-threaded-per-ring use here, so other architectures are refused.
@@ -17,6 +20,8 @@ import mmap
 import os
 import platform
 import time
+
+import numpy as np
 
 from .errors import EngineUnsupported, IoError
 
@@ -72,19 +77,18 @@ class _Params(ctypes.Structure):
                 ("sq_off", _SqOffsets), ("cq_off", _CqOffsets)]
 
 
-class _Sqe(ctypes.Structure):
-    _fields_ = [("opcode", ctypes.c_uint8), ("flags", ctypes.c_uint8),
-                ("ioprio", ctypes.c_uint16), ("fd", ctypes.c_int32),
-                ("off", ctypes.c_uint64), ("addr", ctypes.c_uint64),
-                ("len", ctypes.c_uint32), ("rw_flags", ctypes.c_uint32),
-                ("user_data", ctypes.c_uint64), ("buf_index", ctypes.c_uint16),
-                ("personality", ctypes.c_uint16), ("splice_fd_in", ctypes.c_int32),
-                ("pad", ctypes.c_uint64 * 2)]
+#: struct io_uring_sqe, as used for reads
+_SQE = np.dtype([
+    ("opcode", "u1"), ("flags", "u1"), ("ioprio", "<u2"), ("fd", "<i4"),
+    ("off", "<i8"), ("addr", "<u8"), ("len", "<u4"), ("rw_flags", "<u4"),
+    ("user_data", "<u8"), ("buf_index", "<u2"), ("personality", "<u2"),
+    ("splice_fd_in", "<i4"), ("pad", "<u8", (2,)),
+])
 
+#: struct io_uring_cqe is four int32 words: user_data (two), res, flags
+_CQE_WORDS = 4
 
-class _Cqe(ctypes.Structure):
-    _fields_ = [("user_data", ctypes.c_uint64), ("res", ctypes.c_int32),
-                ("flags", ctypes.c_uint32)]
+_U32 = 0xFFFFFFFF
 
 
 class _Timespec(ctypes.Structure):
@@ -105,20 +109,23 @@ def _errno_str() -> str:
 
 
 class UringQueue:
-    """One ring of fixed depth reading one file descriptor."""
+    """One ring reading one file descriptor, with one slot per buffer; slot
+    i reads into ``buffers[i]`` through SQE i."""
 
-    def __init__(self, fd: int, depth: int, fixed_files: bool = False,
-                 fixed_buffers: bool = False, kernel_poll: bool = False,
-                 buffers: list[memoryview] | None = None):
+    #: numpy and ctypes views over the ring mappings, dropped by close()
+    _VIEWS = ("_sq_tail", "_sq_flags", "_sq_array", "_cq_head", "_cq_tail",
+              "_cq_rows", "_sqe_off")
+
+    def __init__(self, fd: int, depth: int, buffers: list[memoryview],
+                 fixed_files: bool = False, fixed_buffers: bool = False,
+                 kernel_poll: bool = False):
         if platform.machine() != "x86_64":
             raise EngineUnsupported("completion ring", "ring access assumes "
                                     f"x86 store ordering, not {platform.machine()}")
-        self.fd = fd
-        self.depth = depth
-        self.fixed_files = fixed_files
-        self.fixed_buffers = fixed_buffers
+        if len(buffers) != depth:
+            raise ValueError(f"{len(buffers)} buffers for {depth} slots")
         self.kernel_poll = kernel_poll
-        self._buffers = buffers or []
+        self._buffers = buffers  # the kernel writes into them
 
         params = _Params()
         if kernel_poll:
@@ -135,23 +142,27 @@ class UringQueue:
             if not params.features & _FEAT_EXT_ARG:
                 raise EngineUnsupported("timed completion wait",
                                         "kernel lacks IORING_FEAT_EXT_ARG")
-            self._map_rings(params)
-            if fixed_files or kernel_poll:
-                # SQPOLL requires registered files on older kernels; register
-                # whenever either feature is on.
+            # SQPOLL requires registered files on older kernels; register
+            # whenever either feature is on.
+            fixed_files = fixed_files or kernel_poll
+            if fixed_files:
                 arr = (ctypes.c_int32 * 1)(fd)
                 self._register(_REGISTER_FILES, arr, 1, "fixed files")
-                self.fixed_files = True
+            addrs = [ctypes.addressof(ctypes.c_char.from_buffer(b))
+                     for b in buffers]
             if fixed_buffers:
-                if not self._buffers:
-                    raise ValueError("fixed_buffers requires buffers")
-                iovs = (_Iovec * len(self._buffers))()
-                for i, b in enumerate(self._buffers):
-                    iovs[i].iov_base = ctypes.addressof(
-                        ctypes.c_char.from_buffer(b))
-                    iovs[i].iov_len = len(b)
-                self._register(_REGISTER_BUFFERS, iovs, len(self._buffers),
-                               "fixed buffers")
+                iovs = (_Iovec * depth)(*zip(addrs, map(len, buffers)))
+                self._register(_REGISTER_BUFFERS, iovs, depth, "fixed buffers")
+            sqes = self._map_rings(params)[:depth]
+            sqes["opcode"] = _OP_READ_FIXED if fixed_buffers else _OP_READ
+            sqes["flags"] = _SQE_FIXED_FILE if fixed_files else 0
+            sqes["fd"] = 0 if fixed_files else fd
+            sqes["addr"] = addrs
+            sqes["len"] = [len(b) for b in buffers]
+            sqes["user_data"] = np.arange(depth)
+            if fixed_buffers:
+                sqes["buf_index"] = np.arange(depth)
+            self._sqe_off = sqes["off"]
         except Exception:
             self.close()
             raise
@@ -162,9 +173,11 @@ class UringQueue:
         if ret < 0:
             raise EngineUnsupported(feature, _errno_str())
 
-    def _map_rings(self, p: _Params) -> None:
+    def _map_rings(self, p: _Params) -> np.ndarray:
+        """Map the rings and set up the views over them; returns the zeroed
+        SQE array."""
         sq_size = p.sq_off.array + p.sq_entries * 4
-        cq_size = p.cq_off.cqes + p.cq_entries * ctypes.sizeof(_Cqe)
+        cq_size = p.cq_off.cqes + p.cq_entries * _CQE_WORDS * 4
         single = bool(p.features & _FEAT_SINGLE_MMAP)
         if single:
             size = max(sq_size, cq_size)
@@ -175,61 +188,50 @@ class UringQueue:
             sq_mm = mmap.mmap(self.ring_fd, sq_size, offset=_OFF_SQ_RING)
             cq_mm = mmap.mmap(self.ring_fd, cq_size, offset=_OFF_CQ_RING)
             self._mmaps.extend([sq_mm, cq_mm])
-        sqes_mm = mmap.mmap(self.ring_fd, p.sq_entries * ctypes.sizeof(_Sqe),
+        sqes_mm = mmap.mmap(self.ring_fd, p.sq_entries * _SQE.itemsize,
                             offset=_OFF_SQES)
         self._mmaps.append(sqes_mm)
 
         def u32(mm, off):
             return ctypes.c_uint32.from_buffer(mm, off)
 
-        self._sq_head = u32(sq_mm, p.sq_off.head)
         self._sq_tail = u32(sq_mm, p.sq_off.tail)
         self._sq_mask = u32(sq_mm, p.sq_off.ring_mask).value
         self._sq_flags = u32(sq_mm, p.sq_off.flags)
-        self._sq_array = (ctypes.c_uint32 * p.sq_entries).from_buffer(
-            sq_mm, p.sq_off.array)
+        self._sq_array = np.frombuffer(sq_mm, dtype=np.uint32,
+                                       count=p.sq_entries, offset=p.sq_off.array)
         self._cq_head = u32(cq_mm, p.cq_off.head)
         self._cq_tail = u32(cq_mm, p.cq_off.tail)
         self._cq_mask = u32(cq_mm, p.cq_off.ring_mask).value
-        self._cqes = (_Cqe * p.cq_entries).from_buffer(cq_mm, p.cq_off.cqes)
-        self._sqes = (_Sqe * p.sq_entries).from_buffer(sqes_mm, 0)
+        # (slot, res) of each CQE: user_data holds a slot, so its low word
+        # is the slot
+        self._cq_rows = np.frombuffer(
+            cq_mm, dtype=np.int32, count=p.cq_entries * _CQE_WORDS,
+            offset=p.cq_off.cqes).reshape(-1, _CQE_WORDS)[:, ::2]
+        sqes = np.frombuffer(sqes_mm, dtype=_SQE, count=p.sq_entries)
+        sqes[...] = 0
+        return sqes
 
-    def submit_reads(self, entries: list[tuple[int, int, memoryview]]) -> None:
-        """Post (user_data, offset, buffer) reads and kick the kernel.
-
-        With fixed buffers, user_data doubles as the registered-buffer index
-        and each slot must read into its own registered buffer.
-        """
+    def submit_reads(self, slots: np.ndarray, offsets: np.ndarray) -> None:
+        """Post one read per slot, at the matching offset, and kick the
+        kernel; IoError if it takes fewer than all of them."""
+        n = len(slots)
+        self._sqe_off[slots] = offsets
         tail = self._sq_tail.value
-        for data, offset, buf in entries:
-            idx = tail & self._sq_mask
-            sqe = self._sqes[idx]
-            ctypes.memset(ctypes.byref(sqe), 0, ctypes.sizeof(sqe))
-            sqe.fd = 0 if self.fixed_files else self.fd
-            if self.fixed_files:
-                sqe.flags |= _SQE_FIXED_FILE
-            sqe.off = offset
-            sqe.len = len(buf)
-            sqe.user_data = data
-            if self.fixed_buffers:
-                sqe.opcode = _OP_READ_FIXED
-                sqe.buf_index = data % len(self._buffers)
-                sqe.addr = ctypes.addressof(
-                    ctypes.c_char.from_buffer(self._buffers[sqe.buf_index]))
-            else:
-                sqe.opcode = _OP_READ
-                sqe.addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-            self._sq_array[idx] = idx
-            tail += 1
-        self._sq_tail.value = tail
+        i = tail & self._sq_mask
+        k = min(n, len(self._sq_array) - i)
+        self._sq_array[i:i + k] = slots[:k]
+        if k < n:  # the ring's end splits the entries
+            self._sq_array[:n - k] = slots[k:]
+        self._sq_tail.value = (tail + n) & _U32
         if self.kernel_poll:
             if self._sq_flags.value & _SQ_NEED_WAKEUP:
                 self._enter(0, 0, _ENTER_SQ_WAKEUP)
         else:
-            submitted = self._enter(len(entries), 0, 0)
-            if submitted != len(entries):
+            submitted = self._enter(n, 0, 0)
+            if submitted != n:
                 raise IoError(f"io_uring_enter submitted {submitted} of "
-                              f"{len(entries)} reads")
+                              f"{n} reads")
 
     def _enter(self, to_submit: int, min_complete: int, flags: int,
                timeout_s: float | None = None) -> int:
@@ -256,20 +258,21 @@ class UringQueue:
             if err != errno.EINTR:
                 raise OSError(err, f"io_uring_enter failed: {os.strerror(err)}")
 
-    def _reap(self) -> list[tuple[int, int]]:
-        out = []
+    def _reap(self) -> np.ndarray:
+        """Every CQE posted so far, as (slot, res) rows."""
         head = self._cq_head.value
-        tail = self._cq_tail.value
-        while head != tail:
-            cqe = self._cqes[head & self._cq_mask]
-            out.append((cqe.user_data, cqe.res))
-            head += 1
-        self._cq_head.value = head
+        n = (self._cq_tail.value - head) & _U32
+        i = head & self._cq_mask
+        k = min(n, len(self._cq_rows) - i)
+        out = self._cq_rows[i:i + k].astype(np.int64)
+        if k < n:  # the ring's end splits the entries
+            out = np.concatenate((out, self._cq_rows[:n - k]))
+        self._cq_head.value = (head + n) & _U32
         return out
 
-    def wait(self, min_nr: int, timeout_s: float | None = None) -> list[tuple[int, int]]:
+    def wait(self, min_nr: int, timeout_s: float | None = None) -> np.ndarray:
         """At least min_nr completions, fewer if timeout_s runs out first;
-        returns (user_data, res) pairs."""
+        returns a (k, 2) int64 array of (slot, res) rows."""
         done = self._reap()
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while len(done) < min_nr:
@@ -279,27 +282,20 @@ class UringQueue:
                 if left <= 0:
                     break
             self._enter(0, min_nr - len(done), _ENTER_GETEVENTS, left)
-            done.extend(self._reap())
+            done = np.concatenate((done, self._reap()))
         return done
 
     def close(self) -> None:
-        # drop ctypes views before unmapping (mmap refuses while exported)
-        for attr in ("_sq_head", "_sq_tail", "_sq_flags", "_sq_array",
-                     "_cq_head", "_cq_tail", "_cqes", "_sqes"):
-            if hasattr(self, attr):
-                delattr(self, attr)
-        seen = set()
-        for mm in self._mmaps:
-            if id(mm) not in seen:
-                seen.add(id(mm))
-                try:
-                    mm.close()
-                except BufferError:
-                    pass
-        self._mmaps = []
-        if getattr(self, "ring_fd", -1) >= 0:
-            os.close(self.ring_fd)
-            self.ring_fd = -1
+        """Unmap and close the ring; BufferError if a view outlived ours."""
+        for attr in self._VIEWS:
+            self.__dict__.pop(attr, None)
+        try:
+            for mm in set(self._mmaps):
+                mm.close()
+        finally:
+            if getattr(self, "ring_fd", -1) >= 0:
+                os.close(self.ring_fd)
+                self.ring_fd = -1
 
 
 def probe(kernel_poll: bool = False, fixed_buffers: bool = False) -> tuple[bool, str]:
@@ -309,9 +305,8 @@ def probe(kernel_poll: bool = False, fixed_buffers: bool = False) -> tuple[bool,
     except OSError as exc:
         return False, str(exc)
     try:
-        bufs = [memoryview(mmap.mmap(-1, 4096))] if fixed_buffers else None
-        ring = UringQueue(fd, 1, kernel_poll=kernel_poll,
-                          fixed_buffers=fixed_buffers, buffers=bufs)
+        ring = UringQueue(fd, 1, [memoryview(mmap.mmap(-1, 4096))],
+                          kernel_poll=kernel_poll, fixed_buffers=fixed_buffers)
         ring.close()
         return True, ""
     except (EngineUnsupported, OSError) as exc:

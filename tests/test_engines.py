@@ -2,11 +2,13 @@
 
 import ctypes
 import errno
+import mmap
 import os
 import threading
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                run_sync, run_threadpool, split_budget)
 from readbench.errors import (AbortedRun, EngineUnsupported, IoError,
                               VerifyError)
+from readbench.fill import check_block
 from readbench.target import open_target, prepare_target, simulated_target
 
 
@@ -227,11 +230,11 @@ class TestScattered:
 
     def test_failed_completion_raises(self, tmp_path, monkeypatch):
         class FailingBackend:
-            def submit_reads(self, entries):
-                self.slots = [slot for slot, _, _ in entries]
+            def submit_reads(self, slots, offsets):
+                self.slots = slots.tolist()
 
             def wait(self, min_nr, timeout_s=None):
-                return [(slot, -5) for slot in self.slots]
+                return np.array([(slot, -5) for slot in self.slots])
 
             def close(self):
                 pass
@@ -249,37 +252,45 @@ class TestScattered:
 class StalledBackend:
     """Accepts every read and never completes one."""
 
-    def submit_reads(self, entries):
+    def submit_reads(self, slots, offsets):
         pass
 
     def wait(self, min_nr, timeout_s=None):
-        return []
+        return np.empty((0, 2), dtype=np.int64)
 
     def close(self):
         pass
 
 
 class TrickleBackend:
-    """Completes one read per wait call, oldest first; reads the block from
-    ``fd`` when one is given."""
+    """Completes one read per wait call, oldest first; reads the block into
+    its slot's buffer from ``fd`` when one is given."""
 
-    def __init__(self, fd=None):
+    def __init__(self, buffers, fd=None):
+        self.buffers = buffers
         self.fd = fd
         self.queued = deque()
         self.submits = []  # entries per submit_reads call
 
-    def submit_reads(self, entries):
-        self.submits.append(len(entries))
-        self.queued.extend(entries)
+    def submit_reads(self, slots, offsets):
+        self.submits.append(len(slots))
+        self.queued.extend(zip(slots.tolist(), offsets.tolist()))
 
     def wait(self, min_nr, timeout_s=None):
-        slot, offset, buf = self.queued.popleft()
+        slot, offset = self.queued.popleft()
+        buf = self.buffers[slot]
         if self.fd is not None:
             os.preadv(self.fd, [buf], offset)
-        return [(slot, len(buf))]
+        return np.array([(slot, len(buf))])
 
     def close(self):
         pass
+
+
+def buffers(n, block=4096):
+    """n one-block slot buffers, as the engine's arena gives them."""
+    mem = memoryview(mmap.mmap(-1, n * block))
+    return [mem[i * block:(i + 1) * block] for i in range(n)]
 
 
 def _native_or_skip(kind):
@@ -288,14 +299,15 @@ def _native_or_skip(kind):
         pytest.skip(why)
 
 
-class TestFaults:
-    @pytest.fixture
-    def real(self, tmp_path):
-        path = str(tmp_path / "real.dat")
-        prepare_target(path, size=1 << 20, seed=3).close()
-        with open_target(path, seed=3, direct=False) as h:
-            yield h
+@pytest.fixture
+def real(tmp_path):
+    path = str(tmp_path / "real.dat")
+    prepare_target(path, size=1 << 20, seed=3).close()
+    with open_target(path, seed=3, direct=False) as h:
+        yield h
 
+
+class TestFaults:
     def test_stalled_run_ends_with_named_error(self, real, monkeypatch):
         monkeypatch.setattr(engines, "_make_async_backend",
                             lambda *args: StalledBackend())
@@ -312,8 +324,8 @@ class TestFaults:
     def test_harvest_waits_for_a_full_batch(self, real, monkeypatch):
         made = []
 
-        def trickle(*args):
-            made.append(TrickleBackend())
+        def trickle(engine, handle, depth, bufs, notes):
+            made.append(TrickleBackend(bufs))
             return made[-1]
 
         monkeypatch.setattr(engines, "_make_async_backend", trickle)
@@ -332,7 +344,7 @@ class TestFaults:
             f.seek(16 * 4096 + 77)
             f.write(b"\x00" if f.read(1) != b"\x00" else b"\x01")
         monkeypatch.setattr(engines, "_make_async_backend",
-                            lambda *args: TrickleBackend(real.fd))
+                            lambda *args: TrickleBackend(args[3], real.fd))
         with pytest.raises(VerifyError) as ei:
             run(workload(real, pattern="sequential", request_budget=40,
                          verify=True),
@@ -341,7 +353,7 @@ class TestFaults:
 
     def test_uring_wait_honours_timeout(self, real):
         _native_or_skip("uring")
-        q = uring_native.UringQueue(real.fd, 4)
+        q = uring_native.UringQueue(real.fd, 4, buffers(4))
         out = {}
 
         def idle_wait():
@@ -356,16 +368,15 @@ class TestFaults:
         waiter.join(5.0)
         assert not waiter.is_alive(), "idle ring wait ignored its timeout"
         q.close()
-        assert out["done"] == [] and out["s"] < 1.0
+        assert len(out["done"]) == 0 and out["s"] < 1.0
 
     def test_uring_short_submit_raises(self, real, monkeypatch):
         _native_or_skip("uring")
-        bufs = [memoryview(bytearray(4096)) for _ in range(2)]
-        q = uring_native.UringQueue(real.fd, 4)
+        q = uring_native.UringQueue(real.fd, 4, buffers(4))
         try:
             monkeypatch.setattr(q, "_enter", lambda *args: 1)
             with pytest.raises(IoError, match="submitted 1 of 2"):
-                q.submit_reads([(i, i * 4096, b) for i, b in enumerate(bufs)])
+                q.submit_reads(np.arange(2), np.array([0, 4096]))
         finally:
             monkeypatch.undo()
             q.close()
@@ -387,10 +398,10 @@ class TestFaults:
         q = engines._EmulatedAsyncQueue(real, 1, [buf])
         try:
             t0 = time.monotonic()
-            assert q.wait(1, 0.1) == []
+            assert len(q.wait(1, 0.1)) == 0
             assert time.monotonic() - t0 < 0.2
-            q.submit_reads([(0, 8192, buf)])
-            assert q.wait(1, 5.0) == [(0, 4096)]
+            q.submit_reads(np.array([0]), np.array([8192]))
+            assert q.wait(1, 5.0).tolist() == [[0, 4096]]
         finally:
             q.close()
 
@@ -411,20 +422,199 @@ class TestFaults:
                     return -1
                 return libc.syscall(nr, *args)
 
-        bufs = [memoryview(bytearray(4096)) for _ in range(2)]
-        q = aio_native.AioQueue(real.fd, 4)
+        q = aio_native.AioQueue(real.fd, 4, buffers(4))
         try:
-            q.submit_reads([(i, i * 4096, b) for i, b in enumerate(bufs)])
+            q.submit_reads(np.arange(2), np.array([0, 4096]))
             fake = Interrupting()
             monkeypatch.setattr(aio_native, "_libc", fake)
             done = []
             while len(done) < 2:
-                done += q.wait(2 - len(done), 1.0)
+                done += q.wait(2 - len(done), 1.0).tolist()
             assert fake.interrupted == 1
-            assert sorted(done) == [(0, 4096), (1, 4096)]
+            assert sorted(done) == [[0, 4096], [1, 4096]]
         finally:
             monkeypatch.undo()
             q.close()
+
+
+#: queue name -> UringQueue features; "emulated" and "aio" take none
+QUEUES = {"emulated": None, "aio": None, "uring": {},
+          "uring-fixed": {"fixed_files": True, "fixed_buffers": True},
+          "uring-sqpoll": {"kernel_poll": True}}
+
+
+def make_queue(name, handle, bufs):
+    """A backend of the engine's contract over ``bufs``, or a skip."""
+    depth = len(bufs)
+    if name == "emulated":
+        return engines._EmulatedAsyncQueue(handle, depth, bufs)
+    if name == "aio":
+        _native_or_skip("aio")
+        return aio_native.AioQueue(handle.fd, depth, bufs)
+    features = QUEUES[name]
+    ok, why = uring_native.probe(
+        **{k: v for k, v in features.items() if k != "fixed_files"})
+    if not ok:
+        pytest.skip(why)
+    return uring_native.UringQueue(handle.fd, depth, bufs, **features)
+
+
+def wait_for(q, n):
+    """n completions of q, as (slot, res) lists; each wait gets 1 s."""
+    rows = []
+    deadline = time.monotonic() + 5.0
+    while len(rows) < n and time.monotonic() < deadline:
+        got = q.wait(n - len(rows), 1.0)
+        assert got.dtype == np.int64 and got.shape == (len(got), 2)
+        rows += got.tolist()
+    return rows
+
+
+class TestAsyncBackends:
+    @pytest.mark.parametrize("name", QUEUES)
+    def test_contract(self, real, name):
+        bufs = buffers(4)
+        q = make_queue(name, real, bufs)
+        try:
+            q.submit_reads(np.array([2, 0, 3]), np.array([8192, 0, 28672]))
+            rows = wait_for(q, 3)
+        finally:
+            q.close()
+        assert sorted(rows) == [[0, 4096], [2, 4096], [3, 4096]]
+        for slot, offset in ((2, 8192), (0, 0), (3, 28672)):
+            check_block(bufs[slot], offset, 3)
+
+    def test_bad_res_mid_harvest_names_its_offset(self, real, monkeypatch):
+        class OneShort:
+            """Completes every read at once, newest first; the middle one
+            is short."""
+
+            def submit_reads(self, slots, offsets):
+                self.rows = np.array([(s, 4096) for s in slots.tolist()[::-1]])
+                self.rows[len(self.rows) // 2, 1] = 100
+
+            def wait(self, min_nr, timeout_s=None):
+                return self.rows
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: OneShort())
+        # slot i reads offset (7 - i) * 4096; the middle row of the harvest
+        # [7, 6, ..., 0] is slot 3
+        with pytest.raises(IoError, match="async read at 16384 returned 100"):
+            read_scattered(workload(real, request_budget=1),
+                           EngineConfig(kind="aio", queue_size=8),
+                           offsets=[(7 - i) * 4096 for i in range(8)])
+
+    def test_aio_partial_submit_raises(self, real, monkeypatch):
+        _native_or_skip("aio")
+        libc = aio_native._libc
+
+        class Partial:
+            """io_submit takes only the first read of each call."""
+
+            def syscall(self, nr, *args):
+                if nr == aio_native._SYS_io_submit:
+                    ctx, _, ptrs = args
+                    return libc.syscall(nr, ctx, ctypes.c_long(1), ptrs)
+                return libc.syscall(nr, *args)
+
+        q = aio_native.AioQueue(real.fd, 4, buffers(4))
+        try:
+            monkeypatch.setattr(aio_native, "_libc", Partial())
+            with pytest.raises(IoError, match="submitted 1 of 3"):
+                q.submit_reads(np.arange(3), np.array([0, 4096, 8192]))
+            assert q.inflight == 1
+        finally:
+            q.close()
+        with pytest.raises(AbortedRun, match="submitted 1 of 4"):
+            run(workload(real, request_budget=8),
+                EngineConfig(kind="aio", queue_size=4))
+
+    def test_aio_close_destroys_off_path_only_when_drained(self, real,
+                                                          monkeypatch):
+        _native_or_skip("aio")
+        libc = aio_native._libc
+        destroyed = []
+
+        class Recording:
+            def syscall(self, nr, *args):
+                if nr == aio_native._SYS_io_destroy:
+                    destroyed.append(threading.current_thread())
+                return libc.syscall(nr, *args)
+
+        monkeypatch.setattr(aio_native, "_libc", Recording())
+        q = aio_native.AioQueue(real.fd, 4, buffers(4))
+        q.submit_reads(np.arange(2), np.array([0, 4096]))
+        assert len(wait_for(q, 2)) == 2
+        t0 = time.monotonic()
+        q.close()
+        took = time.monotonic() - t0
+        deadline = time.monotonic() + 5.0
+        while not destroyed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert took < 0.005
+        assert destroyed and destroyed[0] is not threading.current_thread()
+        # reads in flight: destroyed here, so the buffers outlive them
+        destroyed.clear()
+        q = aio_native.AioQueue(real.fd, 4, buffers(4))
+        q.submit_reads(np.arange(2), np.array([0, 4096]))
+        q.close()
+        assert destroyed == [threading.current_thread()]
+
+    @pytest.mark.parametrize("name", ["uring", "uring-fixed", "uring-sqpoll"])
+    def test_uring_close_unmaps_every_mapping(self, real, name):
+        q = make_queue(name, real, buffers(4))
+        q.submit_reads(np.arange(4), np.arange(4) * 4096)
+        assert len(wait_for(q, 4)) == 4
+        maps = list(q._mmaps)
+        q.close()
+        assert maps and all(m.closed for m in maps)
+
+    def test_uring_close_refuses_to_leak_a_mapping(self, real):
+        q = make_queue("uring", real, buffers(4))
+        maps = list(q._mmaps)
+        leaked = q._cq_rows[:1]  # a view that outlives the queue's own
+        with pytest.raises(BufferError):
+            q.close()
+        del leaked
+        q.close()
+        assert all(m.closed for m in maps)
+
+
+@pytest.fixture(scope="module")
+def soak(tmp_path_factory):
+    """A 16 MiB file and the checksum of 30,011 random verified reads of
+    it, from a simulated run over the same offsets."""
+    path = str(tmp_path_factory.mktemp("soak") / "soak.dat")
+    prepare_target(path, size=16 << 20, seed=17).close()
+    spec = dict(block_size=4096, request_budget=30_011, seed=5, verify=True)
+    with simulated_target(preset_model("ull"), 16 << 20, seed=17) as h:
+        reference = run_sync(WorkloadSpec(target=h, **spec)).data_checksum
+    return path, spec, reference
+
+
+@pytest.mark.parametrize("name,queue,batch", [
+    ("aio", 3, 2), ("aio", 33, 3), ("uring", 3, 2), ("uring", 33, 3),
+    ("uring-fixed", 33, 3), ("uring-sqpoll", 33, 3)])
+def test_native_soak_checksum_equals_simulated(soak, name, queue, batch):
+    # many submits and reaps, uneven harvests and ring wrap-around
+    path, spec, reference = soak
+    kind = name.split("-")[0]
+    features = QUEUES[name] or {}
+    ok, why = (aio_native.probe() if kind == "aio" else uring_native.probe(
+        **{k: v for k, v in features.items() if k != "fixed_files"}))
+    if not ok:
+        pytest.skip(why)
+    with open_target(path, seed=17, direct=False) as h:
+        rec = run(WorkloadSpec(target=h, **spec),
+                  EngineConfig(kind=kind, queue_size=queue, batch_size=batch,
+                               **features))
+    assert rec.latency.count == 30_011
+    assert rec.extra["max_inflight"] == queue
+    assert rec.data_checksum == reference
 
 
 class TestRealFile:

@@ -276,6 +276,27 @@ class TestFileTarget:
         with open_target(path, seed=11, direct=False) as h:
             verify_file(h)
 
+    @pytest.mark.parametrize("size,block", [(4100, 1 << 20), (4099, 4096)])
+    def test_verify_file_checks_a_partial_last_word(self, tmp_path, size, block):
+        # the last 1-7 bytes of a file whose size is not a multiple of 8,
+        # inside the first verify chunk or alone in the last one
+        path = tmp_path / "odd.dat"
+        good = pattern_bytes(9, 0, (size + 7) // 8 * 8)[:size]
+
+        def verify(data):
+            path.write_bytes(data)
+            with open_target(str(path), seed=9, direct=False) as h:
+                verify_file(h, block)
+
+        verify(good)
+        with pytest.raises(VerifyError) as ei:
+            verify(bytes(size))
+        assert ei.value.offset == 0
+        last = size - 2
+        with pytest.raises(VerifyError) as ei:
+            verify(good[:last] + bytes([good[last] ^ 1]) + good[last + 1:])
+        assert ei.value.offset == last
+
     def test_reopen_and_bounds(self, tmp_path):
         path = str(tmp_path / "bench.dat")
         prepare_target(path, size=1 << 20, seed=3).close()

@@ -5,6 +5,7 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,10 +123,10 @@ class TestCpu:
         fd = os.open(path, os.O_RDONLY)
         buf = memoryview(bytearray(4096))
         try:
-            q = uring_native.UringQueue(fd, 1, kernel_poll=True)
+            q = uring_native.UringQueue(fd, 1, [buf], kernel_poll=True)
             try:
-                q.submit_reads([(0, 0, buf)])
-                assert q.wait(1, 5.0) == [(0, 4096)]
+                q.submit_reads(np.array([0]), np.array([0]))
+                assert q.wait(1, 5.0).tolist() == [[0, 4096]]
                 # this thread sleeps; the poll thread keeps spinning until
                 # its idle time runs out
                 before = snapshot_cpu()
