@@ -171,6 +171,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _flag(value: str) -> bool:
+    return value in ("1", "true", "yes")
+
+
+#: plan-file keys beside name, axis and values, each with the WorkloadSpec
+#: or EngineConfig field it sets and the parser of its value; a key left
+#: out keeps the value of the matching command-line flag
+_PLAN_WORKLOAD_KEYS = {
+    "block": ("block_size", int), "threads": ("threads", int),
+    "pattern": ("pattern", str), "requests": ("request_budget", int),
+    "duration": ("duration_s", float), "warmup": ("warmup_s", float),
+    "seed": ("seed", lambda v: int(v, 0)),
+}
+_PLAN_ENGINE_KEYS = {
+    "engine": ("kind", str), "queue": ("queue_size", int),
+    "batch": ("batch_size", int), "fixed_files": ("fixed_files", _flag),
+    "fixed_buffers": ("fixed_buffers", _flag),
+    "kernel_poll": ("kernel_poll", _flag),
+}
+
+
 def _parse_plan_file(path: str) -> dict:
     if not os.path.exists(path):
         raise NoSuchPreset(f"{path!r} is neither a named plan "
@@ -179,7 +200,16 @@ def _parse_plan_file(path: str) -> dict:
     for key in ("axis", "values"):
         if key not in settings:
             raise ValueError(f"plan file {path!r} has no {key!r} key")
+    for key in settings:
+        if key not in {"name", "axis", "values", *_PLAN_WORKLOAD_KEYS,
+                       *_PLAN_ENGINE_KEYS}:
+            raise ValueError(f"plan file {path!r} has unknown key {key!r}")
     return settings
+
+
+def _plan_settings(settings: dict, keys: dict) -> dict:
+    return {name: parse(settings[key])
+            for key, (name, parse) in keys.items() if key in settings}
 
 
 def _plan_from_args(args, target) -> sweep.ExperimentPlan:
@@ -201,33 +231,17 @@ def _plan_from_args(args, target) -> sweep.ExperimentPlan:
                                     sweep.batch_grid(eng.queue_size), wl, eng,
                                     args.repeat)
     settings = _parse_plan_file(name)
-    if "block" in settings:
-        wl = replace(wl, block_size=int(settings["block"]))
-    if "threads" in settings:
-        wl = replace(wl, threads=int(settings["threads"]))
-    if "pattern" in settings:
-        wl = replace(wl, pattern=settings["pattern"])
-    if "requests" in settings:
-        wl = replace(wl, request_budget=int(settings["requests"]),
-                     duration_s=None)
-    elif "duration" in settings:
-        wl = replace(wl, duration_s=float(settings["duration"]),
-                     request_budget=None)
-    if "warmup" in settings:
-        wl = replace(wl, warmup_s=float(settings["warmup"]))
-    if "seed" in settings:
-        wl = replace(wl, seed=int(settings["seed"], 0))
-    eng = engines.EngineConfig(
-        kind=settings.get("engine", eng.kind),
-        queue_size=int(settings.get("queue", eng.queue_size)),
-        batch_size=int(settings.get("batch", eng.batch_size)),
-        fixed_files=settings.get("fixed_files", "0") in ("1", "true", "yes"),
-        fixed_buffers=settings.get("fixed_buffers", "0") in ("1", "true", "yes"),
-        kernel_poll=settings.get("kernel_poll", "0") in ("1", "true", "yes"),
-        allow_fallback=eng.allow_fallback)
+    wl_set = _plan_settings(settings, _PLAN_WORKLOAD_KEYS)
+    # requests wins over duration; either replaces the command line's mode
+    if "request_budget" in wl_set:
+        wl_set["duration_s"] = None
+    elif "duration_s" in wl_set:
+        wl_set["request_budget"] = None
+    wl = replace(wl, **wl_set)
+    eng = replace(eng, **_plan_settings(settings, _PLAN_ENGINE_KEYS))
     values = [int(v) for v in settings["values"].split(",")]
     return sweep.ExperimentPlan(settings.get("name", name), settings["axis"],
-                                values, wl, eng)
+                                values, wl, eng, args.repeat)
 
 
 def _cmd_sweep(args) -> int:
@@ -248,12 +262,11 @@ def _cmd_sweep(args) -> int:
             storage = aliases.get(storage, storage)
             rows = [r for r in table.rows if r.storage == storage] or table.rows
             for row in rows:
-                wl = _workload_from_args(args, target)
-                wl = replace(wl, threads=row.threads)
-                eng = engines.EngineConfig(
-                    kind=args.engine, queue_size=row.queue_size,
-                    batch_size=row.batch_size, kernel_poll=args.kernel_poll,
-                    allow_fallback=args.allow_fallback)
+                wl = replace(_workload_from_args(args, target),
+                             threads=row.threads)
+                eng = replace(_engine_from_args(args),
+                              queue_size=row.queue_size,
+                              batch_size=row.batch_size)
                 record = engines.run(wl, eng)
                 if store:
                     store.append(record)

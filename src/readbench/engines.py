@@ -27,7 +27,7 @@ import queue as queue_mod
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -37,7 +37,8 @@ from . import aio_native, fill, uring_native
 from .devicesim import SimRequest, SimState, advance, submit
 from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
-                          compute_throughput, measure_cpu, snapshot_cpu)
+                          compute_throughput, from_fields, measure_cpu,
+                          snapshot_cpu)
 from .rng import GOLDEN, MASK64, worker_seed
 from .target import TargetHandle, alloc_aligned, read_block, read_block_polled
 
@@ -74,6 +75,10 @@ class EngineConfig:
     # kernel lacks the native interface
     allow_fallback: bool = False
 
+    #: fields a record leaves out: a permission for one run, not part of the
+    #: configuration measured (a fallback it took shows in the notes)
+    _UNRECORDED = ("allow_fallback",)
+
     def __post_init__(self):
         if self.kind not in ENGINE_KINDS:
             raise ValueError(f"unknown engine kind {self.kind!r}")
@@ -88,17 +93,12 @@ class EngineConfig:
             raise ValueError("ring flags are only valid for the uring engine")
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind, "queue_size": self.queue_size,
-            "batch_size": self.batch_size, "fixed_files": self.fixed_files,
-            "fixed_buffers": self.fixed_buffers, "kernel_poll": self.kernel_poll,
-        }
+        return {k: v for k, v in asdict(self).items()
+                if k not in self._UNRECORDED}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":
-        return cls(kind=d["kind"], queue_size=d["queue_size"],
-                   batch_size=d["batch_size"], fixed_files=d["fixed_files"],
-                   fixed_buffers=d["fixed_buffers"], kernel_poll=d["kernel_poll"])
+        return from_fields(cls, d, optional=cls._UNRECORDED)
 
 
 @dataclass
@@ -127,13 +127,9 @@ class WorkloadSpec:
             raise ValueError("set exactly one of duration_s / request_budget")
 
     def describe(self) -> dict:
-        return {
-            "target": self.target.describe(), "pattern": self.pattern,
-            "block_size": self.block_size, "threads": self.threads,
-            "warmup_s": self.warmup_s, "duration_s": self.duration_s,
-            "request_budget": self.request_budget, "seed": self.seed,
-            "verify": self.verify,
-        }
+        """The record form: every field, the target as its description."""
+        return ({f.name: getattr(self, f.name) for f in fields(self)}
+                | {"target": self.target.describe()})
 
 
 @dataclass
@@ -150,37 +146,23 @@ class RunRecord:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {
-            "workload": self.workload,
-            "engine": self.engine.as_dict(),
-            "throughput_mb_s": self.throughput_mb_s,
-            "latency": self.latency.as_dict(),
-            "cpu": self.cpu.as_dict(),
-            "label": self.label,
-            "started_at": self.started_at,
-            "notes": self.notes,
-            "data_checksum": self.data_checksum,
-        }
-        d.update(self.extra)
+        """Every field, with the keys of ``extra`` at the top level."""
+        d = asdict(self)
+        d["engine"] = self.engine.as_dict()
+        d.update(d.pop("extra"))
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        known = {"workload", "engine", "throughput_mb_s", "latency", "cpu",
-                 "label", "started_at", "notes", "data_checksum"}
-        extra = {k: v for k, v in d.items() if k not in known}
-        return cls(
-            workload=d["workload"],
-            engine=EngineConfig.from_dict(d["engine"]),
-            throughput_mb_s=d["throughput_mb_s"],
-            latency=LatencyStats.from_dict(d["latency"]),
-            cpu=CpuUsage.from_dict(d["cpu"]),
-            label=d["label"],
-            started_at=d["started_at"],
-            notes=d.get("notes", ""),
-            data_checksum=d.get("data_checksum", ""),
-            extra=extra,
-        )
+        """The inverse of as_dict: keys that are not fields go to ``extra``.
+        Only ``notes`` and ``data_checksum`` may be missing."""
+        stored = {f.name for f in fields(cls)} - {"extra"}
+        return from_fields(cls, {
+            **d, "engine": EngineConfig.from_dict(d["engine"]),
+            "latency": from_fields(LatencyStats, d["latency"]),
+            "cpu": from_fields(CpuUsage, d["cpu"]),
+            "extra": {k: v for k, v in d.items() if k not in stored},
+        }, optional=("notes", "data_checksum"))
 
 
 def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
@@ -381,13 +363,11 @@ class _EmulatedAsyncQueue:
             self._work.put(item)
 
     def wait(self, min_nr: int, timeout_s=None) -> np.ndarray:
-        """Up to min_nr completions, fewer if timeout_s runs out first."""
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        """The first completion within timeout_s, then every one already
+        done; the caller waits again while it has fewer than min_nr."""
         out = []
         try:
-            while len(out) < min_nr:
-                left = None if deadline is None else max(deadline - time.monotonic(), 0)
-                out.append(self._done.get(timeout=left))
+            out.append(self._done.get(timeout=timeout_s))
             while True:
                 out.append(self._done.get_nowait())
         except queue_mod.Empty:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,21 +51,6 @@ class LatencyStats:
     p99_us: int
     p999_us: int
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-            "mean_us": self.mean_us,
-            "p99_us": self.p99_us,
-            "p999_us": self.p999_us,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatencyStats":
-        return cls(d["count"], d["min_us"], d["max_us"], d["mean_us"],
-                   d["p99_us"], d["p999_us"])
-
 
 @dataclass(frozen=True)
 class CpuUsage:
@@ -80,18 +65,20 @@ class CpuUsage:
     def of(cls, process_cpu: float, wall: float) -> "CpuUsage":
         return cls(process_cpu, wall, 100.0 * process_cpu / wall)
 
-    def as_dict(self) -> dict:
-        return {
-            "process_cpu": self.process_cpu,
-            "wall": self.wall,
-            "percent_of_core": self.percent_of_core,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CpuUsage":
-        """Other keys are ignored: older records carry a per-thread-name
-        CPU share as well."""
-        return cls(d["process_cpu"], d["wall"], d["percent_of_core"])
+def from_fields(cls, d: dict, optional: Iterable[str] = ()):
+    """An instance of dataclass ``cls`` from the keys of ``d`` that name its
+    fields.  Other keys are ignored (older records carry fields since
+    dropped, such as a per-thread-name CPU share).  A missing field raises
+    KeyError unless it is named in ``optional``; it then takes its default.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = d[f.name]
+        elif f.name not in optional:
+            raise KeyError(f"missing field {f.name!r}")
+    return cls(**kwargs)
 
 
 def nearest_rank(sorted_durations: Sequence[int], q: float) -> int:

@@ -19,7 +19,6 @@ import errno
 import mmap
 import os
 import platform
-import time
 
 import numpy as np
 
@@ -30,7 +29,6 @@ _SYS_enter = 426
 _SYS_register = 427
 
 _OFF_SQ_RING = 0
-_OFF_CQ_RING = 0x8000000
 _OFF_SQES = 0x10000000
 
 _SETUP_SQPOLL = 1 << 1
@@ -139,9 +137,13 @@ class UringQueue:
         self.ring_fd = ring_fd
         self._mmaps: list[mmap.mmap] = []
         try:
-            if not params.features & _FEAT_EXT_ARG:
-                raise EngineUnsupported("timed completion wait",
-                                        "kernel lacks IORING_FEAT_EXT_ARG")
+            # EXT_ARG (Linux 5.11) gives waits a timeout; SINGLE_MMAP (5.4)
+            # lets one mapping hold both rings
+            needed = _FEAT_EXT_ARG | _FEAT_SINGLE_MMAP
+            if (params.features & needed) != needed:
+                raise EngineUnsupported(
+                    "completion ring", "kernel lacks IORING_FEAT_EXT_ARG or "
+                    "IORING_FEAT_SINGLE_MMAP (Linux 5.11)")
             # SQPOLL requires registered files on older kernels; register
             # whenever either feature is on.
             fixed_files = fixed_files or kernel_poll
@@ -178,16 +180,9 @@ class UringQueue:
         SQE array."""
         sq_size = p.sq_off.array + p.sq_entries * 4
         cq_size = p.cq_off.cqes + p.cq_entries * _CQE_WORDS * 4
-        single = bool(p.features & _FEAT_SINGLE_MMAP)
-        if single:
-            size = max(sq_size, cq_size)
-            sq_mm = mmap.mmap(self.ring_fd, size, offset=_OFF_SQ_RING)
-            cq_mm = sq_mm
-            self._mmaps.append(sq_mm)
-        else:
-            sq_mm = mmap.mmap(self.ring_fd, sq_size, offset=_OFF_SQ_RING)
-            cq_mm = mmap.mmap(self.ring_fd, cq_size, offset=_OFF_CQ_RING)
-            self._mmaps.extend([sq_mm, cq_mm])
+        rings = mmap.mmap(self.ring_fd, max(sq_size, cq_size),
+                          offset=_OFF_SQ_RING)
+        self._mmaps.append(rings)
         sqes_mm = mmap.mmap(self.ring_fd, p.sq_entries * _SQE.itemsize,
                             offset=_OFF_SQES)
         self._mmaps.append(sqes_mm)
@@ -195,18 +190,18 @@ class UringQueue:
         def u32(mm, off):
             return ctypes.c_uint32.from_buffer(mm, off)
 
-        self._sq_tail = u32(sq_mm, p.sq_off.tail)
-        self._sq_mask = u32(sq_mm, p.sq_off.ring_mask).value
-        self._sq_flags = u32(sq_mm, p.sq_off.flags)
-        self._sq_array = np.frombuffer(sq_mm, dtype=np.uint32,
+        self._sq_tail = u32(rings, p.sq_off.tail)
+        self._sq_mask = u32(rings, p.sq_off.ring_mask).value
+        self._sq_flags = u32(rings, p.sq_off.flags)
+        self._sq_array = np.frombuffer(rings, dtype=np.uint32,
                                        count=p.sq_entries, offset=p.sq_off.array)
-        self._cq_head = u32(cq_mm, p.cq_off.head)
-        self._cq_tail = u32(cq_mm, p.cq_off.tail)
-        self._cq_mask = u32(cq_mm, p.cq_off.ring_mask).value
+        self._cq_head = u32(rings, p.cq_off.head)
+        self._cq_tail = u32(rings, p.cq_off.tail)
+        self._cq_mask = u32(rings, p.cq_off.ring_mask).value
         # (slot, res) of each CQE: user_data holds a slot, so its low word
         # is the slot
         self._cq_rows = np.frombuffer(
-            cq_mm, dtype=np.int32, count=p.cq_entries * _CQE_WORDS,
+            rings, dtype=np.int32, count=p.cq_entries * _CQE_WORDS,
             offset=p.cq_off.cqes).reshape(-1, _CQE_WORDS)[:, ::2]
         sqes = np.frombuffer(sqes_mm, dtype=_SQE, count=p.sq_entries)
         sqes[...] = 0
@@ -271,17 +266,12 @@ class UringQueue:
         return out
 
     def wait(self, min_nr: int, timeout_s: float | None = None) -> np.ndarray:
-        """At least min_nr completions, fewer if timeout_s runs out first;
-        returns a (k, 2) int64 array of (slot, res) rows."""
+        """Every completion posted, waiting once for min_nr of them; fewer
+        if timeout_s runs out first.  Returns a (k, 2) int64 array of
+        (slot, res) rows."""
         done = self._reap()
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        while len(done) < min_nr:
-            left = None
-            if deadline is not None:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    break
-            self._enter(0, min_nr - len(done), _ENTER_GETEVENTS, left)
+        if len(done) < min_nr:
+            self._enter(0, min_nr - len(done), _ENTER_GETEVENTS, timeout_s)
             done = np.concatenate((done, self._reap()))
         return done
 
@@ -290,7 +280,7 @@ class UringQueue:
         for attr in self._VIEWS:
             self.__dict__.pop(attr, None)
         try:
-            for mm in set(self._mmaps):
+            for mm in self._mmaps:
                 mm.close()
         finally:
             if getattr(self, "ring_fd", -1) >= 0:

@@ -112,6 +112,36 @@ class TestSweepReport:
                        "--requests", "10") == 1
         assert f"has no '{missing}' key" in capsys.readouterr().err
 
+    def test_plan_file_keeps_flags_and_repeat(self, tmp_path):
+        plan = tmp_path / "p.plan"
+        plan.write_text("axis = batch_size\nvalues = 1,2\n")
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--model", "ull", "--capacity", str(1 << 24),
+                       "--plan", str(plan), "--engine", "uring", "--queue",
+                       "4", "--fixed-files", "--repeat", "2", "--requests",
+                       "50", "--out", out) == 0
+        labels = [json.loads(line)["label"]
+                  for line in open(out).read().splitlines()]
+        assert labels == ["U4B1F", "U4B1F", "U4B2F", "U4B2F"]
+
+    def test_plan_file_unknown_key(self, tmp_path, capsys):
+        plan = tmp_path / "p.plan"
+        plan.write_text("axis = batch_size\nvalues = 1,2\nfixed_file = 1\n")
+        assert run_cli("sweep", "--model", "ull", "--plan", str(plan),
+                       "--engine", "uring", "--queue", "4",
+                       "--requests", "10") == 1
+        assert "unknown key 'fixed_file'" in capsys.readouterr().err
+
+    def test_paper_best_keeps_ring_flags(self, tmp_path):
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--model", "nvme", "--capacity",
+                       str(1 << 24), "--plan", "paper-best", "--engine",
+                       "uring", "--fixed-files", "--fixed-buffers",
+                       "--requests", "50", "--out", out) == 0
+        labels = [json.loads(line)["label"]
+                  for line in open(out).read().splitlines()]
+        assert labels == ["U16B2MFT3"]
+
     def test_unknown_plan(self):
         assert run_cli("sweep", "--model", "nvme", "--plan", "bogus",
                        "--requests", "10") == 2

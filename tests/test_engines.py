@@ -370,6 +370,13 @@ class TestFaults:
         q.close()
         assert len(out["done"]) == 0 and out["s"] < 1.0
 
+    def test_uring_refuses_kernel_without_single_mmap(self, real,
+                                                      monkeypatch):
+        _native_or_skip("uring")
+        monkeypatch.setattr(uring_native, "_FEAT_SINGLE_MMAP", 1 << 31)
+        with pytest.raises(EngineUnsupported, match="SINGLE_MMAP"):
+            uring_native.UringQueue(real.fd, 4, buffers(4))
+
     def test_uring_short_submit_raises(self, real, monkeypatch):
         _native_or_skip("uring")
         q = uring_native.UringQueue(real.fd, 4, buffers(4))

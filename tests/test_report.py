@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,82 @@ class TestResultStore:
             f.write(json.dumps(d, sort_keys=True) + "\n")
         back, _ = store.read()
         assert back[0].extra.get("future_field") == {"x": 1}
+
+
+
+#: the stored form of PINNED_RECORD; a change here is a change to the format
+#: every existing store was written in
+_PINNED_LINE = (
+    '{"cpu": {"percent_of_core": 0.0, "process_cpu": 0.0, "wall": 0.004}, '
+    '"data_checksum": "0123abcd", "engine": {"batch_size": 4, '
+    '"fixed_buffers": false, "fixed_files": true, "kernel_poll": false, '
+    '"kind": "uring", "queue_size": 16}, "label": "U16B4F", "latency": '
+    '{"count": 500, "max_us": 40, "mean_us": 20.25, "min_us": 12, '
+    '"p999_us": 39, "p99_us": 35}, "max_inflight": 16, "notes": '
+    '"simulated", "short_harvests": 0, "started_at": '
+    '"2026-10-18T00:00:00+00:00", "throughput_mb_s": 512.5, "workload": '
+    '{"block_size": 4096, "duration_s": null, "pattern": "random", '
+    '"request_budget": 500, "seed": 3, "target": {"capacity": 67108864, '
+    '"fill_seed": 1, "kind": "simulated", "model": "ull"}, "threads": 1, '
+    '"verify": true, "warmup_s": 0.0}}')
+
+
+def pinned_record():
+    return RunRecord(
+        workload={"block_size": 4096, "duration_s": None, "pattern": "random",
+                  "request_budget": 500, "seed": 3, "target": {
+                      "capacity": 1 << 26, "fill_seed": 1,
+                      "kind": "simulated", "model": "ull"},
+                  "threads": 1, "verify": True, "warmup_s": 0.0},
+        engine=EngineConfig(kind="uring", queue_size=16, batch_size=4,
+                            fixed_files=True, allow_fallback=True),
+        throughput_mb_s=512.5,
+        latency=LatencyStats(count=500, min_us=12, max_us=40, mean_us=20.25,
+                             p99_us=35, p999_us=39),
+        cpu=CpuUsage(process_cpu=0.0, wall=0.004, percent_of_core=0.0),
+        label="U16B4F", started_at="2026-10-18T00:00:00+00:00",
+        notes="simulated", data_checksum="0123abcd",
+        extra={"max_inflight": 16, "short_harvests": 0})
+
+
+class TestRecordFormat:
+    def test_record_serialises_to_pinned_line(self):
+        d = pinned_record().as_dict()
+        assert json.dumps(d, sort_keys=True) == _PINNED_LINE
+        back = RunRecord.from_dict(json.loads(_PINNED_LINE))
+        assert back.extra == {"max_inflight": 16, "short_harvests": 0}
+        assert back.as_dict() == d
+        # allow_fallback is not part of a record
+        assert back.engine == replace(pinned_record().engine,
+                                      allow_fallback=False)
+
+    @pytest.mark.parametrize("path", [("engine", "kind"),
+                                      ("latency", "p99_us"), ("cpu", "wall"),
+                                      ("label",)],
+                             ids=lambda p: ".".join(p))
+    def test_truncated_line_skipped(self, tmp_path, path):
+        bad = json.loads(_PINNED_LINE)
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        store = ResultStore(str(tmp_path / "runs.jsonl"))
+        store.append(pinned_record())
+        with open(store.path, "a") as f:
+            f.write(json.dumps(bad) + "\n")
+        store.append(pinned_record())
+        back, skipped = store.read()
+        assert (len(back), skipped) == (2, 1)
+
+    def test_line_without_notes_or_checksum_reads(self, tmp_path):
+        d = json.loads(_PINNED_LINE)
+        del d["notes"], d["data_checksum"]
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        (back,), skipped = ResultStore(str(path)).read()
+        assert skipped == 0
+        assert (back.notes, back.data_checksum) == ("", "")
+        assert back.label == "U16B4F"
 
 
 class TestTablesAndPlots:
