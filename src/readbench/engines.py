@@ -428,12 +428,12 @@ def _harvest(backend, min_nr: int, notes: list[str]) -> np.ndarray:
 
 
 class _RealWorkerResult:
-    __slots__ = ("submits", "durations", "checksum", "error", "notes",
+    __slots__ = ("durations", "last_done", "checksum", "error", "notes",
                  "max_inflight")
 
     def __init__(self):
-        self.submits = array("d")  # monotonic submit time, us
-        self.durations = array("q")  # us, same index as submits
+        self.durations = array("q")  # us, one per logged read
+        self.last_done = 0.0  # monotonic time of the last logged completion
         self.checksum = _Checksum()
         self.error: BaseException | None = None
         self.notes: list[str] = []
@@ -441,8 +441,10 @@ class _RealWorkerResult:
 
 
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
-                 deadline: float | None, result: _RealWorkerResult,
+                 warm_end: float, deadline: float | None,
+                 stop: threading.Event, result: _RealWorkerResult,
                  offsets: Iterator[int] | None = None) -> None:
+    """Log each read submitted at or after warm_end (monotonic s)."""
     handle = workload.target
     block = workload.block_size
     depth, batch = _depth_and_batch(engine)
@@ -451,9 +453,11 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                  if workload.request_budget is not None else None)
     seed = handle.fill_seed
     verify = workload.verify
-    submits, durations, checksum = result.submits, result.durations, result.checksum
+    durations, checksum = result.durations, result.checksum
 
     def want_more(issued: int, now: float) -> bool:
+        if stop.is_set():
+            return False
         if remaining is not None:
             return issued < remaining
         return now < deadline
@@ -472,8 +476,10 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             if not want_more(issued, now):
                 break
             offset = next(stream)
-            durations.append(reader(handle, offset, bufs[n]))
-            submits.append(now * 1e6)
+            took = reader(handle, offset, bufs[n])
+            if now >= warm_end:
+                durations.append(took)
+                last = now  # submit time of the last logged read
             issued += 1
             if verify:
                 offsets[n] = offset
@@ -483,6 +489,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                     n = 0
         if n:
             checksum.add(rows[:n], offsets[:n], seed)
+        if durations:
+            result.last_done = last + durations[-1] / 1e6
         result.max_inflight = min(issued, 1)
         if engine.kind == "polled" and handle.polled_fallback:
             result.notes.append("polled reads unsupported, fell back to plain reads")
@@ -499,7 +507,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
         full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
         slots = np.arange(depth)  # to submit: all at first, then a harvest's
-        issued = inflight = 0
+        issued = inflight = warming = 0  # warming: in flight from warm-up
         while True:
             # once want_more turns false it stays false, so slots that are
             # not refilled are never needed again
@@ -508,7 +516,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             if n and want_more(issued, now):
                 slots = slots[:n]
                 offsets = np.fromiter(stream, np.int64, n)
-                submit_us[slots] = now * 1e6
+                submit_us[slots] = now_us = now * 1e6
+                if now_us < warm_end * 1e6:
+                    warming += n
                 slot_off[slots] = offsets
                 backend.submit_reads(slots, offsets)
                 issued += n
@@ -525,8 +535,13 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 raise IoError(f"async read at {slot_off[slots[i]]} "
                               f"returned {res[i]}")
             started = submit_us[slots]
-            submits.frombytes(started.tobytes())
+            if warming:  # log only the reads submitted from warm_end on
+                late = started >= warm_end * 1e6
+                warming -= len(late) - np.count_nonzero(late)
+                started = started[late]
             durations.frombytes((now_us - started).astype(np.int64).tobytes())
+            if len(started):
+                result.last_done = now_us / 1e6
             if verify:
                 # before the slots are refilled
                 offsets = slot_off[slots]
@@ -540,17 +555,19 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
 
 
 def _run_real(workload: WorkloadSpec, engine: EngineConfig):
-    start_wall = time.monotonic()
-    deadline = None
-    if workload.duration_s is not None:
-        deadline = start_wall + workload.warmup_s + workload.duration_s
+    warm_end = time.monotonic() + workload.warmup_s
+    deadline = (None if workload.duration_s is None
+                else warm_end + workload.duration_s)
     results = [_RealWorkerResult() for _ in range(workload.threads)]
+    stop = threading.Event()  # set by the first worker to fail
 
     def runner(w: int) -> None:
         try:
-            _real_worker(workload, engine, w, deadline, results[w])
+            _real_worker(workload, engine, w, warm_end, deadline, stop,
+                         results[w])
         except BaseException as exc:  # collected and re-raised by the parent
             results[w].error = exc
+            stop.set()
 
     if workload.threads == 1:
         runner(0)
@@ -571,19 +588,8 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
             raise failed[0]
         raise AbortedRun(f"{len(failed)} worker(s) failed: {failed[0]!r}") from failed[0]
 
-    warmup_cut = start_wall + workload.warmup_s
-    submits = np.concatenate([np.array(r.submits, dtype=np.float64)
-                              for r in results]) / 1e6
-    durations = np.concatenate([np.array(r.durations, dtype=np.int64)
-                                for r in results])
-    keep = submits >= warmup_cut
-    if deadline is not None:
-        keep &= submits < deadline
-    submits, durations = submits[keep], durations[keep]
-    last = warmup_cut
-    if durations.size:
-        last = max(last, float((submits + durations / 1e6).max()))
-    elapsed = max(last - warmup_cut, 1e-9)
+    log = np.concatenate([r.durations for r in results])
+    elapsed = max(max(r.last_done for r in results) - warm_end, 1e-9)
 
     checksum = results[0].checksum
     for r in results[1:]:
@@ -594,7 +600,6 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
             if n not in notes:
                 notes.append(n)
     extra = {"max_inflight": max(r.max_inflight for r in results)}
-    log = np.maximum(durations, 0)
     return log, log.size * workload.block_size, elapsed, (
         checksum.hexdigest() if workload.verify else ""), notes, extra
 
@@ -673,7 +678,8 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     if workload.target.is_simulated:
         return _simulate(workload, engine, offsets)[0]
     result = _RealWorkerResult()
-    _real_worker(workload, engine, 0, None, result, offsets)
+    _real_worker(workload, engine, 0, -np.inf, None, threading.Event(),
+                 result, offsets)
     return result.durations
 
 

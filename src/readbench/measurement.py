@@ -1,7 +1,7 @@
 """Latency sample aggregation, throughput math, and CPU accounting.
 
 Engines keep the durations of a run as an int64 log of integer microseconds
-(an ``array('q')`` or an ndarray), one entry per completed read, so a long
+(an ``array('q')`` or an ndarray), one entry per logged read, so a long
 run costs 8 bytes per sample and no Python object per request.
 :class:`LatencySample` is the public adapter for callers that hold
 individual samples; ``aggregate_latencies`` accepts either form.

@@ -9,6 +9,7 @@ without an open file.
 
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 import time
@@ -141,38 +142,38 @@ def _check_bounds(handle: TargetHandle, offset: int, length: int) -> None:
                 f"got offset={offset} length={length}")
 
 
-def read_block(handle: TargetHandle, offset: int, buffer) -> int:
-    """Fill the buffer from the target; returns observed latency in us."""
-    _check_bounds(handle, offset, len(buffer))
+def _timed_read(handle: TargetHandle, offset: int, buffer, flags: int) -> int:
+    """One positional read, bounds already checked; latency in us."""
     t0 = time.perf_counter_ns()
-    n = os.preadv(handle.fd, [buffer], offset)
+    n = os.preadv(handle.fd, [buffer], offset, flags)
     t1 = time.perf_counter_ns()
     if n != len(buffer):
         raise IoError(f"short read at {offset}: {n} of {len(buffer)} bytes")
     return (t1 - t0) // 1000
 
 
+def read_block(handle: TargetHandle, offset: int, buffer) -> int:
+    """Fill the buffer from the target; returns observed latency in us."""
+    _check_bounds(handle, offset, len(buffer))
+    return _timed_read(handle, offset, buffer, 0)
+
+
 def read_block_polled(handle: TargetHandle, offset: int, buffer) -> int:
     """Like read_block but through the kernel's polled-completion path.
 
-    Falls back to the plain path (and flags the handle) when the kernel or
-    filesystem doesn't support polled reads.
+    Falls back to the plain path (and flags the handle) on a buffered
+    handle, whose completions the kernel never polls, and where the kernel
+    or filesystem refuses the flag with EOPNOTSUPP; any other error raises.
     """
     _check_bounds(handle, offset, len(buffer))
-    if not handle.direct:
-        # the kernel only polls direct-mode completions
-        handle.polled_fallback = True
-        return read_block(handle, offset, buffer)
-    try:
-        t0 = time.perf_counter_ns()
-        n = os.preadv(handle.fd, [buffer], offset, RWF_HIGHPRI)
-        t1 = time.perf_counter_ns()
-    except OSError:
-        handle.polled_fallback = True
-        return read_block(handle, offset, buffer)
-    if n != len(buffer):
-        raise IoError(f"short read at {offset}: {n} of {len(buffer)} bytes")
-    return (t1 - t0) // 1000
+    if handle.direct:
+        try:
+            return _timed_read(handle, offset, buffer, RWF_HIGHPRI)
+        except OSError as exc:
+            if exc.errno != errno.EOPNOTSUPP:
+                raise
+    handle.polled_fallback = True
+    return _timed_read(handle, offset, buffer, 0)
 
 
 def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:

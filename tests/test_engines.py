@@ -2,10 +2,12 @@
 
 import ctypes
 import errno
+import itertools
 import mmap
 import os
 import threading
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -22,7 +24,9 @@ from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
 from readbench.errors import (AbortedRun, EngineUnsupported, IoError,
                               VerifyError)
 from readbench.fill import check_block
-from readbench.target import open_target, prepare_target, simulated_target
+from readbench.measurement import compute_throughput
+from readbench.target import (open_target, prepare_target, simulated_target,
+                              verify_file)
 
 
 def flat_model(latency_us=100.0, parallelism=8, **over):
@@ -721,3 +725,170 @@ def test_split_budget_property(total, threads):
     parts = [split_budget(total, threads, w) for w in range(threads)]
     assert sum(parts) == total
     assert max(parts) - min(parts) <= 1
+
+
+class FakeClock:
+    """Stands in for ``engines.time``: the monotonic clock moves only when
+    a stub read or a stub harvest takes time."""
+
+    def __init__(self, steps, t=100.0):
+        self.t = t
+        self.steps = itertools.cycle(steps)
+
+    def monotonic(self):
+        return self.t
+
+    def tick(self):
+        self.t += next(self.steps)
+        return self.t
+
+
+class ClockedBackend:
+    """Completes min_nr reads per wait, the oldest or the newest, each wait
+    taking the next step of the fake clock; ``reads`` gets (submitted,
+    completed) per completion, in harvest order."""
+
+    def __init__(self, clock, newest_first):
+        self.clock = clock
+        self.queued = deque()
+        self.pop = self.queued.pop if newest_first else self.queued.popleft
+        self.reads = []
+
+    def submit_reads(self, slots, offsets):
+        self.queued.extend((slot, self.clock.t) for slot in slots.tolist())
+
+    def wait(self, min_nr, timeout_s=None):
+        done = self.clock.tick()
+        rows = []
+        for _ in range(min_nr):
+            slot, submitted = self.pop()
+            rows.append((slot, 4096))
+            self.reads.append((submitted, done))
+        return np.array(rows, dtype=np.int64)
+
+    def close(self):
+        pass
+
+
+class TestRealWindow:
+    """Warm-up and elapsed time of real-file runs, on a fake clock: the log
+    holds exactly the reads submitted at or after the warm-up end, and
+    elapsed runs from the warm-up end to the last logged completion."""
+
+    START, WARMUP, DURATION = 100.0, 3.0, 3.0
+    STEPS = (0.25, 0.5, 0.75)  # exact in binary, so no rounding enters
+
+    def stub(self, order, monkeypatch):
+        """Patch in a fake clock and a reader or backend on it; returns the
+        list that gets (submitted, completed) per read."""
+        clock = FakeClock(self.STEPS, self.START)
+        monkeypatch.setattr(engines, "time", clock)
+        if order is None:
+            reads = []
+
+            def reader(handle, offset, buffer):
+                submitted, done = clock.t, clock.tick()
+                reads.append((submitted, done))
+                return round((done - submitted) * 1e6)
+
+            monkeypatch.setattr(engines, "read_block", reader)
+            return reads
+        backend = ClockedBackend(clock, order == "newest")
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: backend)
+        return backend.reads
+
+    @pytest.mark.parametrize("kind,order", [
+        ("sync", None), ("aio", "oldest"), ("aio", "newest")])
+    def test_log_and_elapsed(self, real, monkeypatch, kind, order):
+        engine = (EngineConfig(kind="sync") if kind == "sync" else
+                  EngineConfig(kind=kind, queue_size=4, batch_size=2))
+        w = workload(real, request_budget=None, duration_s=self.DURATION,
+                     warmup_s=self.WARMUP)
+        warm_end = self.START + self.WARMUP
+        reads = self.stub(order, monkeypatch)
+        log, nbytes, elapsed = engines._run_real(w, engine)[:3]
+        kept = [(s, c) for s, c in reads if s >= warm_end]
+        # the window's edges are exercised: a read submitted exactly at the
+        # warm-up end, warm-up reads completing after it (async), and
+        # warm-up reads completing last, after every logged one (newest
+        # first)
+        assert any(s == warm_end for s, _ in kept)
+        if kind == "aio":
+            assert any(s < warm_end < c for s, c in reads)
+        if order == "newest":
+            assert reads[-1][0] < warm_end
+        assert list(log) == [round((c - s) * 1e6) for s, c in kept]
+        assert nbytes == len(kept) * 4096
+        last = max(c for _, c in kept)
+        assert elapsed == pytest.approx(last - warm_end, abs=1e-6)
+
+        self.stub(order, monkeypatch)
+        rec = run(w, engine)
+        assert rec.latency.count == len(kept)
+        assert rec.throughput_mb_s == pytest.approx(
+            compute_throughput(len(kept) * 4096, last - warm_end))
+
+
+@pytest.fixture(scope="module")
+def cached(tmp_path_factory):
+    """A 16 MiB file, read once so that it sits in the page cache."""
+    path = str(tmp_path_factory.mktemp("cached") / "cached.dat")
+    prepare_target(path, size=16 << 20, seed=7).close()
+    with open_target(path, seed=7, direct=False) as h:
+        verify_file(h)
+    return path
+
+
+@pytest.mark.parametrize("engine", [
+    EngineConfig(kind="sync"),
+    EngineConfig(kind="aio", queue_size=32, batch_size=8,
+                 allow_fallback=True)], ids=["sync", "aio"])
+def test_real_run_memory_per_request(cached, engine):
+    # one int64 duration per request, plus the copies that merging and
+    # sorting it take, and no per-request log beside it
+    n = 100_000
+    with open_target(cached, seed=7, direct=False) as h:
+        w = WorkloadSpec(target=h, block_size=4096, request_budget=n, seed=1)
+        tracemalloc.start()
+        try:
+            rec = run(w, engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rec.latency.count == n
+    assert peak / n <= 24, f"{peak / n:.1f} B per request"
+
+
+@pytest.mark.parametrize("engine", [
+    EngineConfig(kind="pool"),
+    EngineConfig(kind="aio", queue_size=4, allow_fallback=True)],
+    ids=["pool", "aio"])
+def test_one_failed_worker_stops_the_run(real, monkeypatch, engine):
+    # the first read (sync loop) or the first backend made (async loop)
+    # fails; the other worker must stop at once, not run out its 30 s
+    first = itertools.count()
+    if engine.kind == "pool":
+        read_block = engines.read_block
+
+        def reader(handle, offset, buffer):
+            if next(first) == 0:
+                raise IoError("injected read error")
+            return read_block(handle, offset, buffer)
+
+        monkeypatch.setattr(engines, "read_block", reader)
+    else:
+        make = engines._make_async_backend
+
+        class Failing(StalledBackend):
+            def wait(self, min_nr, timeout_s=None):
+                raise IoError("injected read error")
+
+        monkeypatch.setattr(
+            engines, "_make_async_backend",
+            lambda *args: Failing() if next(first) == 0 else make(*args))
+    w = workload(real, request_budget=None, duration_s=30.0, threads=2)
+    t0 = time.monotonic()
+    with pytest.raises(AbortedRun, match="1 worker.*injected read error"):
+        run(w, engine)
+    assert time.monotonic() - t0 < 2.0

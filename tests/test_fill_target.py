@@ -1,5 +1,6 @@
 """Fill-pattern generation, verification, and target handles."""
 
+import errno
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readbench import target
 from readbench.errors import AlignmentError, IoError, VerifyError
 from readbench.fill import (CHECK_CHUNK_BYTES, LANES, check_block,
                             check_blocks, digest, first_mismatch, hexdigest,
@@ -317,6 +319,47 @@ class TestFileTarget:
                 read_block(h, 100, buf)
             read_block(h, 0, buf)
             check_block(buf, 0, 3)
+
+    @pytest.fixture
+    def flagged_preadv(self, monkeypatch):
+        """Patches os.preadv so that a flagged (polled) call fails with the
+        errno the test sets; plain calls read as before."""
+        preadv, fail = os.preadv, {}
+
+        def patched(fd, buffers, offset, flags=0):
+            if flags:
+                raise OSError(fail["errno"], os.strerror(fail["errno"]))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", patched)
+        return fail
+
+    def test_polled_read_error_propagates(self, tmp_path, flagged_preadv):
+        path = str(tmp_path / "bench.dat")
+        flagged_preadv["errno"] = errno.EIO
+        with prepare_target(path, size=1 << 20, seed=3) as h:
+            h.direct = True  # the polled path is tried on direct handles
+            with pytest.raises(OSError) as ei:
+                read_block_polled(h, 0, alloc_aligned(4096))
+            assert ei.value.errno == errno.EIO
+            assert not h.polled_fallback
+
+    def test_polled_read_falls_back_once_refused(self, tmp_path,
+                                                 flagged_preadv, monkeypatch):
+        path = str(tmp_path / "bench.dat")
+        flagged_preadv["errno"] = errno.EOPNOTSUPP
+        checks = []
+        check_bounds = target._check_bounds
+        monkeypatch.setattr(target, "_check_bounds",
+                            lambda *args: checks.append(check_bounds(*args)))
+        with prepare_target(path, size=1 << 20, seed=3) as h:
+            for direct in (True, False):
+                h.direct, h.polled_fallback = direct, False
+                buf = alloc_aligned(4096)
+                assert read_block_polled(h, 8192, buf) >= 0
+                check_block(buf, 8192, 3)
+                assert h.polled_fallback
+        assert len(checks) == 2  # one bounds check per read
 
     def test_recommended_size_alignment(self):
         size = recommended_file_size(10**9)
