@@ -22,6 +22,16 @@ Model components:
 * The polled completion path replaces the heavy-tailed jitter draw with a
   uniform draw of the same mean, shrinking the maximum without moving the
   average; base and transfer components are unchanged.
+* Service: ``submit`` only queues a request, and ``advance`` starts queued
+  requests on free slots, in one pass over the queue, before it pops the
+  next completions.  The clock moves only inside ``advance``, so a request
+  starts at the time it would have started at submit, and the draws happen
+  in the same order.  The spinning disk picks the queued request with the
+  shortest seek, which depends on what is queued at the time, so it starts
+  requests inside ``submit`` whenever a slot is free and refills the slots
+  that ``advance`` frees before returning.
+* Draws: jitter, stall and rotation draws come from one stream per device,
+  ``rng.uniform_floats(rng_seed)``, computed in numpy chunks.
 """
 
 from __future__ import annotations
@@ -30,10 +40,10 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import Backpressure, NoSuchPreset
-from .rng import SplitMix64
+from .rng import uniform_floats
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -206,7 +216,7 @@ class SimState:
 
     model: DeviceModel
     capacity: int
-    rng: SplitMix64 = field(init=False)
+    draws: Iterator[float] = field(init=False)  # rng.uniform_floats
     clock: float = 0.0
     head_position: int = 0
     last_end: int = 0
@@ -218,110 +228,132 @@ class SimState:
     _seq: int = 0
 
     def __post_init__(self):
-        self.rng = SplitMix64(self.model.rng_seed)
-
-
-def _jitter(model: DeviceModel, rng: SplitMix64, polled: bool) -> float:
-    if model.jitter_kind == "none" or model.jitter_scale_us <= 0:
-        return 0.0
-    u = rng.next_float()
-    if model.jitter_kind == "uniform" or polled:
-        # uniform with the same mean as the heavy tail, max = 2 * mean
-        return 2.0 * model.jitter_scale_us * u
-    cap = (HEAVY_TAIL_POWER + 1) * model.jitter_scale_us
-    return cap * u ** HEAVY_TAIL_POWER
+        self.draws = uniform_floats(self.model.rng_seed)
 
 
 def service_time(model: DeviceModel, state: SimState, offset: int, length: int,
                  polled: bool = False, at: float | None = None) -> float:
-    """Service duration in microseconds for one request.
+    """Service duration in microseconds of one request entering service at
+    ``at`` (default: the clock): the service loop run on it alone, without
+    the shared channel.
 
-    Draws from the state's RNG and updates head/sequential-detection state,
-    so call order defines the replayable request history.
+    Draws from the state's stream and updates head/sequential-detection
+    state, so call order defines the replayable request history.
     """
     at = state.clock if at is None else at
-    if model.kind == "hdd":
-        if offset == state.last_end:
-            access = 0.0
-        else:
-            frac = abs(offset - state.head_position) / state.capacity
-            seek = model.seek_min_us + (model.seek_max_us - model.seek_min_us) * frac
-            rotation = state.rng.uniform(0.0, model.rotation_period_us)
-            access = seek + rotation
-        rate = model.outer_rate_bps + (
-            model.inner_rate_bps - model.outer_rate_bps) * (offset / state.capacity)
-        transfer = length / rate * 1e6
-        state.head_position = offset + length
-        state.last_end = offset + length
-        total = access + transfer
-    else:
-        total = model.base_latency_us + length * model.per_byte_us
-        total += _jitter(model, state.rng, polled)
-        if model.spike_probability > 0:
-            if state.rng.next_float() < model.spike_probability:
-                total += model.spike_duration_us
-    if at < model.degraded_until_us:
-        total *= model.degraded_factor
-    return total
+    lone = SimState(replace(model, bandwidth_limit_bps=0.0),
+                    state.capacity, clock=at, head_position=state.head_position,
+                    last_end=state.last_end)
+    lone.draws = state.draws
+    lone.pending.append(SimRequest(offset, length, at, polled))
+    _fill_slots(lone)
+    state.head_position, state.last_end = lone.head_position, lone.last_end
+    return lone.in_flight[0][0] - at
 
 
 def submit(state: SimState, req: SimRequest) -> None:
-    """Queue a request; it enters service FIFO as parallelism slots free."""
+    """Queue a request.  It enters service FIFO at the next advance, once a
+    slot is free; a disk with a free slot starts it at once, because its
+    shortest-seek-first pick depends on what is pending at the time."""
     if req.offset < 0 or req.offset + req.length > state.capacity:
         raise ValueError("request outside device capacity")
-    if len(state.pending) >= state.pending_bound:
+    pending = state.pending
+    free = state.model.parallelism - state.active
+    # requests that free slots will take at the next advance are not queued
+    if len(pending) - free >= state.pending_bound:
         raise Backpressure(f"more than {state.pending_bound} requests queued")
-    state.pending.append(req)
-    if state.active < state.model.parallelism:
+    pending.append(req)
+    if free > 0 and state.model.kind == "hdd":
         _fill_slots(state)
 
 
-def _next_pending(state: SimState) -> SimRequest:
-    # spinning disk: shortest seek first among queued requests (drive/elevator
-    # scheduling); everything else services strictly FIFO
-    if state.model.kind == "hdd" and len(state.pending) > 1:
-        best = min(range(len(state.pending)),
-                   key=lambda i: (abs(state.pending[i].offset - state.head_position), i))
-        req = state.pending[best]
-        del state.pending[best]
-        return req
-    return state.pending.popleft()
-
-
 def _fill_slots(state: SimState) -> None:
-    model = state.model
-    parallelism = model.parallelism
-    bandwidth = model.bandwidth_limit_bps
-    pending = state.pending
-    in_flight = state.in_flight
-    clock = state.clock
-    while state.active < parallelism and pending:
-        req = _next_pending(state)
+    """Start pending requests while slots are free, at the current clock or
+    their submit time if later: the one service loop of the model."""
+    m = state.model
+    hdd = m.kind == "hdd"
+    parallelism, bandwidth = m.parallelism, m.bandwidth_limit_bps
+    degraded_until, degraded_factor = m.degraded_until_us, m.degraded_factor
+    base, per_byte = m.base_latency_us, m.per_byte_us
+    jitter = m.jitter_kind != "none" and m.jitter_scale_us > 0
+    uniform = m.jitter_kind == "uniform"
+    # uniform jitter has the heavy tail's mean and twice it as its maximum
+    two_scale = 2.0 * m.jitter_scale_us
+    cap = (HEAVY_TAIL_POWER + 1) * m.jitter_scale_us
+    spike_p, spike_us = m.spike_probability, m.spike_duration_us
+    seek_min, seek_span = m.seek_min_us, m.seek_max_us - m.seek_min_us
+    rotation_us = m.rotation_period_us
+    outer, rate_span = m.outer_rate_bps, m.inner_rate_bps - m.outer_rate_bps
+    capacity = state.capacity
+    draw = state.draws.__next__
+    pending, in_flight = state.pending, state.in_flight
+    clock, active, seq = state.clock, state.active, state._seq
+    channel_free, head, last_end = (state.channel_free, state.head_position,
+                                    state.last_end)
+    while active < parallelism and pending:
+        if hdd:
+            # shortest seek first among queued requests (drive/elevator
+            # scheduling); every other model services strictly FIFO
+            if len(pending) > 1:
+                seeks = [abs(r.offset - head) for r in pending]
+                best = seeks.index(min(seeks))  # the first of equal seeks
+                req = pending[best]
+                del pending[best]
+            else:
+                req = pending.popleft()
+            offset, length = req.offset, req.length
+            if offset == last_end:
+                access = 0.0
+            else:
+                seek = seek_min + seek_span * (abs(offset - head) / capacity)
+                access = seek + rotation_us * draw()
+            rate = outer + rate_span * (offset / capacity)
+            total = access + length / rate * 1e6
+            head = last_end = offset + length
+        else:
+            req = pending.popleft()
+            length = req.length
+            total = base + length * per_byte
+            if jitter:
+                u = draw()
+                if uniform or req.polled:
+                    total += two_scale * u
+                else:
+                    total += cap * u ** HEAVY_TAIL_POWER
+            if spike_p > 0 and draw() < spike_p:
+                total += spike_us
         start = req.submit_time
         if clock > start:
             start = clock
-        completion = start + service_time(model, state, req.offset, req.length,
-                                          req.polled, start)
+        if start < degraded_until:
+            total *= degraded_factor
+        completion = start + total
         if bandwidth > 0:
-            tb = req.length / bandwidth * 1e6
+            tb = length / bandwidth * 1e6
             # the transfer is the trailing part of service and must
             # serialize on the shared channel
             channel_start = completion - tb
-            if state.channel_free > channel_start:
-                channel_start = state.channel_free
+            if channel_free > channel_start:
+                channel_start = channel_free
             completion = channel_start + tb
-            state.channel_free = completion
-        state._seq += 1
-        heapq.heappush(in_flight, (completion, state._seq, req))
-        state.active += 1
+            channel_free = completion
+        seq += 1
+        heapq.heappush(in_flight, (completion, seq, req))
+        active += 1
+    state.active, state._seq, state.channel_free = active, seq, channel_free
+    state.head_position, state.last_end = head, last_end
 
 
 def advance(state: SimState) -> list[tuple[SimRequest, float]]:
-    """Pop every completion due at the next event time.
+    """Start what is queued on free slots, then pop every completion due at
+    the next event time.
 
     Returns (request, completion_time) pairs; the clock never moves
     backwards and stays put when nothing is in flight.
     """
+    pending = state.pending
+    if pending and state.active < state.model.parallelism:
+        _fill_slots(state)
     in_flight = state.in_flight
     if not in_flight:
         return []
@@ -332,7 +364,9 @@ def advance(state: SimState) -> list[tuple[SimRequest, float]]:
     state.active -= len(done)
     if t > state.clock:
         state.clock = t
-    if state.pending:
+    if pending and state.model.kind == "hdd":
+        # the disk picks among what is queued now, before anything else
+        # is submitted at this time
         _fill_slots(state)
     return done
 

@@ -39,7 +39,7 @@ from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
                           snapshot_cpu)
-from .rng import GOLDEN, MASK64, worker_seed
+from .rng import u64_chunks, worker_seed
 from .target import TargetHandle, alloc_aligned, read_block, read_block_polled
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
@@ -174,13 +174,10 @@ def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
     """
     nblocks = workload.target.capacity // workload.block_size
     if workload.pattern == "random":
-        state = worker_seed(workload.seed, worker)
-        steps = np.arange(1, _OFFSET_CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-        while True:
-            words = fill._mix64_array(steps + np.uint64(state))
+        for words in u64_chunks(worker_seed(workload.seed, worker),
+                                _OFFSET_CHUNK):
             yield from ((words % np.uint64(nblocks))
                         * np.uint64(workload.block_size)).tolist()
-            state = (state + _OFFSET_CHUNK * GOLDEN) & MASK64
     else:
         i = (nblocks // workload.threads) * worker
         while True:
@@ -408,9 +405,11 @@ def _arena(n: int, block: int) -> tuple[list[memoryview], np.ndarray]:
 _NO_ROWS = np.empty((0, 2), dtype=np.int64)
 
 
-def _harvest(backend, min_nr: int, notes: list[str]) -> np.ndarray:
-    """Wait for at least min_nr completions, as (slot, res) rows; IoError
-    once none arrived for STALL_LIMIT_S."""
+def _harvest(backend, min_nr: int, notes: list[str],
+             stop: threading.Event) -> np.ndarray | None:
+    """Wait for at least min_nr completions, as (slot, res) rows; None once
+    stop is set and a wait came back empty; IoError once none arrived for
+    STALL_LIMIT_S."""
     done = _NO_ROWS
     start = time.monotonic()
     while len(done) < min_nr:
@@ -419,6 +418,8 @@ def _harvest(backend, min_nr: int, notes: list[str]) -> np.ndarray:
             done = np.concatenate((done, rows)) if len(done) else rows
             start = time.monotonic()
             continue
+        if stop.is_set():
+            return None
         if "harvest stalled beyond timeout" not in notes:
             notes.append("harvest stalled beyond timeout")
         waited = time.monotonic() - start
@@ -526,7 +527,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 result.max_inflight = max(result.max_inflight, inflight)
             if not inflight:
                 break
-            done = _harvest(backend, min(batch, inflight), result.notes)
+            done = _harvest(backend, min(batch, inflight), result.notes, stop)
+            if done is None:  # another worker failed
+                break
             now_us = time.monotonic() * 1e6
             inflight -= len(done)
             slots, res = done[:, 0], done[:, 1]

@@ -173,6 +173,27 @@ class TestQueueing:
         with pytest.raises(Backpressure):
             submit(state, SimRequest(offset=0, length=4096, submit_time=0.0))
 
+    @pytest.mark.parametrize("kind", ["solid-state", "hdd"])
+    def test_backpressure_counts_only_requests_beyond_free_slots(self, kind):
+        # requests that free slots will take do not count toward the bound,
+        # whether they start at submit (disk) or at the next advance
+        over = dict(kind=kind, outer_rate_bps=1e8, inner_rate_bps=1e8)
+        m = flat_model(parallelism=3, **over)
+        state = SimState(model=m, capacity=1 << 30)
+        state.pending_bound = 2
+
+        def fill_up(n):
+            for _ in range(n):
+                submit(state, SimRequest(offset=0, length=4096,
+                                         submit_time=state.clock))
+            with pytest.raises(Backpressure):
+                submit(state, SimRequest(offset=0, length=4096,
+                                         submit_time=state.clock))
+
+        fill_up(m.parallelism + state.pending_bound)
+        # each completion frees a slot for exactly one more request
+        fill_up(len(advance(state)))
+
     def test_degraded_window(self):
         m = flat_model(latency_us=100.0, parallelism=1,
                        degraded_until_us=1000.0, degraded_factor=10.0)

@@ -892,3 +892,30 @@ def test_one_failed_worker_stops_the_run(real, monkeypatch, engine):
     with pytest.raises(AbortedRun, match="1 worker.*injected read error"):
         run(w, engine)
     assert time.monotonic() - t0 < 2.0
+
+
+def test_failed_worker_stops_a_stalled_harvest(real, monkeypatch):
+    # one backend fails on its first wait, the other never completes a read;
+    # the stalled worker must leave its harvest at once, not after
+    # STALL_LIMIT_S, and must not count as a second failure
+    first = itertools.count()
+    harvesting = threading.Event()
+
+    class Stalled(StalledBackend):
+        def wait(self, min_nr, timeout_s=None):
+            harvesting.set()
+            return super().wait(min_nr, timeout_s)
+
+    class Failing(StalledBackend):
+        def wait(self, min_nr, timeout_s=None):
+            harvesting.wait(5.0)  # fail once the other worker is harvesting
+            raise IoError("injected read error")
+
+    monkeypatch.setattr(
+        engines, "_make_async_backend",
+        lambda *args: Failing() if next(first) == 0 else Stalled())
+    w = workload(real, request_budget=None, duration_s=30.0, threads=2)
+    t0 = time.monotonic()
+    with pytest.raises(AbortedRun, match="^1 worker.*injected read error"):
+        run(w, EngineConfig(kind="aio", queue_size=4))
+    assert time.monotonic() - t0 < 2.0

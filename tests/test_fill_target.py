@@ -1,6 +1,7 @@
 """Fill-pattern generation, verification, and target handles."""
 
 import errno
+import itertools
 import os
 
 import numpy as np
@@ -14,7 +15,8 @@ from readbench.fill import (CHECK_CHUNK_BYTES, LANES, check_block,
                             check_blocks, digest, first_mismatch, hexdigest,
                             new_scratch, pattern_bytes, pattern_rows,
                             pattern_words, verify_block)
-from readbench.rng import GOLDEN, MASK64, SplitMix64, mix64, worker_seed
+from readbench.rng import (FLOAT_CHUNK, GOLDEN, MASK64, SplitMix64, mix64,
+                           uniform_floats, worker_seed)
 from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
                               read_block, read_block_polled,
                               recommended_file_size, simulated_target,
@@ -51,6 +53,16 @@ def test_stream_matches_oracle():
     for _ in range(100):
         state = (state + GOLDEN) & MASK64
         assert rng.next_u64() == mix64_oracle(state)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**63 + 5, MASK64, -3])
+def test_uniform_floats_match_stream(seed):
+    # across two chunk boundaries, as Python floats of next_u64() / 2**64
+    n = 2 * FLOAT_CHUNK + 11
+    rng = SplitMix64(seed)
+    got = list(itertools.islice(uniform_floats(seed), n))
+    assert got == [rng.next_u64() / 2**64 for _ in range(n)]
+    assert all(type(u) is float and 0.0 <= u <= 1.0 for u in got)
 
 
 def test_worker_seed_distinct():

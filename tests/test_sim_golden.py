@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from readbench import engines
-from readbench.devicesim import preset_model
+from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, WorkloadSpec, offset_stream,
                                read_scattered, run)
 from readbench.errors import EmptySampleSet
@@ -26,8 +26,18 @@ from readbench.target import simulated_target
 
 GiB = 1 << 30
 
-#: name -> (model, capacity, fill seed, workload fields, engine,
-#:          latency, throughput_mb_s, data_checksum, extra)
+#: a solid-state model with every random component and fewer slots than
+#: requests in flight, so requests queue, spikes and a degraded start-up
+#: window land inside the queue, and the shared channel serializes transfers
+CUSTOM = DeviceModel(kind="custom", base_latency_us=40.0,
+                     per_byte_us=1.0 / 1000.0, parallelism=4,
+                     jitter_kind="uniform", jitter_scale_us=6.0,
+                     spike_probability=0.01, spike_duration_us=5000.0,
+                     bandwidth_limit_bps=400e6, degraded_until_us=3000.0,
+                     degraded_factor=4.0, rng_seed=17)
+
+#: name -> (model preset or DeviceModel, capacity, fill seed, workload
+#:          fields, engine, latency, throughput_mb_s, data_checksum, extra)
 GOLDEN = {
     "hdd-sync": (
         "hdd", GiB, 7, dict(block_size=65536, request_budget=2000, seed=1),
@@ -73,6 +83,21 @@ GOLDEN = {
         2108.5026582284877,
         "0718d17db0e00fa32bf008c618497300cf458faa7afc26c5047f07d3aeebaf8d",
         {"max_inflight": 64, "short_harvests": 0}),
+    # the two below were produced by the scheduler that started service
+    # inside submit; they pin the queued disk (whose shortest-seek pick
+    # depends on what is pending) and a queued solid-state model
+    "hdd-aio-q8b2": (
+        "hdd", GiB, 7, dict(block_size=65536, request_budget=2000, seed=5),
+        EngineConfig(kind="aio", queue_size=8, batch_size=2),
+        LatencyStats(count=2000, min_us=7619, max_us=415081,
+                     mean_us=60563.859, p99_us=209048, p999_us=325314),
+        8.108714963516068, "", {"max_inflight": 8, "short_harvests": 0}),
+    "custom-aio-q8b4-T2": (
+        CUSTOM, 1 << 28, 4, dict(threads=2, request_budget=6000, seed=8),
+        EngineConfig(kind="aio", queue_size=8, batch_size=4),
+        LatencyStats(count=6000, min_us=153, max_us=10206,
+                     mean_us=941.2926666666667, p99_us=5207, p999_us=10189),
+        63.05098713836894, "", {"max_inflight": 8, "short_harvests": 0}),
 }
 
 
@@ -80,7 +105,9 @@ GOLDEN = {
 def test_simulated_record_is_pinned(name):
     (model, capacity, fill_seed, fields, engine,
      latency, throughput, checksum, extra) = GOLDEN[name]
-    with simulated_target(preset_model(model), capacity, seed=fill_seed) as h:
+    if isinstance(model, str):
+        model = preset_model(model)
+    with simulated_target(model, capacity, seed=fill_seed) as h:
         rec = run(WorkloadSpec(target=h, **fields), engine)
     assert (rec.latency, rec.throughput_mb_s, rec.data_checksum, rec.extra) \
         == (latency, throughput, checksum, extra)
