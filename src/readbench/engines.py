@@ -190,12 +190,12 @@ def split_budget(total: int, threads: int, worker: int) -> int:
 
 
 class _Checksum:
-    """Order-independent content digest of every block read, with the
-    verification scratch of the worker that owns it.
+    """Order-independent digest of the offsets of every verified block, with
+    the verification scratch of the worker that owns it.
 
-    The lanes are :func:`fill.digest`'s, which add mod 2^64: workers merge
-    by adding lanes, and a simulated run, which digests the fill pattern of
-    the offsets it submits, gets the value a real run over them reads.
+    Its lanes add mod 2^64 (:func:`fill.digest_offsets`): workers merge by
+    adding lanes, and a simulated run, which digests the offsets it submits,
+    gets the value a real run over them verifies.
     """
 
     def __init__(self):
@@ -203,21 +203,10 @@ class _Checksum:
         self.scratch = fill.new_scratch()
 
     def add(self, rows: np.ndarray, offsets, seed: int) -> None:
-        """Verify one batch of read blocks, then add them to the digest."""
+        """Verify one batch of read blocks, then digest their offsets."""
         fill.check_blocks(rows, offsets, seed, self.scratch)
-        fill.digest(rows, self.lanes, self.scratch)
-
-    def add_pattern(self, offsets: list[int], block: int, seed: int) -> None:
-        """Add the fill pattern of the blocks at ``offsets``, built at most
-        CHECK_CHUNK_BYTES (or one block) at a time."""
-        per = max(1, fill.CHECK_CHUNK_BYTES // block)
-        for i in range(0, len(offsets), per):
-            rows = fill.pattern_rows(seed, offsets[i:i + per], block,
-                                     self.scratch)
-            fill.digest(rows, self.lanes, self.scratch)
-
-    def hexdigest(self) -> str:
-        return fill.hexdigest(self.lanes)
+        fill.digest_offsets(offsets, rows.shape[1] * fill.WORD, seed,
+                            self.lanes)
 
 
 def _depth_and_batch(engine: EngineConfig) -> tuple[int, int]:
@@ -267,7 +256,9 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
         stream = offset_stream(workload, w) if offsets is None else offsets
         workers.append(_SimWorker(w, stream, remaining))
 
-    checksum = _Checksum() if workload.verify else None
+    # simulated reads return no data: digest the submitted offsets in chunks
+    lanes = np.zeros(fill.LANES, dtype=np.uint64) if workload.verify else None
+    undigested = array("q")
     outstanding = 0
 
     def refill(wk: _SimWorker, n: int, now: float) -> None:
@@ -282,8 +273,11 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
         offsets = list(itertools.islice(wk.stream, n))
         for offset in offsets:
             submit(state, SimRequest(offset, block, now, polled, tag))
-        if checksum is not None:
-            checksum.add_pattern(offsets, block, fill_seed)
+        if lanes is not None:
+            undigested.extend(offsets)
+            if len(undigested) >= _OFFSET_CHUNK:
+                fill.digest_offsets(undigested, block, fill_seed, lanes)
+                del undigested[:]
         wk.outstanding += n
         outstanding += n
         if wk.outstanding > wk.max_outstanding:
@@ -317,12 +311,14 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
                 outstanding -= n
                 refill(wk, n, now)
 
+    if lanes is not None:
+        fill.digest_offsets(undigested, block, fill_seed, lanes)
     elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
     notes = ["simulated"]
     extra = {"max_inflight": max(wk.max_outstanding for wk in workers),
              "short_harvests": 0}
     return log, len(log) * block, elapsed_s, (
-        checksum.hexdigest() if checksum else ""), notes, extra
+        "" if lanes is None else fill.hexdigest(lanes)), notes, extra
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +590,8 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
     log = np.concatenate([r.durations for r in results])
     elapsed = max(max(r.last_done for r in results) - warm_end, 1e-9)
 
-    checksum = results[0].checksum
-    for r in results[1:]:
-        checksum.lanes += r.checksum.lanes
+    # workers' digests merge by adding lanes, mod 2^64
+    lanes = sum(r.checksum.lanes for r in results)
     notes: list[str] = []
     for r in results:
         for n in r.notes:
@@ -604,7 +599,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
                 notes.append(n)
     extra = {"max_inflight": max(r.max_inflight for r in results)}
     return log, log.size * workload.block_size, elapsed, (
-        checksum.hexdigest() if workload.verify else ""), notes, extra
+        fill.hexdigest(lanes) if workload.verify else ""), notes, extra
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Offset-derived file fill pattern, its verification and a content digest.
+"""Offset-derived file fill pattern, its verification and a run digest.
 
 The 64-bit word at byte offset ``o`` (``o`` a multiple of 8) is
 ``mix64(seed XOR o)``, serialized little-endian.  Content at any offset is
@@ -7,15 +7,17 @@ copy on disk.
 
 Generation and verification run one in-place kernel over a caller-owned
 scratch of two ``CHECK_CHUNK_BYTES`` uint64 rows (:func:`new_scratch`), so
-checking a batch allocates no block-sized temporaries.  :func:`digest`
-hashes verified blocks into ``LANES`` uint64 lanes: a block contributes
-``mix64`` of position-weighted word sums, and contributions add mod 2^64,
-so the digest of a set of blocks is independent of their order and of how
-they were batched.  It detects changed bytes in a run's data; it is not a
-cryptographic hash.
+checking a batch allocates no block-sized temporaries.  A block that passes
+:func:`check_blocks` equals the pattern at its offset, so
+:func:`digest_offsets` hashes only the seed, block length and offsets of
+verified blocks, into ``LANES`` uint64 lanes that add mod 2^64: the digest
+of a set of blocks is independent of their order and of how they were
+batched.  It is not a cryptographic hash.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .rng import GOLDEN
 
 WORD = 8
 
-#: check_blocks, digest and the pattern kernel work on at most this many
+#: check_blocks and the pattern kernel work on at most this many
 #: bytes per numpy pass (longer blocks in chunk-sized pieces), which bounds
 #: the scratch whatever the batch or block size
 CHECK_CHUNK_BYTES = 1 << 17
@@ -60,10 +62,7 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 #: byte offset of each word of a chunk from the chunk's start
 _RAMP = np.arange(0, CHECK_CHUNK_BYTES, WORD, dtype=np.uint64)
-#: odd per-position word weights of the digest
-_WEIGHTS = _mix64_array(np.arange(_CHUNK_WORDS, dtype=np.uint64)
-                        + _U(GOLDEN)) | _U(1)
-_RAMP.flags.writeable = _WEIGHTS.flags.writeable = False
+_RAMP.flags.writeable = False
 
 
 def new_scratch() -> np.ndarray:
@@ -162,24 +161,28 @@ def check_blocks(rows, offsets, seed: int,
             raise VerifyError(int(offs[r + row, 0]) + (lo + word) * WORD)
 
 
-def digest(rows, lanes: np.ndarray, scratch: np.ndarray) -> None:
-    """Add the content digest of a batch of blocks to ``lanes`` (LANES
-    uint64 values, mod 2^64).
+@functools.lru_cache(maxsize=64)
+def _lane_keys(nbytes: int) -> np.ndarray:
+    """Read-only (LANES, 1) column: ``mix64(nbytes + j * GOLDEN)`` in row j."""
+    keys = _mix64_array(np.arange(LANES, dtype=np.uint64)[:, None]
+                        * _U(GOLDEN) + _U(nbytes))
+    keys.flags.writeable = False
+    return keys
 
-    ``rows`` is an (n, words) uint64 array, one block per row, with words a
-    multiple of LANES.  Each chunk-sized piece of a block is weighted word
-    by word, summed per quarter of the piece into LANES sums, offset by the
-    piece's position in its block and mixed with ``mix64``; the mixed sums
-    add to the lanes.  ``scratch`` is one from :func:`new_scratch`; only
-    its second row is written.
+
+def digest_offsets(offsets, nbytes: int, seed: int,
+                   lanes: np.ndarray) -> None:
+    """Add the digest of verified nbytes-long blocks at ``offsets`` to
+    ``lanes`` (LANES uint64 values, mod 2^64).
+
+    The block at offset ``o`` adds ``mix64((o ^ seed) + mix64(nbytes +
+    j * GOLDEN))`` to lane j.  Real runs add only blocks that passed
+    :func:`check_blocks`; a simulated run, which reads no data, adds the
+    offsets it submits.
     """
-    for _, lo, part in _passes(rows):
-        prod = _views(scratch, part.shape)[1]
-        np.multiply(part, _WEIGHTS[:part.shape[1]], out=prod)
-        sums = prod.reshape(len(part), LANES, -1).sum(axis=2)
-        if lo:
-            sums += _U(lo)
-        lanes += _mix64_array(sums).sum(axis=0)
+    x = (np.asarray(offsets, dtype=np.uint64) ^ _U(seed)) + _lane_keys(nbytes)
+    _mix64_into(x, np.empty_like(x))
+    lanes += x.sum(axis=1)
 
 
 def hexdigest(lanes: np.ndarray) -> str:

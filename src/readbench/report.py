@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .engines import EngineConfig, RunRecord
 from .errors import LabelParseError
+from .sweep import select_best
 
 SCHEMA_VERSION = 1
 
@@ -217,14 +218,18 @@ def _fmt_block(b: int) -> str:
     return f"{b >> 10}KiB"
 
 
-def scatter_points_csv(records: list[RunRecord]) -> str:
-    """The plotted points as CSV so any external stack can re-render."""
-    header = "label,block_size,throughput_mb_s,p999_us,cpu_percent_of_core,best"
-    from .sweep import select_best
+def _best_per_block(records: list[RunRecord]) -> set[int]:
+    """ids of the best record (by select_best) of each block size."""
     groups: dict[int, list[RunRecord]] = {}
     for rec in records:
         groups.setdefault(rec.workload["block_size"], []).append(rec)
-    best_ids = {id(select_best(g)) for g in groups.values()}
+    return {id(select_best(g)) for g in groups.values()}
+
+
+def scatter_points_csv(records: list[RunRecord]) -> str:
+    """The plotted points as CSV so any external stack can re-render."""
+    header = "label,block_size,throughput_mb_s,p999_us,cpu_percent_of_core,best"
+    best_ids = _best_per_block(records)
     lines = [header]
     for rec in records:
         lines.append(f"{rec.label},{rec.workload['block_size']},"
@@ -241,8 +246,6 @@ def scatter_summary(records: list[RunRecord]) -> str:
     point carries its label, and the best record per block size (maximum
     throughput with the standard tie-breaks) is drawn larger.
     """
-    from .sweep import select_best
-
     if not records:
         raise ValueError("no records to plot")
 
@@ -264,10 +267,7 @@ def scatter_summary(records: list[RunRecord]) -> str:
             math.log10(yhi) - math.log10(ylo))
         return _H - _MB - f * (_H - _MT - _MB)
 
-    groups: dict[int, list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.workload["block_size"], []).append(rec)
-    best_ids = {id(select_best(g)) for g in groups.values()}
+    best_ids = _best_per_block(records)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readbench import aio_native, engines, uring_native
+from readbench import aio_native, engines, fill, uring_native
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
@@ -355,6 +355,24 @@ class TestFaults:
                 EngineConfig(kind="aio", queue_size=8, batch_size=3))
         assert ei.value.offset == 16 * 4096 + 72
 
+    def test_misread_block_fails_the_check(self, real, monkeypatch):
+        # the read of block 16 completes with block 17 in its slot: the
+        # offset digest alone would not see it, the check must
+        class Misreading(TrickleBackend):
+            def wait(self, min_nr, timeout_s=None):
+                slot, offset = self.queued[0]
+                if offset == 16 * 4096:
+                    self.queued[0] = (slot, offset + 4096)
+                return super().wait(min_nr, timeout_s)
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: Misreading(args[3], real.fd))
+        with pytest.raises(VerifyError) as ei:
+            run(workload(real, pattern="sequential", request_budget=40,
+                         verify=True),
+                EngineConfig(kind="aio", queue_size=8, batch_size=3))
+        assert ei.value.offset == 16 * 4096
+
     def test_uring_wait_honours_timeout(self, real):
         _native_or_skip("uring")
         q = uring_native.UringQueue(real.fd, 4, buffers(4))
@@ -655,8 +673,8 @@ class TestRealFile:
                       allow_fallback=True), 1),
         (EngineConfig(kind="pool"), 2)])
     def test_checksum_equals_simulated(self, tmp_path, block, engine, threads):
-        # a simulated run digests the fill pattern of the offsets it
-        # submits; real workers' digests merge to the same value
+        # a simulated run digests the offsets it submits; real workers'
+        # digests of the offsets they verified merge to the same value
         path = str(tmp_path / "real.dat")
         prepare_target(path, size=1 << 22, seed=17).close()
         with open_target(path, seed=17, direct=False) as h:
@@ -666,6 +684,22 @@ class TestRealFile:
             sim = run(workload(h, block_size=block, request_budget=48,
                                threads=threads, verify=True), engine)
         assert real.data_checksum == sim.data_checksum != ""
+
+    def test_simulated_verify_builds_no_pattern(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "real.dat")
+        prepare_target(path, size=1 << 22, seed=17).close()
+        spec = dict(request_budget=300, threads=2, verify=True)
+        with open_target(path, seed=17, direct=False) as h:
+            real = run(workload(h, **spec), EngineConfig(kind="pool"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulated run built the fill pattern")
+
+        monkeypatch.setattr(fill, "pattern_rows", refuse)
+        monkeypatch.setattr(fill, "check_blocks", refuse)
+        with simulated_target(preset_model("ull"), 1 << 22, seed=17) as h:
+            sim = run(workload(h, **spec), EngineConfig(kind="pool"))
+        assert sim.data_checksum == real.data_checksum != ""
 
     @pytest.mark.parametrize("offsets", [None, [0, 8192, 4096]])
     @pytest.mark.parametrize("kind", ["aio", "uring"])

@@ -3,6 +3,7 @@
 import errno
 import itertools
 import os
+from array import array
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from readbench import target
 from readbench.errors import AlignmentError, IoError, VerifyError
 from readbench.fill import (CHECK_CHUNK_BYTES, LANES, check_block,
-                            check_blocks, digest, first_mismatch, hexdigest,
-                            new_scratch, pattern_bytes, pattern_rows,
-                            pattern_words, verify_block)
+                            check_blocks, digest_offsets, first_mismatch,
+                            hexdigest, new_scratch, pattern_bytes,
+                            pattern_rows, pattern_words, verify_block)
 from readbench.rng import (FLOAT_CHUNK, GOLDEN, MASK64, SplitMix64, mix64,
                            uniform_floats, worker_seed)
 from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
@@ -192,86 +193,74 @@ def test_corruption_always_detected(seed, block, byte_index):
 
 
 # ---------------------------------------------------------------------------
-# content digest
+# offset digest
 # ---------------------------------------------------------------------------
 
-def digest_oracle(rows, lanes=(0,) * LANES):
-    """Pure-Python reference of fill.digest: per chunk-sized piece of each
-    row, LANES weighted sums over the piece's quarters, plus the piece's
-    first word index, mixed and added to the lanes mod 2**64."""
+def digest_oracle(offsets, nbytes, seed, lanes=(0,) * LANES):
+    """Pure-Python reference of fill.digest_offsets: the block at offset o
+    adds mix64((o ^ seed) + mix64(nbytes + j * GOLDEN)) to lane j, mod
+    2**64."""
     lanes = list(lanes)
-    chunk = CHECK_CHUNK_BYTES // 8
-    for row in rows.tolist():
-        for lo in range(0, len(row), chunk):
-            piece = row[lo:lo + chunk]
-            quarter = len(piece) // LANES
-            for j in range(LANES):
-                s = sum(((mix64_oracle(i + GOLDEN) | 1) * piece[i]) & MASK64
-                        for i in range(j * quarter, (j + 1) * quarter))
-                mixed = mix64_oracle((s + lo) & MASK64)
-                lanes[j] = (lanes[j] + mixed) & MASK64
+    for o in offsets:
+        for j in range(LANES):
+            key = mix64((nbytes + j * GOLDEN) & MASK64)
+            lanes[j] = (lanes[j] + mix64(((o ^ seed) + key) & MASK64)) & MASK64
     return "".join(format(v, "016x") for v in lanes)
 
 
-def digest_of(*batches, lanes=None):
+def digest_of(*batches, nbytes=4096, seed=2026, lanes=None):
     lanes = np.zeros(LANES, dtype=np.uint64) if lanes is None else lanes
-    scratch = new_scratch()
-    for rows in batches:
-        digest(rows, lanes, scratch)
+    for offsets in batches:
+        digest_offsets(offsets, nbytes, seed, lanes)
     return hexdigest(lanes)
 
 
-#: 3 blocks of the fill pattern with seed 2026
-TINY = pattern_rows(2026, [0, 4096, 12288], 4096)
+#: offsets of 3 blocks
+TINY = [0, 4096, 12288]
 
 
 def test_digest_pinned():
     assert digest_of(TINY) == (
-        "e29143dc264369c244259c472093ff2a433c0b7f7118dae2ebcca3f90c5ea6c4")
+        "309464eb5292f383fa7e1267ad41008b6cb09537ebdddf8862cd793a9881ffd4")
     assert len(digest_of(TINY)) == 64 == len(digest_of())
 
 
 @pytest.mark.parametrize("block", [4096, 2 * CHECK_CHUNK_BYTES])
 def test_digest_matches_oracle(block):
-    rows = pattern_rows(5, [block * k for k in (3, 0, 8)], block)
-    rows[1, 17] = MASK64
-    assert digest_of(rows) == digest_oracle(rows)
+    offsets = [block * k for k in (3, 0, 8, 1 << 20)]
+    seed = MASK64 - 3  # (offset ^ seed) + key wraps past 2**64
+    want = digest_oracle(offsets, block, seed)
+    # engines pass lists, int64 arrays and array("q") buffers
+    for batch in (offsets, np.array(offsets, dtype=np.int64),
+                  array("q", offsets)):
+        assert digest_of(batch, nbytes=block, seed=seed) == want
 
 
 def test_digest_independent_of_order_and_batching():
-    rows = pattern_rows(8, [4096 * k for k in range(40)], 4096)
-    whole = digest_of(rows)
-    assert digest_of(rows[::-1]) == whole
-    assert digest_of(rows[np.random.default_rng(1).permutation(40)]) == whole
-    assert digest_of(rows[:13], rows[13:]) == whole
+    offsets = np.array([4096 * k for k in range(40)])
+    whole = digest_of(offsets)
+    assert digest_of(offsets[::-1]) == whole
+    assert digest_of(offsets[np.random.default_rng(1).permutation(40)]) == whole
+    assert digest_of(offsets[:13], offsets[13:]) == whole
     # two workers' lanes merge by lane-wise addition
     a, b = np.zeros(LANES, np.uint64), np.zeros(LANES, np.uint64)
-    digest_of(rows[::2], lanes=a)
-    digest_of(rows[1::2], lanes=b)
+    digest_of(offsets[::2], lanes=a)
+    digest_of(offsets[1::2], lanes=b)
     assert hexdigest(a + b) == whole
 
 
-@given(st.integers(min_value=0, max_value=2),
-       st.integers(min_value=0, max_value=511),
-       st.integers(min_value=0, max_value=63))
-@settings(max_examples=100, deadline=None)
-def test_digest_sees_every_bit(row, word, bit):
-    rows = TINY.copy()
-    rows[row, word] ^= np.uint64(1 << bit)
-    assert digest_of(rows) != digest_of(TINY)
-
-
-@pytest.mark.parametrize("a,b", [(0, 1), (5, 300), (0, 511)])
-def test_digest_sees_swapped_words(a, b):
-    rows = TINY.copy()
-    rows[1, [a, b]] = rows[1, [b, a]]
-    assert digest_of(rows) != digest_of(TINY)
+def test_digest_sees_offsets_length_and_seed():
+    base = digest_of(TINY)
+    assert digest_of([0, 4096, 8192]) != base
+    assert digest_of(TINY + [4096]) != base  # a block read twice counts twice
+    assert digest_of(TINY, nbytes=8192) != base
+    assert digest_of(TINY, seed=2027) != base
 
 
 def test_digest_lanes_wrap():
     start = [MASK64 - k for k in range(LANES)]
     lanes = np.array(start, dtype=np.uint64)
-    assert digest_of(TINY, lanes=lanes) == digest_oracle(TINY, start)
+    assert digest_of(TINY, lanes=lanes) == digest_oracle(TINY, 4096, 2026, start)
     added = [int(v, 16) for v in (digest_of(TINY)[i:i + 16]
                                   for i in range(0, 64, 16))]
     assert lanes.tolist() == [(s + d) & MASK64 for s, d in zip(start, added)]

@@ -57,7 +57,7 @@ GOLDEN = {
         LatencyStats(count=5000, min_us=91, max_us=99, mean_us=95.2188,
                      p99_us=99, p999_us=99),
         43.02151208150956,
-        "071f37d22509a0f950c94c057b35d09a06cb934aa22390223c8c4184f6abd72c",
+        "2490f08c8c2275469fa153c16c3b6d023ed4701f3376420900bc4f84ba897ab7",
         {"max_inflight": 1, "short_harvests": 0}),
     "ull-uring-q16b4-T3-warmup-duration": (
         "ull", GiB, 3, dict(threads=3, warmup_s=0.002, duration_s=0.02,
@@ -73,7 +73,7 @@ GOLDEN = {
         LatencyStats(count=8000, min_us=137, max_us=157, mean_us=139.295875,
                      p99_us=155, p999_us=157),
         58.73172188982324,
-        "7f0fcd67b2a153592e68f147e8b3d5a94bf55f2896f212cf0355f68c466326b3",
+        "493615e3b897a48348b588043e8edd84130ac781e3ceeaa9a101193d923c8496",
         {"max_inflight": 1, "short_harvests": 0}),
     "anchor-nvme-uring-q64b8-verify": (
         "nvme-ssd", GiB, 1, dict(request_budget=30000, seed=3, verify=True),
@@ -81,7 +81,7 @@ GOLDEN = {
         LatencyStats(count=30000, min_us=91, max_us=200,
                      mean_us=118.34053333333334, p99_us=137, p999_us=162),
         2108.5026582284877,
-        "0718d17db0e00fa32bf008c618497300cf458faa7afc26c5047f07d3aeebaf8d",
+        "05736f262417efcd7fa6540dc5dc4238ec231eabbcf56c48b98d0d88106d15ac",
         {"max_inflight": 64, "short_harvests": 0}),
     # the two below were produced by the scheduler that started service
     # inside submit; they pin the queued disk (whose shortest-seek pick
