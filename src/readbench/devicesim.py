@@ -201,15 +201,6 @@ def read_key_values(path: str) -> dict[str, str]:
     return settings
 
 
-@dataclass(slots=True)
-class SimRequest:
-    offset: int
-    length: int
-    submit_time: float
-    polled: bool = False
-    tag: Any = None
-
-
 @dataclass
 class SimState:
     """Mutable device state; confine one instance to one scheduler context."""
@@ -221,8 +212,10 @@ class SimState:
     head_position: int = 0
     last_end: int = 0
     channel_free: float = 0.0
+    # (offset, length, submit_time, polled, tag) per queued request
     pending: deque = field(default_factory=deque)
-    in_flight: list = field(default_factory=list)  # heap of (t, seq, req)
+    # heap of (completion, seq, tag, submit_time) per request in service
+    in_flight: list = field(default_factory=list)
     active: int = 0
     pending_bound: int = 65536
     _seq: int = 0
@@ -231,38 +224,20 @@ class SimState:
         self.draws = uniform_floats(self.model.rng_seed)
 
 
-def service_time(model: DeviceModel, state: SimState, offset: int, length: int,
-                 polled: bool = False, at: float | None = None) -> float:
-    """Service duration in microseconds of one request entering service at
-    ``at`` (default: the clock): the service loop run on it alone, without
-    the shared channel.
-
-    Draws from the state's stream and updates head/sequential-detection
-    state, so call order defines the replayable request history.
-    """
-    at = state.clock if at is None else at
-    lone = SimState(replace(model, bandwidth_limit_bps=0.0),
-                    state.capacity, clock=at, head_position=state.head_position,
-                    last_end=state.last_end)
-    lone.draws = state.draws
-    lone.pending.append(SimRequest(offset, length, at, polled))
-    _fill_slots(lone)
-    state.head_position, state.last_end = lone.head_position, lone.last_end
-    return lone.in_flight[0][0] - at
-
-
-def submit(state: SimState, req: SimRequest) -> None:
-    """Queue a request.  It enters service FIFO at the next advance, once a
-    slot is free; a disk with a free slot starts it at once, because its
-    shortest-seek-first pick depends on what is pending at the time."""
-    if req.offset < 0 or req.offset + req.length > state.capacity:
+def submit(state: SimState, offset: int, length: int, submit_time: float,
+           polled: bool = False, tag: Any = None) -> None:
+    """Queue a read of [offset, offset + length), submitted at submit_time.
+    It enters service FIFO at the next advance, once a slot is free; a disk
+    with a free slot starts it at once, because its shortest-seek-first pick
+    depends on what is pending at the time."""
+    if offset < 0 or offset + length > state.capacity:
         raise ValueError("request outside device capacity")
     pending = state.pending
     free = state.model.parallelism - state.active
     # requests that free slots will take at the next advance are not queued
     if len(pending) - free >= state.pending_bound:
         raise Backpressure(f"more than {state.pending_bound} requests queued")
-    pending.append(req)
+    pending.append((offset, length, submit_time, polled, tag))
     if free > 0 and state.model.kind == "hdd":
         _fill_slots(state)
 
@@ -295,13 +270,13 @@ def _fill_slots(state: SimState) -> None:
             # shortest seek first among queued requests (drive/elevator
             # scheduling); every other model services strictly FIFO
             if len(pending) > 1:
-                seeks = [abs(r.offset - head) for r in pending]
+                seeks = [abs(r[0] - head) for r in pending]
                 best = seeks.index(min(seeks))  # the first of equal seeks
                 req = pending[best]
                 del pending[best]
             else:
                 req = pending.popleft()
-            offset, length = req.offset, req.length
+            offset, length, submitted, polled, tag = req
             if offset == last_end:
                 access = 0.0
             else:
@@ -311,20 +286,17 @@ def _fill_slots(state: SimState) -> None:
             total = access + length / rate * 1e6
             head = last_end = offset + length
         else:
-            req = pending.popleft()
-            length = req.length
+            _, length, submitted, polled, tag = pending.popleft()
             total = base + length * per_byte
             if jitter:
                 u = draw()
-                if uniform or req.polled:
+                if uniform or polled:
                     total += two_scale * u
                 else:
                     total += cap * u ** HEAVY_TAIL_POWER
             if spike_p > 0 and draw() < spike_p:
                 total += spike_us
-        start = req.submit_time
-        if clock > start:
-            start = clock
+        start = clock if clock > submitted else submitted
         if start < degraded_until:
             total *= degraded_factor
         completion = start + total
@@ -338,18 +310,19 @@ def _fill_slots(state: SimState) -> None:
             completion = channel_start + tb
             channel_free = completion
         seq += 1
-        heapq.heappush(in_flight, (completion, seq, req))
+        heapq.heappush(in_flight, (completion, seq, tag, submitted))
         active += 1
     state.active, state._seq, state.channel_free = active, seq, channel_free
     state.head_position, state.last_end = head, last_end
 
 
-def advance(state: SimState) -> list[tuple[SimRequest, float]]:
+def advance(state: SimState) -> list[tuple[float, int, Any, float]]:
     """Start what is queued on free slots, then pop every completion due at
     the next event time.
 
-    Returns (request, completion_time) pairs; the clock never moves
-    backwards and stays put when nothing is in flight.
+    Returns the popped (completion, seq, tag, submit_time) entries, all with
+    the same completion time; the clock never moves backwards and stays put
+    when nothing is in flight.
     """
     pending = state.pending
     if pending and state.active < state.model.parallelism:
@@ -357,10 +330,10 @@ def advance(state: SimState) -> list[tuple[SimRequest, float]]:
     in_flight = state.in_flight
     if not in_flight:
         return []
-    t = in_flight[0][0]
-    done = [(heapq.heappop(in_flight)[2], t)]
+    done = [heapq.heappop(in_flight)]
+    t = done[0][0]
     while in_flight and in_flight[0][0] == t:
-        done.append((heapq.heappop(in_flight)[2], t))
+        done.append(heapq.heappop(in_flight))
     state.active -= len(done)
     if t > state.clock:
         state.clock = t
@@ -369,11 +342,3 @@ def advance(state: SimState) -> list[tuple[SimRequest, float]]:
         # is submitted at this time
         _fill_slots(state)
     return done
-
-
-def drain(state: SimState) -> list[tuple[SimRequest, float]]:
-    """Run the scheduler until everything submitted has completed."""
-    out: list[tuple[SimRequest, float]] = []
-    while state.in_flight or state.pending:
-        out.extend(advance(state))
-    return out

@@ -22,6 +22,7 @@ same two loops, through :func:`duration_log`.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import queue as queue_mod
 import threading
@@ -34,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import aio_native, fill, uring_native
-from .devicesim import SimRequest, SimState, advance, submit
+from .devicesim import SimState, advance, submit
 from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
@@ -243,11 +244,10 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
     block = workload.block_size
     fill_seed = workload.target.fill_seed
     budget_mode = workload.request_budget is not None
+    # a request is logged iff warmup_us <= its submit time < window_end
     warmup_us = workload.warmup_s * 1e6
-    measure_end = None
-    if not budget_mode:
-        measure_end = warmup_us + workload.duration_s * 1e6
-    windowed = measure_end is not None or warmup_us > 0
+    window_end = (math.inf if budget_mode
+                  else warmup_us + workload.duration_s * 1e6)
 
     workers = []
     for w in range(workload.threads):
@@ -267,12 +267,12 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
         if budget_mode:
             n = min(n, wk.remaining)
             wk.remaining -= n
-        elif now >= measure_end:
+        elif now >= window_end:
             return
         tag = wk.tag
         offsets = list(itertools.islice(wk.stream, n))
         for offset in offsets:
-            submit(state, SimRequest(offset, block, now, polled, tag))
+            submit(state, offset, block, now, polled, tag)
         if lanes is not None:
             undigested.extend(offsets)
             if len(undigested) >= _OFFSET_CHUNK:
@@ -290,14 +290,11 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
     last_completion = warmup_us
 
     while outstanding:
-        for req, t in advance(state):
-            submitted = req.submit_time
-            if not windowed or (submitted >= warmup_us and (
-                    measure_end is None or submitted < measure_end)):
+        for t, _, tag, submitted in advance(state):
+            if warmup_us <= submitted < window_end:
                 log.append(round(t - submitted))
-                if t > last_completion:
-                    last_completion = t
-            workers[req.tag].ready += 1
+                last_completion = t  # event times never decrease
+            workers[tag].ready += 1
         now = state.clock
         for wk in workers:
             # harvest once >= batch completions are ready, or on final drain
@@ -305,7 +302,7 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
             # harvest, so simulated runs report none
             n = wk.ready
             if n and (n >= batch or (wk.remaining == 0 if budget_mode
-                                     else now >= measure_end)):
+                                     else now >= window_end)):
                 wk.ready = 0
                 wk.outstanding -= n
                 outstanding -= n
@@ -538,7 +535,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 late = started >= warm_end * 1e6
                 warming -= len(late) - np.count_nonzero(late)
                 started = started[late]
-            durations.frombytes((now_us - started).astype(np.int64).tobytes())
+            # to the nearest us, halves up: durations are never negative
+            durations.frombytes((now_us + 0.5 - started).astype(np.int64)
+                                .tobytes())
             if len(started):
                 result.last_done = now_us / 1e6
             if verify:

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .errors import VerifyError
-from .rng import GOLDEN
+from .rng import GOLDEN, mix64_array, mix64_into
 
 WORD = 8
 
@@ -36,29 +36,6 @@ _CHUNK_WORDS = CHECK_CHUNK_BYTES // WORD
 LANES = 4
 
 _U = np.uint64
-_M1, _M2 = _U(0xBF58476D1CE4E5B9), _U(0x94D049BB133111EB)
-_S30, _S27, _S31 = _U(30), _U(27), _U(31)
-
-
-def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
-    """Vectorized splitmix64 finalizer of x, in place; tmp is a scratch of
-    x's shape.  uint64 arithmetic wraps mod 2^64."""
-    np.right_shift(x, _S30, out=tmp)
-    x ^= tmp
-    x *= _M1
-    np.right_shift(x, _S27, out=tmp)
-    x ^= tmp
-    x *= _M2
-    np.right_shift(x, _S31, out=tmp)
-    x ^= tmp
-
-
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer of a uint64 array, into a new array."""
-    out = x.astype(np.uint64)
-    _mix64_into(out, np.empty_like(out))
-    return out
-
 
 #: byte offset of each word of a chunk from the chunk's start
 _RAMP = np.arange(0, CHECK_CHUNK_BYTES, WORD, dtype=np.uint64)
@@ -83,7 +60,7 @@ def _pattern_into(out: np.ndarray, offsets, seed: int,
     np.copyto(out, offsets - _RAMP[:k * words:words, None])
     out += _RAMP[:k * words].reshape(k, words)
     out ^= _U(seed)
-    _mix64_into(out, tmp)
+    mix64_into(out, tmp)
 
 
 def _passes(rows: np.ndarray):
@@ -129,14 +106,9 @@ def pattern_rows(seed: int, offsets, nbytes: int,
     return out
 
 
-def pattern_words(seed: int, offset: int, nbytes: int) -> np.ndarray:
-    """Expected little-endian uint64 words for [offset, offset+nbytes)."""
-    return pattern_rows(seed, (offset,), nbytes)[0]
-
-
 def pattern_bytes(seed: int, offset: int, nbytes: int) -> bytes:
     """Expected raw content for [offset, offset+nbytes)."""
-    return pattern_words(seed, offset, nbytes).tobytes()
+    return pattern_rows(seed, (offset,), nbytes)[0].tobytes()
 
 
 def check_blocks(rows, offsets, seed: int,
@@ -164,8 +136,8 @@ def check_blocks(rows, offsets, seed: int,
 @functools.lru_cache(maxsize=64)
 def _lane_keys(nbytes: int) -> np.ndarray:
     """Read-only (LANES, 1) column: ``mix64(nbytes + j * GOLDEN)`` in row j."""
-    keys = _mix64_array(np.arange(LANES, dtype=np.uint64)[:, None]
-                        * _U(GOLDEN) + _U(nbytes))
+    keys = mix64_array(np.arange(LANES, dtype=np.uint64)[:, None]
+                       * _U(GOLDEN) + _U(nbytes))
     keys.flags.writeable = False
     return keys
 
@@ -181,7 +153,7 @@ def digest_offsets(offsets, nbytes: int, seed: int,
     offsets it submits.
     """
     x = (np.asarray(offsets, dtype=np.uint64) ^ _U(seed)) + _lane_keys(nbytes)
-    _mix64_into(x, np.empty_like(x))
+    mix64_into(x, np.empty_like(x))
     lanes += x.sum(axis=1)
 
 
@@ -195,18 +167,3 @@ def check_block(buffer, offset: int, seed: int) -> None:
     if offset % WORD:
         raise ValueError("offset must be a multiple of 8")
     check_blocks(np.frombuffer(buffer, dtype="<u8")[None, :], (offset,), seed)
-
-
-def first_mismatch(buffer, offset: int, seed: int) -> int | None:
-    """Byte offset (within the target) of the first non-matching word,
-    or None if the buffer matches the pattern exactly."""
-    try:
-        check_block(buffer, offset, seed)
-    except VerifyError as exc:
-        return exc.offset
-    return None
-
-
-def verify_block(buffer, offset: int, seed: int) -> bool:
-    """True iff every 8-byte word in the buffer matches the fill pattern."""
-    return first_mismatch(buffer, offset, seed) is None

@@ -19,12 +19,38 @@ _TWO64 = float(1 << 64)
 #: uniform_floats computes this many draws at a time
 FLOAT_CHUNK = 4096
 
+#: splitmix64 finalizer multipliers
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U = np.uint64
+_M1_U, _M2_U, _S30, _S27, _S31 = _U(_M1), _U(_M2), _U(30), _U(27), _U(31)
+
+
 def mix64(x: int) -> int:
     """splitmix64 finalizer: a fixed avalanche permutation of 64-bit ints."""
     x &= MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    x = ((x ^ (x >> 30)) * _M1) & MASK64
+    x = ((x ^ (x >> 27)) * _M2) & MASK64
     return x ^ (x >> 31)
+
+
+def mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Vectorized :func:`mix64` of x, in place; tmp is a scratch of x's
+    shape.  uint64 arithmetic wraps mod 2^64."""
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _M1_U
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _M2_U
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+
+
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`mix64` of a uint64 array, into a new array."""
+    out = x.astype(np.uint64)
+    mix64_into(out, np.empty_like(out))
+    return out
 
 
 class SplitMix64:
@@ -43,12 +69,10 @@ class SplitMix64:
 def u64_chunks(seed: int, n: int) -> Iterator[np.ndarray]:
     """The ``SplitMix64(seed).next_u64()`` stream as uint64 arrays of n
     words: word k (from 1) is ``mix64(seed + k * GOLDEN)``."""
-    from .fill import _mix64_array  # fill imports this module
-
     steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     seed &= MASK64
     while True:
-        yield _mix64_array(steps + np.uint64(seed))
+        yield mix64_array(steps + np.uint64(seed))
         seed = (seed + n * GOLDEN) & MASK64
 
 

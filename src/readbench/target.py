@@ -75,11 +75,6 @@ def alloc_aligned(nbytes: int) -> memoryview:
     return memoryview(mmap.mmap(-1, nbytes))
 
 
-def recommended_file_size(device_capacity: int) -> int:
-    """Largest 4096-multiple not exceeding 90% of the device capacity."""
-    return int(device_capacity * 0.9) // ALIGNMENT * ALIGNMENT
-
-
 def prepare_target(path: str, size: int, seed: int) -> TargetHandle:
     """Create and fill a test file; returns a buffered handle on it."""
     if size <= 0 or size % ALIGNMENT:
@@ -143,13 +138,14 @@ def _check_bounds(handle: TargetHandle, offset: int, length: int) -> None:
 
 
 def _timed_read(handle: TargetHandle, offset: int, buffer, flags: int) -> int:
-    """One positional read, bounds already checked; latency in us."""
+    """One positional read, bounds already checked; latency in us, rounded
+    to the nearest (halves up)."""
     t0 = time.perf_counter_ns()
     n = os.preadv(handle.fd, [buffer], offset, flags)
     t1 = time.perf_counter_ns()
     if n != len(buffer):
         raise IoError(f"short read at {offset}: {n} of {len(buffer)} bytes")
-    return (t1 - t0) // 1000
+    return (t1 - t0 + 500) // 1000
 
 
 def read_block(handle: TargetHandle, offset: int, buffer) -> int:

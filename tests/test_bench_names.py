@@ -1,0 +1,58 @@
+"""The benchmark's tracer (``bench/tracing.py``, loaded as it is) wraps
+readbench names and counts their calls; a renamed or deleted name, or a
+change in how often the engines call one, fails here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from readbench import uring_native
+from readbench.devicesim import preset_model
+from readbench.engines import EngineConfig, WorkloadSpec, run
+from readbench.target import prepare_target, simulated_target
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+CALLS, ITEMS = 0, 2  # columns of Tracer.table()
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer(tracing):
+    return tracing.Tracer()
+
+
+def test_simulated_run_counts(tracer):
+    with simulated_target(preset_model("nvme"), 1 << 26, seed=1) as h:
+        with tracer:
+            rec = run(WorkloadSpec(target=h, request_budget=1000, seed=1),
+                      EngineConfig(kind="aio", queue_size=8, batch_size=2))
+    table = tracer.table()
+    assert rec.latency.count == 1000
+    assert table["devicesim.submit"][CALLS] == 1000
+    assert table["devicesim.advance"][ITEMS] == 1000
+
+
+def test_file_run_counts(tracer, tmp_path):
+    ok, why = uring_native.probe()
+    if not ok:
+        pytest.skip(why)
+    path = str(tmp_path / "traced.dat")
+    with prepare_target(path, size=1 << 20, seed=2) as h:
+        with tracer:
+            rec = run(WorkloadSpec(target=h, request_budget=200, seed=1,
+                                   verify=True),
+                      EngineConfig(kind="uring", queue_size=8, batch_size=2))
+    table = tracer.table()
+    assert rec.latency.count == 200
+    assert table["uring_native.submit_reads"][ITEMS] == 200
+    assert table["uring_native.wait"][ITEMS] == 200
+    assert table["engines.checksum"][CALLS] > 0

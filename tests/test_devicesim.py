@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from readbench.devicesim import (DeviceModel, SimRequest, SimState, advance, drain,
-                                 load_model, preset_model, preset_names,
-                                 save_model, service_time, submit)
+from readbench.devicesim import (DeviceModel, SimState, advance, load_model,
+                                 preset_model, preset_names, save_model,
+                                 submit)
 from readbench.errors import Backpressure, NoSuchPreset
 from readbench.rng import SplitMix64
 
@@ -32,8 +32,7 @@ def run_closed_loop(model, depth, nreq, length=4096, capacity=1 << 30):
     def issue():
         nonlocal issued
         off = (offs.next_u64() % nblocks) * length
-        submit(state, SimRequest(offset=off, length=length,
-                                 submit_time=state.clock))
+        submit(state, off, length, state.clock)
         issued += 1
 
     for _ in range(min(depth, nreq)):
@@ -64,19 +63,26 @@ class TestPresets:
             assert load_model(str(p)) == m
 
 
+def service_time(state, offset, length, polled=False):
+    """Service time of one request submitted alone at the clock."""
+    submit(state, offset, length, state.clock, polled)
+    [(completion, _, _, submitted)] = advance(state)
+    return completion - submitted
+
+
 class TestServiceTime:
     def test_flat_model_constant(self):
         m = flat_model(latency_us=77.0)
         s = SimState(model=m, capacity=1 << 30)
         for off in (0, 4096, 1 << 20):
-            assert service_time(m, s, off, 4096) == pytest.approx(77.0)
+            assert service_time(s, off, 4096) == pytest.approx(77.0)
 
     def test_per_byte_component(self):
         m = dataclasses.replace(flat_model(latency_us=10.0),
                                 per_byte_us=0.01)
         s = SimState(model=m, capacity=1 << 30)
-        assert service_time(m, s, 0, 1000) == pytest.approx(10.0 + 10.0)
-        assert service_time(m, s, 0, 2000) == pytest.approx(10.0 + 20.0)
+        assert service_time(s, 0, 1000) == pytest.approx(10.0 + 10.0)
+        assert service_time(s, 0, 2000) == pytest.approx(10.0 + 20.0)
 
     def test_hdd_sequential_is_transfer_only(self):
         m = preset_model("hdd")
@@ -84,7 +90,7 @@ class TestServiceTime:
         s = SimState(model=m, capacity=cap)
         s.last_end = 4096
         s.head_position = 4096
-        t = service_time(m, s, 4096, 262144)
+        t = service_time(s, 4096, 262144)
         # no seek, no rotation: pure transfer at the position-local rate
         assert t < 2000.0
 
@@ -94,7 +100,7 @@ class TestServiceTime:
         s = SimState(model=m, capacity=cap)
         s.last_end = 0
         s.head_position = 0
-        t = service_time(m, s, cap // 2, 262144)
+        t = service_time(s, cap // 2, 262144)
         assert t >= m.seek_min_us
 
     def test_hdd_seek_proportional_to_distance(self):
@@ -107,17 +113,19 @@ class TestServiceTime:
                 s.head_position = 0
                 s.last_end = 1  # force the random path
                 samples[frac].append(
-                    service_time(m, s, int(frac * cap) // 4096 * 4096, 4096))
+                    service_time(s, int(frac * cap) // 4096 * 4096, 4096))
         assert (sum(samples[0.9]) / 200) > (sum(samples[0.1]) / 200)
 
     def test_polled_jitter_uniform_and_capped(self):
-        m = preset_model("ull")
+        # without the shared channel, whose transfer slot does not change a
+        # lone request's service time but can move its last bit
+        m = dataclasses.replace(preset_model("ull"), bandwidth_limit_bps=0.0)
         reg, pol = [], []
         for seed in range(3000):
             s = SimState(model=m.with_seed(seed), capacity=1 << 30)
-            reg.append(service_time(m, s, 0, 4096))
+            reg.append(service_time(s, 0, 4096))
             s2 = SimState(model=m.with_seed(seed), capacity=1 << 30)
-            pol.append(service_time(m, s2, 0, 4096, polled=True))
+            pol.append(service_time(s2, 0, 4096, polled=True))
         mean_r = sum(reg) / len(reg)
         mean_p = sum(pol) / len(pol)
         assert mean_p == pytest.approx(mean_r, rel=0.05)
@@ -128,13 +136,13 @@ class TestQueueing:
     def test_fifo_single_slot(self):
         m = flat_model(latency_us=100.0, parallelism=1)
         state, done = run_closed_loop(m, depth=4, nreq=10)
-        times = sorted(t for _, t in done)
+        times = sorted(t for t, *_ in done)
         assert times == [pytest.approx(100.0 * (i + 1)) for i in range(10)]
 
     def test_parallel_slots(self):
         m = flat_model(latency_us=100.0, parallelism=8)
         state, done = run_closed_loop(m, depth=8, nreq=8)
-        assert all(t == pytest.approx(100.0) for _, t in done)
+        assert all(t == pytest.approx(100.0) for t, *_ in done)
 
     def test_littles_law_grid(self):
         latency = 200.0
@@ -143,7 +151,7 @@ class TestQueueing:
                 m = flat_model(latency_us=latency, parallelism=parallelism)
                 nreq = 2000
                 state, done = run_closed_loop(m, depth, nreq)
-                elapsed = max(t for _, t in done)
+                elapsed = max(t for t, *_ in done)
                 effective = min(depth, parallelism)
                 expect = nreq * latency / effective
                 assert elapsed == pytest.approx(expect, rel=0.10)
@@ -156,10 +164,10 @@ class TestQueueing:
         m = dataclasses.replace(m, per_byte_us=0.01)
         state = SimState(model=m, capacity=1 << 30)
         for i in range(2):
-            submit(state, SimRequest(offset=i * (1 << 20), length=1 << 20,
-                                     submit_time=0.0))
-        done = drain(state)
-        times = sorted(t for _, t in done)
+            submit(state, i * (1 << 20), 1 << 20, 0.0)
+        done = advance(state) + advance(state)  # one completion each
+        assert not state.in_flight and not state.pending
+        times = sorted(t for t, *_ in done)
         tb = (1 << 20) * 0.01
         assert times[0] == pytest.approx(tb, rel=0.01)
         assert times[1] == pytest.approx(2 * tb, rel=0.01)
@@ -169,9 +177,9 @@ class TestQueueing:
         state = SimState(model=m, capacity=1 << 30)
         state.pending_bound = 4
         for i in range(m.parallelism + 4):
-            submit(state, SimRequest(offset=0, length=4096, submit_time=0.0))
+            submit(state, 0, 4096, 0.0)
         with pytest.raises(Backpressure):
-            submit(state, SimRequest(offset=0, length=4096, submit_time=0.0))
+            submit(state, 0, 4096, 0.0)
 
     @pytest.mark.parametrize("kind", ["solid-state", "hdd"])
     def test_backpressure_counts_only_requests_beyond_free_slots(self, kind):
@@ -184,11 +192,9 @@ class TestQueueing:
 
         def fill_up(n):
             for _ in range(n):
-                submit(state, SimRequest(offset=0, length=4096,
-                                         submit_time=state.clock))
+                submit(state, 0, 4096, state.clock)
             with pytest.raises(Backpressure):
-                submit(state, SimRequest(offset=0, length=4096,
-                                         submit_time=state.clock))
+                submit(state, 0, 4096, state.clock)
 
         fill_up(m.parallelism + state.pending_bound)
         # each completion frees a slot for exactly one more request
@@ -198,7 +204,7 @@ class TestQueueing:
         m = flat_model(latency_us=100.0, parallelism=1,
                        degraded_until_us=1000.0, degraded_factor=10.0)
         state, done = run_closed_loop(m, depth=1, nreq=20)
-        durs = [t - r.submit_time for r, t in done]
+        durs = [t - submitted for t, _, _, submitted in done]
         assert durs[0] == pytest.approx(1000.0)  # degraded
         assert durs[-1] == pytest.approx(100.0)  # steady state
 
@@ -206,7 +212,7 @@ class TestQueueing:
         m = flat_model(latency_us=100.0, parallelism=1,
                        spike_probability=0.01, spike_duration_us=48000.0)
         state, done = run_closed_loop(m, depth=1, nreq=5000)
-        durs = [t - r.submit_time for r, t in done]
+        durs = [t - submitted for t, _, _, submitted in done]
         spikes = sum(1 for d in durs if d > 40000)
         assert 20 <= spikes <= 90  # ~50 expected
 
@@ -216,14 +222,14 @@ class TestDeterminism:
         m = preset_model("sata-ssd")
         _, a = run_closed_loop(m, depth=16, nreq=500)
         _, b = run_closed_loop(m, depth=16, nreq=500)
-        assert [t for _, t in a] == [t for _, t in b]
+        assert [t for t, *_ in a] == [t for t, *_ in b]
 
     def test_seed_changes_outcome(self):
         m = preset_model("sata-ssd")
         m2 = dataclasses.replace(m, rng_seed=999)
         _, a = run_closed_loop(m, depth=16, nreq=500)
         _, b = run_closed_loop(m2, depth=16, nreq=500)
-        assert [t for _, t in a] != [t for _, t in b]
+        assert [t for t, *_ in a] != [t for t, *_ in b]
 
 
 class TestModelValidation:

@@ -9,13 +9,14 @@ import threading
 import time
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readbench import aio_native, engines, fill, uring_native
+from readbench import aio_native, engines, fill, target, uring_native
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
@@ -513,6 +514,24 @@ class TestAsyncBackends:
         for slot, offset in ((2, 8192), (0, 0), (3, 28672)):
             check_block(bufs[slot], offset, 3)
 
+    @pytest.mark.parametrize("name", QUEUES)
+    def test_wait_returns_completions_already_posted(self, real, name):
+        # two completions are posted, fewer than the wait's min_nr: it
+        # returns both by the end of its timeout and loses neither
+        q = make_queue(name, real, buffers(4))
+        try:
+            q.submit_reads(np.array([1, 3]), np.array([4096, 0]))
+            time.sleep(0.05)  # cached reads complete meanwhile
+            t0 = time.monotonic()
+            rows = q.wait(3, 0.3).tolist()
+            took = time.monotonic() - t0
+            q.submit_reads(np.array([0]), np.array([8192]))
+            later = wait_for(q, 1)
+        finally:
+            q.close()
+        assert sorted(rows) == [[1, 4096], [3, 4096]] and took < 1.0
+        assert later == [[0, 4096]]
+
     def test_bad_res_mid_harvest_names_its_offset(self, real, monkeypatch):
         class OneShort:
             """Completes every read at once, newest first; the middle one
@@ -862,6 +881,26 @@ class TestRealWindow:
         assert rec.latency.count == len(kept)
         assert rec.throughput_mb_s == pytest.approx(
             compute_throughput(len(kept) * 4096, last - warm_end))
+
+    def test_durations_round_to_nearest_us(self, real, monkeypatch):
+        # a 1700 ns sync read and a 2**-19 s (1.907 us, exact in binary)
+        # harvest each log 2 us, not a truncated 1
+        ns = itertools.cycle((0, 1700))
+        monkeypatch.setattr(target, "time",
+                            SimpleNamespace(perf_counter_ns=lambda: next(ns)))
+        log = engines.duration_log(workload(real, request_budget=3),
+                                   EngineConfig())
+        assert list(log) == [2, 2, 2]
+        clock = FakeClock((2.0 ** -19,), self.START)
+        monkeypatch.setattr(engines, "time", clock)
+        backend = ClockedBackend(clock, False)
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: backend)
+        log = engines.duration_log(workload(real, request_budget=8),
+                                   EngineConfig(kind="aio", queue_size=4,
+                                                batch_size=2))
+        assert list(log) == [round((c - s) * 1e6) for s, c in backend.reads]
+        assert list(log[:2]) == [2, 2]
 
 
 @pytest.fixture(scope="module")

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from readbench import target
 from readbench.errors import AlignmentError, IoError, VerifyError
 from readbench.fill import (CHECK_CHUNK_BYTES, LANES, check_block,
-                            check_blocks, digest_offsets, first_mismatch,
-                            hexdigest, new_scratch, pattern_bytes,
-                            pattern_rows, pattern_words, verify_block)
+                            check_blocks, digest_offsets, hexdigest,
+                            new_scratch, pattern_bytes, pattern_rows)
 from readbench.rng import (FLOAT_CHUNK, GOLDEN, MASK64, SplitMix64, mix64,
                            uniform_floats, worker_seed)
 from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
-                              read_block, read_block_polled,
-                              recommended_file_size, simulated_target,
+                              read_block, read_block_polled, simulated_target,
                               verify_file)
 from readbench.devicesim import preset_model
 
@@ -86,22 +84,23 @@ def test_pattern_words_offset_consistency():
     assert whole[2048:] == part
 
 
+def mismatch(buf, offset, seed):  # the offset check_blocks names, or None
+    try:
+        check_blocks(np.frombuffer(buf, dtype="<u8")[None], [offset], seed)
+    except VerifyError as exc:
+        return exc.offset
+
+
 def test_verify_and_mismatch():
     seed = 42
     buf = bytearray(pattern_bytes(seed, 8192, 4096))
-    assert verify_block(buf, 8192, seed)
-    assert first_mismatch(buf, 8192, seed) is None
+    assert mismatch(buf, 8192, seed) is None
     buf[100] ^= 0xFF
-    assert not verify_block(buf, 8192, seed)
     # mismatch position is reported word-aligned
-    assert first_mismatch(buf, 8192, seed) == 8192 + (100 // 8) * 8
+    assert mismatch(buf, 8192, seed) == 8192 + (100 // 8) * 8
     with pytest.raises(VerifyError) as ei:
         check_block(buf, 8192, seed)
     assert ei.value.offset == 8192 + (100 // 8) * 8
-
-
-def pattern_rows(seed, offsets, block=4096):
-    return np.stack([pattern_words(seed, o, block) for o in offsets])
 
 
 # the larger batch takes two CHECK_CHUNK_BYTES passes
@@ -111,13 +110,13 @@ def pattern_rows(seed, offsets, block=4096):
 def test_check_blocks_names_first_bad_offset(nrows, where, word):
     seed = 0xC0FFEE
     offsets = [4096 * (3 * k + 1) for k in range(nrows)]
-    rows = pattern_rows(seed, offsets)
+    rows = pattern_rows(seed, offsets, 4096)
     check_blocks(rows, offsets, seed)
     row = {"first": 0, "middle": nrows // 2, "last": nrows - 1}[where]
     rows.view(np.uint8)[row, word * 8 + 5] ^= 0x10
     with pytest.raises(VerifyError) as ei:
         check_blocks(rows, offsets, seed)
-    assert ei.value.offset == first_mismatch(rows[row].tobytes(), offsets[row], seed)
+    assert ei.value.offset == mismatch(rows[row].tobytes(), offsets[row], seed)
     assert ei.value.offset == offsets[row] + word * 8
 
 
@@ -138,7 +137,7 @@ def test_check_blocks_splits_long_rows():
 def test_check_blocks_reports_in_row_order():
     seed = 3
     offsets = [4096 * k for k in range(8, 0, -1)]  # descending offsets
-    rows = pattern_rows(seed, offsets)
+    rows = pattern_rows(seed, offsets, 4096)
     rows[2, 7] ^= 1
     rows[6, 0] ^= 1  # lower offset, later row
     with pytest.raises(VerifyError) as ei:
@@ -170,13 +169,21 @@ def test_shared_scratch_reuse():
     assert ei.value.offset == offsets[1] + word * 8
 
 
-def test_pattern_rows_match_pattern_words():
+# 40 rows of 4 KiB take two multi-row passes; a row of CHECK_CHUNK_BYTES +
+# 4 KiB is written in a long and a short piece
+@pytest.mark.parametrize("block,nrows", [(4096, 40), (CHECK_CHUNK_BYTES + 4096, 3)])
+def test_pattern_rows_match_oracle(block, nrows):
     seed = 0xFEED
-    offsets = [8, 4096 * 77, 2 * CHECK_CHUNK_BYTES]
-    block = CHECK_CHUNK_BYTES + 4096  # a long and a short piece per row
-    rows = pattern_rows(seed, offsets, block)
-    for row, o in zip(rows, offsets):
-        assert row.tobytes() == pattern_bytes(seed, o, block)
+    offsets = [8] + [block * (5 * k + 2) for k in range(nrows - 1)]
+    words = block // 8
+    wide = np.zeros((nrows, words + 3), dtype="<u8")  # out= a strided view
+    rows = pattern_rows(seed, offsets, block, out=wide[:, :words])
+    assert rows.base is wide and not wide[:, words:].any()
+    pick = np.random.default_rng(block).integers(0, words, (nrows, 64))
+    for r, o in enumerate(offsets):
+        for j in {0, words - 1, CHECK_CHUNK_BYTES // 8 % words, *pick[r]}:
+            assert int(rows[r, j]) == mix64_oracle(seed ^ (o + 8 * int(j)))
+        assert rows[r].tobytes() == pattern_bytes(seed, o, block)
     with pytest.raises(ValueError):
         pattern_rows(seed, [4], 4096)
 
@@ -189,7 +196,7 @@ def test_corruption_always_detected(seed, block, byte_index):
     offset = block * 4096
     buf = bytearray(pattern_bytes(seed, offset, 512))
     buf[byte_index] ^= 0x01
-    assert first_mismatch(buf, offset, seed) is not None
+    assert mismatch(buf, offset, seed) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +368,6 @@ class TestFileTarget:
                 check_block(buf, 8192, 3)
                 assert h.polled_fallback
         assert len(checks) == 2  # one bounds check per read
-
-    def test_recommended_size_alignment(self):
-        size = recommended_file_size(10**9)
-        assert size % 4096 == 0
-        assert size <= 0.9 * 10**9
 
 
 class TestSimulatedTarget:
