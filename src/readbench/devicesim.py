@@ -29,7 +29,9 @@ Model components:
   in the same order.  The spinning disk picks the queued request with the
   shortest seek, which depends on what is queued at the time, so it starts
   requests inside ``submit`` whenever a slot is free and refills the slots
-  that ``advance`` frees before returning.
+  that ``advance`` frees before returning.  A caller that counts ready
+  completions per tag has one ``advance`` run event after event, with the
+  same fill before each, until a tag has as many as it needs.
 * Draws: jitter, stall and rotation draws come from one stream per device,
   ``rng.uniform_floats(rng_seed)``, computed in numpy chunks.
 """
@@ -316,29 +318,44 @@ def _fill_slots(state: SimState) -> None:
     state.head_position, state.last_end = head, last_end
 
 
-def advance(state: SimState) -> list[tuple[float, int, Any, float]]:
+def advance(state: SimState, ready: list[int] | None = None,
+            need: int = 1) -> list[tuple[float, int, Any, float]]:
     """Start what is queued on free slots, then pop every completion due at
     the next event time.
 
-    Returns the popped (completion, seq, tag, submit_time) entries, all with
-    the same completion time; the clock never moves backwards and stays put
+    With ``ready``, a count per tag, each popped completion is credited to
+    ``ready[tag]``, and later event times follow, each after the same fill,
+    until one leaves some tag with ``need`` ready completions or nothing is
+    in flight.  Returns the popped (completion, seq, tag, submit_time)
+    entries in pop order; the clock never moves backwards and stays put
     when nothing is in flight.
     """
-    pending = state.pending
-    if pending and state.active < state.model.parallelism:
-        _fill_slots(state)
-    in_flight = state.in_flight
-    if not in_flight:
-        return []
-    done = [heapq.heappop(in_flight)]
-    t = done[0][0]
-    while in_flight and in_flight[0][0] == t:
-        done.append(heapq.heappop(in_flight))
-    state.active -= len(done)
-    if t > state.clock:
-        state.clock = t
-    if pending and state.model.kind == "hdd":
-        # the disk picks among what is queued now, before anything else
-        # is submitted at this time
-        _fill_slots(state)
+    pending, in_flight = state.pending, state.in_flight
+    parallelism = state.model.parallelism
+    hdd = state.model.kind == "hdd"
+    heappop = heapq.heappop
+    done: list = []
+    full = False
+    while not full:
+        if pending and state.active < parallelism:
+            _fill_slots(state)
+        if not in_flight:
+            break
+        t = in_flight[0][0]
+        while in_flight and in_flight[0][0] == t:
+            entry = heappop(in_flight)
+            done.append(entry)
+            state.active -= 1
+            if ready is None:
+                full = True
+            else:
+                tag = entry[2]
+                n = ready[tag] = ready[tag] + 1
+                full = full or n >= need
+        if t > state.clock:
+            state.clock = t
+        if pending and hdd:
+            # the disk picks among what is queued now, before anything else
+            # is submitted at this time
+            _fill_slots(state)
     return done

@@ -28,7 +28,7 @@ import queue as queue_mod
 import threading
 import time
 from array import array
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -94,7 +94,7 @@ class EngineConfig:
             raise ValueError("ring flags are only valid for the uring engine")
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items()
+        return {k: v for k, v in vars(self).items()
                 if k not in self._UNRECORDED}
 
     @classmethod
@@ -147,10 +147,14 @@ class RunRecord:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """Every field, with the keys of ``extra`` at the top level."""
-        d = asdict(self)
-        d["engine"] = self.engine.as_dict()
-        d.update(d.pop("extra"))
+        """Every field, with the keys of ``extra`` at the top level.  Its
+        dicts and lists are new, so changing them leaves the record as it
+        is; the values in them are shared."""
+        d = vars(self) | {"workload": _copied(self.workload),
+                          "engine": self.engine.as_dict(),
+                          "latency": vars(self.latency).copy(),
+                          "cpu": vars(self.cpu).copy()}
+        d.update(_copied(d.pop("extra")))
         return d
 
     @classmethod
@@ -164,6 +168,15 @@ class RunRecord:
             "cpu": from_fields(CpuUsage, d["cpu"]),
             "extra": {k: v for k, v in d.items() if k not in stored},
         }, optional=("notes", "data_checksum"))
+
+
+def _copied(value):
+    """A JSON-like value with each dict and list in it rebuilt."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copied(v) for v in value]
+    return value
 
 
 def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
@@ -221,7 +234,7 @@ def _depth_and_batch(engine: EngineConfig) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 class _SimWorker:
-    __slots__ = ("tag", "stream", "remaining", "outstanding", "ready",
+    __slots__ = ("tag", "stream", "remaining", "outstanding",
                  "max_outstanding")
 
     def __init__(self, tag, stream, remaining):
@@ -229,7 +242,6 @@ class _SimWorker:
         self.stream = stream
         self.remaining = remaining  # None in duration mode
         self.outstanding = 0
-        self.ready = 0  # completed but not yet harvested
         self.max_outstanding = 0
 
 
@@ -288,22 +300,25 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
 
     log = array("q")
     last_completion = warmup_us
+    ready = [0] * len(workers)  # per worker: completed, not yet harvested
 
     while outstanding:
-        for t, _, tag, submitted in advance(state):
+        # up to the first event that leaves a worker batch ready completions:
+        # the next submit comes no earlier, and a draining worker submits
+        # nothing, so when it harvests changes nothing
+        for t, _, _, submitted in advance(state, ready, batch):
             if warmup_us <= submitted < window_end:
                 log.append(round(t - submitted))
                 last_completion = t  # event times never decrease
-            workers[tag].ready += 1
         now = state.clock
         for wk in workers:
             # harvest once >= batch completions are ready, or on final drain
             # when nothing more will be submitted; that is never a short
             # harvest, so simulated runs report none
-            n = wk.ready
+            n = ready[wk.tag]
             if n and (n >= batch or (wk.remaining == 0 if budget_mode
                                      else now >= window_end)):
-                wk.ready = 0
+                ready[wk.tag] = 0
                 wk.outstanding -= n
                 outstanding -= n
                 refill(wk, n, now)
@@ -586,7 +601,11 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
             raise failed[0]
         raise AbortedRun(f"{len(failed)} worker(s) failed: {failed[0]!r}") from failed[0]
 
-    log = np.concatenate([r.durations for r in results])
+    # one log, with each worker's released once it is merged in
+    log = results[0].durations
+    for r in results[1:]:
+        log.extend(r.durations)
+        r.durations = None
     elapsed = max(max(r.last_done for r in results) - warm_end, 1e-9)
 
     # workers' digests merge by adding lanes, mod 2^64
@@ -597,7 +616,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
             if n not in notes:
                 notes.append(n)
     extra = {"max_inflight": max(r.max_inflight for r in results)}
-    return log, log.size * workload.block_size, elapsed, (
+    return log, len(log) * workload.block_size, elapsed, (
         fill.hexdigest(lanes) if workload.verify else ""), notes, extra
 
 
@@ -626,6 +645,9 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
         wall = max(time.monotonic() - wall0, 1e-9)
         cpu = measure_cpu(cpu_before, snapshot_cpu(), wall)
 
+    # the run owns its log: sorted where it lies, aggregation copies nothing
+    log = np.asarray(log, dtype=np.int64)
+    log.sort()
     label = encode_label(engine, workload.threads)
     if label.note:
         notes = notes + [label.note]

@@ -2,9 +2,12 @@
 
 Engines keep the durations of a run as an int64 log of integer microseconds
 (an ``array('q')`` or an ndarray), one entry per logged read, so a long
-run costs 8 bytes per sample and no Python object per request.
-:class:`LatencySample` is the public adapter for callers that hold
-individual samples; ``aggregate_latencies`` accepts either form.
+run costs 8 bytes per sample and no Python object per request.  A run
+sorts its own log in place before it aggregates it, and
+``aggregate_latencies`` reads a log already in ascending order where it
+lies, so each sample is held once.  :class:`LatencySample` is the public
+adapter for callers that hold individual samples; ``aggregate_latencies``
+accepts either form.
 
 Percentiles are nearest-rank on the sorted integer-microsecond durations:
 the k-th order statistic with k = ceil(q * count).  CPU accounting reads
@@ -93,16 +96,19 @@ def aggregate_latencies(
     """Summarize samples into min/max/mean/p99/p99.9 by nearest rank.
 
     ``samples`` is an int64 duration log (``array('q')`` or ndarray, in
-    microseconds; it is copied, not sorted in place) or an iterable of
-    :class:`LatencySample`.
+    microseconds) or an iterable of :class:`LatencySample`.  A log already
+    in ascending order is read where it lies; any other is copied and
+    sorted, so the caller's log is never changed.
     """
     if isinstance(samples, (array, np.ndarray)):
-        durations = np.array(samples, dtype=np.int64)
+        durations = np.asarray(samples, dtype=np.int64)  # int64: a view
+        if (durations[1:] < durations[:-1]).any():
+            durations = np.sort(durations)
     else:
         durations = np.fromiter((s.duration_us for s in samples), dtype=np.int64)
+        durations.sort()
     if durations.size == 0:
         raise EmptySampleSet("no latency samples to aggregate")
-    durations.sort()
     if durations[0] < 0:
         raise ValueError("duration must be >= 0")
     return LatencyStats(

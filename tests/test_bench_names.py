@@ -39,6 +39,7 @@ def test_simulated_run_counts(tracer):
     assert rec.latency.count == 1000
     assert table["devicesim.submit"][CALLS] == 1000
     assert table["devicesim.advance"][ITEMS] == 1000
+    assert table["measurement.aggregate_latencies"][ITEMS] == 1000
 
 
 def test_file_run_counts(tracer, tmp_path):
@@ -56,3 +57,4 @@ def test_file_run_counts(tracer, tmp_path):
     assert table["uring_native.submit_reads"][ITEMS] == 200
     assert table["uring_native.wait"][ITEMS] == 200
     assert table["engines.checksum"][CALLS] > 0
+    assert table["measurement.aggregate_latencies"][ITEMS] == 200

@@ -240,3 +240,39 @@ class TestModelValidation:
     def test_bad_jitter_kind(self):
         with pytest.raises(ValueError):
             flat_model(jitter_kind="gaussian")
+
+
+class TestAdvanceToReady:
+    def test_stops_after_the_event_that_fills_a_tag(self):
+        # four slots, one time per wave of four: an event is popped whole
+        state = SimState(model=flat_model(parallelism=4), capacity=1 << 30)
+        for i in range(12):
+            submit(state, 0, 4096, 0.0, tag=i % 2)
+        ready = [0, 0]
+        assert len(advance(state, ready, 2)) == 4
+        assert (ready, state.clock) == ([2, 2], 100.0)
+        ready = [0, 0]
+        assert len(advance(state, ready, 3)) == 8
+        assert (ready, state.clock) == ([4, 4], 300.0)
+        assert advance(state, ready, 1) == []
+
+    @pytest.mark.parametrize("name", ["hdd", "sata-ssd"])
+    def test_pops_what_single_advances_pop(self, name):
+        def loaded():
+            state = SimState(model=preset_model(name), capacity=1 << 30)
+            for i in range(60):
+                submit(state, (i * 7919 % 1000) * 4096, 4096, 0.0, tag=i % 3)
+            return state
+
+        state, reference = loaded(), loaded()
+        for need in (4, 1, 10**6):  # the last one runs to an empty device
+            ready = [0, 0, 0]
+            got = advance(state, ready, need)
+            want, counts = [], [0, 0, 0]
+            while ((reference.pending or reference.in_flight)
+                   and max(counts) < need):
+                for entry in advance(reference):
+                    want.append(entry)
+                    counts[entry[2]] += 1
+            assert (got, ready, state.clock) == (want, counts, reference.clock)
+        assert not state.in_flight and not state.pending

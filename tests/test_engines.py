@@ -913,24 +913,46 @@ def cached(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("engine", [
-    EngineConfig(kind="sync"),
-    EngineConfig(kind="aio", queue_size=32, batch_size=8,
-                 allow_fallback=True)], ids=["sync", "aio"])
-def test_real_run_memory_per_request(cached, engine):
-    # one int64 duration per request, plus the copies that merging and
-    # sorting it take, and no per-request log beside it
-    n = 100_000
+def peak_bytes_per_request(w, engine):
+    """The traced memory peak of one run, per request of its budget."""
+    tracemalloc.start()
+    try:
+        rec = run(w, engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.latency.count == w.request_budget
+    return peak / w.request_budget
+
+
+#: requests per memory-measured run: enough that fixed costs, such as a
+#: worker's offset chunk, are well under 1 B per request
+MEMORY_RUN = 200_000
+
+
+@pytest.mark.parametrize("engine, threads, bound", [
+    (EngineConfig(kind="sync"), 1, 13),
+    (EngineConfig(kind="aio", queue_size=32, batch_size=8,
+                  allow_fallback=True), 1, 13),
+    (EngineConfig(kind="pool"), 2, 17)], ids=["sync", "aio", "pool"])
+def test_real_run_memory_per_request(cached, engine, threads, bound):
+    # one int64 duration per request, sorted where it lies; merging the
+    # logs of several workers holds at most one more copy of all but the
+    # first, and no per-request log lies beside them
     with open_target(cached, seed=7, direct=False) as h:
-        w = WorkloadSpec(target=h, block_size=4096, request_budget=n, seed=1)
-        tracemalloc.start()
-        try:
-            rec = run(w, engine)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert rec.latency.count == n
-    assert peak / n <= 24, f"{peak / n:.1f} B per request"
+        w = WorkloadSpec(target=h, block_size=4096, threads=threads,
+                         request_budget=MEMORY_RUN, seed=1)
+        per_request = peak_bytes_per_request(w, engine)
+    assert per_request <= bound, f"{per_request:.1f} B per request"
+
+
+def test_simulated_run_memory_per_request():
+    with simulated_target(preset_model("nvme"), 1 << 30, seed=1) as h:
+        w = WorkloadSpec(target=h, block_size=4096,
+                         request_budget=MEMORY_RUN, seed=1)
+        per_request = peak_bytes_per_request(
+            w, EngineConfig(kind="uring", queue_size=64, batch_size=8))
+    assert per_request <= 13, f"{per_request:.1f} B per request"
 
 
 @pytest.mark.parametrize("engine", [

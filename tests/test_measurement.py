@@ -4,6 +4,8 @@ import math
 import os
 import random
 import time
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -67,6 +69,28 @@ def test_invariants_and_permutation(durs):
     shuffled = list(durs)
     random.Random(7).shuffle(shuffled)
     assert aggregate_latencies(samples(shuffled)) == a
+
+
+def test_sorted_log_is_read_where_it_lies():
+    # a sorted log costs no copy; any other is copied, and left as it was
+    n = 1_000_000
+    shuffled = np.random.default_rng(5).integers(0, 10**7, n)
+    kept = shuffled.copy()
+    want = aggregate_latencies(shuffled)
+    assert np.array_equal(shuffled, kept)
+    unsorted = array("q", shuffled.tobytes())
+    assert aggregate_latencies(unsorted) == want
+    assert np.array_equal(unsorted, kept)
+    in_order = np.sort(shuffled)
+    for log in (in_order, array("q", in_order.tobytes())):
+        tracemalloc.start()
+        try:
+            got = aggregate_latencies(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * n, f"{peak / n:.2f} B per sample"
 
 
 def test_empty_raises():

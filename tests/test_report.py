@@ -235,6 +235,36 @@ class TestRecordFormat:
         assert back.engine == replace(pinned_record().engine,
                                       allow_fallback=False)
 
+    def test_changing_the_dict_leaves_the_record(self):
+        rec = replace(pinned_record(), extra={"max_inflight": 16,
+                                              "hist": [{"size": 1}]})
+        d = rec.as_dict()
+        want = json.dumps(d, sort_keys=True)
+        d["workload"]["target"]["model"] = "hdd"
+        d["workload"]["seed"] = 4
+        d["engine"]["kind"] = "aio"
+        d["latency"]["count"] = 0
+        d["cpu"]["wall"] = 1.0
+        d["hist"][0]["size"] = 2
+        d["hist"].append(None)
+        d["label"] = "P"
+        assert json.dumps(rec.as_dict(), sort_keys=True) == want
+
+    def test_stored_lines_reserialise_unchanged(self, tmp_path):
+        # read back and written again, a line is byte-for-byte the same
+        pinned = json.loads(_PINNED_LINE) | {"schema_version": 1}
+        older = json.loads(_OLDER_LINE)
+        del older["cpu"]["external_cpu"]  # a dropped field, not re-written
+        lines = [json.dumps(d, sort_keys=True) for d in (pinned, older)]
+        src = ResultStore(str(tmp_path / "in.jsonl"))
+        with open(src.path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        back, skipped = src.read()
+        dst = ResultStore(str(tmp_path / "out.jsonl"))
+        dst.write(back)
+        with open(dst.path) as f:
+            assert (f.read().splitlines(), skipped) == (lines, 0)
+
     @pytest.mark.parametrize("path", [("engine", "kind"),
                                       ("latency", "p99_us"), ("cpu", "wall"),
                                       ("label",)],
