@@ -926,7 +926,7 @@ def peak_bytes_per_request(w, engine):
 
 
 #: requests per memory-measured run: enough that fixed costs, such as a
-#: worker's offset chunk, are well under 1 B per request
+#: worker's offset chunk, add only ~2-3 B per request
 MEMORY_RUN = 200_000
 
 
