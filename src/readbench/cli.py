@@ -16,8 +16,18 @@ from . import devicesim, engines, report, sweep
 from .errors import EngineUnsupported, NoSuchPreset, ReadBenchError
 from .target import open_target, prepare_target, simulated_target, verify_file
 
-NAMED_PLANS = ("single-read", "whole-scan", "thread-sweep", "queue-sweep",
-               "batch-sweep", "paper-best")
+#: named sweeps over one axis: (axis, grid of the target capacity and the
+#: command line's engine)
+_NAMED_GRIDS = {
+    "single-read": ("block_size", lambda capacity, eng: [
+        b for b in sweep.BLOCK_GRID if capacity % b == 0]),
+    "thread-sweep": ("threads", lambda capacity, eng: sweep.THREAD_GRID),
+    "queue-sweep": ("queue_size", lambda capacity, eng: sweep.QUEUE_GRID),
+    "batch-sweep": ("batch_size",
+                    lambda capacity, eng: sweep.batch_grid(eng.queue_size)),
+}
+
+NAMED_PLANS = ("whole-scan", *_NAMED_GRIDS, "paper-best")
 
 SCHEDULER_HINT = ("operator note: to switch the host I/O scheduler run e.g. "
                   "`echo mq-deadline | sudo tee /sys/block/<dev>/queue/scheduler` "
@@ -92,8 +102,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixed-buffers", action="store_true")
     p.add_argument("--kernel-poll", action="store_true")
     p.add_argument("--allow-fallback", action="store_true",
-                   help="fall back to emulated backends when the native "
-                        "interface is missing")
+                   help="fall back to the emulated async backend when the "
+                        "native interface is missing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,24 +222,26 @@ def _plan_settings(settings: dict, keys: dict) -> dict:
             for key, (name, parse) in keys.items() if key in settings}
 
 
-def _plan_from_args(args, target) -> sweep.ExperimentPlan:
+def _plans_from_args(args, target) -> list[sweep.ExperimentPlan]:
     wl = _workload_from_args(args, target)
     eng = _engine_from_args(args)
     name = args.plan
-    if name == "single-read":
-        values = [b for b in sweep.BLOCK_GRID if target.capacity % b == 0]
-        return sweep.ExperimentPlan(name, "block_size", values, wl, eng,
-                                    args.repeat)
-    if name == "thread-sweep":
-        return sweep.ExperimentPlan(name, "threads", sweep.THREAD_GRID, wl,
-                                    eng, args.repeat)
-    if name == "queue-sweep":
-        return sweep.ExperimentPlan(name, "queue_size", sweep.QUEUE_GRID, wl,
-                                    eng, args.repeat)
-    if name == "batch-sweep":
-        return sweep.ExperimentPlan(name, "batch_size",
-                                    sweep.batch_grid(eng.queue_size), wl, eng,
-                                    args.repeat)
+    if name in _NAMED_GRIDS:
+        axis, grid = _NAMED_GRIDS[name]
+        return [sweep.ExperimentPlan(name, axis, grid(target.capacity, eng),
+                                     wl, eng, args.repeat)]
+    if name == "paper-best":
+        # one single-value plan per table row; a simulated target runs the
+        # rows of its device class, any other target every row
+        table = sweep.paper_best_configs(
+            eng.kind + ("+poll" if eng.kernel_poll else ""))
+        rows = [r for r in table.rows if target.is_simulated and
+                devicesim.preset_model(r.storage).kind == target.model.kind]
+        return [sweep.ExperimentPlan(
+                    name, "threads", [r.threads], wl,
+                    replace(eng, queue_size=r.queue_size,
+                            batch_size=r.batch_size), args.repeat)
+                for r in rows or table.rows]
     settings = _parse_plan_file(name)
     wl_set = _plan_settings(settings, _PLAN_WORKLOAD_KEYS)
     # requests wins over duration; either replaces the command line's mode
@@ -240,13 +252,14 @@ def _plan_from_args(args, target) -> sweep.ExperimentPlan:
     wl = replace(wl, **wl_set)
     eng = replace(eng, **_plan_settings(settings, _PLAN_ENGINE_KEYS))
     values = [int(v) for v in settings["values"].split(",")]
-    return sweep.ExperimentPlan(settings.get("name", name), settings["axis"],
-                                values, wl, eng, args.repeat)
+    return [sweep.ExperimentPlan(settings.get("name", name), settings["axis"],
+                                 values, wl, eng, args.repeat)]
 
 
 def _cmd_sweep(args) -> int:
     target = _open_target_from_args(args)
     store = report.ResultStore(args.out) if args.out else None
+    results = run_errors = 0
     with target:
         if args.plan == "whole-scan":
             timeline = sweep.whole_scan(target, args.block)
@@ -254,34 +267,15 @@ def _cmd_sweep(args) -> int:
             for i, mb in enumerate(timeline.window_mb_s):
                 print(f"{i * timeline.window_bytes},{mb:.3f}")
             return 0
-        if args.plan == "paper-best":
-            kind = args.engine + ("+poll" if args.kernel_poll else "")
-            table = sweep.paper_best_configs(kind)
-            storage = target.model.kind if target.is_simulated else None
-            aliases = {"sata-ssd": "ssd", "nvme-ssd": "nvme", "ull": "optane"}
-            storage = aliases.get(storage, storage)
-            rows = [r for r in table.rows if r.storage == storage] or table.rows
-            for row in rows:
-                wl = replace(_workload_from_args(args, target),
-                             threads=row.threads)
-                eng = replace(_engine_from_args(args),
-                              queue_size=row.queue_size,
-                              batch_size=row.batch_size)
-                record = engines.run(wl, eng)
-                if store:
-                    store.append(record)
-                _print_record(record)
-            return 0
-        plan = _plan_from_args(args, target)
-        results = run_errors = 0
-        for item in sweep.run_plan(plan, store):
-            if isinstance(item, sweep.PlanError):
-                run_errors += 1
-                print(f"error at {plan.axis}={item.axis_value}: {item.error}",
-                      file=sys.stderr)
-            else:
-                results += 1
-                _print_record(item)
+        for plan in _plans_from_args(args, target):
+            for item in sweep.run_plan(plan, store):
+                if isinstance(item, sweep.PlanError):
+                    run_errors += 1
+                    print(f"error at {plan.axis}={item.axis_value}: "
+                          f"{item.error}", file=sys.stderr)
+                else:
+                    results += 1
+                    _print_record(item)
     return 1 if run_errors and not results else 0
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
 
 from .errors import Backpressure, NoSuchPreset
@@ -89,9 +89,6 @@ class DeviceModel:
             raise ValueError("hdd transfer rates must be > 0")
         if self.jitter_kind not in ("none", "uniform", "heavy-tail"):
             raise ValueError(f"unknown jitter kind {self.jitter_kind!r}")
-
-    def with_seed(self, rng_seed: int) -> "DeviceModel":
-        return replace(self, rng_seed=rng_seed)
 
 
 # Calibrated so a desk-scale simulation lands on the headline figures of

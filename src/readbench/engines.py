@@ -56,10 +56,6 @@ HARVEST_TIMEOUT_S = 1.0
 #: a harvest that sees no completion for this long ends the run
 STALL_LIMIT_S = 30.0
 
-#: with verify on, sync, polled and pool workers read into up to this many
-#: arena slots and check them in one batch once the arena is full
-VERIFY_SLOTS = 32
-
 #: random offsets are drawn this many at a time
 _OFFSET_CHUNK = 4096
 
@@ -72,8 +68,9 @@ class EngineConfig:
     fixed_files: bool = False
     fixed_buffers: bool = False
     kernel_poll: bool = False
-    # permit falling back to an emulated backend / plain reads when the
-    # kernel lacks the native interface
+    # permit falling back to the emulated async backend when the kernel
+    # lacks the native interface (polled reads fall back to plain reads
+    # without it)
     allow_fallback: bool = False
 
     #: fields a record leaves out: a permission for one run, not part of the
@@ -474,8 +471,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     if engine.kind not in ASYNC_KINDS:
         nslots = 1
         if verify:
-            # large blocks gain nothing from batching; keep their arena small
-            nslots = max(1, min(VERIFY_SLOTS, fill.CHECK_CHUNK_BYTES // block))
+            # one check per CHECK_CHUNK_BYTES of blocks, as on the async loop
+            nslots = max(1, fill.CHECK_CHUNK_BYTES // block)
         bufs, rows = _arena(nslots, block)
         offsets = [0] * nslots
         reader = read_block_polled if engine.kind == "polled" else read_block

@@ -60,7 +60,9 @@ def parse_label(s: str) -> tuple[EngineConfig, int]:
     def read_int() -> int:
         nonlocal i
         j = i
-        while j < len(s) and s[j].isdigit():
+        # ASCII only: isdigit() also takes "²", which int() rejects, and
+        # "١", which encode_label never writes
+        while j < len(s) and "0" <= s[j] <= "9":
             j += 1
         if j == i:
             raise LabelParseError(s, i, "expected digits")
@@ -115,14 +117,10 @@ class ResultStore:
         self.path = path
 
     def append(self, record: RunRecord) -> None:
-        self.write([record])
-
-    def write(self, records: list[RunRecord]) -> None:
+        d = record.as_dict()
+        d.setdefault("schema_version", SCHEMA_VERSION)
         with open(self.path, "a") as f:
-            for rec in records:
-                d = rec.as_dict()
-                d.setdefault("schema_version", SCHEMA_VERSION)
-                f.write(json.dumps(d, sort_keys=True) + "\n")
+            f.write(json.dumps(d, sort_keys=True) + "\n")
 
     def read(self) -> tuple[list[RunRecord], int]:
         """All valid records plus the count of skipped lines: corrupt JSON,

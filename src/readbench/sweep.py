@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .engines import EngineConfig, RunRecord, WorkloadSpec, duration_log, run
-from .errors import NoSuchPreset, ReadBenchError
+from .errors import EngineUnsupported, NoSuchPreset, ReadBenchError
 from .target import TargetHandle
 
 AXES = ("block_size", "threads", "queue_size", "batch_size")
@@ -74,8 +74,9 @@ def _apply_axis(plan: ExperimentPlan, value) -> tuple[WorkloadSpec, EngineConfig
 
 def run_plan(plan: ExperimentPlan, store=None) -> list[RunRecord | PlanError]:
     """One run per axis value (times repeat), in order; errors are recorded
-    in place and the plan continues.  Successful records are appended to
-    the store as they finish, when one is given."""
+    in place and the plan continues, except EngineUnsupported, which every
+    value would meet alike and so ends the plan.  Successful records are
+    appended to the store as they finish, when one is given."""
     out: list[RunRecord | PlanError] = []
     for value in plan.values:
         for rep in range(plan.repeat):
@@ -88,6 +89,8 @@ def run_plan(plan: ExperimentPlan, store=None) -> list[RunRecord | PlanError]:
                 out.append(record)
                 if store is not None:
                     store.append(record)
+            except EngineUnsupported:
+                raise
             except (ReadBenchError, ValueError, OSError) as exc:
                 out.append(PlanError(value, rep, f"{type(exc).__name__}: {exc}"))
     return out

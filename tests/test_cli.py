@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from readbench import sweep, uring_native
 from readbench.cli import main
+from readbench.errors import IoError
 
 
 def run_cli(*argv):
@@ -141,6 +143,84 @@ class TestSweepReport:
         labels = [json.loads(line)["label"]
                   for line in open(out).read().splitlines()]
         assert labels == ["U16B2MFT3"]
+
+    def test_paper_best_repeats_and_tags(self, tmp_path):
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--model", "nvme", "--capacity",
+                       str(1 << 24), "--plan", "paper-best", "--engine",
+                       "uring", "--fixed-files", "--fixed-buffers",
+                       "--repeat", "2", "--requests", "50", "--out", out) == 0
+        recs = [json.loads(line) for line in open(out).read().splitlines()]
+        assert [r["label"] for r in recs] == ["U16B2MFT3"] * 2
+        for r in recs:
+            assert (r["plan"], r["axis"], r["axis_value"]) == \
+                ("paper-best", "threads", 3)
+
+    @pytest.mark.parametrize("model,labels", [
+        ("hdd", ["A16B16"]), ("sata-ssd", ["A16B2"]), ("nvme-ssd", ["A16B1T3"]),
+        ("ull", ["A16B4T2"]),
+        ("custom", ["A16B4T2", "A16B1T3", "A16B2", "A16B16"])])
+    def test_paper_best_rows_of_device_class(self, tmp_path, model, labels):
+        if model == "custom":
+            path = tmp_path / "dev.model"
+            path.write_text("kind = custom\nbase_latency_us = 25\n"
+                            "parallelism = 4\n")
+            model = str(path)
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--model", model, "--capacity", str(1 << 24),
+                       "--plan", "paper-best", "--engine", "aio",
+                       "--requests", "20", "--out", out) == 0
+        assert [json.loads(line)["label"]
+                for line in open(out).read().splitlines()] == labels
+
+    def test_paper_best_row_error_recorded_in_place(self, tmp_path, capsys,
+                                                    monkeypatch):
+        real_run = sweep.run
+
+        def failing_run(wl, eng):
+            if eng.batch_size == 16:
+                raise IoError("injected")
+            return real_run(wl, eng)
+
+        monkeypatch.setattr(sweep, "run", failing_run)
+        out = str(tmp_path / "runs.jsonl")
+        path = tmp_path / "dev.model"
+        path.write_text("kind = custom\nbase_latency_us = 25\n")
+        assert run_cli("sweep", "--model", str(path), "--capacity",
+                       str(1 << 24), "--plan", "paper-best", "--engine",
+                       "aio", "--requests", "20", "--out", out) == 0
+        assert "error at threads=1: IoError: injected" in \
+            capsys.readouterr().err
+        assert [json.loads(line)["label"]
+                for line in open(out).read().splitlines()] == \
+            ["A16B4T2", "A16B1T3", "A16B2"]
+
+    def test_paper_best_real_file_runs_every_row(self, tmp_path):
+        path = str(tmp_path / "t.dat")
+        run_cli("prepare", "--path", path, "--size", str(1 << 20))
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--path", path, "--buffered", "--plan",
+                       "paper-best", "--engine", "uring", "--allow-fallback",
+                       "--requests", "60", "--out", out) == 0
+        assert [json.loads(line)["label"]
+                for line in open(out).read().splitlines()] == \
+            ["U4B2T3", "U16B2T3", "U32B8", "U1B1"]
+
+    @pytest.mark.parametrize("plan", ["queue-sweep", "file", "paper-best"])
+    def test_unsupported_engine_exits_3(self, tmp_path, capsys, monkeypatch,
+                                        plan):
+        monkeypatch.setattr(uring_native.platform, "machine",
+                            lambda: "aarch64")
+        path = str(tmp_path / "t.dat")
+        run_cli("prepare", "--path", path, "--size", str(1 << 20))
+        if plan == "file":
+            plan = str(tmp_path / "p.plan")
+            open(plan, "w").write("axis = queue_size\nvalues = 1,2\n")
+        capsys.readouterr()
+        assert run_cli("sweep", "--path", path, "--buffered", "--plan", plan,
+                       "--engine", "uring", "--requests", "20") == 3
+        err = capsys.readouterr().err
+        assert err.count("aarch64") == 1 and "error at" not in err
 
     def test_unknown_plan(self):
         assert run_cli("sweep", "--model", "nvme", "--plan", "bogus",

@@ -109,7 +109,8 @@ class TestServiceTime:
         samples = {frac: [] for frac in (0.1, 0.9)}
         for frac in samples:
             for seed in range(200):
-                s = SimState(model=m.with_seed(seed), capacity=cap)
+                s = SimState(model=dataclasses.replace(m, rng_seed=seed),
+                             capacity=cap)
                 s.head_position = 0
                 s.last_end = 1  # force the random path
                 samples[frac].append(
@@ -122,9 +123,10 @@ class TestServiceTime:
         m = dataclasses.replace(preset_model("ull"), bandwidth_limit_bps=0.0)
         reg, pol = [], []
         for seed in range(3000):
-            s = SimState(model=m.with_seed(seed), capacity=1 << 30)
+            seeded = dataclasses.replace(m, rng_seed=seed)
+            s = SimState(model=seeded, capacity=1 << 30)
             reg.append(service_time(s, 0, 4096))
-            s2 = SimState(model=m.with_seed(seed), capacity=1 << 30)
+            s2 = SimState(model=seeded, capacity=1 << 30)
             pol.append(service_time(s2, 0, 4096, polled=True))
         mean_r = sum(reg) / len(reg)
         mean_p = sum(pol) / len(pol)

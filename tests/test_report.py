@@ -89,6 +89,14 @@ class TestLabels:
                 parse_label(bad)
             assert ei.value.position >= 0
 
+    @pytest.mark.parametrize("bad,position", [("A²B1", 1),
+                                              ("PT١٢", 2)],
+                             ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digits_refused(self, bad, position):
+        with pytest.raises(LabelParseError) as ei:
+            parse_label(bad)
+        assert ei.value.position == position
+
     def test_roundtrip_randomized(self):
         rng = random.Random(0)
         for _ in range(500):
@@ -122,7 +130,8 @@ class TestResultStore:
         store = ResultStore(str(tmp_path / "runs.jsonl"))
         recs = [make_record(label="P"), make_record(label="A16B1",
                                                     kind="aio", queue=16)]
-        store.write(recs)
+        for rec in recs:
+            store.append(rec)
         back, skipped = store.read()
         assert skipped == 0
         assert [r.as_dict() for r in back] == [r.as_dict() for r in recs]
@@ -261,7 +270,8 @@ class TestRecordFormat:
             f.write("\n".join(lines) + "\n")
         back, skipped = src.read()
         dst = ResultStore(str(tmp_path / "out.jsonl"))
-        dst.write(back)
+        for rec in back:
+            dst.append(rec)
         with open(dst.path) as f:
             assert (f.read().splitlines(), skipped) == (lines, 0)
 
