@@ -17,6 +17,6 @@ from .report import (ResultStore, encode_label, latency_table, parse_label,
 from .sweep import (ExperimentPlan, paper_best_configs, run_plan, select_best,
                     whole_scan)
 from .target import (open_target, prepare_target, read_block,
-                     read_block_polled, simulated_target, verify_file)
+                     simulated_target, verify_file)
 
 __version__ = "0.1.0"

@@ -35,9 +35,10 @@ SCHEDULER_HINT = ("operator note: to switch the host I/O scheduler run e.g. "
 
 
 def _add_target_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--path", help="file or block device to read")
-    p.add_argument("--model",
-                   help="simulated device: hdd|ssd|nvme|ull or a model file")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--path", help="file or block device to read")
+    where.add_argument("--model",
+                       help="simulated device: hdd|ssd|nvme|ull or a model file")
     p.add_argument("--capacity", type=int, default=1 << 30,
                    help="simulated-target capacity in bytes (default 1 GiB)")
     p.add_argument("--seed", type=lambda v: int(v, 0), default=0,
@@ -50,8 +51,6 @@ def _add_target_args(p: argparse.ArgumentParser) -> None:
 
 
 def _open_target_from_args(args):
-    if (args.path is None) == (args.model is None):
-        raise SystemExit("specify exactly one of --path / --model (exit 2)")
     if args.model:
         model = devicesim.load_model(args.model)
         return simulated_target(model, args.capacity, args.seed)
@@ -185,20 +184,14 @@ def _flag(value: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-#: plan-file keys beside name, axis and values, each with the WorkloadSpec
-#: or EngineConfig field it sets and the parser of its value; a key left
-#: out keeps the value of the matching command-line flag
-_PLAN_WORKLOAD_KEYS = {
-    "block": ("block_size", int), "threads": ("threads", int),
-    "pattern": ("pattern", str), "requests": ("request_budget", int),
-    "duration": ("duration_s", float), "warmup": ("warmup_s", float),
-    "seed": ("seed", lambda v: int(v, 0)),
-}
-_PLAN_ENGINE_KEYS = {
-    "engine": ("kind", str), "queue": ("queue_size", int),
-    "batch": ("batch_size", int), "fixed_files": ("fixed_files", _flag),
-    "fixed_buffers": ("fixed_buffers", _flag),
-    "kernel_poll": ("kernel_poll", _flag),
+#: plan-file keys beside name, axis and values, each with the parser of its
+#: value; a key replaces the command-line flag of its name, and a key left
+#: out keeps the flag's value
+_PLAN_KEYS = {
+    "block": int, "threads": int, "pattern": str, "requests": int,
+    "duration": float, "warmup": float, "seed": lambda v: int(v, 0),
+    "engine": str, "queue": int, "batch": int, "fixed_files": _flag,
+    "fixed_buffers": _flag, "kernel_poll": _flag,
 }
 
 
@@ -211,21 +204,26 @@ def _parse_plan_file(path: str) -> dict:
         if key not in settings:
             raise ValueError(f"plan file {path!r} has no {key!r} key")
     for key in settings:
-        if key not in {"name", "axis", "values", *_PLAN_WORKLOAD_KEYS,
-                       *_PLAN_ENGINE_KEYS}:
+        if key not in {"name", "axis", "values", *_PLAN_KEYS}:
             raise ValueError(f"plan file {path!r} has unknown key {key!r}")
     return settings
 
 
-def _plan_settings(settings: dict, keys: dict) -> dict:
-    return {name: parse(settings[key])
-            for key, (name, parse) in keys.items() if key in settings}
-
-
 def _plans_from_args(args, target) -> list[sweep.ExperimentPlan]:
+    name = args.plan
+    if name not in _NAMED_GRIDS and name != "paper-best":
+        settings = _parse_plan_file(name)
+        flags = {key: parse(settings[key])
+                 for key, parse in _PLAN_KEYS.items() if key in settings}
+        # requests wins over duration; either replaces the command line's
+        # mode, and so its default warm-up
+        if "requests" in flags:
+            flags["duration"] = None
+        elif "duration" in flags:
+            flags["requests"] = None
+        args = argparse.Namespace(**(vars(args) | flags))
     wl = _workload_from_args(args, target)
     eng = _engine_from_args(args)
-    name = args.plan
     if name in _NAMED_GRIDS:
         axis, grid = _NAMED_GRIDS[name]
         return [sweep.ExperimentPlan(name, axis, grid(target.capacity, eng),
@@ -242,15 +240,6 @@ def _plans_from_args(args, target) -> list[sweep.ExperimentPlan]:
                     replace(eng, queue_size=r.queue_size,
                             batch_size=r.batch_size), args.repeat)
                 for r in rows or table.rows]
-    settings = _parse_plan_file(name)
-    wl_set = _plan_settings(settings, _PLAN_WORKLOAD_KEYS)
-    # requests wins over duration; either replaces the command line's mode
-    if "request_budget" in wl_set:
-        wl_set["duration_s"] = None
-    elif "duration_s" in wl_set:
-        wl_set["request_budget"] = None
-    wl = replace(wl, **wl_set)
-    eng = replace(eng, **_plan_settings(settings, _PLAN_ENGINE_KEYS))
     values = [int(v) for v in settings["values"].split(",")]
     return [sweep.ExperimentPlan(settings.get("name", name), settings["axis"],
                                  values, wl, eng, args.repeat)]

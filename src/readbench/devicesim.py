@@ -21,7 +21,8 @@ Model components:
   portion of concurrent requests, capping aggregate throughput.
 * The polled completion path replaces the heavy-tailed jitter draw with a
   uniform draw of the same mean, shrinking the maximum without moving the
-  average; base and transfer components are unchanged.
+  average; base and transfer components are unchanged.  It is a property
+  of the state (``SimState.polled``), not of a request.
 * Service: ``submit`` only queues a request, and ``advance`` starts queued
   requests on free slots, in one pass over the queue, before it pops the
   next completions.  The clock moves only inside ``advance``, so a request
@@ -206,12 +207,13 @@ class SimState:
 
     model: DeviceModel
     capacity: int
+    polled: bool = False  # every read takes the polled completion path
     draws: Iterator[float] = field(init=False)  # rng.uniform_floats
     clock: float = 0.0
     head_position: int = 0
     last_end: int = 0
     channel_free: float = 0.0
-    # (offset, length, submit_time, polled, tag) per queued request
+    # (offset, length, submit_time, tag) per queued request
     pending: deque = field(default_factory=deque)
     # heap of (completion, seq, tag, submit_time) per request in service
     in_flight: list = field(default_factory=list)
@@ -224,7 +226,7 @@ class SimState:
 
 
 def submit(state: SimState, offset: int, length: int, submit_time: float,
-           polled: bool = False, tag: Any = None) -> None:
+           tag: Any = None) -> None:
     """Queue a read of [offset, offset + length), submitted at submit_time.
     It enters service FIFO at the next advance, once a slot is free; a disk
     with a free slot starts it at once, because its shortest-seek-first pick
@@ -236,7 +238,7 @@ def submit(state: SimState, offset: int, length: int, submit_time: float,
     # requests that free slots will take at the next advance are not queued
     if len(pending) - free >= state.pending_bound:
         raise Backpressure(f"more than {state.pending_bound} requests queued")
-    pending.append((offset, length, submit_time, polled, tag))
+    pending.append((offset, length, submit_time, tag))
     if free > 0 and state.model.kind == "hdd":
         _fill_slots(state)
 
@@ -250,7 +252,7 @@ def _fill_slots(state: SimState) -> None:
     degraded_until, degraded_factor = m.degraded_until_us, m.degraded_factor
     base, per_byte = m.base_latency_us, m.per_byte_us
     jitter = m.jitter_kind != "none" and m.jitter_scale_us > 0
-    uniform = m.jitter_kind == "uniform"
+    uniform = m.jitter_kind == "uniform" or state.polled
     # uniform jitter has the heavy tail's mean and twice it as its maximum
     two_scale = 2.0 * m.jitter_scale_us
     cap = (HEAVY_TAIL_POWER + 1) * m.jitter_scale_us
@@ -275,7 +277,7 @@ def _fill_slots(state: SimState) -> None:
                 del pending[best]
             else:
                 req = pending.popleft()
-            offset, length, submitted, polled, tag = req
+            offset, length, submitted, tag = req
             if offset == last_end:
                 access = 0.0
             else:
@@ -285,11 +287,11 @@ def _fill_slots(state: SimState) -> None:
             total = access + length / rate * 1e6
             head = last_end = offset + length
         else:
-            _, length, submitted, polled, tag = pending.popleft()
+            _, length, submitted, tag = pending.popleft()
             total = base + length * per_byte
             if jitter:
                 u = draw()
-                if uniform or polled:
+                if uniform:
                     total += two_scale * u
                 else:
                     total += cap * u ** HEAVY_TAIL_POWER

@@ -41,7 +41,7 @@ from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
                           snapshot_cpu)
 from .rng import u64_chunks, worker_seed
-from .target import TargetHandle, alloc_aligned, read_block, read_block_polled
+from .target import TargetHandle, alloc_aligned, polled_flags, read_block
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
 ASYNC_KINDS = ("aio", "uring")
@@ -220,12 +220,6 @@ class _Checksum:
                             self.lanes)
 
 
-def _depth_and_batch(engine: EngineConfig) -> tuple[int, int]:
-    if engine.kind in ASYNC_KINDS:
-        return engine.queue_size, engine.batch_size
-    return 1, 1
-
-
 # ---------------------------------------------------------------------------
 # simulated execution (virtual time, no threads)
 # ---------------------------------------------------------------------------
@@ -247,9 +241,9 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
     """Run the workload in virtual time; returns (duration log, bytes,
     elapsed_s, checksum hex, notes, extra).  ``offsets``, when given,
     replaces the offset stream of a single-worker run."""
-    depth, batch = _depth_and_batch(engine)
-    polled = engine.kind == "polled"
-    state: SimState = workload.target.fresh_sim_state()
+    depth, batch = engine.queue_size, engine.batch_size
+    state = SimState(workload.target.model, workload.target.capacity,
+                     polled=engine.kind == "polled")
     block = workload.block_size
     fill_seed = workload.target.fill_seed
     budget_mode = workload.request_budget is not None
@@ -281,7 +275,7 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
         tag = wk.tag
         offsets = list(itertools.islice(wk.stream, n))
         for offset in offsets:
-            submit(state, offset, block, now, polled, tag)
+            submit(state, offset, block, now, tag)
         if lanes is not None:
             undigested.extend(offsets)
             if len(undigested) >= _OFFSET_CHUNK:
@@ -453,7 +447,6 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     """Log each read submitted at or after warm_end (monotonic s)."""
     handle = workload.target
     block = workload.block_size
-    depth, batch = _depth_and_batch(engine)
     stream = offset_stream(workload, w) if offsets is None else offsets
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
@@ -475,14 +468,16 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             nslots = max(1, fill.CHECK_CHUNK_BYTES // block)
         bufs, rows = _arena(nslots, block)
         offsets = [0] * nslots
-        reader = read_block_polled if engine.kind == "polled" else read_block
+        flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
+        if engine.kind == "polled" and not flags:
+            result.notes.append("polled reads unsupported, fell back to plain reads")
         issued = n = 0
         while True:
             now = time.monotonic()
             if not want_more(issued, now):
                 break
             offset = next(stream)
-            took = reader(handle, offset, bufs[n])
+            took = read_block(handle, offset, bufs[n], flags)
             if now >= warm_end:
                 durations.append(took)
                 last = now  # submit time of the last logged read
@@ -498,10 +493,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         if durations:
             result.last_done = last + durations[-1] / 1e6
         result.max_inflight = min(issued, 1)
-        if engine.kind == "polled" and handle.polled_fallback:
-            result.notes.append("polled reads unsupported, fell back to plain reads")
         return
 
+    depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
     # a harvest's rows are gathered here for verification, at most
     # CHECK_CHUNK_BYTES (or one block) at a time

@@ -61,7 +61,7 @@ def _apply_axis(plan: ExperimentPlan, value) -> tuple[WorkloadSpec, EngineConfig
         wl = replace(wl, block_size=value)
     elif plan.axis == "threads":
         wl = replace(wl, threads=value)
-        if value > 1 and eng.kind in ("sync", "polled"):
+        if value > 1 and eng.kind == "sync":
             eng = replace(eng, kind="pool")
     elif plan.axis == "queue_size":
         eng = replace(eng, queue_size=value,

@@ -4,7 +4,8 @@ Real-file content is the offset-derived fill pattern from
 :mod:`readbench.fill`, read here by positional block reads.  A simulated
 target holds only a device model: the engines replay it in virtual time
 and never read it through :func:`read_block`, which refuses a handle
-without an open file.
+without an open file.  A polled run takes its read flags, once, from
+:func:`polled_flags`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fill
-from .devicesim import DeviceModel, SimState
+from .devicesim import DeviceModel
 from .errors import AlignmentError, IoError, PrepareError, VerifyError
 from .rng import MASK64
 
@@ -41,15 +42,10 @@ class TargetHandle:
     fd: int | None = None
     direct: bool = False
     model: DeviceModel | None = None
-    polled_fallback: bool = False
 
     @property
     def is_simulated(self) -> bool:
         return self.model is not None
-
-    def fresh_sim_state(self) -> SimState:
-        """Independent scheduler state (engines own their request history)."""
-        return SimState(self.model, self.capacity)
 
     def describe(self) -> dict:
         if self.is_simulated:
@@ -137,9 +133,11 @@ def _check_bounds(handle: TargetHandle, offset: int, length: int) -> None:
                 f"got offset={offset} length={length}")
 
 
-def _timed_read(handle: TargetHandle, offset: int, buffer, flags: int) -> int:
-    """One positional read, bounds already checked; latency in us, rounded
-    to the nearest (halves up)."""
+def read_block(handle: TargetHandle, offset: int, buffer, flags: int = 0) -> int:
+    """Fill the buffer from the target with one positional read, passing
+    ``flags`` to preadv2; returns observed latency in us, rounded to the
+    nearest (halves up)."""
+    _check_bounds(handle, offset, len(buffer))
     t0 = time.perf_counter_ns()
     n = os.preadv(handle.fd, [buffer], offset, flags)
     t1 = time.perf_counter_ns()
@@ -148,28 +146,20 @@ def _timed_read(handle: TargetHandle, offset: int, buffer, flags: int) -> int:
     return (t1 - t0 + 500) // 1000
 
 
-def read_block(handle: TargetHandle, offset: int, buffer) -> int:
-    """Fill the buffer from the target; returns observed latency in us."""
-    _check_bounds(handle, offset, len(buffer))
-    return _timed_read(handle, offset, buffer, 0)
-
-
-def read_block_polled(handle: TargetHandle, offset: int, buffer) -> int:
-    """Like read_block but through the kernel's polled-completion path.
-
-    Falls back to the plain path (and flags the handle) on a buffered
-    handle, whose completions the kernel never polls, and where the kernel
-    or filesystem refuses the flag with EOPNOTSUPP; any other error raises.
-    """
-    _check_bounds(handle, offset, len(buffer))
+def polled_flags(handle: TargetHandle, buffer) -> int:
+    """The read flags of a polled run: RWF_HIGHPRI if one untimed read of
+    block 0 takes it, else 0, as on a buffered handle, whose completions the
+    kernel never polls, or where the kernel or filesystem refuses the flag
+    with EOPNOTSUPP.  Any other error raises."""
+    _check_bounds(handle, 0, len(buffer))
     if handle.direct:
         try:
-            return _timed_read(handle, offset, buffer, RWF_HIGHPRI)
+            os.preadv(handle.fd, [buffer], 0, RWF_HIGHPRI)
+            return RWF_HIGHPRI
         except OSError as exc:
             if exc.errno != errno.EOPNOTSUPP:
                 raise
-    handle.polled_fallback = True
-    return _timed_read(handle, offset, buffer, 0)
+    return 0
 
 
 def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:

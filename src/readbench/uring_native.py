@@ -33,6 +33,7 @@ _OFF_SQES = 0x10000000
 
 _SETUP_SQPOLL = 1 << 1
 _FEAT_SINGLE_MMAP = 1 << 0
+_FEAT_SQPOLL_NONFIXED = 1 << 7
 _FEAT_EXT_ARG = 1 << 8
 
 _ENTER_GETEVENTS = 1 << 0
@@ -138,15 +139,14 @@ class UringQueue:
         self._mmaps: list[mmap.mmap] = []
         try:
             # EXT_ARG (Linux 5.11) gives waits a timeout; SINGLE_MMAP (5.4)
-            # lets one mapping hold both rings
-            needed = _FEAT_EXT_ARG | _FEAT_SINGLE_MMAP
+            # lets one mapping hold both rings; SQPOLL_NONFIXED (5.11) lets
+            # the poll thread read a file that is not registered
+            needed = (_FEAT_EXT_ARG | _FEAT_SINGLE_MMAP
+                      | (_FEAT_SQPOLL_NONFIXED if kernel_poll else 0))
             if (params.features & needed) != needed:
                 raise EngineUnsupported(
-                    "completion ring", "kernel lacks IORING_FEAT_EXT_ARG or "
-                    "IORING_FEAT_SINGLE_MMAP (Linux 5.11)")
-            # SQPOLL requires registered files on older kernels; register
-            # whenever either feature is on.
-            fixed_files = fixed_files or kernel_poll
+                    "completion ring", "kernel lacks IORING_FEAT_EXT_ARG, "
+                    "SINGLE_MMAP or SQPOLL_NONFIXED (Linux 5.11)")
             if fixed_files:
                 arr = (ctypes.c_int32 * 1)(fd)
                 self._register(_REGISTER_FILES, arr, 1, "fixed files")

@@ -58,3 +58,16 @@ def test_file_run_counts(tracer, tmp_path):
     assert table["uring_native.wait"][ITEMS] == 200
     assert table["engines.checksum"][CALLS] > 0
     assert table["measurement.aggregate_latencies"][ITEMS] == 200
+
+
+@pytest.mark.parametrize("kind", ["sync", "polled"])
+def test_sync_read_counts(tracer, tmp_path, kind):
+    # a polled run's one probe read of the flags is not a timed read
+    path = str(tmp_path / "traced.dat")
+    with prepare_target(path, size=1 << 20, seed=2) as h:
+        h.direct = True  # polled flags are probed on direct handles only
+        with tracer:
+            rec = run(WorkloadSpec(target=h, request_budget=500, seed=1),
+                      EngineConfig(kind=kind))
+    assert rec.latency.count == 500
+    assert tracer.table()["target.read_block"][CALLS] == 500

@@ -63,8 +63,12 @@ class TestRun:
         assert rc == 0
 
     def test_target_arg_conflict(self):
-        with pytest.raises(SystemExit):
-            run_cli("run", "--requests", "10")
+        # neither or both of --path / --model is a usage error
+        for command in (["run"], ["sweep", "--plan", "queue-sweep"]):
+            for target in ([], ["--path", "t.dat", "--model", "nvme"]):
+                with pytest.raises(SystemExit) as ei:
+                    run_cli(*command, *target, "--requests", "10")
+                assert ei.value.code == 2
 
     def test_unknown_model_exit_code(self):
         assert run_cli("run", "--model", "tape", "--requests", "10") == 2
@@ -125,6 +129,49 @@ class TestSweepReport:
         labels = [json.loads(line)["label"]
                   for line in open(out).read().splitlines()]
         assert labels == ["U4B1F", "U4B1F", "U4B2F", "U4B2F"]
+
+    @pytest.mark.parametrize("key,flag,mode", [
+        ("requests = 30", ["--duration", "5"], (None, 30, 0.0)),
+        ("duration = 0.01", ["--requests", "100000"], (0.01, None, 5.0))],
+        ids=["requests", "duration"])
+    def test_plan_file_mode_replaces_flag(self, tmp_path, key, flag, mode):
+        # the default warm-up follows the mode the file sets
+        plan = tmp_path / "p.plan"
+        plan.write_text(f"axis = block_size\nvalues = 4096\n{key}\n")
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--model", "ull", "--capacity", str(1 << 24),
+                       "--plan", str(plan), *flag, "--out", out) == 0
+        [rec] = [json.loads(line) for line in open(out)]
+        wl = rec["workload"]
+        assert (wl["duration_s"], wl["request_budget"], wl["warmup_s"]) == mode
+        count = rec["latency"]["count"]
+        assert count == 30 if wl["request_budget"] else count > 0
+
+    @pytest.mark.parametrize("value,flags,label", [
+        ("yes", [], "U4B1F"), ("no", ["--fixed-files"], "U4B1")])
+    def test_plan_file_fixed_files_overrides_flag(self, tmp_path, value,
+                                                  flags, label):
+        plan = tmp_path / "p.plan"
+        plan.write_text(f"axis = batch_size\nvalues = 1\n"
+                        f"fixed_files = {value}\n")
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("sweep", "--model", "ull", "--capacity", str(1 << 24),
+                       "--plan", str(plan), "--engine", "uring", "--queue",
+                       "4", *flags, "--requests", "20", "--out", out) == 0
+        [rec] = [json.loads(line) for line in open(out)]
+        assert rec["label"] == label
+        assert rec["engine"]["fixed_files"] == (value == "yes")
+
+    def test_whole_scan_prints_windows(self, capsys):
+        capacity = 1 << 22
+        assert run_cli("sweep", "--model", "ull", "--capacity", str(capacity),
+                       "--plan", "whole-scan") == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "window_start_bytes,mb_s"
+        window = capacity // 64  # the default window
+        starts = [int(row.split(",")[0]) for row in rows]
+        assert starts == [i * window for i in range(64)]
+        assert all(float(row.split(",")[1]) > 0 for row in rows)
 
     def test_plan_file_unknown_key(self, tmp_path, capsys):
         plan = tmp_path / "p.plan"

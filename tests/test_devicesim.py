@@ -63,9 +63,9 @@ class TestPresets:
             assert load_model(str(p)) == m
 
 
-def service_time(state, offset, length, polled=False):
+def service_time(state, offset, length):
     """Service time of one request submitted alone at the clock."""
-    submit(state, offset, length, state.clock, polled)
+    submit(state, offset, length, state.clock)
     [(completion, _, _, submitted)] = advance(state)
     return completion - submitted
 
@@ -126,8 +126,8 @@ class TestServiceTime:
             seeded = dataclasses.replace(m, rng_seed=seed)
             s = SimState(model=seeded, capacity=1 << 30)
             reg.append(service_time(s, 0, 4096))
-            s2 = SimState(model=seeded, capacity=1 << 30)
-            pol.append(service_time(s2, 0, 4096, polled=True))
+            s2 = SimState(model=seeded, capacity=1 << 30, polled=True)
+            pol.append(service_time(s2, 0, 4096))
         mean_r = sum(reg) / len(reg)
         mean_p = sum(pol) / len(pol)
         assert mean_p == pytest.approx(mean_r, rel=0.05)

@@ -631,6 +631,28 @@ class TestAsyncBackends:
         q.close()
         assert all(m.closed for m in maps)
 
+    def test_uring_kernel_poll_alone_registers_no_file(self, real,
+                                                        monkeypatch):
+        # the poll thread reads an unregistered file (SQPOLL_NONFIXED), so
+        # a record's fixed_files says what the ring did
+        opcodes = []
+        register = uring_native.UringQueue._register
+
+        def recording(self, opcode, *args):
+            opcodes.append(opcode)
+            return register(self, opcode, *args)
+
+        monkeypatch.setattr(uring_native.UringQueue, "_register", recording)
+        bufs = buffers(4)
+        q = make_queue("uring-sqpoll", real, bufs)
+        try:
+            q.submit_reads(np.array([2]), np.array([8192]))
+            rows = wait_for(q, 1)
+        finally:
+            q.close()
+        assert opcodes == [] and rows == [[2, 4096]]
+        check_block(bufs[2], 8192, 3)
+
 
 @pytest.fixture(scope="module")
 def soak(tmp_path_factory):
@@ -839,7 +861,7 @@ class TestRealWindow:
         if order is None:
             reads = []
 
-            def reader(handle, offset, buffer):
+            def reader(handle, offset, buffer, flags=0):
                 submitted, done = clock.t, clock.tick()
                 reads.append((submitted, done))
                 return round((done - submitted) * 1e6)
@@ -966,10 +988,10 @@ def test_one_failed_worker_stops_the_run(real, monkeypatch, engine):
     if engine.kind == "pool":
         read_block = engines.read_block
 
-        def reader(handle, offset, buffer):
+        def reader(handle, offset, buffer, flags=0):
             if next(first) == 0:
                 raise IoError("injected read error")
-            return read_block(handle, offset, buffer)
+            return read_block(handle, offset, buffer, flags)
 
         monkeypatch.setattr(engines, "read_block", reader)
     else:

@@ -17,10 +17,11 @@ from readbench.fill import (CHECK_CHUNK_BYTES, LANES, check_block,
                             new_scratch, pattern_bytes, pattern_rows)
 from readbench.rng import (FLOAT_CHUNK, GOLDEN, MASK64, SplitMix64, mix64,
                            uniform_floats, worker_seed)
-from readbench.target import (ALIGNMENT, alloc_aligned, open_target, prepare_target,
-                              read_block, read_block_polled, simulated_target,
-                              verify_file)
+from readbench.target import (ALIGNMENT, RWF_HIGHPRI, alloc_aligned,
+                              open_target, polled_flags, prepare_target,
+                              read_block, simulated_target, verify_file)
 from readbench.devicesim import preset_model
+from readbench.engines import EngineConfig, WorkloadSpec, run
 
 
 def mix64_oracle(x):
@@ -330,13 +331,16 @@ class TestFileTarget:
 
     @pytest.fixture
     def flagged_preadv(self, monkeypatch):
-        """Patches os.preadv so that a flagged (polled) call fails with the
-        errno the test sets; plain calls read as before."""
-        preadv, fail = os.preadv, {}
+        """Patches os.preadv so that a flagged (polled) call is counted and
+        fails with the errno the test sets, if any; other calls, and flagged
+        ones without an errno, read as plain calls."""
+        preadv, fail = os.preadv, {"calls": 0, "errno": None}
 
         def patched(fd, buffers, offset, flags=0):
             if flags:
-                raise OSError(fail["errno"], os.strerror(fail["errno"]))
+                fail["calls"] += 1
+                if fail["errno"] is not None:
+                    raise OSError(fail["errno"], os.strerror(fail["errno"]))
             return preadv(fd, buffers, offset)
 
         monkeypatch.setattr(os, "preadv", patched)
@@ -348,9 +352,8 @@ class TestFileTarget:
         with prepare_target(path, size=1 << 20, seed=3) as h:
             h.direct = True  # the polled path is tried on direct handles
             with pytest.raises(OSError) as ei:
-                read_block_polled(h, 0, alloc_aligned(4096))
+                polled_flags(h, alloc_aligned(4096))
             assert ei.value.errno == errno.EIO
-            assert not h.polled_fallback
 
     def test_polled_read_falls_back_once_refused(self, tmp_path,
                                                  flagged_preadv, monkeypatch):
@@ -361,21 +364,41 @@ class TestFileTarget:
         monkeypatch.setattr(target, "_check_bounds",
                             lambda *args: checks.append(check_bounds(*args)))
         with prepare_target(path, size=1 << 20, seed=3) as h:
-            for direct in (True, False):
-                h.direct, h.polled_fallback = direct, False
-                buf = alloc_aligned(4096)
-                assert read_block_polled(h, 8192, buf) >= 0
-                check_block(buf, 8192, 3)
-                assert h.polled_fallback
-        assert len(checks) == 2  # one bounds check per read
+            h.direct = True
+            assert polled_flags(h, alloc_aligned(4096)) == 0
+            assert flagged_preadv["calls"] == 1
+            h.direct = False  # never polled, so never probed
+            assert polled_flags(h, alloc_aligned(4096)) == 0
+            assert flagged_preadv["calls"] == 1
+            flagged_preadv["errno"] = None  # the flag is taken
+            h.direct = True
+            assert polled_flags(h, alloc_aligned(4096)) == RWF_HIGHPRI
+            assert flagged_preadv["calls"] == 2
+        assert len(checks) == 3  # one bounds check per probe
+
+    @pytest.mark.parametrize("direct,flagged", [(True, 1), (False, 0)],
+                             ids=["direct", "buffered"])
+    def test_polled_run_probes_once(self, tmp_path, flagged_preadv, direct,
+                                    flagged):
+        # a refused flag costs one call per run, not one per read
+        path = str(tmp_path / "bench.dat")
+        flagged_preadv["errno"] = errno.EOPNOTSUPP
+        with prepare_target(path, size=1 << 20, seed=3) as h:
+            h.direct = direct  # the polled path is tried on direct handles
+            rec = run(WorkloadSpec(target=h, request_budget=1000, seed=1),
+                      EngineConfig(kind="polled"))
+        assert rec.latency.count == 1000
+        assert flagged_preadv["calls"] == flagged
+        assert rec.notes.count("polled reads unsupported") == 1
 
 
 class TestSimulatedTarget:
     def test_block_reads_refused(self):
         # simulated targets are replayed by the engines, never read directly
         with simulated_target(preset_model("nvme-ssd"), 1 << 24, seed=5) as h:
-            for read in (read_block, read_block_polled):
-                with pytest.raises(IoError, match="simulated"):
-                    read(h, 12288, bytearray(4096))
+            with pytest.raises(IoError, match="simulated"):
+                read_block(h, 12288, bytearray(4096))
+            with pytest.raises(IoError, match="simulated"):
+                polled_flags(h, bytearray(4096))
             with pytest.raises(IoError, match="simulated"):
                 verify_file(h)

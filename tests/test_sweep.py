@@ -90,6 +90,17 @@ class TestPlans:
             out = run_plan(plan)
             assert [r.label for r in out] == ["P", "PT2"]
 
+    def test_polled_thread_axis_errors_above_one(self):
+        # a pool of plain reads is not a polled run: the value errors in place
+        with simulated_target(flat_model(), 1 << 24, seed=1) as h:
+            plan = self.plan(h, axis="threads", values=[1, 2],
+                             base_engine=EngineConfig(kind="polled"))
+            first, second = run_plan(plan)
+            assert first.engine.kind == "polled" and "+poll" in first.notes
+            assert isinstance(second, PlanError)
+            assert second.axis_value == 2
+            assert "polled engine runs single-threaded" in second.error
+
     def test_errors_recorded_in_place(self):
         with simulated_target(flat_model(), 1 << 24, seed=1) as h:
             # block_size values beyond the valid range error but don't stop
