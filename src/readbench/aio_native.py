@@ -105,12 +105,10 @@ class AioQueue:
             raise IoError(f"io_submit submitted {ret} of {n} reads"
                           + (f": {_errno_str()}" if ret < 0 else ""))
 
-    def wait(self, min_nr: int, timeout_s: float | None = None) -> np.ndarray:
+    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
         """Block for at least min_nr completions, fewer if timeout_s runs
         out first; returns a (k, 2) int64 array of (slot, res) rows."""
-        ts = None
-        if timeout_s is not None:
-            ts = ctypes.byref(_Timespec(int(timeout_s), int(timeout_s % 1 * 1e9)))
+        ts = ctypes.byref(_Timespec(int(timeout_s), int(timeout_s % 1 * 1e9)))
         while True:
             ret = _libc.syscall(_SYS_io_getevents, self._ctx,
                                 ctypes.c_long(min_nr), ctypes.c_long(self.depth),

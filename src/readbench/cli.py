@@ -181,13 +181,18 @@ def _cmd_run(args) -> int:
 
 
 def _flag(value: str) -> bool:
-    return value in ("1", "true", "yes")
+    """1, true or yes, or 0, false or no, in any case."""
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected 1/true/yes or 0/false/no")
+    return word in ("1", "true", "yes")
 
 
-#: plan-file keys beside name, axis and values, each with the parser of its
-#: value; a key replaces the command-line flag of its name, and a key left
-#: out keeps the flag's value
+#: the parser of each plan-file key; a key beside name, axis and values
+#: replaces the command-line flag of its name, and a key left out keeps the
+#: flag's value
 _PLAN_KEYS = {
+    "name": str, "axis": str, "values": lambda v: [int(x) for x in v.split(",")],
     "block": int, "threads": int, "pattern": str, "requests": int,
     "duration": float, "warmup": float, "seed": lambda v: int(v, 0),
     "engine": str, "queue": int, "batch": int, "fixed_files": _flag,
@@ -199,13 +204,10 @@ def _parse_plan_file(path: str) -> dict:
     if not os.path.exists(path):
         raise NoSuchPreset(f"{path!r} is neither a named plan "
                            f"({', '.join(NAMED_PLANS)}) nor a plan file")
-    settings = devicesim.read_key_values(path)
+    settings = devicesim.read_key_values(path, _PLAN_KEYS)
     for key in ("axis", "values"):
         if key not in settings:
             raise ValueError(f"plan file {path!r} has no {key!r} key")
-    for key in settings:
-        if key not in {"name", "axis", "values", *_PLAN_KEYS}:
-            raise ValueError(f"plan file {path!r} has unknown key {key!r}")
     return settings
 
 
@@ -213,15 +215,13 @@ def _plans_from_args(args, target) -> list[sweep.ExperimentPlan]:
     name = args.plan
     if name not in _NAMED_GRIDS and name != "paper-best":
         settings = _parse_plan_file(name)
-        flags = {key: parse(settings[key])
-                 for key, parse in _PLAN_KEYS.items() if key in settings}
         # requests wins over duration; either replaces the command line's
         # mode, and so its default warm-up
-        if "requests" in flags:
-            flags["duration"] = None
-        elif "duration" in flags:
-            flags["requests"] = None
-        args = argparse.Namespace(**(vars(args) | flags))
+        if "requests" in settings:
+            settings["duration"] = None
+        elif "duration" in settings:
+            settings["requests"] = None
+        args = argparse.Namespace(**(vars(args) | settings))
     wl = _workload_from_args(args, target)
     eng = _engine_from_args(args)
     if name in _NAMED_GRIDS:
@@ -240,9 +240,8 @@ def _plans_from_args(args, target) -> list[sweep.ExperimentPlan]:
                     replace(eng, queue_size=r.queue_size,
                             batch_size=r.batch_size), args.repeat)
                 for r in rows or table.rows]
-    values = [int(v) for v in settings["values"].split(",")]
     return [sweep.ExperimentPlan(settings.get("name", name), settings["axis"],
-                                 values, wl, eng, args.repeat)]
+                                 settings["values"], wl, eng, args.repeat)]
 
 
 def _cmd_sweep(args) -> int:

@@ -43,7 +43,7 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .errors import Backpressure, NoSuchPreset
 from .rng import uniform_floats
@@ -162,6 +162,12 @@ def save_model(model: DeviceModel, path: str) -> None:
             f.write(f"{fld.name} = {getattr(model, fld.name)}\n")
 
 
+#: the parser of each model-file key: a field's type, or the schema number
+_MODEL_KEYS = {"schema": int} | {
+    f.name: {"str": str, "int": int, "float": float}[f.type]
+    for f in fields(DeviceModel)}
+
+
 def load_model(path_or_name: str) -> DeviceModel:
     """Resolve a preset name, or parse a key-value model file."""
     try:
@@ -171,33 +177,29 @@ def load_model(path_or_name: str) -> DeviceModel:
     if not os.path.exists(path_or_name):
         raise NoSuchPreset(f"{path_or_name!r} is neither a preset "
                            f"({', '.join(preset_names())}) nor a model file")
-    values: dict[str, Any] = {}
-    field_types = {f.name: f.type for f in fields(DeviceModel)}
-    for key, raw in read_key_values(path_or_name).items():
-        if key == "schema":
-            continue
-        if key not in field_types:
-            raise ValueError(f"unknown model field {key!r}")
-        typ = field_types[key]
-        if typ in ("str", str):
-            values[key] = raw
-        elif typ in ("int", int):
-            values[key] = int(raw)
-        else:
-            values[key] = float(raw)
+    values = read_key_values(path_or_name, _MODEL_KEYS)
+    values.pop("schema", None)
     return DeviceModel(**values)
 
 
-def read_key_values(path: str) -> dict[str, str]:
-    """``key = value`` lines of a model or plan file; ``#`` starts a
-    comment and a later key overrides an earlier one."""
-    settings: dict[str, str] = {}
+def read_key_values(path: str, parsers: dict[str, Callable]) -> dict:
+    """``key = value`` lines of a model or plan file, each value through its
+    key's parser; ``#`` starts a comment, a later key overrides an earlier
+    one, and a key with no parser or a refused value raises ValueError."""
+    settings: dict[str, Any] = {}
     with open(path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
             if line:
                 key, _, value = line.partition("=")
-                settings[key.strip()] = value.strip()
+                key, value = key.strip(), value.strip()
+                if key not in parsers:
+                    raise ValueError(f"{path!r}: unknown key {key!r}")
+                try:
+                    settings[key] = parsers[key](value)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path!r}: {key} = {value!r}: {exc}") from exc
     return settings
 
 

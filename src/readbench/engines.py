@@ -14,9 +14,10 @@ Engine kinds:
 Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit.
-Real-file targets use actual threads and the native syscall backends.
-Scattered multi-block reads and sequential whole-target scans run on these
-same two loops, through :func:`duration_log`.
+Real-file targets use actual threads and the native syscall backends, on a
+sync loop (sync, polled, pool) or an async loop (aio, uring).  Scattered
+multi-block reads and sequential whole-target scans run on these same
+three loops, through :func:`duration_log`.
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ class RunRecord:
     def from_dict(cls, d: dict) -> "RunRecord":
         """The inverse of as_dict: keys that are not fields go to ``extra``.
         Only ``notes`` and ``data_checksum`` may be missing."""
+        if type(d["workload"]["block_size"]) is not int:
+            raise TypeError("workload block_size is not int")
         stored = {f.name for f in fields(cls)} - {"extra"}
         return from_fields(cls, {
             **d, "engine": EngineConfig.from_dict(d["engine"]),
@@ -358,7 +361,7 @@ class _EmulatedAsyncQueue:
         for item in zip(slots.tolist(), offsets.tolist()):
             self._work.put(item)
 
-    def wait(self, min_nr: int, timeout_s=None) -> np.ndarray:
+    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
         """The first completion within timeout_s, then every one already
         done; the caller waits again while it has fewer than min_nr."""
         out = []
@@ -532,6 +535,10 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             now_us = time.monotonic() * 1e6
             inflight -= len(done)
             slots, res = done[:, 0], done[:, 1]
+            # in a list: a numpy compare costs a few us per harvest at q1
+            bad = [s for s in slots.tolist() if not 0 <= s < depth]
+            if bad:
+                raise IoError(f"completion for unknown slot {bad[0]} of {depth}")
             if res.tobytes() != full[:res.nbytes]:
                 i = np.flatnonzero(res != block)[0]
                 raise IoError(f"async read at {slot_off[slots[i]]} "

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ClockError, EmptySampleSet, InvalidInterval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencySample:
     """One completed read: duration in integer microseconds, bytes moved."""
 
@@ -69,16 +69,24 @@ class CpuUsage:
         return cls(process_cpu, wall, 100.0 * process_cpu / wall)
 
 
+#: the stored types of a field by its annotation; bool only where named
+_STORED_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                 "dict": dict}
+
+
 def from_fields(cls, d: dict, optional: Iterable[str] = ()):
     """An instance of dataclass ``cls`` from the keys of ``d`` that name its
     fields.  Other keys are ignored (older records carry fields since
     dropped, such as a per-thread-name CPU share).  A missing field raises
-    KeyError unless it is named in ``optional``; it then takes its default.
-    """
+    KeyError unless it is named in ``optional``, when it takes its default;
+    a value not of its field's stored type raises TypeError."""
     kwargs = {}
     for f in fields(cls):
         if f.name in d:
-            kwargs[f.name] = d[f.name]
+            value = kwargs[f.name] = d[f.name]
+            if (not isinstance(value, _STORED_TYPES.get(f.type, object))
+                    or (type(value) is bool) != (f.type == "bool")):
+                raise TypeError(f"field {f.name!r} is not {f.type}")
         elif f.name not in optional:
             raise KeyError(f"missing field {f.name!r}")
     return cls(**kwargs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 from .engines import EngineConfig, RunRecord
@@ -48,66 +49,51 @@ def encode_label(engine: EngineConfig, threads: int) -> Label:
     return Label(text=text, note=note)
 
 
+#: the seven fields of a label, each optional so that a refusal can name
+#: where the text stopped matching; ASCII digits only, as encode_label writes
+_LABEL = re.compile(r"([PAU]?)(\d*)(B?)(\d*)([MF]*)(?:(T)(\d*))?", re.ASCII)
+
+
 def parse_label(s: str) -> tuple[EngineConfig, int]:
     """Inverse of encode_label over the canonical-label domain."""
+    m = _LABEL.match(s)
+    iface, queue, b, batch, flags, t, threads = m.groups()
     if not s:
         raise LabelParseError(s, 0, "empty label")
-    if s[0] not in "PAU":
+    if not iface:
         raise LabelParseError(s, 0, "expected interface letter P, A, or U")
-    iface = s[0]
-    i = 1
-
-    def read_int() -> int:
-        nonlocal i
-        j = i
-        # ASCII only: isdigit() also takes "²", which int() rejects, and
-        # "١", which encode_label never writes
-        while j < len(s) and "0" <= s[j] <= "9":
-            j += 1
-        if j == i:
-            raise LabelParseError(s, i, "expected digits")
-        value = int(s[i:j])
-        i = j
-        return value
-
-    queue = batch = 1
-    fixed_buffers = fixed_files = False
+    if iface == "P" and m.end(5) > 1:
+        raise LabelParseError(s, 1, "unexpected trailing characters")
     if iface in "AU":
-        queue = read_int()
-        if i >= len(s) or s[i] != "B":
-            raise LabelParseError(s, i, "expected 'B' before batch size")
-        i += 1
-        batch = read_int()
-        if iface == "U":
-            while i < len(s) and s[i] in "MF":
-                if s[i] == "M":
-                    if fixed_buffers:
-                        raise LabelParseError(s, i, "duplicate flag M")
-                    fixed_buffers = True
-                else:
-                    if fixed_files:
-                        raise LabelParseError(s, i, "duplicate flag F")
-                    fixed_files = True
-                i += 1
-    threads = 1
-    if i < len(s) and s[i] == "T":
-        i += 1
-        threads = read_int()
-        if threads < 2:
-            raise LabelParseError(s, i - 1, "thread suffix requires >= 2")
-    if i != len(s):
-        raise LabelParseError(s, i, "unexpected trailing characters")
+        if not queue:
+            raise LabelParseError(s, 1, "expected digits")
+        if not b:
+            raise LabelParseError(s, m.start(3), "expected 'B' before batch size")
+        if not batch:
+            raise LabelParseError(s, m.start(4), "expected digits")
+        if iface == "A" and flags:
+            raise LabelParseError(s, m.start(5), "unexpected trailing characters")
+        for k, flag in enumerate(flags):
+            if flag in flags[:k]:
+                raise LabelParseError(s, m.start(5) + k, f"duplicate flag {flag}")
+    if t and not threads:
+        raise LabelParseError(s, m.start(7), "expected digits")
+    if t and int(threads) < 2:
+        raise LabelParseError(s, m.end(7) - 1, "thread suffix requires >= 2")
+    if m.end() != len(s):
+        raise LabelParseError(s, m.end(), "unexpected trailing characters")
 
+    nthreads = int(threads) if t else 1
     if iface == "P":
-        return EngineConfig(kind="pool" if threads > 1 else "sync"), threads
+        return EngineConfig(kind="pool" if t else "sync"), nthreads
     try:
         config = EngineConfig(
             kind="aio" if iface == "A" else "uring",
-            queue_size=queue, batch_size=batch,
-            fixed_buffers=fixed_buffers, fixed_files=fixed_files)
+            queue_size=int(queue), batch_size=int(batch),
+            fixed_buffers="M" in flags, fixed_files="F" in flags)
     except ValueError as exc:
         raise LabelParseError(s, 1, str(exc)) from exc
-    return config, threads
+    return config, nthreads
 
 
 class ResultStore:

@@ -265,7 +265,7 @@ class UringQueue:
         self._cq_head.value = (head + n) & _U32
         return out
 
-    def wait(self, min_nr: int, timeout_s: float | None = None) -> np.ndarray:
+    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
         """Every completion posted, waiting once for min_nr of them; fewer
         if timeout_s runs out first.  Returns a (k, 2) int64 array of
         (slot, res) rows."""

@@ -148,7 +148,8 @@ class TestSweepReport:
         assert count == 30 if wl["request_budget"] else count > 0
 
     @pytest.mark.parametrize("value,flags,label", [
-        ("yes", [], "U4B1F"), ("no", ["--fixed-files"], "U4B1")])
+        ("yes", [], "U4B1F"), ("no", ["--fixed-files"], "U4B1"),
+        ("True", [], "U4B1F"), ("NO", ["--fixed-files"], "U4B1")])
     def test_plan_file_fixed_files_overrides_flag(self, tmp_path, value,
                                                   flags, label):
         plan = tmp_path / "p.plan"
@@ -160,7 +161,23 @@ class TestSweepReport:
                        "4", *flags, "--requests", "20", "--out", out) == 0
         [rec] = [json.loads(line) for line in open(out)]
         assert rec["label"] == label
-        assert rec["engine"]["fixed_files"] == (value == "yes")
+        assert rec["engine"]["fixed_files"] == label.endswith("F")
+
+    @pytest.mark.parametrize("line", ["fixed_files = on", "block = 4k",
+                                      "values = 1,,4", "parallelism = 2.5"])
+    def test_refused_value_names_file_key_and_value(self, tmp_path, capsys,
+                                                    line):
+        key, value = line.split(" = ")
+        path = tmp_path / "settings"
+        if key == "parallelism":  # a model file
+            path.write_text(f"kind = custom\n{line}\n")
+            argv = ["run", "--model", str(path)]
+        else:
+            path.write_text(f"axis = threads\nvalues = 1\n{line}\n")
+            argv = ["sweep", "--model", "ull", "--plan", str(path)]
+        assert run_cli(*argv, "--requests", "10") == 1
+        err = capsys.readouterr().err
+        assert f"{str(path)!r}: {key} = {value!r}: " in err
 
     def test_whole_scan_prints_windows(self, capsys):
         capacity = 1 << 22

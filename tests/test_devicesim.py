@@ -62,6 +62,12 @@ class TestPresets:
             save_model(m, str(p))
             assert load_model(str(p)) == m
 
+    def test_model_file_refuses_unknown_key(self, tmp_path):
+        p = tmp_path / "dev.model"
+        p.write_text("schema = 1\nkind = custom\nlatency_us = 9\n")
+        with pytest.raises(ValueError, match="unknown key 'latency_us'"):
+            load_model(str(p))
+
 
 def service_time(state, offset, length):
     """Service time of one request submitted alone at the clock."""

@@ -374,6 +374,26 @@ class TestFaults:
                 EngineConfig(kind="aio", queue_size=8, batch_size=3))
         assert ei.value.offset == 16 * 4096
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("slot", [4, -1])
+    def test_completion_for_unknown_slot_named(self, real, monkeypatch,
+                                               slot, threads):
+        # unchecked, a slot past the queue raises a bare IndexError and a
+        # negative one passes as another slot's completion
+        class Misnumbered(TrickleBackend):
+            def wait(self, min_nr, timeout_s):
+                rows = super().wait(min_nr, timeout_s)
+                rows[:, 0] = slot
+                return rows
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: Misnumbered(args[3]))
+        with pytest.raises(AbortedRun,
+                           match=f"unknown slot {slot} of 4") as ei:
+            run(workload(real, threads=threads),
+                EngineConfig(kind="aio", queue_size=4))
+        assert isinstance(ei.value.__cause__, IoError)
+
     def test_uring_wait_honours_timeout(self, real):
         _native_or_skip("uring")
         q = uring_native.UringQueue(real.fd, 4, buffers(4))

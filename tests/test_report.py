@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readbench.cli import main
 from readbench.engines import EngineConfig, RunRecord
 from readbench.errors import LabelParseError
 from readbench.measurement import CpuUsage, LatencyStats
@@ -56,6 +57,41 @@ KNOWN_LABELS = {
 }
 
 
+#: malformed labels, the position each refusal names, and the start of its
+#: message
+MALFORMED_LABELS = [
+    ("", 0, "empty label"),
+    ("X4", 0, "expected interface letter"),
+    ("p", 0, "expected interface letter"),
+    ("A16", 3, "expected 'B'"),
+    ("U4", 2, "expected 'B'"),
+    ("AB1", 1, "expected digits"),
+    ("AT2", 1, "expected digits"),
+    ("U4B", 3, "expected digits"),
+    ("U4B2Z", 4, "unexpected trailing"),
+    ("A4B1M", 4, "unexpected trailing"),
+    ("U4B1MM", 5, "duplicate flag M"),
+    ("U4B1FMF", 6, "duplicate flag F"),
+    ("U3B6M84", 5, "unexpected trailing"),
+    ("U4B1MFX", 6, "unexpected trailing"),
+    ("PT", 2, "expected digits"),
+    ("PT01", 3, "thread suffix requires >= 2"),
+    ("PT1", 2, "thread suffix requires >= 2"),
+    ("A16B1T", 6, "expected digits"),
+    ("A16B1T1", 6, "thread suffix requires >= 2"),
+    ("U4B1FMT", 7, "expected digits"),
+    ("U0B1", 1, "queue_size must be in 1..4096"),
+    ("A4B8", 1, "batch_size must be in 1..queue_size"),
+    ("P2", 1, "unexpected trailing"),
+    ("PM", 1, "unexpected trailing"),
+    ("PT2B1", 3, "unexpected trailing"),
+    ("U4B1T2T2", 6, "unexpected trailing"),
+    ("U9B0F2P8", 5, "unexpected trailing"),
+    ("A\u00b2B1", 1, "expected digits"),  # superscript two
+    ("PT\u0661\u0662", 2, "expected digits"),  # Arabic-Indic digits
+]
+
+
 class TestLabels:
     def test_known_encodings(self):
         for text, engine in KNOWN_LABELS.items():
@@ -83,11 +119,11 @@ class TestLabels:
         assert "poll" in lab.note
 
     def test_parse_errors_carry_position(self):
-        for bad in ("", "X4", "A16", "AB1", "U4B2Z", "PT1", "A16B1T",
-                    "U0B1", "P2"):
+        for bad, position, message in MALFORMED_LABELS:
             with pytest.raises(LabelParseError) as ei:
                 parse_label(bad)
-            assert ei.value.position >= 0
+            assert (bad, ei.value.position) == (bad, position)
+            assert str(ei.value).startswith(message), bad
 
     @pytest.mark.parametrize("bad,position", [("A²B1", 1),
                                               ("PT١٢", 2)],
@@ -233,6 +269,13 @@ def pinned_record():
         extra={"max_inflight": 16, "short_harvests": 0})
 
 
+def _field(d, path):
+    """The dict that holds the field at ``path`` in ``d``, and its key."""
+    for key in path[:-1]:
+        d = d[key]
+    return d, path[-1]
+
+
 class TestRecordFormat:
     def test_record_serialises_to_pinned_line(self):
         d = pinned_record().as_dict()
@@ -281,10 +324,8 @@ class TestRecordFormat:
                              ids=lambda p: ".".join(p))
     def test_truncated_line_skipped(self, tmp_path, path):
         bad = json.loads(_PINNED_LINE)
-        parent = bad
-        for key in path[:-1]:
-            parent = parent[key]
-        del parent[path[-1]]
+        parent, key = _field(bad, path)
+        del parent[key]
         store = ResultStore(str(tmp_path / "runs.jsonl"))
         store.append(pinned_record())
         with open(store.path, "a") as f:
@@ -292,6 +333,27 @@ class TestRecordFormat:
         store.append(pinned_record())
         back, skipped = store.read()
         assert (len(back), skipped) == (2, 1)
+
+    @pytest.mark.parametrize("path,value", [
+        (("workload", "block_size"), "4k"), (("latency", "p999_us"), None),
+        (("throughput_mb_s",), "fast"), (("latency", "mean_us"), "x"),
+        (("engine", "fixed_files"), 1), (("cpu", "wall"), True)],
+        ids=lambda p: ".".join(p) if isinstance(p, tuple) else repr(p))
+    def test_mistyped_line_skipped(self, tmp_path, capsys, path, value):
+        bad = json.loads(_PINNED_LINE)
+        parent, key = _field(bad, path)
+        parent[key] = value
+        store = ResultStore(str(tmp_path / "runs.jsonl"))
+        store.append(pinned_record())
+        with open(store.path, "a") as f:
+            f.write(json.dumps(bad) + "\n")
+        back, skipped = store.read()
+        assert (len(back), skipped) == (1, 1)
+        table = str(tmp_path / "lat.csv")
+        assert main(["report", "--in", store.path, "--table", table,
+                     "--scatter", str(tmp_path / "plot.svg")]) == 0
+        assert "skipped 1 corrupt line" in capsys.readouterr().err
+        assert open(table).read().splitlines()[1].startswith("4096,U16B4F,")
 
     def test_line_without_notes_or_checksum_reads(self, tmp_path):
         d = json.loads(_PINNED_LINE)
