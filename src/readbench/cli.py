@@ -60,8 +60,7 @@ def _open_target_from_args(args):
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block", type=int, default=4096, help="block size, bytes")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--pattern", choices=("random", "sequential"),
-                   default="random")
+    p.add_argument("--pattern", choices=engines.PATTERNS, default="random")
     p.add_argument("--warmup", type=float, default=None,
                    help="warm-up seconds (default 5 in duration mode, 0 in "
                         "request-budget mode)")
@@ -188,14 +187,24 @@ def _flag(value: str) -> bool:
     return word in ("1", "true", "yes")
 
 
+def _one_of(*words: str):
+    """A parser that takes one of words as it is."""
+    def parse(value: str) -> str:
+        if value not in words:
+            raise ValueError(f"expected one of {', '.join(words)}")
+        return value
+    return parse
+
+
 #: the parser of each plan-file key; a key beside name, axis and values
 #: replaces the command-line flag of its name, and a key left out keeps the
 #: flag's value
 _PLAN_KEYS = {
     "name": str, "axis": str, "values": lambda v: [int(x) for x in v.split(",")],
-    "block": int, "threads": int, "pattern": str, "requests": int,
-    "duration": float, "warmup": float, "seed": lambda v: int(v, 0),
-    "engine": str, "queue": int, "batch": int, "fixed_files": _flag,
+    "block": int, "threads": int, "pattern": _one_of(*engines.PATTERNS),
+    "requests": int, "duration": float, "warmup": float,
+    "seed": lambda v: int(v, 0), "engine": _one_of(*engines.ENGINE_KINDS),
+    "queue": int, "batch": int, "fixed_files": _flag,
     "fixed_buffers": _flag, "kernel_poll": _flag,
 }
 

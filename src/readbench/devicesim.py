@@ -87,9 +87,9 @@ class DeviceModel:
         if not 0.0 <= self.spike_probability <= 1.0:
             raise ValueError("spike_probability must be in [0, 1]")
         if self.kind == "hdd" and (self.outer_rate_bps <= 0 or self.inner_rate_bps <= 0):
-            raise ValueError("hdd transfer rates must be > 0")
+            raise ValueError("hdd outer_rate_bps and inner_rate_bps must be > 0")
         if self.jitter_kind not in ("none", "uniform", "heavy-tail"):
-            raise ValueError(f"unknown jitter kind {self.jitter_kind!r}")
+            raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
 
 
 # Calibrated so a desk-scale simulation lands on the headline figures of
@@ -179,7 +179,10 @@ def load_model(path_or_name: str) -> DeviceModel:
                            f"({', '.join(preset_names())}) nor a model file")
     values = read_key_values(path_or_name, _MODEL_KEYS)
     values.pop("schema", None)
-    return DeviceModel(**values)
+    try:
+        return DeviceModel(**values)
+    except ValueError as exc:  # a refused value names its key
+        raise ValueError(f"{path_or_name!r}: {exc}") from exc
 
 
 def read_key_values(path: str, parsers: dict[str, Callable]) -> dict:

@@ -46,6 +46,7 @@ from .target import TargetHandle, alloc_aligned, polled_flags, read_block
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
 ASYNC_KINDS = ("aio", "uring")
+PATTERNS = ("random", "sequential")
 
 MIN_BLOCK = 4096
 MAX_BLOCK = 64 << 20
@@ -113,7 +114,7 @@ class WorkloadSpec:
     verify: bool = False
 
     def __post_init__(self):
-        if self.pattern not in ("random", "sequential"):
+        if self.pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {self.pattern!r}")
         b = self.block_size
         if b < MIN_BLOCK or b > MAX_BLOCK or b & (b - 1):
@@ -209,18 +210,32 @@ class _Checksum:
 
     Its lanes add mod 2^64 (:func:`fill.digest_offsets`): workers merge by
     adding lanes, and a simulated run, which digests the offsets it submits,
-    gets the value a real run over them verifies.
+    gets the value a real run over them verifies.  Offsets are digested
+    _OFFSET_CHUNK at a time, and the rest by :meth:`digest`.
     """
 
-    def __init__(self):
+    def __init__(self, workload: WorkloadSpec):
+        self.nbytes, self.seed = workload.block_size, workload.target.fill_seed
         self.lanes = np.zeros(fill.LANES, dtype=np.uint64)
+        self.undigested = array("q")
         self.scratch = fill.new_scratch()
 
     def add(self, rows: np.ndarray, offsets, seed: int) -> None:
-        """Verify one batch of read blocks, then digest their offsets."""
+        """Verify one batch of read blocks, then keep their offsets."""
         fill.check_blocks(rows, offsets, seed, self.scratch)
-        fill.digest_offsets(offsets, rows.shape[1] * fill.WORD, seed,
+        self.keep(offsets.tolist())
+
+    def keep(self, offsets: list[int]) -> None:
+        self.undigested.extend(offsets)
+        if len(self.undigested) >= _OFFSET_CHUNK:
+            self.digest()
+
+    def digest(self) -> np.ndarray:
+        """The lanes, with every offset kept so far digested."""
+        fill.digest_offsets(self.undigested, self.nbytes, self.seed,
                             self.lanes)
+        del self.undigested[:]
+        return self.lanes
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +263,6 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
     state = SimState(workload.target.model, workload.target.capacity,
                      polled=engine.kind == "polled")
     block = workload.block_size
-    fill_seed = workload.target.fill_seed
     budget_mode = workload.request_budget is not None
     # a request is logged iff warmup_us <= its submit time < window_end
     warmup_us = workload.warmup_s * 1e6
@@ -262,9 +276,8 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
         stream = offset_stream(workload, w) if offsets is None else offsets
         workers.append(_SimWorker(w, stream, remaining))
 
-    # simulated reads return no data: digest the submitted offsets in chunks
-    lanes = np.zeros(fill.LANES, dtype=np.uint64) if workload.verify else None
-    undigested = array("q")
+    # simulated reads return no data: digest the submitted offsets
+    checksum = _Checksum(workload) if workload.verify else None
     outstanding = 0
 
     def refill(wk: _SimWorker, n: int, now: float) -> None:
@@ -279,11 +292,8 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
         offsets = list(itertools.islice(wk.stream, n))
         for offset in offsets:
             submit(state, offset, block, now, tag)
-        if lanes is not None:
-            undigested.extend(offsets)
-            if len(undigested) >= _OFFSET_CHUNK:
-                fill.digest_offsets(undigested, block, fill_seed, lanes)
-                del undigested[:]
+        if checksum is not None:
+            checksum.keep(offsets)
         wk.outstanding += n
         outstanding += n
         if wk.outstanding > wk.max_outstanding:
@@ -317,14 +327,12 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
                 outstanding -= n
                 refill(wk, n, now)
 
-    if lanes is not None:
-        fill.digest_offsets(undigested, block, fill_seed, lanes)
     elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
     notes = ["simulated"]
     extra = {"max_inflight": max(wk.max_outstanding for wk in workers),
              "short_harvests": 0}
-    return log, len(log) * block, elapsed_s, (
-        "" if lanes is None else fill.hexdigest(lanes)), notes, extra
+    digest = "" if checksum is None else fill.hexdigest(checksum.digest())
+    return log, len(log) * block, elapsed_s, digest, notes, extra
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +442,10 @@ class _RealWorkerResult:
     __slots__ = ("durations", "last_done", "checksum", "error", "notes",
                  "max_inflight")
 
-    def __init__(self):
+    def __init__(self, workload: WorkloadSpec):
         self.durations = array("q")  # us, one per logged read
         self.last_done = 0.0  # monotonic time of the last logged completion
-        self.checksum = _Checksum()
+        self.checksum = _Checksum(workload)
         self.error: BaseException | None = None
         self.notes: list[str] = []
         self.max_inflight = 0
@@ -470,7 +478,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             # one check per CHECK_CHUNK_BYTES of blocks, as on the async loop
             nslots = max(1, fill.CHECK_CHUNK_BYTES // block)
         bufs, rows = _arena(nslots, block)
-        offsets = [0] * nslots
+        offsets = array("q", bytes(8 * nslots))
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
@@ -509,6 +517,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         submit_us = np.zeros(depth)  # per slot: monotonic submit time, us
         slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
         full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
+        busy = bytearray(depth)  # per slot: 1 while its read is in flight
         slots = np.arange(depth)  # to submit: all at first, then a harvest's
         issued = inflight = warming = 0  # warming: in flight from warm-up
         while True:
@@ -524,6 +533,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                     warming += n
                 slot_off[slots] = offsets
                 backend.submit_reads(slots, offsets)
+                for s in slots.tolist():
+                    busy[s] = 1
                 issued += n
                 inflight += n
                 result.max_inflight = max(result.max_inflight, inflight)
@@ -535,10 +546,12 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             now_us = time.monotonic() * 1e6
             inflight -= len(done)
             slots, res = done[:, 0], done[:, 1]
-            # in a list: a numpy compare costs a few us per harvest at q1
-            bad = [s for s in slots.tolist() if not 0 <= s < depth]
-            if bad:
-                raise IoError(f"completion for unknown slot {bad[0]} of {depth}")
+            # in lists: a numpy call costs a few us per harvest at q1
+            for s in slots.tolist():
+                if not (0 <= s < depth and busy[s]):
+                    raise IoError(f"completion for unknown slot {s} of "
+                                  f"{depth} (no read in flight)")
+                busy[s] = 0
             if res.tobytes() != full[:res.nbytes]:
                 i = np.flatnonzero(res != block)[0]
                 raise IoError(f"async read at {slot_off[slots[i]]} "
@@ -569,7 +582,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
     warm_end = time.monotonic() + workload.warmup_s
     deadline = (None if workload.duration_s is None
                 else warm_end + workload.duration_s)
-    results = [_RealWorkerResult() for _ in range(workload.threads)]
+    results = [_RealWorkerResult(workload) for _ in range(workload.threads)]
     stop = threading.Event()  # set by the first worker to fail
 
     def runner(w: int) -> None:
@@ -607,15 +620,15 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
     elapsed = max(max(r.last_done for r in results) - warm_end, 1e-9)
 
     # workers' digests merge by adding lanes, mod 2^64
-    lanes = sum(r.checksum.lanes for r in results)
+    checksum = (fill.hexdigest(sum(r.checksum.digest() for r in results))
+                if workload.verify else "")
     notes: list[str] = []
     for r in results:
         for n in r.notes:
             if n not in notes:
                 notes.append(n)
     extra = {"max_inflight": max(r.max_inflight for r in results)}
-    return log, len(log) * workload.block_size, elapsed, (
-        fill.hexdigest(lanes) if workload.verify else ""), notes, extra
+    return log, len(log) * workload.block_size, elapsed, checksum, notes, extra
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +707,7 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     the offset stream."""
     if workload.target.is_simulated:
         return _simulate(workload, engine, offsets)[0]
-    result = _RealWorkerResult()
+    result = _RealWorkerResult(workload)
     _real_worker(workload, engine, 0, -np.inf, None, threading.Event(),
                  result, offsets)
     return result.durations

@@ -1,18 +1,19 @@
 """Offset-derived file fill pattern, its verification and a run digest.
 
-The 64-bit word at byte offset ``o`` (``o`` a multiple of 8) is
-``mix64(seed XOR o)``, serialized little-endian.  Content at any offset is
-therefore recomputable from (seed, offset) alone and never needs a golden
-copy on disk.
+The 64-bit word at byte offset ``o`` (a multiple of 8) is ``mix64(seed XOR
+(o & ~4095)) + ((o & 4095) >> 3) * GOLDEN`` mod 2^64, little-endian: one
+hash per 4 KiB page plus a ramp.  Content at any offset is recomputable from
+(seed, offset) alone, and a page checks in three numpy passes.  A file of
+earlier versions (``mix64(seed XOR o)`` in every word) fails the check with
+a VerifyError that says to prepare it again.
 
-Generation and verification run one in-place kernel over a caller-owned
-scratch of two ``CHECK_CHUNK_BYTES`` uint64 rows (:func:`new_scratch`), so
-checking a batch allocates no block-sized temporaries.  A block that passes
+Checks write into a caller-owned scratch (:func:`new_scratch`), so a batch
+allocates no block-sized temporaries.  A block that passes
 :func:`check_blocks` equals the pattern at its offset, so
 :func:`digest_offsets` hashes only the seed, block length and offsets of
 verified blocks, into ``LANES`` uint64 lanes that add mod 2^64: the digest
-of a set of blocks is independent of their order and of how they were
-batched.  It is not a cryptographic hash.
+of a set of blocks is independent of their order, of how they were batched
+and of the fill pattern.  It is not a cryptographic hash.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ import functools
 import numpy as np
 
 from .errors import VerifyError
-from .rng import GOLDEN, mix64_array, mix64_into
+from .rng import GOLDEN, mix64, mix64_array, mix64_into
 
 WORD = 8
+
+PAGE = 4096  # bytes per hash of the pattern
+_PAGE_WORDS = PAGE // WORD
 
 #: check_blocks and the pattern kernel work on at most this many
 #: bytes per numpy pass (longer blocks in chunk-sized pieces), which bounds
@@ -37,72 +41,67 @@ LANES = 4
 
 _U = np.uint64
 
-#: byte offset of each word of a chunk from the chunk's start
-_RAMP = np.arange(0, CHECK_CHUNK_BYTES, WORD, dtype=np.uint64)
+#: word j of a page is the page's base plus word j of this ramp
+_RAMP = np.arange(_PAGE_WORDS, dtype=np.uint64) * _U(GOLDEN)
 _RAMP.flags.writeable = False
 
 
 def new_scratch() -> np.ndarray:
-    """A (2, CHECK_CHUNK_BYTES // 8) uint64 scratch for one thread's use."""
-    return np.empty((2, _CHUNK_WORDS), dtype="<u8")
+    """A CHECK_CHUNK_BYTES uint64 scratch for one thread's use."""
+    return np.empty(_CHUNK_WORDS, dtype="<u8")
 
 
-def _pattern_into(out: np.ndarray, offsets, seed: int,
-                  tmp: np.ndarray) -> None:
-    """Write the pattern into ``out``, a (k, words) uint64 array of at most
-    CHECK_CHUNK_BYTES in all: row r holds the words from byte offset
-    ``offsets[r]`` (a (k, 1) array, or one offset for every row).  ``tmp``
-    is a scratch of out's shape."""
-    k, words = out.shape
-    # out[r, j] = offsets[r] + 8 j: row r gets offsets[r] - 8 r words, then
-    # the flat ramp 8 (r words + j) is added; a broadcast copy and a
-    # contiguous add run faster in numpy than one broadcast add
-    np.copyto(out, offsets - _RAMP[:k * words:words, None])
-    out += _RAMP[:k * words].reshape(k, words)
-    out ^= _U(seed)
-    mix64_into(out, tmp)
+def _bases(first: np.ndarray, npages: int, seed: int) -> np.ndarray:
+    """(k, npages, 1): the hashes of npages pages from each page offset of
+    ``first`` ((k, 1) uint64); up to 4 in Python, cheaper than numpy calls."""
+    k = len(first)
+    if k * npages <= 4:
+        return np.array([mix64(seed ^ (o + p * PAGE))
+                         for o in first[:, 0].tolist() for p in range(npages)],
+                        np.uint64).reshape(k, npages, 1)
+    x = first + np.arange(0, npages * PAGE, PAGE, dtype=np.uint64)
+    x ^= _U(seed)
+    mix64_into(x, np.empty_like(x))
+    return x[:, :, None]
 
 
-def _passes(rows: np.ndarray):
+def _passes(rows: np.ndarray, offs: np.ndarray):
     """Cut a batch of blocks into passes of at most CHECK_CHUNK_BYTES.
 
-    Yields (first row, first word, (k, words) view); a long row is cut into
-    chunk-sized pieces, one per pass, so passes keep row order.
+    Yields a (k, words) view and the (k, 1) uint64 offsets of its rows; a
+    long row is cut into chunk-sized pieces, one per pass, so passes keep
+    row order.
     """
     n, words = rows.shape
     if words <= _CHUNK_WORDS:
         step = _CHUNK_WORDS // max(words, 1)
         for r in range(0, n, step):
-            yield r, 0, rows[r:r + step]
+            yield rows[r:r + step], offs[r:r + step]
     else:
         for r in range(n):
             for lo in range(0, words, _CHUNK_WORDS):
-                yield r, lo, rows[r:r + 1, lo:lo + _CHUNK_WORDS]
-
-
-def _views(scratch: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
-    """The two scratch rows, each cut to ``shape``."""
-    size = shape[0] * shape[1]
-    return scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
+                yield (rows[r:r + 1, lo:lo + _CHUNK_WORDS],
+                       offs[r:r + 1] + _U(lo * WORD))
 
 
 def pattern_rows(seed: int, offsets, nbytes: int,
-                 scratch: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Expected uint64 words of the nbytes-long blocks at ``offsets``, one
     row per block, written into ``out`` (a new array when omitted) and
-    returned; ``scratch`` (one from :func:`new_scratch`, a fresh one when
-    omitted) is used as temporary."""
+    returned."""
     if nbytes % WORD or any(o % WORD for o in offsets):
         raise ValueError("offset and length must be multiples of 8")
-    if scratch is None:
-        scratch = new_scratch()
     if out is None:
         out = np.empty((len(offsets), nbytes // WORD), dtype="<u8")
-    offs = np.asarray(offsets, dtype=np.uint64)[:, None]
-    for r, lo, part in _passes(out):
-        first = offs[r:r + len(part)] if not lo else offs[r, 0] + _U(lo * WORD)
-        _pattern_into(part, first, seed, _views(scratch, part.shape)[1])
+    words = nbytes // WORD
+    for r, o in enumerate(offsets):
+        # CHECK_CHUNK_BYTES at a time, padded out to whole pages
+        for lo in range(0, words, _CHUNK_WORDS):
+            n, start = min(_CHUNK_WORDS, words - lo), int(o) + lo * WORD
+            skip = start % PAGE // WORD
+            page = np.array([[start - skip * WORD]], np.uint64)
+            padded = _bases(page, -(-(skip + n) // _PAGE_WORDS), seed) + _RAMP
+            out[r, lo:lo + n] = padded.reshape(-1)[skip:skip + n]
     return out
 
 
@@ -118,19 +117,35 @@ def check_blocks(rows, offsets, seed: int,
     ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
     ``offsets`` the n target byte offsets they were read from, ``scratch``
     one from :func:`new_scratch` (a fresh one when omitted).  Raises
-    VerifyError naming the first bad word's byte offset, in row order.
+    VerifyError naming the first bad word's byte offset, in row order, and
+    whether it holds the pattern of earlier versions.
     """
     if scratch is None:
         scratch = new_scratch()
     offs = np.asarray(offsets, dtype=np.uint64)[:, None]
-    for r, lo, part in _passes(rows):
-        first = offs[r:r + len(part)] if not lo else offs[r, 0] + _U(lo * WORD)
-        x, tmp = _views(scratch, part.shape)
-        _pattern_into(x, first, seed, tmp)
-        x ^= part
-        if x.max():  # faster than any() on uint64
-            row, word = divmod(int(np.flatnonzero(x)[0]), part.shape[1])
-            raise VerifyError(int(offs[r + row, 0]) + (lo + word) * WORD)
+    pages = not (rows.shape[1] % _PAGE_WORDS
+                 or int(np.bitwise_or.reduce(offs, axis=None)) % PAGE)
+    for part, first in _passes(rows, offs):
+        x = scratch[:part.size].reshape(part.shape)
+        if pages:  # less the ramp, each word of a page is the page's base
+            by_page = x.reshape(len(part), -1, _PAGE_WORDS)
+            np.subtract(part.reshape(by_page.shape), _RAMP, out=by_page)
+            base = _bases(first, by_page.shape[1], seed)
+            if (by_page.max(axis=2).tobytes() == base.tobytes()
+                    == by_page.min(axis=2).tobytes()):
+                continue
+            by_page ^= base
+        else:
+            pattern_rows(seed, first[:, 0].tolist(), part[0].nbytes, out=x)
+            x ^= part
+            if not x.max():  # faster than any() on uint64
+                continue
+        row, word = divmod(int(np.flatnonzero(x)[0]), part.shape[1])
+        offset = int(first[row, 0]) + word * WORD
+        if int(part[row, word]) == mix64(seed ^ offset):
+            raise VerifyError(offset, f"data at byte offset {offset} has the "
+                              "old fill pattern; prepare the file again")
+        raise VerifyError(offset)
 
 
 @functools.lru_cache(maxsize=64)

@@ -76,14 +76,13 @@ def prepare_target(path: str, size: int, seed: int) -> TargetHandle:
     if size <= 0 or size % ALIGNMENT:
         raise PrepareError(f"size must be a positive multiple of {ALIGNMENT}")
     seed &= MASK64
-    scratch = fill.new_scratch()
     buf = np.empty((1, _PREPARE_CHUNK // fill.WORD), dtype="<u8")
     try:
         fd = os.open(path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
         try:
             for off in range(0, size, _PREPARE_CHUNK):
                 n = min(_PREPARE_CHUNK, size - off)
-                words = fill.pattern_rows(seed, (off,), n, scratch,
+                words = fill.pattern_rows(seed, (off,), n,
                                           buf[:, :n // fill.WORD])
                 if os.write(fd, words) != n:
                     raise PrepareError(f"short write to {path} at {off}")
@@ -167,8 +166,7 @@ def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
     _require_file(handle)
     buf = alloc_aligned(block)
     scratch = fill.new_scratch()
-    offset = 0
-    while offset < handle.capacity:
+    for offset in range(0, handle.capacity, block):
         n = min(block, handle.capacity - offset)
         view = buf[:n]
         got = os.preadv(handle.fd, [view], offset)
@@ -183,4 +181,3 @@ def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
             for i, b in enumerate(view[whole:]):
                 if b != want[i]:
                     raise VerifyError(offset + whole + i)
-        offset += n

@@ -7,6 +7,7 @@ import pytest
 from readbench import sweep, uring_native
 from readbench.cli import main
 from readbench.errors import IoError
+from readbench.rng import mix64
 
 
 def run_cli(*argv):
@@ -27,6 +28,19 @@ class TestPrepareVerify:
             f.seek(12345)
             f.write(b"\xff\xff")
         assert run_cli("verify", "--path", path) == 1
+
+    def test_verify_names_old_pattern(self, tmp_path, capsys):
+        # a page filled as earlier versions did, mix64(seed ^ o) per word
+        path = tmp_path / "old.dat"
+        path.write_bytes(b"".join(mix64(0x11 ^ o).to_bytes(8, "little")
+                                  for o in range(0, 4096, 8)))
+        for argv in (["verify"], ["run", "--buffered", "--requests", "2",
+                                  "--verify"]):
+            capsys.readouterr()
+            assert run_cli(*argv, "--path", str(path), "--seed", "0x11") == 1
+            assert capsys.readouterr().err == (
+                "error: data at byte offset 8 has the old fill pattern; "
+                "prepare the file again\n")
 
     def test_verify_missing_file(self, tmp_path):
         assert run_cli("verify", "--path", str(tmp_path / "nope")) == 1
@@ -164,7 +178,8 @@ class TestSweepReport:
         assert rec["engine"]["fixed_files"] == label.endswith("F")
 
     @pytest.mark.parametrize("line", ["fixed_files = on", "block = 4k",
-                                      "values = 1,,4", "parallelism = 2.5"])
+                                      "values = 1,,4", "parallelism = 2.5",
+                                      "pattern = zigzag"])
     def test_refused_value_names_file_key_and_value(self, tmp_path, capsys,
                                                     line):
         key, value = line.split(" = ")
@@ -178,6 +193,14 @@ class TestSweepReport:
         assert run_cli(*argv, "--requests", "10") == 1
         err = capsys.readouterr().err
         assert f"{str(path)!r}: {key} = {value!r}: " in err
+
+    def test_invalid_model_names_file_and_key(self, tmp_path, capsys):
+        # the value parses, and the model refuses it
+        path = tmp_path / "dev.model"
+        path.write_text("kind = custom\nparallelism = 0\n")
+        assert run_cli("run", "--model", str(path), "--requests", "10") == 1
+        err = capsys.readouterr().err
+        assert f"{str(path)!r}: parallelism must be >= 1" in err
 
     def test_whole_scan_prints_windows(self, capsys):
         capacity = 1 << 22

@@ -374,6 +374,29 @@ class TestFaults:
                 EngineConfig(kind="aio", queue_size=8, batch_size=3))
         assert ei.value.offset == 16 * 4096
 
+    def test_misread_past_a_digest_chunk_named(self, real, monkeypatch):
+        # by read 4500 the first _OFFSET_CHUNK verified offsets are digested
+        assert engines._OFFSET_CHUNK < 4500
+
+        class LateMisread(TrickleBackend):
+            reaped = 0
+
+            def wait(self, min_nr, timeout_s=None):
+                self.reaped += 1
+                if self.reaped == 4500:
+                    slot, offset = self.queued[0]
+                    self.queued[0] = (slot, offset + 4096)
+                return super().wait(min_nr, timeout_s)
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: LateMisread(args[3], real.fd))
+        with pytest.raises(VerifyError) as ei:
+            run(workload(real, pattern="sequential", request_budget=5000,
+                         verify=True),
+                EngineConfig(kind="aio", queue_size=8, batch_size=3))
+        assert ei.value.offset == 4499 % 256 * 4096  # the 4500th block read
+        assert "old fill pattern" not in str(ei.value)
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("slot", [4, -1])
     def test_completion_for_unknown_slot_named(self, real, monkeypatch,
@@ -391,6 +414,31 @@ class TestFaults:
         with pytest.raises(AbortedRun,
                            match=f"unknown slot {slot} of 4") as ei:
             run(workload(real, threads=threads),
+                EngineConfig(kind="aio", queue_size=4))
+        assert isinstance(ei.value.__cause__, IoError)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("repeat", ["in-one-wait", "reaped-twice"])
+    def test_completion_for_slot_not_in_flight_named(self, real, monkeypatch,
+                                                     repeat, threads):
+        # unchecked, a repeated slot is logged twice; reaped twice here
+        # means before the slot is refilled, since every read is submitted
+        # at once
+        class Repeating(TrickleBackend):
+            def wait(self, min_nr, timeout_s):
+                rows = super().wait(min_nr, timeout_s)
+                if repeat == "in-one-wait":
+                    return np.concatenate((rows, rows))
+                if not hasattr(self, "repeated"):
+                    self.repeated = True
+                    self.queued.appendleft(tuple(rows[0]))
+                return rows
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: Repeating(args[3]))
+        with pytest.raises(AbortedRun, match=r"unknown slot 0 of 4 \(no read "
+                           "in flight") as ei:
+            run(workload(real, threads=threads, request_budget=4 * threads),
                 EngineConfig(kind="aio", queue_size=4))
         assert isinstance(ei.value.__cause__, IoError)
 
@@ -605,25 +653,29 @@ class TestAsyncBackends:
                                                           monkeypatch):
         _native_or_skip("aio")
         libc = aio_native._libc
-        destroyed = []
+        destroyed, returned = [], []
+        release = threading.Event()
 
-        class Recording:
+        class Recording:  # io_destroy blocks until the test releases it
             def syscall(self, nr, *args):
-                if nr == aio_native._SYS_io_destroy:
-                    destroyed.append(threading.current_thread())
-                return libc.syscall(nr, *args)
+                if nr != aio_native._SYS_io_destroy:
+                    return libc.syscall(nr, *args)
+                destroyed.append(threading.current_thread())
+                release.wait(5.0)
+                returned.append(libc.syscall(nr, *args))
+                return returned[-1]
 
         monkeypatch.setattr(aio_native, "_libc", Recording())
         q = aio_native.AioQueue(real.fd, 4, buffers(4))
         q.submit_reads(np.arange(2), np.array([0, 4096]))
         assert len(wait_for(q, 2)) == 2
-        t0 = time.monotonic()
         q.close()
-        took = time.monotonic() - t0
+        blocked = not returned  # close returned before its io_destroy did
+        release.set()
         deadline = time.monotonic() + 5.0
-        while not destroyed and time.monotonic() < deadline:
+        while not returned and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert took < 0.005
+        assert blocked and returned == [0]
         assert destroyed and destroyed[0] is not threading.current_thread()
         # reads in flight: destroyed here, so the buffers outlive them
         destroyed.clear()
@@ -705,6 +757,28 @@ def test_native_soak_checksum_equals_simulated(soak, name, queue, batch):
     assert rec.latency.count == 30_011
     assert rec.extra["max_inflight"] == queue
     assert rec.data_checksum == reference
+
+
+@pytest.mark.parametrize("engine,threads", [
+    (EngineConfig(kind="sync"), 1), (EngineConfig(kind="pool"), 2),
+    (EngineConfig(kind="aio", queue_size=32, batch_size=8), 1),
+    (EngineConfig(kind="uring", queue_size=8, batch_size=2), 1)],
+    ids=["sync", "pool-T2", "aio-q32b8", "uring-q8b2"])
+def test_checksum_across_digest_chunks(soak, engine, threads):
+    # a worker digests its offsets _OFFSET_CHUNK at a time and the rest when
+    # it ends; 5000 reads a worker cross a chunk boundary
+    if engine.kind in ("aio", "uring"):
+        _native_or_skip(engine.kind)
+    path = soak[0]
+    spec = dict(request_budget=5000 * threads, threads=threads, seed=8,
+                verify=True)
+    assert engines._OFFSET_CHUNK < 5000
+    with open_target(path, seed=17, direct=False) as h:
+        real = run(WorkloadSpec(target=h, **spec), engine)
+    with simulated_target(preset_model("ull"), 16 << 20, seed=17) as h:
+        sim = run(WorkloadSpec(target=h, **spec), engine)
+    assert real.latency.count == 5000 * threads
+    assert real.data_checksum == sim.data_checksum != ""
 
 
 class TestRealFile:

@@ -70,12 +70,20 @@ def test_worker_seed_distinct():
     assert len(seeds) == 64
 
 
+def pattern_oracle(seed, o):
+    """The fill word at byte offset o: its page's hash plus its index in
+    the page times GOLDEN, mod 2**64."""
+    return (mix64_oracle(seed ^ (o & ~4095)) + (o & 4095) // 8 * GOLDEN) & MASK64
+
+
 def test_pattern_word_oracle():
+    # the first words of page 0, and 64 bytes across the end of page 2
     seed = 1234
-    buf = pattern_bytes(seed, 0, 64)
-    for o in range(0, 64, 8):
-        want = mix64_oracle(seed ^ o).to_bytes(8, "little")
-        assert buf[o:o + 8] == want
+    for start in (0, 3 * 4096 - 32):
+        buf = pattern_bytes(seed, start, 64)
+        for i in range(0, 64, 8):
+            want = pattern_oracle(seed, start + i).to_bytes(8, "little")
+            assert buf[i:i + 8] == want
 
 
 def test_pattern_words_offset_consistency():
@@ -183,7 +191,7 @@ def test_pattern_rows_match_oracle(block, nrows):
     pick = np.random.default_rng(block).integers(0, words, (nrows, 64))
     for r, o in enumerate(offsets):
         for j in {0, words - 1, CHECK_CHUNK_BYTES // 8 % words, *pick[r]}:
-            assert int(rows[r, j]) == mix64_oracle(seed ^ (o + 8 * int(j)))
+            assert int(rows[r, j]) == pattern_oracle(seed, o + 8 * int(j))
         assert rows[r].tobytes() == pattern_bytes(seed, o, block)
     with pytest.raises(ValueError):
         pattern_rows(seed, [4], 4096)
@@ -198,6 +206,51 @@ def test_corruption_always_detected(seed, block, byte_index):
     buf = bytearray(pattern_bytes(seed, offset, 512))
     buf[byte_index] ^= 0x01
     assert mismatch(buf, offset, seed) is not None
+
+
+def old_pattern(seed, nbytes):
+    """The fill of earlier versions: mix64(seed ^ o) in the word at o."""
+    return b"".join(mix64_oracle(seed ^ o).to_bytes(8, "little")
+                    for o in range(0, nbytes, 8))
+
+
+def test_old_pattern_named_on_verify(tmp_path):
+    # word 0 of a page is the same in both patterns; word 1 is not
+    path = tmp_path / "old.dat"
+    path.write_bytes(old_pattern(5, 4 * 4096))
+    with open_target(str(path), seed=5, direct=False) as h:
+        with pytest.raises(VerifyError, match="byte offset 8 has the old "
+                           "fill pattern; prepare the file again") as ei:
+            verify_file(h)
+        assert ei.value.offset == 8
+        with pytest.raises(VerifyError, match="old fill pattern") as ei:
+            run(WorkloadSpec(target=h, pattern="sequential",
+                             request_budget=4, seed=1, verify=True),
+                EngineConfig(kind="sync"))
+        assert ei.value.offset == 8
+    # a flipped byte of the new pattern, word 0 or not, is a plain mismatch
+    for byte in (3, 4096 + 100):
+        data = bytearray(pattern_bytes(5, 0, 2 * 4096))
+        data[byte] ^= 0x20
+        path.write_bytes(data)
+        with open_target(str(path), seed=5, direct=False) as h:
+            with pytest.raises(VerifyError) as ei:
+                verify_file(h)
+        assert ei.value.offset == byte // 8 * 8
+        assert str(ei.value) == f"data mismatch at byte offset {byte // 8 * 8}"
+
+
+@given(st.integers(min_value=0, max_value=MASK64),
+       st.integers(min_value=0, max_value=2**40),
+       st.integers(min_value=0, max_value=4095),
+       st.integers(min_value=0, max_value=7))
+@settings(max_examples=100, deadline=None)
+def test_page_corruption_named(seed, block, byte_index, bit):
+    # a whole page takes the per-page check, which must see every word
+    offset = block * 4096
+    buf = bytearray(pattern_bytes(seed, offset, 4096))
+    buf[byte_index] ^= 1 << bit
+    assert mismatch(buf, offset, seed) == offset + byte_index // 8 * 8
 
 
 # ---------------------------------------------------------------------------
