@@ -91,6 +91,8 @@ class AioQueue:
         self._ptrs_arg = ctypes.c_void_p(self._ptrs.ctypes.data)
         self._events = np.zeros((depth, _EVENT_WORDS), dtype=np.int64)
         self._events_arg = ctypes.c_void_p(self._events.ctypes.data)
+        self._ts = _Timespec()  # a timed wait's argument, made once
+        self._ts_arg = ctypes.byref(self._ts)
 
     def submit_reads(self, slots: np.ndarray, offsets: np.ndarray) -> None:
         """Submit one read per slot, at the matching offset, in one
@@ -98,8 +100,8 @@ class AioQueue:
         n = len(slots)
         self._offsets[slots] = offsets
         self._ptrs[:n] = self._addrs[slots]
-        ret = _libc.syscall(_SYS_io_submit, self._ctx, ctypes.c_long(n),
-                            self._ptrs_arg)
+        # ints pass as C int, widened by libffi to the long syscall reads
+        ret = _libc.syscall(_SYS_io_submit, self._ctx, n, self._ptrs_arg)
         self.inflight += max(ret, 0)
         if ret != n:
             raise IoError(f"io_submit submitted {ret} of {n} reads"
@@ -108,11 +110,10 @@ class AioQueue:
     def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
         """Block for at least min_nr completions, fewer if timeout_s runs
         out first; returns a (k, 2) int64 array of (slot, res) rows."""
-        ts = ctypes.byref(_Timespec(int(timeout_s), int(timeout_s % 1 * 1e9)))
+        self._ts.tv_sec, self._ts.tv_nsec = int(timeout_s), int(timeout_s % 1 * 1e9)
         while True:
-            ret = _libc.syscall(_SYS_io_getevents, self._ctx,
-                                ctypes.c_long(min_nr), ctypes.c_long(self.depth),
-                                self._events_arg, ts)
+            ret = _libc.syscall(_SYS_io_getevents, self._ctx, min_nr,
+                                self.depth, self._events_arg, self._ts_arg)
             if ret >= 0:
                 break
             err = ctypes.get_errno()

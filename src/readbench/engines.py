@@ -15,9 +15,12 @@ Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit.
 Real-file targets use actual threads and the native syscall backends, on a
-sync loop (sync, polled, pool) or an async loop (aio, uring).  Scattered
-multi-block reads and sequential whole-target scans run on these same
-three loops, through :func:`duration_log`.
+sync loop (sync, polled, pool) or an async loop (aio, uring).  The sync
+loop reads the offsets of :func:`offset_stream` one at a time; the async
+loop slices the same per-worker int64 chunks, and checks each harvest's
+slots against the set of slots in flight.  Scattered multi-block reads and
+sequential whole-target scans run on these same three loops, through
+:func:`duration_log`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ HARVEST_TIMEOUT_S = 1.0
 #: a harvest that sees no completion for this long ends the run
 STALL_LIMIT_S = 30.0
 
-#: random offsets are drawn this many at a time
+#: offsets are drawn this many at a time
 _OFFSET_CHUNK = 4096
 
 
@@ -180,24 +183,39 @@ def _copied(value):
     return value
 
 
-def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
-    """Per-worker stream of block-aligned offsets.
+def _offset_chunks(workload: WorkloadSpec, worker: int) -> Iterator[np.ndarray]:
+    """Per-worker block-aligned offsets, as int64 arrays of _OFFSET_CHUNK.
 
     Random offsets are ``(SplitMix64(worker_seed).next_u64() % nblocks) *
-    block_size``; the sequence is computed in numpy chunks, the k-th value
-    being ``mix64(seed + k * GOLDEN)``.
+    block_size``, the k-th word being ``mix64(seed + k * GOLDEN)``;
+    sequential ones start at the worker's share of the target and wrap.
     """
-    nblocks = workload.target.capacity // workload.block_size
+    block = workload.block_size
+    nblocks = workload.target.capacity // block
     if workload.pattern == "random":
         for words in u64_chunks(worker_seed(workload.seed, worker),
                                 _OFFSET_CHUNK):
-            yield from ((words % np.uint64(nblocks))
-                        * np.uint64(workload.block_size)).tolist()
+            yield ((words % np.uint64(nblocks))
+                   * np.uint64(block)).astype(np.int64)
     else:
-        i = (nblocks // workload.threads) * worker
+        first = (nblocks // workload.threads) * worker
+        steps = np.arange(_OFFSET_CHUNK, dtype=np.int64)
         while True:
-            yield (i % nblocks) * workload.block_size
-            i += 1
+            yield (first + steps) % nblocks * block
+            first = (first + _OFFSET_CHUNK) % nblocks
+
+
+def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
+    """The offsets of :func:`_offset_chunks`, one int at a time."""
+    return itertools.chain.from_iterable(
+        chunk.tolist() for chunk in _offset_chunks(workload, worker))
+
+
+def _chunked(offsets: Iterator[int]) -> Iterator[np.ndarray]:
+    """An offset iterator as int64 arrays of up to _OFFSET_CHUNK."""
+    while len(chunk := np.fromiter(itertools.islice(offsets, _OFFSET_CHUNK),
+                                   np.int64)):
+        yield chunk
 
 
 def split_budget(total: int, threads: int, worker: int) -> int:
@@ -452,27 +470,25 @@ class _RealWorkerResult:
 
 
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
-                 warm_end: float, deadline: float | None,
+                 warm_end: float, deadline: float,
                  stop: threading.Event, result: _RealWorkerResult,
                  offsets: Iterator[int] | None = None) -> None:
-    """Log each read submitted at or after warm_end (monotonic s)."""
+    """Log each read submitted at or after warm_end, and submit none at or
+    after deadline (monotonic s; infinite in request-budget mode)."""
     handle = workload.target
     block = workload.block_size
-    stream = offset_stream(workload, w) if offsets is None else offsets
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
     seed = handle.fill_seed
     verify = workload.verify
     durations, checksum = result.durations, result.checksum
-
-    def want_more(issued: int, now: float) -> bool:
-        if stop.is_set():
-            return False
-        if remaining is not None:
-            return issued < remaining
-        return now < deadline
+    # looked up once per run, so that patches and tracers in place apply
+    monotonic, stopped, read = time.monotonic, stop.is_set, read_block
 
     if engine.kind not in ASYNC_KINDS:
+        stream = offset_stream(workload, w) if offsets is None else offsets
+        if remaining is not None:
+            stream = itertools.islice(stream, remaining)
         nslots = 1
         if verify:
             # one check per CHECK_CHUNK_BYTES of blocks, as on the async loop
@@ -482,17 +498,15 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
-        issued = n = 0
-        while True:
-            now = time.monotonic()
-            if not want_more(issued, now):
+        took, n = None, 0
+        for offset in stream:
+            now = monotonic()
+            if now >= deadline or stopped():
                 break
-            offset = next(stream)
-            took = read_block(handle, offset, bufs[n], flags)
+            took = read(handle, offset, bufs[n], flags)
             if now >= warm_end:
                 durations.append(took)
                 last = now  # submit time of the last logged read
-            issued += 1
             if verify:
                 offsets[n] = offset
                 n += 1
@@ -503,9 +517,11 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             checksum.add(rows[:n], offsets[:n], seed)
         if durations:
             result.last_done = last + durations[-1] / 1e6
-        result.max_inflight = min(issued, 1)
+        result.max_inflight = int(took is not None)
         return
 
+    chunks = (_offset_chunks(workload, w) if offsets is None
+              else _chunked(offsets))
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
     # a harvest's rows are gathered here for verification, at most
@@ -517,24 +533,30 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         submit_us = np.zeros(depth)  # per slot: monotonic submit time, us
         slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
         full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
-        busy = bytearray(depth)  # per slot: 1 while its read is in flight
-        slots = np.arange(depth)  # to submit: all at first, then a harvest's
+        # to submit: all at first, then a harvest's, as an array and a list
+        slots, got = np.arange(depth), list(range(depth))
+        # the slots in flight, and the last harvest's until the refill
+        busy = set(got)
+        chunk, pos = next(chunks), 0  # offsets drawn, and the next one's index
         issued = inflight = warming = 0  # warming: in flight from warm-up
         while True:
-            # once want_more turns false it stays false, so slots that are
-            # not refilled are never needed again
-            now = time.monotonic()
-            n = len(slots) if remaining is None else min(len(slots), remaining - issued)
-            if n and want_more(issued, now):
+            now = monotonic()
+            n = len(got) if remaining is None else min(len(got), remaining - issued)
+            if n and (now >= deadline or stopped()):
+                n = 0
+            if n < len(got):  # slots not refilled now never will be
+                busy.difference_update(got[n:])
+            if n:
                 slots = slots[:n]
-                offsets = np.fromiter(stream, np.int64, n)
+                if pos + n > len(chunk):  # this chunk's rest, then the next
+                    chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
+                offsets = chunk[pos:pos + n]
+                pos += n
                 submit_us[slots] = now_us = now * 1e6
                 if now_us < warm_end * 1e6:
                     warming += n
                 slot_off[slots] = offsets
                 backend.submit_reads(slots, offsets)
-                for s in slots.tolist():
-                    busy[s] = 1
                 issued += n
                 inflight += n
                 result.max_inflight = max(result.max_inflight, inflight)
@@ -543,15 +565,18 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             done = _harvest(backend, min(batch, inflight), result.notes, stop)
             if done is None:  # another worker failed
                 break
-            now_us = time.monotonic() * 1e6
+            now_us = monotonic() * 1e6
             inflight -= len(done)
-            slots, res = done[:, 0], done[:, 1]
-            # in lists: a numpy call costs a few us per harvest at q1
-            for s in slots.tolist():
-                if not (0 <= s < depth and busy[s]):
-                    raise IoError(f"completion for unknown slot {s} of "
-                                  f"{depth} (no read in flight)")
-                busy[s] = 0
+            # a contiguous copy: numpy indexes by it several times faster
+            slots, res = done[:, 0].copy(), done[:, 1]
+            got = slots.tolist()
+            harvested = set(got)
+            # a slot out of range is never in flight
+            if len(harvested) < len(got) or not harvested <= busy:
+                stray = next(s for i, s in enumerate(got)
+                             if s not in busy or s in got[:i])
+                raise IoError(f"completion for unknown slot {stray} of "
+                              f"{depth} (no read in flight)")
             if res.tobytes() != full[:res.nbytes]:
                 i = np.flatnonzero(res != block)[0]
                 raise IoError(f"async read at {slot_off[slots[i]]} "
@@ -580,7 +605,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
 
 def _run_real(workload: WorkloadSpec, engine: EngineConfig):
     warm_end = time.monotonic() + workload.warmup_s
-    deadline = (None if workload.duration_s is None
+    deadline = (math.inf if workload.duration_s is None
                 else warm_end + workload.duration_s)
     results = [_RealWorkerResult(workload) for _ in range(workload.threads)]
     stop = threading.Event()  # set by the first worker to fail
@@ -708,7 +733,7 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     if workload.target.is_simulated:
         return _simulate(workload, engine, offsets)[0]
     result = _RealWorkerResult(workload)
-    _real_worker(workload, engine, 0, -np.inf, None, threading.Event(),
+    _real_worker(workload, engine, 0, -math.inf, math.inf, threading.Event(),
                  result, offsets)
     return result.durations
 

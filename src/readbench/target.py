@@ -136,12 +136,16 @@ def read_block(handle: TargetHandle, offset: int, buffer, flags: int = 0) -> int
     """Fill the buffer from the target with one positional read, passing
     ``flags`` to preadv2; returns observed latency in us, rounded to the
     nearest (halves up)."""
-    _check_bounds(handle, offset, len(buffer))
+    length = len(buffer)
+    # _check_bounds in one expression; it runs only to raise its error
+    if (handle.fd is None or not 0 <= offset <= handle.capacity - length
+            or handle.direct and (offset | length) % ALIGNMENT):
+        _check_bounds(handle, offset, length)
     t0 = time.perf_counter_ns()
     n = os.preadv(handle.fd, [buffer], offset, flags)
     t1 = time.perf_counter_ns()
-    if n != len(buffer):
-        raise IoError(f"short read at {offset}: {n} of {len(buffer)} bytes")
+    if n != length:
+        raise IoError(f"short read at {offset}: {n} of {length} bytes")
     return (t1 - t0 + 500) // 1000
 
 

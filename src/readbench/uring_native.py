@@ -99,6 +99,11 @@ class _GeteventsArg(ctypes.Structure):
                 ("pad", ctypes.c_uint32), ("ts", ctypes.c_uint64)]
 
 
+#: io_uring_enter's argsz, a size_t: no argument, or a _GeteventsArg
+_NO_ARGSZ = ctypes.c_size_t(0)
+_EXT_ARGSZ = ctypes.c_size_t(ctypes.sizeof(_GeteventsArg))
+
+
 class _Iovec(ctypes.Structure):
     _fields_ = [("iov_base", ctypes.c_void_p), ("iov_len", ctypes.c_size_t)]
 
@@ -125,6 +130,9 @@ class UringQueue:
             raise ValueError(f"{len(buffers)} buffers for {depth} slots")
         self.kernel_poll = kernel_poll
         self._buffers = buffers  # the kernel writes into them
+        # a timed wait's argument, made once
+        self._ts = _Timespec()
+        self._ext_arg = ctypes.byref(_GeteventsArg(ts=ctypes.addressof(self._ts)))
 
         params = _Params()
         if kernel_poll:
@@ -232,19 +240,17 @@ class UringQueue:
                timeout_s: float | None = None) -> int:
         """io_uring_enter, retried on EINTR; with timeout_s, a wait that
         times out returns 0."""
-        arg, argsz = None, 0
+        arg, argsz = None, _NO_ARGSZ
         if timeout_s is not None:
             sec = int(timeout_s)
-            ts = _Timespec(sec, int((timeout_s - sec) * 1e9))
-            ext = _GeteventsArg(ts=ctypes.addressof(ts))
-            arg, argsz = ctypes.byref(ext), ctypes.sizeof(ext)
+            self._ts.tv_sec, self._ts.tv_nsec = sec, int((timeout_s - sec) * 1e9)
+            arg, argsz = self._ext_arg, _EXT_ARGSZ
             flags |= _ENTER_EXT_ARG
         while True:
-            ret = _libc.syscall(_SYS_enter, ctypes.c_uint(self.ring_fd),
-                                ctypes.c_uint(to_submit),
-                                ctypes.c_uint(min_complete),
-                                ctypes.c_uint(flags), arg,
-                                ctypes.c_size_t(argsz))
+            # ints pass as C int, widened by libffi to the long syscall
+            # reads; the kernel keeps the unsigned int it takes
+            ret = _libc.syscall(_SYS_enter, self.ring_fd, to_submit,
+                                min_complete, flags, arg, argsz)
             if ret >= 0:
                 return ret
             err = ctypes.get_errno()

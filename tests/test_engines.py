@@ -123,6 +123,26 @@ class TestOffsets:
         b = [next(offset_stream(w, worker=1)) for _ in range(10)]
         assert a != b
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("pattern", ["random", "sequential"])
+    def test_async_loop_submits_the_offset_stream(self, real, trickled,
+                                                  pattern, threads):
+        # refills of 3 split one across the first _OFFSET_CHUNK boundary,
+        # since 3 does not divide it
+        assert engines._OFFSET_CHUNK % 3 and engines._OFFSET_CHUNK < 4100
+        w = workload(real, pattern=pattern, threads=threads,
+                     request_budget=4100 * threads)
+        run(w, EngineConfig(kind="aio", queue_size=3, batch_size=3))
+        want = [list(itertools.islice(offset_stream(w, k), 4100))
+                for k in range(threads)]
+        assert sorted(b.offsets for b in trickled) == sorted(want)
+
+    def test_scattered_reads_submit_the_given_offsets(self, real, trickled):
+        offsets = [12288, 0, 4096]
+        read_scattered(workload(real, request_budget=1400),
+                       EngineConfig(kind="aio", queue_size=3), offsets=offsets)
+        assert trickled[0].offsets == offsets * 1400
+
     def test_split_budget_sums(self):
         for total in (1, 7, 100, 101):
             for threads in (1, 3, 8):
@@ -276,9 +296,11 @@ class TrickleBackend:
         self.fd = fd
         self.queued = deque()
         self.submits = []  # entries per submit_reads call
+        self.offsets = []  # every offset submitted, in order
 
     def submit_reads(self, slots, offsets):
         self.submits.append(len(slots))
+        self.offsets.extend(offsets.tolist())
         self.queued.extend(zip(slots.tolist(), offsets.tolist()))
 
     def wait(self, min_nr, timeout_s=None):
@@ -290,6 +312,20 @@ class TrickleBackend:
 
     def close(self):
         pass
+
+
+@pytest.fixture
+def trickled(monkeypatch):
+    """Makes every async backend of a run a TrickleBackend on its buffers;
+    returns the list of those made, in order."""
+    made = []
+
+    def trickle(engine, handle, depth, bufs, notes):
+        made.append(TrickleBackend(bufs))
+        return made[-1]
+
+    monkeypatch.setattr(engines, "_make_async_backend", trickle)
+    return made
 
 
 def buffers(n, block=4096):
@@ -326,21 +362,14 @@ class TestFaults:
                            EngineConfig(kind="aio", queue_size=4))
         assert time.monotonic() - t0 < 5.0
 
-    def test_harvest_waits_for_a_full_batch(self, real, monkeypatch):
-        made = []
-
-        def trickle(engine, handle, depth, bufs, notes):
-            made.append(TrickleBackend(bufs))
-            return made[-1]
-
-        monkeypatch.setattr(engines, "_make_async_backend", trickle)
+    def test_harvest_waits_for_a_full_batch(self, real, trickled):
         run(workload(real, request_budget=40),
             EngineConfig(kind="aio", queue_size=8, batch_size=4))
-        assert made[0].submits == [8] + [4] * 8
+        assert trickled[0].submits == [8] + [4] * 8
         stats = read_scattered(workload(real, request_budget=5),
                                EngineConfig(kind="aio", queue_size=4))
         assert stats.count == 5
-        assert made[1].submits == [4] * 5
+        assert trickled[1].submits == [4] * 5
 
     def test_partial_harvest_names_bad_block(self, real, monkeypatch):
         # harvests of 3 from a queue of 8 gather out-of-order slots; block
@@ -418,28 +447,33 @@ class TestFaults:
         assert isinstance(ei.value.__cause__, IoError)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("repeat", ["in-one-wait", "reaped-twice"])
+    @pytest.mark.parametrize("repeat", ["in-one-wait", "reaped-twice",
+                                        "never-submitted"])
     def test_completion_for_slot_not_in_flight_named(self, real, monkeypatch,
                                                      repeat, threads):
         # unchecked, a repeated slot is logged twice; reaped twice here
         # means before the slot is refilled, since every read is submitted
-        # at once
+        # at once.  With a budget of 4 on a queue of 8, slot 5 is in range
+        # but never submitted
         class Repeating(TrickleBackend):
             def wait(self, min_nr, timeout_s):
                 rows = super().wait(min_nr, timeout_s)
                 if repeat == "in-one-wait":
                     return np.concatenate((rows, rows))
-                if not hasattr(self, "repeated"):
+                if repeat == "never-submitted":
+                    rows[:, 0] = 5
+                elif not hasattr(self, "repeated"):
                     self.repeated = True
                     self.queued.appendleft(tuple(rows[0]))
                 return rows
 
         monkeypatch.setattr(engines, "_make_async_backend",
                             lambda *args: Repeating(args[3]))
-        with pytest.raises(AbortedRun, match=r"unknown slot 0 of 4 \(no read "
-                           "in flight") as ei:
+        queue, slot = (8, 5) if repeat == "never-submitted" else (4, 0)
+        with pytest.raises(AbortedRun, match=rf"unknown slot {slot} of {queue} "
+                           r"\(no read in flight") as ei:
             run(workload(real, threads=threads, request_budget=4 * threads),
-                EngineConfig(kind="aio", queue_size=4))
+                EngineConfig(kind="aio", queue_size=queue))
         assert isinstance(ei.value.__cause__, IoError)
 
     def test_uring_wait_honours_timeout(self, real):

@@ -368,6 +368,54 @@ class TestFileTarget:
             with pytest.raises(IoError):
                 read_block(h, h.capacity, bytearray(4096))
 
+    @pytest.mark.parametrize("offset,length,direct,error,match", [
+        (-4096, 4096, False, IoError, "beyond capacity"),
+        ((1 << 20) - 2048, 4096, False, IoError, "beyond capacity"),
+        (None, 4096, False, IoError, "no open file"),
+        (0, 2048, True, AlignmentError, "aligned"),
+        (6144, 2048, True, AlignmentError, "aligned"),
+    ], ids=["negative", "straddles-end", "closed", "direct-length",
+            "direct-offset"])
+    def test_read_block_refusals_named(self, tmp_path, offset, length, direct,
+                                       error, match):
+        path = str(tmp_path / "bench.dat")
+        with prepare_target(path, size=1 << 20, seed=3) as h:
+            # the refusals come before any read, so a buffered handle
+            # stands in for a direct one
+            h.direct = direct
+            if offset is None:
+                h.close()
+                offset = 0
+            with pytest.raises(error, match=match):
+                read_block(h, offset, alloc_aligned(length))
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset=st.one_of(st.integers(-16, 144).map(lambda k: k * 512),
+                            st.integers(-8192, (1 << 16) + 8192)),
+           length=st.sampled_from([512, 2048, 4096, 8192]),
+           direct=st.booleans())
+    def test_read_block_refuses_as_check_bounds(self, tmp_path_factory,
+                                                offset, length, direct):
+        # the one-expression test in read_block refuses exactly the reads
+        # that _check_bounds refuses, with its error
+        path = str(tmp_path_factory.getbasetemp() / "bounds.dat")
+        if not os.path.exists(path):
+            prepare_target(path, size=1 << 16, seed=3).close()
+        with open_target(path, seed=3, direct=False) as h:
+            h.direct = direct
+            try:
+                target._check_bounds(h, offset, length)
+                want = None
+            except (IoError, AlignmentError) as exc:
+                want = exc
+            buf = alloc_aligned(length)
+            if want is None:
+                assert read_block(h, offset, buf) >= 0
+            else:
+                with pytest.raises(type(want)) as ei:
+                    read_block(h, offset, buf)
+                assert str(ei.value) == str(want)
+
     def test_direct_alignment(self, tmp_path):
         path = str(tmp_path / "bench.dat")
         prepare_target(path, size=1 << 20, seed=3).close()
