@@ -18,9 +18,10 @@ Real-file targets use actual threads and the native syscall backends, on a
 sync loop (sync, polled, pool) or an async loop (aio, uring).  The sync
 loop reads the offsets of :func:`offset_stream` one at a time; the async
 loop slices the same per-worker int64 chunks, and checks each harvest's
-slots against the set of slots in flight.  Scattered multi-block reads and
-sequential whole-target scans run on these same three loops, through
-:func:`duration_log`.
+slots against the set of slots in flight.  Both stamp time in integer ns
+of ``time.perf_counter_ns`` and round durations as :func:`read_block` does.
+Scattered multi-block reads and sequential whole-target scans run on these
+same three loops, through :func:`duration_log`.
 """
 
 from __future__ import annotations
@@ -183,13 +184,21 @@ def _copied(value):
     return value
 
 
-def _offset_chunks(workload: WorkloadSpec, worker: int) -> Iterator[np.ndarray]:
+def _offset_chunks(workload: WorkloadSpec, worker: int,
+                   offsets: list[int] | None = None) -> Iterator[np.ndarray]:
     """Per-worker block-aligned offsets, as int64 arrays of _OFFSET_CHUNK.
 
     Random offsets are ``(SplitMix64(worker_seed).next_u64() % nblocks) *
     block_size``, the k-th word being ``mix64(seed + k * GOLDEN)``;
     sequential ones start at the worker's share of the target and wrap.
+    ``offsets``, when given, replace them: the list tiled whole to at least
+    _OFFSET_CHUNK, that chunk repeated, so the list recurs in order.
     """
+    if offsets is not None:
+        chunk = np.tile(np.array(offsets, dtype=np.int64),
+                        -(-_OFFSET_CHUNK // len(offsets)))
+        while True:
+            yield chunk
     block = workload.block_size
     nblocks = workload.target.capacity // block
     if workload.pattern == "random":
@@ -205,17 +214,11 @@ def _offset_chunks(workload: WorkloadSpec, worker: int) -> Iterator[np.ndarray]:
             first = (first + _OFFSET_CHUNK) % nblocks
 
 
-def offset_stream(workload: WorkloadSpec, worker: int) -> Iterator[int]:
+def offset_stream(workload: WorkloadSpec, worker: int,
+                  offsets: list[int] | None = None) -> Iterator[int]:
     """The offsets of :func:`_offset_chunks`, one int at a time."""
     return itertools.chain.from_iterable(
-        chunk.tolist() for chunk in _offset_chunks(workload, worker))
-
-
-def _chunked(offsets: Iterator[int]) -> Iterator[np.ndarray]:
-    """An offset iterator as int64 arrays of up to _OFFSET_CHUNK."""
-    while len(chunk := np.fromiter(itertools.islice(offsets, _OFFSET_CHUNK),
-                                   np.int64)):
-        yield chunk
+        chunk.tolist() for chunk in _offset_chunks(workload, worker, offsets))
 
 
 def split_budget(total: int, threads: int, worker: int) -> int:
@@ -238,9 +241,9 @@ class _Checksum:
         self.undigested = array("q")
         self.scratch = fill.new_scratch()
 
-    def add(self, rows: np.ndarray, offsets, seed: int) -> None:
+    def add(self, rows: np.ndarray, offsets) -> None:
         """Verify one batch of read blocks, then keep their offsets."""
-        fill.check_blocks(rows, offsets, seed, self.scratch)
+        fill.check_blocks(rows, offsets, self.seed, self.scratch)
         self.keep(offsets.tolist())
 
     def keep(self, offsets: list[int]) -> None:
@@ -273,7 +276,7 @@ class _SimWorker:
 
 
 def _simulate(workload: WorkloadSpec, engine: EngineConfig,
-              offsets: Iterator[int] | None = None):
+              offsets: list[int] | None = None):
     """Run the workload in virtual time; returns (duration log, bytes,
     elapsed_s, checksum hex, notes, extra).  ``offsets``, when given,
     replaces the offset stream of a single-worker run."""
@@ -291,8 +294,8 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
     for w in range(workload.threads):
         remaining = (split_budget(workload.request_budget, workload.threads, w)
                      if budget_mode else None)
-        stream = offset_stream(workload, w) if offsets is None else offsets
-        workers.append(_SimWorker(w, stream, remaining))
+        workers.append(_SimWorker(w, offset_stream(workload, w, offsets),
+                                  remaining))
 
     # simulated reads return no data: digest the submitted offsets
     checksum = _Checksum(workload) if workload.verify else None
@@ -439,18 +442,18 @@ def _harvest(backend, min_nr: int, notes: list[str],
     stop is set and a wait came back empty; IoError once none arrived for
     STALL_LIMIT_S."""
     done = _NO_ROWS
-    start = time.monotonic()
+    start = time.perf_counter_ns()
     while len(done) < min_nr:
         rows = backend.wait(min_nr - len(done), HARVEST_TIMEOUT_S)
         if len(rows):
             done = np.concatenate((done, rows)) if len(done) else rows
-            start = time.monotonic()
+            start = time.perf_counter_ns()
             continue
         if stop.is_set():
             return None
         if "harvest stalled beyond timeout" not in notes:
             notes.append("harvest stalled beyond timeout")
-        waited = time.monotonic() - start
+        waited = (time.perf_counter_ns() - start) / 1e9
         if waited >= STALL_LIMIT_S:
             raise IoError(f"harvest stalled: no completion in {waited:.1f} s")
     return done
@@ -462,8 +465,8 @@ class _RealWorkerResult:
 
     def __init__(self, workload: WorkloadSpec):
         self.durations = array("q")  # us, one per logged read
-        self.last_done = 0.0  # monotonic time of the last logged completion
-        self.checksum = _Checksum(workload)
+        self.last_done = 0  # ns time of the last logged completion
+        self.checksum = _Checksum(workload) if workload.verify else None
         self.error: BaseException | None = None
         self.notes: list[str] = []
         self.max_inflight = 0
@@ -472,56 +475,54 @@ class _RealWorkerResult:
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                  warm_end: float, deadline: float,
                  stop: threading.Event, result: _RealWorkerResult,
-                 offsets: Iterator[int] | None = None) -> None:
+                 offsets: list[int] | None = None) -> None:
     """Log each read submitted at or after warm_end, and submit none at or
-    after deadline (monotonic s; infinite in request-budget mode)."""
+    after deadline (perf_counter_ns; infinite in request-budget mode).
+    Verify each block only if the result has a checksum."""
     handle = workload.target
     block = workload.block_size
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
-    seed = handle.fill_seed
-    verify = workload.verify
     durations, checksum = result.durations, result.checksum
     # looked up once per run, so that patches and tracers in place apply
-    monotonic, stopped, read = time.monotonic, stop.is_set, read_block
+    clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
 
     if engine.kind not in ASYNC_KINDS:
-        stream = offset_stream(workload, w) if offsets is None else offsets
+        stream = offset_stream(workload, w, offsets)
         if remaining is not None:
             stream = itertools.islice(stream, remaining)
         nslots = 1
-        if verify:
+        if checksum is not None:
             # one check per CHECK_CHUNK_BYTES of blocks, as on the async loop
             nslots = max(1, fill.CHECK_CHUNK_BYTES // block)
         bufs, rows = _arena(nslots, block)
-        offsets = array("q", bytes(8 * nslots))
+        read_off = array("q", bytes(8 * nslots))
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
         took, n = None, 0
         for offset in stream:
-            now = monotonic()
+            now = clock()
             if now >= deadline or stopped():
                 break
             took = read(handle, offset, bufs[n], flags)
             if now >= warm_end:
                 durations.append(took)
                 last = now  # submit time of the last logged read
-            if verify:
-                offsets[n] = offset
+            if checksum is not None:
+                read_off[n] = offset
                 n += 1
                 if n == nslots:
-                    checksum.add(rows, offsets, seed)
+                    checksum.add(rows, read_off)
                     n = 0
         if n:
-            checksum.add(rows[:n], offsets[:n], seed)
+            checksum.add(rows[:n], read_off[:n])
         if durations:
-            result.last_done = last + durations[-1] / 1e6
+            result.last_done = last + durations[-1] * 1000
         result.max_inflight = int(took is not None)
         return
 
-    chunks = (_offset_chunks(workload, w) if offsets is None
-              else _chunked(offsets))
+    chunks = _offset_chunks(workload, w, offsets)
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
     # a harvest's rows are gathered here for verification, at most
@@ -530,7 +531,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
-        submit_us = np.zeros(depth)  # per slot: monotonic submit time, us
+        submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
         slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
         full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
         # to submit: all at first, then a harvest's, as an array and a list
@@ -540,7 +541,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         chunk, pos = next(chunks), 0  # offsets drawn, and the next one's index
         issued = inflight = warming = 0  # warming: in flight from warm-up
         while True:
-            now = monotonic()
+            now = clock()
             n = len(got) if remaining is None else min(len(got), remaining - issued)
             if n and (now >= deadline or stopped()):
                 n = 0
@@ -552,8 +553,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                     chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
                 offsets = chunk[pos:pos + n]
                 pos += n
-                submit_us[slots] = now_us = now * 1e6
-                if now_us < warm_end * 1e6:
+                submit_ns[slots] = now
+                if now < warm_end:
                     warming += n
                 slot_off[slots] = offsets
                 backend.submit_reads(slots, offsets)
@@ -565,7 +566,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             done = _harvest(backend, min(batch, inflight), result.notes, stop)
             if done is None:  # another worker failed
                 break
-            now_us = monotonic() * 1e6
+            now = clock()
             inflight -= len(done)
             # a contiguous copy: numpy indexes by it several times faster
             slots, res = done[:, 0].copy(), done[:, 1]
@@ -581,32 +582,31 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 i = np.flatnonzero(res != block)[0]
                 raise IoError(f"async read at {slot_off[slots[i]]} "
                               f"returned {res[i]}")
-            started = submit_us[slots]
+            started = submit_ns[slots]
             if warming:  # log only the reads submitted from warm_end on
-                late = started >= warm_end * 1e6
+                late = started >= warm_end
                 warming -= len(late) - np.count_nonzero(late)
                 started = started[late]
-            # to the nearest us, halves up: durations are never negative
-            durations.frombytes((now_us + 0.5 - started).astype(np.int64)
-                                .tobytes())
+            # to the nearest us, halves up, as target.read_block rounds
+            durations.frombytes(((now + 500 - started) // 1000).tobytes())
             if len(started):
-                result.last_done = now_us / 1e6
-            if verify:
+                result.last_done = now
+            if checksum is not None:
                 # before the slots are refilled
                 offsets = slot_off[slots]
                 for i in range(0, len(slots), per):
                     group = slots[i:i + per]
                     checksum.add(np.take(rows, group, axis=0, mode="clip",
                                          out=picked[:len(group)]),
-                                 offsets[i:i + per], seed)
+                                 offsets[i:i + per])
     finally:
         backend.close()
 
 
 def _run_real(workload: WorkloadSpec, engine: EngineConfig):
-    warm_end = time.monotonic() + workload.warmup_s
+    warm_end = time.perf_counter_ns() + round(workload.warmup_s * 1e9)
     deadline = (math.inf if workload.duration_s is None
-                else warm_end + workload.duration_s)
+                else warm_end + round(workload.duration_s * 1e9))
     results = [_RealWorkerResult(workload) for _ in range(workload.threads)]
     stop = threading.Event()  # set by the first worker to fail
 
@@ -642,7 +642,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
     for r in results[1:]:
         log.extend(r.durations)
         r.durations = None
-    elapsed = max(max(r.last_done for r in results) - warm_end, 1e-9)
+    elapsed = max(max(r.last_done for r in results) - warm_end, 1) / 1e9
 
     # workers' digests merge by adding lanes, mod 2^64
     checksum = (fill.hexdigest(sum(r.checksum.digest() for r in results))
@@ -675,10 +675,10 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
         cpu = CpuUsage.of(0.0, elapsed_s)
     else:
         cpu_before = snapshot_cpu()
-        wall0 = time.monotonic()
+        wall0 = time.perf_counter_ns()
         log, nbytes, elapsed_s, checksum, notes, extra = _run_real(
             workload, engine)
-        wall = max(time.monotonic() - wall0, 1e-9)
+        wall = max(time.perf_counter_ns() - wall0, 1) / 1e9
         cpu = measure_cpu(cpu_before, snapshot_cpu(), wall)
 
     # the run owns its log: sorted where it lies, aggregation copies nothing
@@ -726,10 +726,10 @@ def run_ring(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
 
 
 def duration_log(workload: WorkloadSpec, engine: EngineConfig,
-                 offsets: Iterator[int] | None = None) -> array:
+                 offsets: list[int] | None = None) -> array:
     """Per-request latencies (us), in harvest order, of a single-worker
-    request-budget run without warm-up; ``offsets``, when given, replaces
-    the offset stream."""
+    request-budget run without warm-up; ``offsets``, when given, replace
+    the offset stream, repeated in order."""
     if workload.target.is_simulated:
         return _simulate(workload, engine, offsets)[0]
     result = _RealWorkerResult(workload)
@@ -757,8 +757,7 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
     reps = workload.request_budget
     log = duration_log(
         replace(workload, threads=1, warmup_s=0.0, request_budget=reps * n),
-        replace(engine, queue_size=n, batch_size=n),
-        None if offsets is None else itertools.cycle(offsets))
+        replace(engine, queue_size=n, batch_size=n), offsets)
     return aggregate_latencies(np.asarray(log).reshape(reps, n).max(axis=1))
 
 

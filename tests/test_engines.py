@@ -143,6 +143,16 @@ class TestOffsets:
                        EngineConfig(kind="aio", queue_size=3), offsets=offsets)
         assert trickled[0].offsets == offsets * 1400
 
+    def test_offsets_shorter_than_the_queue_recur_in_order(self, real,
+                                                           trickled):
+        # refills of 8 from a list of 3, across the first chunk's end
+        offsets = [0, 4096, 8192]
+        engines.duration_log(workload(real, request_budget=4100),
+                             EngineConfig(kind="aio", queue_size=8,
+                                          batch_size=2), offsets=offsets)
+        assert trickled[0].offsets == list(
+            itertools.islice(itertools.cycle(offsets), 4100))
+
     def test_split_budget_sums(self):
         for total in (1, 7, 100, 101):
             for threads in (1, 3, 8):
@@ -870,6 +880,21 @@ class TestRealFile:
             sim = run(workload(h, **spec), EngineConfig(kind="pool"))
         assert sim.data_checksum == real.data_checksum != ""
 
+    @pytest.mark.parametrize("engine,threads", [
+        (EngineConfig(kind="sync"), 1), (EngineConfig(kind="pool"), 2),
+        (EngineConfig(kind="aio", queue_size=8, batch_size=2,
+                      allow_fallback=True), 1)],
+        ids=["sync", "pool-T2", "aio-q8b2"])
+    def test_unverified_run_builds_no_checksum(self, real, monkeypatch,
+                                               engine, threads):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unverified run built a checksum")
+
+        monkeypatch.setattr(engines, "_Checksum", refuse)
+        rec = run(workload(real, threads=threads), engine)
+        assert rec.latency.count == 200
+        assert rec.data_checksum == ""
+
     @pytest.mark.parametrize("offsets", [None, [0, 8192, 4096]])
     @pytest.mark.parametrize("kind", ["aio", "uring"])
     def test_scattered_reads(self, tmp_path, kind, offsets):
@@ -931,18 +956,25 @@ def test_split_budget_property(total, threads):
 
 
 class FakeClock:
-    """Stands in for ``engines.time``: the monotonic clock moves only when
+    """Stands in for ``engines.time``: the clock, t seconds, moves only when
     a stub read or a stub harvest takes time."""
 
     def __init__(self, steps, t=100.0):
         self.t = t
         self.steps = itertools.cycle(steps)
 
-    def monotonic(self):
-        return self.t
+    def perf_counter_ns(self):
+        return round(self.t * 1e9)
 
     def tick(self):
         self.t += next(self.steps)
+        return self.t
+
+
+class NsClock(FakeClock):
+    """A FakeClock whose t counts whole ns."""
+
+    def perf_counter_ns(self):
         return self.t
 
 
@@ -1051,6 +1083,28 @@ class TestRealWindow:
                                                 batch_size=2))
         assert list(log) == [round((c - s) * 1e6) for s, c in backend.reads]
         assert list(log[:2]) == [2, 2]
+
+        # one integer clock for both loops: reads and harvests of 1499,
+        # 1500 and 2500 ns log 1, 2 and 3 us on either
+        clock = NsClock((1499, 1500, 2500), 0)
+        monkeypatch.setattr(target, "time", clock)
+        monkeypatch.setattr(engines, "time", clock)
+
+        def preadv(fd, buffers, offset, flags=0):
+            clock.tick()
+            return len(buffers[0])
+
+        monkeypatch.setattr(target, "os", SimpleNamespace(preadv=preadv))
+        log = engines.duration_log(workload(real, request_budget=3),
+                                   EngineConfig())
+        assert list(log) == [1, 2, 3]
+        backend = ClockedBackend(clock, False)
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: backend)
+        log = engines.duration_log(workload(real, request_budget=6),
+                                   EngineConfig(kind="aio", queue_size=2,
+                                                batch_size=2))
+        assert list(log) == [1, 1, 2, 2, 3, 3]
 
 
 @pytest.fixture(scope="module")
