@@ -20,6 +20,8 @@ loop reads the offsets of :func:`offset_stream` one at a time; the async
 loop slices the same per-worker int64 chunks, and checks each harvest's
 slots against the set of slots in flight.  Both stamp time in integer ns
 of ``time.perf_counter_ns`` and round durations as :func:`read_block` does.
+Verified one-page reads check against page hashes drawn with their offsets;
+a harvest of every slot is checked where it lies.
 Scattered multi-block reads and sequential whole-target scans run on these
 same three loops, through :func:`duration_log`.
 """
@@ -45,7 +47,7 @@ from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
                           snapshot_cpu)
-from .rng import u64_chunks, worker_seed
+from .rng import mix64_array, u64_chunks, worker_seed
 from .target import TargetHandle, alloc_aligned, polled_flags, read_block
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
@@ -240,10 +242,27 @@ class _Checksum:
         self.lanes = np.zeros(fill.LANES, dtype=np.uint64)
         self.undigested = array("q")
         self.scratch = fill.new_scratch()
+        self.hashes = None  # page hashes drawn, not yet taken (see hashed)
 
-    def add(self, rows: np.ndarray, offsets) -> None:
+    def hashed(self, chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        """Yield the offset chunks, keeping the page hash ``mix64(seed ^
+        offset)`` of each offset for :meth:`take`, in stream order."""
+        self.hashes = np.empty(0, dtype=np.uint64)
+        for chunk in chunks:
+            x = mix64_array(chunk.view(np.uint64) ^ np.uint64(self.seed))
+            self.hashes = np.concatenate((self.hashes, x))
+            yield chunk
+
+    def take(self, n: int) -> np.ndarray | None:
+        """The page hashes of the next n offsets drawn; None if not hashed."""
+        if self.hashes is None:
+            return None
+        taken, self.hashes = self.hashes[:n], self.hashes[n:]
+        return taken
+
+    def add(self, rows: np.ndarray, offsets, hashes=None) -> None:
         """Verify one batch of read blocks, then keep their offsets."""
-        fill.check_blocks(rows, offsets, self.seed, self.scratch)
+        fill.check_blocks(rows, offsets, self.seed, self.scratch, hashes)
         self.keep(offsets.tolist())
 
     def keep(self, offsets: list[int]) -> None:
@@ -486,15 +505,19 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     durations, checksum = result.durations, result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
+    chunks = _offset_chunks(workload, w, offsets)
+    # blocks per check; one-page blocks check against hashes drawn with them
+    per = max(1, fill.CHECK_CHUNK_BYTES // block)
+    hashing = (checksum is not None and block == fill.PAGE
+               and (offsets is None or not any(o % block for o in offsets)))
+    if hashing:
+        chunks = checksum.hashed(chunks)
 
     if engine.kind not in ASYNC_KINDS:
-        stream = offset_stream(workload, w, offsets)
+        stream = itertools.chain.from_iterable(c.tolist() for c in chunks)
         if remaining is not None:
             stream = itertools.islice(stream, remaining)
-        nslots = 1
-        if checksum is not None:
-            # one check per CHECK_CHUNK_BYTES of blocks, as on the async loop
-            nslots = max(1, fill.CHECK_CHUNK_BYTES // block)
+        nslots = 1 if checksum is None else per
         bufs, rows = _arena(nslots, block)
         read_off = array("q", bytes(8 * nslots))
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
@@ -512,27 +535,27 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
             if checksum is not None:
                 read_off[n] = offset
                 n += 1
-                if n == nslots:
-                    checksum.add(rows, read_off)
+                if n == nslots:  # one contiguous run of the stream
+                    checksum.add(rows, read_off, checksum.take(n))
                     n = 0
         if n:
-            checksum.add(rows[:n], read_off[:n])
+            checksum.add(rows[:n], read_off[:n], checksum.take(n))
         if durations:
             result.last_done = last + durations[-1] * 1000
         result.max_inflight = int(took is not None)
         return
 
-    chunks = _offset_chunks(workload, w, offsets)
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
-    # a harvest's rows are gathered here for verification, at most
-    # CHECK_CHUNK_BYTES (or one block) at a time
-    per = max(1, fill.CHECK_CHUNK_BYTES // block)
+    # a partial harvest's rows are gathered here for verification
     picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
         submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
         slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
+        slot_hash = np.zeros(depth, dtype=np.uint64)  # and its page hash
+        # reap time + 500 and ns per us: 0-d, so numpy takes its fast path
+        reaped, us = np.zeros((), dtype=np.int64), np.array(1000, np.int64)
         full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
         # to submit: all at first, then a harvest's, as an array and a list
         slots, got = np.arange(depth), list(range(depth))
@@ -557,6 +580,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 if now < warm_end:
                     warming += n
                 slot_off[slots] = offsets
+                if hashing:
+                    slot_hash[slots] = checksum.take(n)
                 backend.submit_reads(slots, offsets)
                 issued += n
                 inflight += n
@@ -588,17 +613,20 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                 warming -= len(late) - np.count_nonzero(late)
                 started = started[late]
             # to the nearest us, halves up, as target.read_block rounds
-            durations.frombytes(((now + 500 - started) // 1000).tobytes())
+            reaped[()] = now + 500
+            durations.frombytes(((reaped - started) // us).tobytes())
             if len(started):
                 result.last_done = now
             if checksum is not None:
-                # before the slots are refilled
-                offsets = slot_off[slots]
+                # before the refill; a harvest of every slot where it lies
+                whole = len(got) == depth
                 for i in range(0, len(slots), per):
-                    group = slots[i:i + per]
-                    checksum.add(np.take(rows, group, axis=0, mode="clip",
+                    group = slice(i, i + per) if whole else slots[i:i + per]
+                    checksum.add(rows[group] if whole else
+                                 np.take(rows, group, axis=0, mode="clip",
                                          out=picked[:len(group)]),
-                                 offsets[i:i + per])
+                                 slot_off[group],
+                                 slot_hash[group] if hashing else None)
     finally:
         backend.close()
 

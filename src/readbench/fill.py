@@ -3,9 +3,10 @@
 The 64-bit word at byte offset ``o`` (a multiple of 8) is ``mix64(seed XOR
 (o & ~4095)) + ((o & 4095) >> 3) * GOLDEN`` mod 2^64, little-endian: one
 hash per 4 KiB page plus a ramp.  Content at any offset is recomputable from
-(seed, offset) alone, and a page checks in three numpy passes.  A file of
-earlier versions (``mix64(seed XOR o)`` in every word) fails the check with
-a VerifyError that says to prepare it again.
+(seed, offset) alone, and a page checks in three numpy passes against its
+hash, which a caller may draw with the offset.  A file of earlier versions
+(``mix64(seed XOR o)`` in every word) fails the check with a VerifyError
+that says to prepare it again.
 
 Checks write into a caller-owned scratch (:func:`new_scratch`), so a batch
 allocates no block-sized temporaries.  A block that passes
@@ -53,12 +54,7 @@ def new_scratch() -> np.ndarray:
 
 def _bases(first: np.ndarray, npages: int, seed: int) -> np.ndarray:
     """(k, npages, 1): the hashes of npages pages from each page offset of
-    ``first`` ((k, 1) uint64); up to 4 in Python, cheaper than numpy calls."""
-    k = len(first)
-    if k * npages <= 4:
-        return np.array([mix64(seed ^ (o + p * PAGE))
-                         for o in first[:, 0].tolist() for p in range(npages)],
-                        np.uint64).reshape(k, npages, 1)
+    ``first`` ((k, 1) uint64)."""
     x = first + np.arange(0, npages * PAGE, PAGE, dtype=np.uint64)
     x ^= _U(seed)
     mix64_into(x, np.empty_like(x))
@@ -110,18 +106,28 @@ def pattern_bytes(seed: int, offset: int, nbytes: int) -> bytes:
     return pattern_rows(seed, (offset,), nbytes)[0].tobytes()
 
 
-def check_blocks(rows, offsets, seed: int,
-                 scratch: np.ndarray | None = None) -> None:
+def check_blocks(rows, offsets, seed: int, scratch: np.ndarray | None = None,
+                 hashes: np.ndarray | None = None) -> None:
     """Verify a batch of blocks, at most CHECK_CHUNK_BYTES per numpy pass.
 
     ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
     ``offsets`` the n target byte offsets they were read from, ``scratch``
-    one from :func:`new_scratch` (a fresh one when omitted).  Raises
-    VerifyError naming the first bad word's byte offset, in row order, and
-    whether it holds the pattern of earlier versions.
+    one from :func:`new_scratch` (a fresh one when omitted), ``hashes``
+    (uint64, for page-aligned offsets) ``mix64(seed ^ offset)`` per row, with
+    which one-page rows that fit the scratch take the data passes alone.
+    Raises VerifyError naming the first bad word's byte offset, in row order,
+    and whether it holds the old pattern; ValueError if only hashes differ.
     """
     if scratch is None:
         scratch = new_scratch()
+    fast = (hashes is not None and rows.shape[1] == _PAGE_WORDS
+            and rows.size <= len(scratch))
+    if fast:
+        x = scratch[:rows.size].reshape(rows.shape)
+        np.subtract(rows, _RAMP, out=x)
+        if (x.max(axis=1).tobytes() == hashes.tobytes()
+                == x.min(axis=1).tobytes()):
+            return
     offs = np.asarray(offsets, dtype=np.uint64)[:, None]
     pages = not (rows.shape[1] % _PAGE_WORDS
                  or int(np.bitwise_or.reduce(offs, axis=None)) % PAGE)
@@ -146,6 +152,8 @@ def check_blocks(rows, offsets, seed: int,
             raise VerifyError(offset, f"data at byte offset {offset} has the "
                               "old fill pattern; prepare the file again")
         raise VerifyError(offset)
+    if fast:  # the data are right, so the hashes were not theirs
+        raise ValueError("page hashes do not match the offsets")
 
 
 @functools.lru_cache(maxsize=64)

@@ -118,7 +118,7 @@ class UringQueue:
 
     #: numpy and ctypes views over the ring mappings, dropped by close()
     _VIEWS = ("_sq_tail", "_sq_flags", "_sq_array", "_cq_head", "_cq_tail",
-              "_cq_rows", "_sqe_off")
+              "_cq_overflow", "_cq_rows", "_sqe_off")
 
     def __init__(self, fd: int, depth: int, buffers: list[memoryview],
                  fixed_files: bool = False, fixed_buffers: bool = False,
@@ -205,6 +205,7 @@ class UringQueue:
                                        count=p.sq_entries, offset=p.sq_off.array)
         self._cq_head = u32(rings, p.cq_off.head)
         self._cq_tail = u32(rings, p.cq_off.tail)
+        self._cq_overflow = u32(rings, p.cq_off.overflow)
         self._cq_mask = u32(rings, p.cq_off.ring_mask).value
         # (slot, res) of each CQE: user_data holds a slot, so its low word
         # is the slot
@@ -274,10 +275,13 @@ class UringQueue:
     def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
         """Every completion posted, waiting once for min_nr of them; fewer
         if timeout_s runs out first.  Returns a (k, 2) int64 array of
-        (slot, res) rows."""
+        (slot, res) rows; IoError once the kernel has dropped one."""
         if (self._cq_tail.value - self._cq_head.value) & _U32 < min_nr:
             # min_complete counts every CQE not yet reaped, these included
             self._enter(0, min_nr, _ENTER_GETEVENTS, timeout_s)
+        if self._cq_overflow.value:  # those reads would never be reaped
+            raise IoError(f"completion ring overflowed: "
+                          f"{self._cq_overflow.value} completion(s) lost")
         return self._reap()
 
     def close(self) -> None:

@@ -413,6 +413,29 @@ class TestFaults:
                 EngineConfig(kind="aio", queue_size=8, batch_size=3))
         assert ei.value.offset == 16 * 4096
 
+    def test_full_harvest_checked_by_slot(self, real, monkeypatch):
+        # each wait returns every slot, shuffled, and the read of block 16
+        # gets block 17 in its slot: a harvest of every slot is checked
+        # where it lies, so rows, offsets and page hashes must pair by slot
+        class Shuffling(TrickleBackend):
+            def wait(self, min_nr, timeout_s=None):
+                done = []
+                while self.queued:
+                    slot, offset = self.queued.popleft()
+                    misread = 4096 if offset == 16 * 4096 else 0
+                    os.preadv(self.fd, [self.buffers[slot]], offset + misread)
+                    done.append((slot, 4096))
+                order = np.random.default_rng(len(self.submits))
+                return np.array(done)[order.permutation(len(done))]
+
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: Shuffling(args[3], real.fd))
+        with pytest.raises(VerifyError) as ei:
+            run(workload(real, pattern="sequential", request_budget=40,
+                         verify=True),
+                EngineConfig(kind="aio", queue_size=8, batch_size=8))
+        assert ei.value.offset == 16 * 4096
+
     def test_misread_past_a_digest_chunk_named(self, real, monkeypatch):
         # by read 4500 the first _OFFSET_CHUNK verified offsets are digested
         assert engines._OFFSET_CHUNK < 4500
@@ -485,6 +508,39 @@ class TestFaults:
             run(workload(real, threads=threads, request_budget=4 * threads),
                 EngineConfig(kind="aio", queue_size=queue))
         assert isinstance(ei.value.__cause__, IoError)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_completion_ring_overflow_named(self, real, monkeypatch,
+                                            threads):
+        # the first ring loses the completions of its first wait and counts
+        # them as the kernel counts those it drops from a full completion
+        # ring: the run ends naming their number, at once, where it would
+        # otherwise wait for them until STALL_LIMIT_S
+        _native_or_skip("uring")
+        wait, rings, lost = uring_native.UringQueue.wait, [], []
+
+        def lossy(self, min_nr, timeout_s):
+            rows = wait(self, min_nr, timeout_s)
+            if not rings:
+                rings.append(self)
+            if self is rings[0] and not lost:
+                lost.append(len(rows))
+                self._cq_overflow.value = len(rows)
+                return rows[:0]
+            return rows
+
+        monkeypatch.setattr(uring_native.UringQueue, "wait", lossy)
+        monkeypatch.setattr(engines, "HARVEST_TIMEOUT_S", 0.05)
+        monkeypatch.setattr(engines, "STALL_LIMIT_S", 5.0)
+        w = workload(real, request_budget=None, duration_s=30.0,
+                     threads=threads)
+        t0 = time.monotonic()
+        with pytest.raises(AbortedRun, match="^1 worker") as ei:
+            run(w, EngineConfig(kind="uring", queue_size=8, batch_size=2))
+        assert time.monotonic() - t0 < 2.0
+        assert isinstance(ei.value.__cause__, IoError)
+        assert str(ei.value.__cause__) == (
+            f"completion ring overflowed: {lost[0]} completion(s) lost")
 
     def test_uring_wait_honours_timeout(self, real):
         _native_or_skip("uring")
@@ -846,7 +902,7 @@ class TestRealFile:
                 sums.add(rec.data_checksum)
         assert len(sums) == 1
 
-    @pytest.mark.parametrize("block", [4096, 262144])
+    @pytest.mark.parametrize("block", [4096, 8192, 65536, 262144])
     @pytest.mark.parametrize("engine,threads", [
         (EngineConfig(kind="uring", queue_size=8, batch_size=2,
                       allow_fallback=True), 1),
@@ -918,6 +974,44 @@ class TestRealFile:
                 run_sync(WorkloadSpec(target=h, pattern="sequential",
                                       block_size=65536, request_budget=16,
                                       seed=1, verify=True))
+
+
+@pytest.mark.parametrize("kind,threads", [("sync", 1), ("pool", 2)])
+def test_flip_past_an_offset_chunk_named(tmp_path, kind, threads):
+    # a worker checks 32 reads at a time against one slice of the page
+    # hashes drawn with its offsets.  Read k of worker 0 is block k, so the
+    # batch after the first chunk's end checks against the next chunk's
+    # hashes and the batch after that holds the flipped block; worker 1
+    # reads blocks 4224 to 8423 and never the flipped one
+    bad, budget = engines._OFFSET_CHUNK + 40, 4200
+    assert bad < budget < 4224
+    path = str(tmp_path / "big.dat")
+    prepare_target(path, size=8448 * 4096, seed=5).close()
+    with open(path, "r+b") as f:
+        f.seek(bad * 4096 + 77)
+        byte = f.read(1)[0] ^ 0x10
+        f.seek(bad * 4096 + 77)
+        f.write(bytes([byte]))
+    with open_target(path, seed=5, direct=False) as h:
+        with pytest.raises(VerifyError) as ei:
+            run(WorkloadSpec(target=h, pattern="sequential", block_size=4096,
+                             request_budget=budget * threads, threads=threads,
+                             seed=1, verify=True), EngineConfig(kind=kind))
+    assert ei.value.offset == bad * 4096 + 72
+
+
+@pytest.mark.parametrize("engine", [
+    EngineConfig(kind="sync"),
+    EngineConfig(kind="aio", queue_size=8, batch_size=2, allow_fallback=True)],
+    ids=["sync", "aio-q8b2"])
+def test_verified_batches_cross_offset_chunks(real, engine):
+    # 3 offsets tile a chunk of 4098, so batches and refills cross its end
+    # and take their page hashes from two chunks; hashes paired with other
+    # offsets are refused
+    log = engines.duration_log(workload(real, request_budget=4200,
+                                        verify=True),
+                               engine, offsets=[0, 8192, 4096])
+    assert len(log) == 4200
 
 
 @pytest.mark.parametrize("kind", ["sync", "pool", "aio", "uring"])

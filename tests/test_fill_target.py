@@ -253,6 +253,50 @@ def test_page_corruption_named(seed, block, byte_index, bit):
     assert mismatch(buf, offset, seed) == offset + byte_index // 8 * 8
 
 
+def page_hashes(seed, offsets):
+    """mix64(seed ^ o) of each page-aligned offset o, as uint64."""
+    return np.array([mix64_oracle(seed ^ o) for o in offsets], np.uint64)
+
+
+@given(st.integers(min_value=0, max_value=MASK64),
+       st.integers(min_value=0, max_value=2**40),
+       st.integers(min_value=0, max_value=4095),
+       st.integers(min_value=0, max_value=7))
+@settings(max_examples=100, deadline=None)
+def test_page_hashes_name_the_first_bad_word(seed, block, byte_index, bit):
+    # with page hashes a batch of whole pages takes the data passes alone,
+    # and a failure is still named by its first bad word
+    offsets = [(block + 9) * 4096, block * 4096]
+    rows = pattern_rows(seed, offsets, 4096)
+    check_blocks(rows, offsets, seed, hashes=page_hashes(seed, offsets))
+    rows.view(np.uint8)[1, byte_index] ^= 1 << bit
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(rows, offsets, seed, hashes=page_hashes(seed, offsets))
+    assert ei.value.offset == offsets[1] + byte_index // 8 * 8
+
+
+def test_page_hashes_refused_or_left_unused():
+    seed = 9
+    offsets = [4096 * k for k in range(CHECK_CHUNK_BYTES // 4096 + 8)]
+    rows = pattern_rows(seed, offsets, 4096)
+    hashes = page_hashes(seed, offsets)
+    fits = CHECK_CHUNK_BYTES // 4096
+    check_blocks(rows[:fits], offsets[:fits], seed, hashes=hashes[:fits])
+    # right data with the hashes of other offsets is a caller's fault
+    with pytest.raises(ValueError, match="page hashes do not match"):
+        check_blocks(rows[:fits], offsets[:fits], seed,
+                     hashes=hashes[1:fits + 1])
+    # a batch larger than the scratch and sub-page rows take the general
+    # path, which does not read the hashes
+    check_blocks(rows, offsets, seed, hashes=hashes[::-1].copy())
+    check_blocks(rows[:2, :256], offsets[:2], seed, hashes=hashes[5:7])
+    # the old pattern is still named from its first bad word
+    old = np.frombuffer(old_pattern(seed, 4096), dtype="<u8")[None]
+    with pytest.raises(VerifyError, match="old fill pattern") as ei:
+        check_blocks(old, [0], seed, hashes=page_hashes(seed, [0]))
+    assert ei.value.offset == 8
+
+
 # ---------------------------------------------------------------------------
 # offset digest
 # ---------------------------------------------------------------------------
