@@ -20,8 +20,8 @@ loop reads the offsets of :func:`offset_stream` one at a time; the async
 loop slices the same per-worker int64 chunks, and checks each harvest's
 slots against the set of slots in flight.  Both stamp time in integer ns
 of ``time.perf_counter_ns`` and round durations as :func:`read_block` does.
-Verified one-page reads check against page hashes drawn with their offsets;
-a harvest of every slot is checked where it lies.
+Verified reads of up to 128 KiB blocks check against page hashes drawn
+with their offsets; a harvest of every slot is checked where it lies.
 Scattered multi-block reads and sequential whole-target scans run on these
 same three loops, through :func:`duration_log`.
 """
@@ -47,7 +47,7 @@ from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
                           snapshot_cpu)
-from .rng import mix64_array, u64_chunks, worker_seed
+from .rng import u64_chunks, worker_seed
 from .target import TargetHandle, alloc_aligned, polled_flags, read_block
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
@@ -245,16 +245,16 @@ class _Checksum:
         self.hashes = None  # page hashes drawn, not yet taken (see hashed)
 
     def hashed(self, chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        """Yield the offset chunks, keeping the page hash ``mix64(seed ^
-        offset)`` of each offset for :meth:`take`, in stream order."""
-        self.hashes = np.empty(0, dtype=np.uint64)
+        """Yield the offset chunks, keeping the :func:`fill.page_hashes` of
+        each block, one row per offset, for :meth:`take`, in stream order."""
+        self.hashes = np.empty((0, self.nbytes // fill.PAGE), np.uint64)
         for chunk in chunks:
-            x = mix64_array(chunk.view(np.uint64) ^ np.uint64(self.seed))
-            self.hashes = np.concatenate((self.hashes, x))
+            x = fill.page_hashes(chunk, self.nbytes, self.seed)
+            self.hashes = np.vstack((self.hashes, x.reshape(len(chunk), -1)))
             yield chunk
 
     def take(self, n: int) -> np.ndarray | None:
-        """The page hashes of the next n offsets drawn; None if not hashed."""
+        """Page hashes of the next n offsets drawn, a row each; or None."""
         if self.hashes is None:
             return None
         taken, self.hashes = self.hashes[:n], self.hashes[n:]
@@ -506,10 +506,10 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
     chunks = _offset_chunks(workload, w, offsets)
-    # blocks per check; one-page blocks check against hashes drawn with them
+    # blocks per check; blocks that fit one also draw page hashes with them
     per = max(1, fill.CHECK_CHUNK_BYTES // block)
-    hashing = (checksum is not None and block == fill.PAGE
-               and (offsets is None or not any(o % block for o in offsets)))
+    hashing = (checksum is not None and block <= fill.CHECK_CHUNK_BYTES
+               and (offsets is None or not any(o % fill.PAGE for o in offsets)))
     if hashing:
         chunks = checksum.hashed(chunks)
 
@@ -553,7 +553,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     try:
         submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
         slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
-        slot_hash = np.zeros(depth, dtype=np.uint64)  # and its page hash
+        slot_hash = np.zeros((depth, block // fill.PAGE), np.uint64)  # hashes
         # reap time + 500 and ns per us: 0-d, so numpy takes its fast path
         reaped, us = np.zeros((), dtype=np.int64), np.array(1000, np.int64)
         full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good

@@ -1,10 +1,11 @@
 """Offset-derived file fill pattern, its verification and a run digest.
 
 The 64-bit word at byte offset ``o`` (a multiple of 8) is ``mix64(seed XOR
-(o & ~4095)) + ((o & 4095) >> 3) * GOLDEN`` mod 2^64, little-endian: one
-hash per 4 KiB page plus a ramp.  Content at any offset is recomputable from
-(seed, offset) alone, and a page checks in three numpy passes against its
-hash, which a caller may draw with the offset.  A file of earlier versions
+(o & ~4095)) + ((o & 4095) >> 3) * GOLDEN`` mod 2^64, little-endian: the
+hash of its 4 KiB page (:func:`page_hashes`) plus a ramp, recomputable from
+(seed, offset) alone.  Whole pages at page-aligned offsets check in three
+numpy passes against their hashes, which a caller may draw with the
+offsets, and other blocks word by word.  A file of earlier versions
 (``mix64(seed XOR o)`` in every word) fails the check with a VerifyError
 that says to prepare it again.
 
@@ -31,9 +32,8 @@ WORD = 8
 PAGE = 4096  # bytes per hash of the pattern
 _PAGE_WORDS = PAGE // WORD
 
-#: check_blocks and the pattern kernel work on at most this many
-#: bytes per numpy pass (longer blocks in chunk-sized pieces), which bounds
-#: the scratch whatever the batch or block size
+#: check_blocks works on at most this many bytes per numpy pass (a longer
+#: row in pieces), which bounds its scratch whatever the batch or block size
 CHECK_CHUNK_BYTES = 1 << 17
 _CHUNK_WORDS = CHECK_CHUNK_BYTES // WORD
 
@@ -42,42 +42,24 @@ LANES = 4
 
 _U = np.uint64
 
-#: word j of a page is the page's base plus word j of this ramp
+#: word j of a page is the page's hash plus word j of this ramp
 _RAMP = np.arange(_PAGE_WORDS, dtype=np.uint64) * _U(GOLDEN)
 _RAMP.flags.writeable = False
 
 
 def new_scratch() -> np.ndarray:
-    """A CHECK_CHUNK_BYTES uint64 scratch for one thread's use."""
-    return np.empty(_CHUNK_WORDS, dtype="<u8")
+    """A CHECK_CHUNK_BYTES scratch of uint64 pages for one thread's use."""
+    return np.empty((CHECK_CHUNK_BYTES // PAGE, _PAGE_WORDS), dtype="<u8")
 
 
-def _bases(first: np.ndarray, npages: int, seed: int) -> np.ndarray:
-    """(k, npages, 1): the hashes of npages pages from each page offset of
-    ``first`` ((k, 1) uint64)."""
-    x = first + np.arange(0, npages * PAGE, PAGE, dtype=np.uint64)
+def page_hashes(offsets, nbytes: int, seed: int) -> np.ndarray:
+    """``mix64(seed ^ (o + k * PAGE))`` for each k with k * PAGE < nbytes,
+    at each offset o, as one flat uint64 array, row by row."""
+    x = (np.asarray(offsets, dtype=np.uint64)[:, None]
+         + np.arange(0, nbytes, PAGE, dtype=np.uint64)).reshape(-1)
     x ^= _U(seed)
     mix64_into(x, np.empty_like(x))
-    return x[:, :, None]
-
-
-def _passes(rows: np.ndarray, offs: np.ndarray):
-    """Cut a batch of blocks into passes of at most CHECK_CHUNK_BYTES.
-
-    Yields a (k, words) view and the (k, 1) uint64 offsets of its rows; a
-    long row is cut into chunk-sized pieces, one per pass, so passes keep
-    row order.
-    """
-    n, words = rows.shape
-    if words <= _CHUNK_WORDS:
-        step = _CHUNK_WORDS // max(words, 1)
-        for r in range(0, n, step):
-            yield rows[r:r + step], offs[r:r + step]
-    else:
-        for r in range(n):
-            for lo in range(0, words, _CHUNK_WORDS):
-                yield (rows[r:r + 1, lo:lo + _CHUNK_WORDS],
-                       offs[r:r + 1] + _U(lo * WORD))
+    return x
 
 
 def pattern_rows(seed: int, offsets, nbytes: int,
@@ -90,14 +72,11 @@ def pattern_rows(seed: int, offsets, nbytes: int,
     if out is None:
         out = np.empty((len(offsets), nbytes // WORD), dtype="<u8")
     words = nbytes // WORD
-    for r, o in enumerate(offsets):
-        # CHECK_CHUNK_BYTES at a time, padded out to whole pages
-        for lo in range(0, words, _CHUNK_WORDS):
-            n, start = min(_CHUNK_WORDS, words - lo), int(o) + lo * WORD
-            skip = start % PAGE // WORD
-            page = np.array([[start - skip * WORD]], np.uint64)
-            padded = _bases(page, -(-(skip + n) // _PAGE_WORDS), seed) + _RAMP
-            out[r, lo:lo + n] = padded.reshape(-1)[skip:skip + n]
+    for r, o in enumerate(offsets):  # from the start of o's page
+        skip = int(o) % PAGE // WORD
+        padded = page_hashes((int(o) - skip * WORD,), nbytes + skip * WORD,
+                             seed)[:, None] + _RAMP
+        out[r] = padded.reshape(-1)[skip:skip + words]
     return out
 
 
@@ -106,54 +85,74 @@ def pattern_bytes(seed: int, offset: int, nbytes: int) -> bytes:
     return pattern_rows(seed, (offset,), nbytes)[0].tobytes()
 
 
+def _mismatch(value: int, offset: int, seed: int) -> VerifyError:
+    """The error for ``value``, not the pattern, in the word at offset."""
+    if value == mix64(seed ^ offset):
+        return VerifyError(offset, f"data at byte offset {offset} has the "
+                           "old fill pattern; prepare the file again")
+    return VerifyError(offset)
+
+
 def check_blocks(rows, offsets, seed: int, scratch: np.ndarray | None = None,
                  hashes: np.ndarray | None = None) -> None:
     """Verify a batch of blocks, at most CHECK_CHUNK_BYTES per numpy pass.
 
     ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
     ``offsets`` the n target byte offsets they were read from, ``scratch``
-    one from :func:`new_scratch` (a fresh one when omitted), ``hashes``
-    (uint64, for page-aligned offsets) ``mix64(seed ^ offset)`` per row, with
-    which one-page rows that fit the scratch take the data passes alone.
-    Raises VerifyError naming the first bad word's byte offset, in row order,
-    and whether it holds the old pattern; ValueError if only hashes differ.
+    one from :func:`new_scratch` (a fresh one when omitted).  Whole-page
+    rows at page-aligned offsets check page by page against ``hashes``,
+    their :func:`page_hashes` in any shape, drawn here when None; any other
+    batch against its pattern.  Raises VerifyError naming the first bad
+    word's byte offset, in row order, and whether it holds the old pattern;
+    ValueError if a given hash is not its page's, or if hashes are given for
+    rows that are not whole pages.
     """
     if scratch is None:
         scratch = new_scratch()
-    fast = (hashes is not None and rows.shape[1] == _PAGE_WORDS
-            and rows.size <= len(scratch))
-    if fast:
-        x = scratch[:rows.size].reshape(rows.shape)
-        np.subtract(rows, _RAMP, out=x)
-        if (x.max(axis=1).tobytes() == hashes.tobytes()
-                == x.min(axis=1).tobytes()):
-            return
-    offs = np.asarray(offsets, dtype=np.uint64)[:, None]
-    pages = not (rows.shape[1] % _PAGE_WORDS
-                 or int(np.bitwise_or.reduce(offs, axis=None)) % PAGE)
-    for part, first in _passes(rows, offs):
-        x = scratch[:part.size].reshape(part.shape)
-        if pages:  # less the ramp, each word of a page is the page's base
-            by_page = x.reshape(len(part), -1, _PAGE_WORDS)
-            np.subtract(part.reshape(by_page.shape), _RAMP, out=by_page)
-            base = _bases(first, by_page.shape[1], seed)
-            if (by_page.max(axis=2).tobytes() == base.tobytes()
-                    == by_page.min(axis=2).tobytes()):
+    words = rows.shape[1]
+    if hashes is None:
+        offs = np.asarray(offsets, dtype=np.uint64)
+        if not (words % _PAGE_WORDS
+                or int(np.bitwise_or.reduce(offs)) % PAGE):
+            hashes = page_hashes(offs, words * WORD, seed)
+    elif words % _PAGE_WORDS:
+        raise ValueError("page hashes need rows of whole pages")
+    if hashes is not None:
+        per = words // _PAGE_WORDS
+        if per != 1:  # one page per row, one hash per page
+            rows, hashes = rows.reshape(-1, _PAGE_WORDS), hashes.reshape(-1)
+        n, step = len(rows), len(scratch)
+        for lo in range(0, n, step):  # a batch that fits is not sliced
+            part, want = ((rows, hashes) if n <= step else
+                          (rows[lo:lo + step], hashes[lo:lo + step]))
+            x = scratch[:len(part)]
+            # less the ramp, each word of a page is the page's hash
+            np.subtract(part, _RAMP, out=x)
+            if (x.max(axis=1).tobytes() == want.tobytes()
+                    == x.min(axis=1).tobytes()):
                 continue
-            by_page ^= base
-        else:
-            pattern_rows(seed, first[:, 0].tolist(), part[0].nbytes, out=x)
+            bad = int(np.flatnonzero(x != want.reshape(-1, 1))[0])
+            page, word = divmod(bad, _PAGE_WORDS)
+            row, k = divmod(lo + page, per)
+            first = int(offsets[row]) + k * PAGE
+            if first % PAGE or want.item(page) != mix64(seed ^ first):
+                raise ValueError("page hashes do not match the offsets")
+            raise _mismatch(int(part[page, word]), first + word * WORD, seed)
+        return
+    # rows that fit the scratch a batch at a time, a longer row in pieces
+    step, width = max(1, _CHUNK_WORDS // words), min(words, _CHUNK_WORDS)
+    for r in range(0, len(rows), step):
+        for lo in range(0, words, width):
+            part = rows[r:r + step, lo:lo + width]
+            x = scratch.reshape(-1)[:part.size].reshape(part.shape)
+            pattern_rows(seed, (offs[r:r + step] + _U(lo * WORD)).tolist(),
+                         part[0].nbytes, out=x)
             x ^= part
             if not x.max():  # faster than any() on uint64
                 continue
-        row, word = divmod(int(np.flatnonzero(x)[0]), part.shape[1])
-        offset = int(first[row, 0]) + word * WORD
-        if int(part[row, word]) == mix64(seed ^ offset):
-            raise VerifyError(offset, f"data at byte offset {offset} has the "
-                              "old fill pattern; prepare the file again")
-        raise VerifyError(offset)
-    if fast:  # the data are right, so the hashes were not theirs
-        raise ValueError("page hashes do not match the offsets")
+            row, word = divmod(int(np.flatnonzero(x)[0]), part.shape[1])
+            raise _mismatch(int(part[row, word]),
+                            int(offs[r + row]) + (lo + word) * WORD, seed)
 
 
 @functools.lru_cache(maxsize=64)

@@ -415,26 +415,31 @@ class TestFaults:
 
     def test_full_harvest_checked_by_slot(self, real, monkeypatch):
         # each wait returns every slot, shuffled, and the read of block 16
-        # gets block 17 in its slot: a harvest of every slot is checked
-        # where it lies, so rows, offsets and page hashes must pair by slot
+        # gets the next block's last page in its last page: a harvest of
+        # every slot is checked where it lies, so rows, offsets and page
+        # hashes must pair by slot and by page
         class Shuffling(TrickleBackend):
             def wait(self, min_nr, timeout_s=None):
                 done = []
                 while self.queued:
                     slot, offset = self.queued.popleft()
-                    misread = 4096 if offset == 16 * 4096 else 0
-                    os.preadv(self.fd, [self.buffers[slot]], offset + misread)
-                    done.append((slot, 4096))
+                    buf = self.buffers[slot]
+                    os.preadv(self.fd, [buf], offset)
+                    if offset == 16 * len(buf):  # the next block's page
+                        os.preadv(self.fd, [buf[-4096:]],
+                                  offset + 2 * len(buf) - 4096)
+                    done.append((slot, len(buf)))
                 order = np.random.default_rng(len(self.submits))
                 return np.array(done)[order.permutation(len(done))]
 
         monkeypatch.setattr(engines, "_make_async_backend",
                             lambda *args: Shuffling(args[3], real.fd))
-        with pytest.raises(VerifyError) as ei:
-            run(workload(real, pattern="sequential", request_budget=40,
-                         verify=True),
-                EngineConfig(kind="aio", queue_size=8, batch_size=8))
-        assert ei.value.offset == 16 * 4096
+        for block in (4096, 16384):
+            with pytest.raises(VerifyError) as ei:
+                run(workload(real, pattern="sequential", block_size=block,
+                             request_budget=40, verify=True),
+                    EngineConfig(kind="aio", queue_size=8, batch_size=8))
+            assert ei.value.offset == 17 * block - 4096, block
 
     def test_misread_past_a_digest_chunk_named(self, real, monkeypatch):
         # by read 4500 the first _OFFSET_CHUNK verified offsets are digested
@@ -1007,11 +1012,14 @@ def test_flip_past_an_offset_chunk_named(tmp_path, kind, threads):
 def test_verified_batches_cross_offset_chunks(real, engine):
     # 3 offsets tile a chunk of 4098, so batches and refills cross its end
     # and take their page hashes from two chunks; hashes paired with other
-    # offsets are refused
-    log = engines.duration_log(workload(real, request_budget=4200,
-                                        verify=True),
-                               engine, offsets=[0, 8192, 4096])
-    assert len(log) == 4200
+    # offsets or pages are refused.  8 KiB blocks at page-aligned offsets
+    # that are not block-aligned draw two hashes per offset
+    for block, offsets in ((4096, [0, 8192, 4096]),
+                           (8192, [4096, 20480, 12288])):
+        log = engines.duration_log(workload(real, block_size=block,
+                                            request_budget=4200, verify=True),
+                                   engine, offsets=offsets)
+        assert len(log) == 4200
 
 
 @pytest.mark.parametrize("kind", ["sync", "pool", "aio", "uring"])
@@ -1025,12 +1033,13 @@ def test_corruption_offset_named_by_every_engine(tmp_path, kind):
                              "uring": (1, 8, 2)}.get(kind, (1, 1, 1))
     engine = EngineConfig(kind=kind, queue_size=queue, batch_size=batch,
                           allow_fallback=True)
-    with open_target(path, seed=5, direct=False) as h:
-        with pytest.raises(VerifyError) as ei:
-            run(WorkloadSpec(target=h, pattern="sequential", block_size=4096,
-                             request_budget=250, threads=threads, seed=1,
-                             verify=True), engine)
-    assert ei.value.offset == 984040
+    for block in (4096, 8192, 65536):  # one, two and 16 pages per block
+        with open_target(path, seed=5, direct=False) as h:
+            with pytest.raises(VerifyError) as ei:
+                run(WorkloadSpec(target=h, pattern="sequential",
+                                 block_size=block, request_budget=250,
+                                 threads=threads, seed=1, verify=True), engine)
+        assert ei.value.offset == 984040, block
 
 
 def test_probe_engines_shape():
