@@ -16,10 +16,12 @@ a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit.
 Real-file targets use actual threads and the native syscall backends, on a
 sync loop (sync, polled, pool) or an async loop (aio, uring).  The sync
-loop reads the offsets of :func:`offset_stream` one at a time; the async
-loop slices the same per-worker int64 chunks, and checks each harvest's
-slots against the set of slots in flight.  Both stamp time in integer ns
-of ``time.perf_counter_ns`` and round durations as :func:`read_block` does.
+loop reads the per-worker int64 offset chunks one offset at a time, in C
+where :mod:`readbench.hotloop` builds, which times each read around its
+``preadv2`` alone, and else in Python through :func:`read_block`; the async
+loop slices the same chunks, and checks each harvest's slots against the
+set of slots in flight.  All stamp time in integer ns of the clock of
+``time.perf_counter_ns`` and round durations as :func:`read_block` does.
 Verified reads of up to 128 KiB blocks check against page hashes drawn
 with their offsets; a harvest of every slot is checked where it lies.
 Scattered multi-block reads and sequential whole-target scans run on these
@@ -41,14 +43,15 @@ from typing import Iterator
 
 import numpy as np
 
-from . import aio_native, fill, uring_native
+from . import aio_native, fill, hotloop, uring_native
 from .devicesim import SimState, advance, submit
 from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
                           snapshot_cpu)
 from .rng import u64_chunks, worker_seed
-from .target import TargetHandle, alloc_aligned, polled_flags, read_block
+from .target import (TargetHandle, alloc_aligned, check_offsets, polled_flags,
+                     read_block, read_error)
 
 ENGINE_KINDS = ("sync", "polled", "pool", "aio", "uring")
 ASYNC_KINDS = ("aio", "uring")
@@ -455,8 +458,26 @@ def _arena(n: int, block: int) -> tuple[list[memoryview], np.ndarray]:
 _NO_ROWS = np.empty((0, 2), dtype=np.int64)
 
 
+class _Stop:
+    """A run's stop flag, set by the first worker to fail.  The Python loops
+    test it before each read or harvest; the compiled loop reads its word,
+    at ``address``, before each read."""
+
+    __slots__ = ("word", "address")
+
+    def __init__(self):
+        self.word = array("i", [0])
+        self.address = self.word.buffer_info()[0]
+
+    def set(self) -> None:
+        self.word[0] = 1
+
+    def is_set(self) -> bool:
+        return self.word[0] != 0
+
+
 def _harvest(backend, min_nr: int, notes: list[str],
-             stop: threading.Event) -> np.ndarray | None:
+             stop: _Stop) -> np.ndarray | None:
     """Wait for at least min_nr completions, as (slot, res) rows; None once
     stop is set and a wait came back empty; IoError once none arrived for
     STALL_LIMIT_S."""
@@ -480,7 +501,7 @@ def _harvest(backend, min_nr: int, notes: list[str],
 
 class _RealWorkerResult:
     __slots__ = ("durations", "last_done", "checksum", "error", "notes",
-                 "max_inflight")
+                 "max_inflight", "loop")
 
     def __init__(self, workload: WorkloadSpec):
         self.durations = array("q")  # us, one per logged read
@@ -489,11 +510,100 @@ class _RealWorkerResult:
         self.error: BaseException | None = None
         self.notes: list[str] = []
         self.max_inflight = 0
+        self.loop = "python"  # or "native": the compiled sync-family loop
+
+
+def _trimmed(chunks: Iterator[np.ndarray],
+             n: int | None) -> Iterator[np.ndarray]:
+    """The offset chunks, cut to n offsets in all; every one if n is None."""
+    if n is None:
+        yield from chunks
+        return
+    while n > 0:
+        chunk = next(chunks)[:n]
+        n -= len(chunk)
+        yield chunk
+
+
+def _python_reads(handle: TargetHandle, flags: int,
+                  chunks: Iterator[np.ndarray], bufs, rows: np.ndarray,
+                  warm_end: float, deadline: float, stop: _Stop,
+                  result: _RealWorkerResult) -> None:
+    """The sync-family loop in Python, one :func:`read_block` per offset.
+    Each read is timed in read_block, after the window test."""
+    durations, checksum = result.durations, result.checksum
+    # looked up once per run, so that patches and tracers in place apply
+    clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
+    nslots = len(bufs)
+    read_off = array("q", bytes(8 * nslots))
+    took, n = None, 0
+    for offset in itertools.chain.from_iterable(c.tolist() for c in chunks):
+        now = clock()
+        if now >= deadline or stopped():
+            break
+        took = read(handle, offset, bufs[n], flags)
+        if now >= warm_end:
+            durations.append(took)
+            last = now  # submit time of the last logged read
+        if checksum is not None:
+            read_off[n] = offset
+            n += 1
+            if n == nslots:  # one contiguous run of the stream
+                checksum.add(rows, read_off, checksum.take(n))
+                n = 0
+    if n:
+        checksum.add(rows[:n], read_off[:n], checksum.take(n))
+    if durations:
+        result.last_done = last + durations[-1] * 1000
+    result.max_inflight = int(took is not None)
+
+
+def _ns(t: float) -> int:
+    """A window edge as int64 ns, the infinite ones clamped."""
+    return int(min(max(t, -2 ** 63), 2 ** 63 - 1))
+
+
+def _native_reads(read_loop, handle: TargetHandle, flags: int,
+                  chunks: Iterator[np.ndarray], rows: np.ndarray,
+                  warm_end: float, deadline: float, stop: _Stop,
+                  result: _RealWorkerResult) -> None:
+    """The loop of :func:`_python_reads`, in C (:mod:`readbench.hotloop`):
+    each read is timed around its preadv2 alone.  A chunk's offsets are
+    checked before any is read; a verified run reads one batch per call,
+    into the rows of the arena."""
+    durations, checksum = result.durations, result.checksum
+    block = rows.shape[1] * fill.WORD
+    # reads per call, and the arena stride: every read into row 0 unverified
+    step, stride = ((len(rows), block) if checksum is not None
+                    else (_OFFSET_CHUNK, 0))
+    log = np.empty(step, dtype=np.int64)
+    out = np.zeros(3, dtype=np.int64)  # reads logged, last end, bad result
+    head = (handle.fd, rows.ctypes.data, stride, block)
+    tail = (flags, _ns(warm_end), _ns(deadline), stop.address,
+            log.ctypes.data, out.ctypes.data)
+    for chunk in chunks:
+        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+        check_offsets(handle, chunk, block)
+        base = chunk.ctypes.data
+        for i in range(0, len(chunk), step):
+            n = min(step, len(chunk) - i)
+            done = read_loop(*head, base + 8 * i, n, *tail)
+            durations.frombytes(log[:out[0]].tobytes())
+            result.last_done = int(out[1])
+            if out[2] != block:
+                raise read_error(int(chunk[i + done]), int(out[2]), block)
+            if done:
+                result.max_inflight = 1
+                if checksum is not None:
+                    checksum.add(rows[:done], chunk[i:i + done],
+                                 checksum.take(done))
+            if done < n:  # the deadline passed, or the run was stopped
+                return
 
 
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
-                 warm_end: float, deadline: float,
-                 stop: threading.Event, result: _RealWorkerResult,
+                 warm_end: float, deadline: float, stop: _Stop,
+                 result: _RealWorkerResult,
                  offsets: list[int] | None = None) -> None:
     """Log each read submitted at or after warm_end, and submit none at or
     after deadline (perf_counter_ns; infinite in request-budget mode).
@@ -503,8 +613,6 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
     durations, checksum = result.durations, result.checksum
-    # looked up once per run, so that patches and tracers in place apply
-    clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
     chunks = _offset_chunks(workload, w, offsets)
     # blocks per check; blocks that fit one also draw page hashes with them
     per = max(1, fill.CHECK_CHUNK_BYTES // block)
@@ -514,37 +622,24 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         chunks = checksum.hashed(chunks)
 
     if engine.kind not in ASYNC_KINDS:
-        stream = itertools.chain.from_iterable(c.tolist() for c in chunks)
-        if remaining is not None:
-            stream = itertools.islice(stream, remaining)
-        nslots = 1 if checksum is None else per
-        bufs, rows = _arena(nslots, block)
-        read_off = array("q", bytes(8 * nslots))
+        bufs, rows = _arena(1 if checksum is None else per, block)
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
-        took, n = None, 0
-        for offset in stream:
-            now = clock()
-            if now >= deadline or stopped():
-                break
-            took = read(handle, offset, bufs[n], flags)
-            if now >= warm_end:
-                durations.append(took)
-                last = now  # submit time of the last logged read
-            if checksum is not None:
-                read_off[n] = offset
-                n += 1
-                if n == nslots:  # one contiguous run of the stream
-                    checksum.add(rows, read_off, checksum.take(n))
-                    n = 0
-        if n:
-            checksum.add(rows[:n], read_off[:n], checksum.take(n))
-        if durations:
-            result.last_done = last + durations[-1] * 1000
-        result.max_inflight = int(took is not None)
+        chunks = _trimmed(chunks, remaining)
+        read_loop, detail = hotloop.load()
+        if read_loop is None:
+            result.notes.append(f"native loop unavailable ({detail}), "
+                                "reads timed on the Python loop")
+            _python_reads(handle, flags, chunks, bufs, rows, warm_end,
+                          deadline, stop, result)
+        else:
+            result.loop = "native"
+            _native_reads(read_loop, handle, flags, chunks, rows, warm_end,
+                          deadline, stop, result)
         return
 
+    clock, stopped = time.perf_counter_ns, stop.is_set
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
     # a partial harvest's rows are gathered here for verification
@@ -636,7 +731,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
     deadline = (math.inf if workload.duration_s is None
                 else warm_end + round(workload.duration_s * 1e9))
     results = [_RealWorkerResult(workload) for _ in range(workload.threads)]
-    stop = threading.Event()  # set by the first worker to fail
+    stop = _Stop()
 
     def runner(w: int) -> None:
         try:
@@ -680,7 +775,8 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
         for n in r.notes:
             if n not in notes:
                 notes.append(n)
-    extra = {"max_inflight": max(r.max_inflight for r in results)}
+    extra = {"max_inflight": max(r.max_inflight for r in results),
+             "loop": results[0].loop}
     return log, len(log) * workload.block_size, elapsed, checksum, notes, extra
 
 
@@ -702,6 +798,8 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
         # replays, selection and plots differ from run to run
         cpu = CpuUsage.of(0.0, elapsed_s)
     else:
+        if engine.kind not in ASYNC_KINDS:
+            hotloop.load()  # built at first use, before the clocks start
         cpu_before = snapshot_cpu()
         wall0 = time.perf_counter_ns()
         log, nbytes, elapsed_s, checksum, notes, extra = _run_real(
@@ -761,8 +859,8 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     if workload.target.is_simulated:
         return _simulate(workload, engine, offsets)[0]
     result = _RealWorkerResult(workload)
-    _real_worker(workload, engine, 0, -math.inf, math.inf, threading.Event(),
-                 result, offsets)
+    _real_worker(workload, engine, 0, -math.inf, math.inf, _Stop(), result,
+                 offsets)
     return result.durations
 
 
@@ -790,7 +888,9 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
 
 
 def probe_engines() -> dict[str, dict]:
-    """Which engines (and ring features) this system supports."""
+    """Which engines (and ring features) this system supports, and under
+    ``loop`` whether the sync, polled and pool engines read on the compiled
+    loop, which this builds if it is not built yet."""
     info: dict[str, dict] = {
         "sync": {"available": True, "detail": "positional reads"},
         "polled": {"available": hasattr(os, "preadv"),
@@ -808,4 +908,6 @@ def probe_engines() -> dict[str, dict]:
             fok, ferr = uring_native.probe(**kwargs)
             entry[feature] = fok
     info["uring"] = entry
+    loop, detail = hotloop.load()
+    info["loop"] = {"native": loop is not None, "detail": detail}
     return info

@@ -5,7 +5,9 @@ Real-file content is the offset-derived fill pattern from
 target holds only a device model: the engines replay it in virtual time
 and never read it through :func:`read_block`, which refuses a handle
 without an open file.  A polled run takes its read flags, once, from
-:func:`polled_flags`.
+:func:`polled_flags`.  The engines' compiled read loop refuses offsets with
+:func:`check_offsets` and names a failed read with :func:`read_error`, as
+:func:`read_block` does.
 """
 
 from __future__ import annotations
@@ -145,8 +147,27 @@ def read_block(handle: TargetHandle, offset: int, buffer, flags: int = 0) -> int
     n = os.preadv(handle.fd, [buffer], offset, flags)
     t1 = time.perf_counter_ns()
     if n != length:
-        raise IoError(f"short read at {offset}: {n} of {length} bytes")
+        raise read_error(offset, n, length)
     return (t1 - t0 + 500) // 1000
+
+
+def check_offsets(handle: TargetHandle, offsets: np.ndarray,
+                  length: int) -> None:
+    """:func:`_check_bounds` over an int64 array of offsets in one
+    vectorised test; raises the error of the first it refuses."""
+    bad = (offsets < 0) | (offsets > handle.capacity - length)
+    if handle.direct:
+        bad |= (offsets | length) % ALIGNMENT != 0
+    if handle.fd is None or bad.any():
+        _check_bounds(handle, int(offsets[bad.argmax()]), length)
+
+
+def read_error(offset: int, result: int, length: int) -> OSError | IoError:
+    """The error of a read of length bytes at offset that returned result:
+    the bytes it read, or minus an errno, as os.preadv raises it."""
+    if result < 0:
+        return OSError(-result, os.strerror(-result))
+    return IoError(f"short read at {offset}: {result} of {length} bytes")
 
 
 def polled_flags(handle: TargetHandle, buffer) -> int:

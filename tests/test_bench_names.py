@@ -60,9 +60,14 @@ def test_file_run_counts(tracer, tmp_path):
     assert table["measurement.aggregate_latencies"][ITEMS] == 200
 
 
-@pytest.mark.parametrize("kind", ["sync", "polled"])
-def test_sync_read_counts(tracer, tmp_path, kind):
-    # a polled run's one probe read of the flags is not a timed read
+@pytest.mark.parametrize("kind,loop", [
+    ("sync", "python"), ("polled", "python"),
+    ("sync", "native"), ("polled", "native")],
+    ids=["sync", "polled", "sync-native", "polled-native"])
+def test_sync_read_counts(tracer, tmp_path, request, kind, loop):
+    # a polled run's one probe read of the flags is not a timed read; the
+    # compiled loop reads without target.read_block
+    request.getfixturevalue(f"{loop}_loop")
     path = str(tmp_path / "traced.dat")
     with prepare_target(path, size=1 << 20, seed=2) as h:
         h.direct = True  # polled flags are probed on direct handles only
@@ -70,4 +75,6 @@ def test_sync_read_counts(tracer, tmp_path, kind):
             rec = run(WorkloadSpec(target=h, request_budget=500, seed=1),
                       EngineConfig(kind=kind))
     assert rec.latency.count == 500
-    assert tracer.table()["target.read_block"][CALLS] == 500
+    assert rec.extra["loop"] == loop
+    reads = tracer.table().get("target.read_block", [0] * 4)[CALLS]
+    assert reads == (500 if loop == "python" else 0)

@@ -317,4 +317,5 @@ class TestSweepReport:
 def test_list_engines(capsys):
     assert run_cli("list-engines") == 0
     info = json.loads(capsys.readouterr().out)
-    assert set(info) == {"sync", "polled", "pool", "aio", "uring"}
+    assert set(info) == {"sync", "polled", "pool", "aio", "uring", "loop"}
+    assert set(info["loop"]) == {"native", "detail"}

@@ -3,6 +3,7 @@
 import ctypes
 import errno
 import itertools
+import math
 import mmap
 import os
 import threading
@@ -16,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readbench import aio_native, engines, fill, target, uring_native
+from readbench import (aio_native, engines, fill, hotloop, target,
+                       uring_native)
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
                                run, run_kernel_async, run_polled, run_ring,
                                run_sync, run_threadpool, split_budget)
-from readbench.errors import (AbortedRun, EngineUnsupported, IoError,
-                              VerifyError)
+from readbench.errors import (AbortedRun, AlignmentError, EngineUnsupported,
+                              IoError, VerifyError)
 from readbench.fill import check_block
 from readbench.measurement import compute_throughput
 from readbench.target import (open_target, prepare_target, simulated_target,
@@ -1044,9 +1046,12 @@ def test_corruption_offset_named_by_every_engine(tmp_path, kind):
 
 def test_probe_engines_shape():
     info = probe_engines()
+    loop = info.pop("loop")
     assert set(info) == {"sync", "polled", "pool", "aio", "uring"}
     for v in info.values():
         assert "available" in v
+    assert set(loop) == {"native", "detail"}
+    assert loop["native"] == (hotloop.load()[0] is not None)
 
 
 @given(st.integers(min_value=1, max_value=10**6),
@@ -1118,10 +1123,12 @@ class TestRealWindow:
 
     def stub(self, order, monkeypatch):
         """Patch in a fake clock and a reader or backend on it; returns the
-        list that gets (submitted, completed) per read."""
+        list that gets (submitted, completed) per read.  A reader pins the
+        Python sync loop, the one that calls it."""
         clock = FakeClock(self.STEPS, self.START)
         monkeypatch.setattr(engines, "time", clock)
         if order is None:
+            monkeypatch.setattr(hotloop, "load", lambda: (None, "pinned"))
             reads = []
 
             def reader(handle, offset, buffer, flags=0):
@@ -1167,9 +1174,11 @@ class TestRealWindow:
         assert rec.throughput_mb_s == pytest.approx(
             compute_throughput(len(kept) * 4096, last - warm_end))
 
-    def test_durations_round_to_nearest_us(self, real, monkeypatch):
+    def test_durations_round_to_nearest_us(self, real, monkeypatch,
+                                           python_loop):
         # a 1700 ns sync read and a 2**-19 s (1.907 us, exact in binary)
-        # harvest each log 2 us, not a truncated 1
+        # harvest each log 2 us, not a truncated 1; the sync reads are
+        # timed on the Python loop, whose clocks are stubbed
         ns = itertools.cycle((0, 1700))
         monkeypatch.setattr(target, "time",
                             SimpleNamespace(perf_counter_ns=lambda: next(ns)))
@@ -1267,10 +1276,11 @@ def test_simulated_run_memory_per_request():
     EngineConfig(kind="aio", queue_size=4, allow_fallback=True)],
     ids=["pool", "aio"])
 def test_one_failed_worker_stops_the_run(real, monkeypatch, engine):
-    # the first read (sync loop) or the first backend made (async loop)
-    # fails; the other worker must stop at once, not run out its 30 s
+    # the first read (Python sync loop) or the first backend made (async
+    # loop) fails; the other worker must stop at once, not run out its 30 s
     first = itertools.count()
     if engine.kind == "pool":
+        monkeypatch.setattr(hotloop, "load", lambda: (None, "pinned"))
         read_block = engines.read_block
 
         def reader(handle, offset, buffer, flags=0):
@@ -1321,3 +1331,183 @@ def test_failed_worker_stops_a_stalled_harvest(real, monkeypatch):
     with pytest.raises(AbortedRun, match="^1 worker.*injected read error"):
         run(w, EngineConfig(kind="aio", queue_size=4))
     assert time.monotonic() - t0 < 2.0
+
+
+def on_both_loops(monkeypatch, make):
+    """(make() on the compiled loop, make() on the Python loop); each
+    returns what make returns, or the error it raised."""
+    def outcome():
+        try:
+            return make()
+        except Exception as exc:  # compared by the test
+            return exc
+
+    native = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(hotloop, "load", lambda: (None, "pinned"))
+        python = outcome()
+    return native, python
+
+
+def same_error(native, python, kind):
+    """Both loops raised the same error of this kind, with the same text."""
+    assert isinstance(native, kind) and type(native) is type(python)
+    assert str(native) == str(python)
+    cause = native.__cause__
+    if cause is not None:
+        assert type(cause) is type(python.__cause__)
+        assert str(cause) == str(python.__cause__)
+
+
+@pytest.mark.usefixtures("native_loop")
+class TestNativeLoop:
+    """The compiled sync-family loop against the Python loop, its reference:
+    the same reads, checksums and named errors."""
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("block", [4096, 65536])
+    @pytest.mark.parametrize("kind,threads", [
+        ("sync", 1), ("polled", 1), ("pool", 2)])
+    def test_records_agree(self, cached, monkeypatch, kind, threads, block,
+                           verify):
+        # 5000 reads a worker cross an offset chunk's end
+        with open_target(cached, seed=7, direct=False) as h:
+            w = WorkloadSpec(target=h, block_size=block, threads=threads,
+                             request_budget=5000 * threads, seed=4,
+                             verify=verify)
+            native, python = on_both_loops(
+                monkeypatch, lambda: run(w, EngineConfig(kind=kind)))
+        assert native.extra == {"max_inflight": 1, "loop": "native"}
+        assert python.extra == {"max_inflight": 1, "loop": "python"}
+        assert native.latency.count == python.latency.count == 5000 * threads
+        assert native.data_checksum == python.data_checksum
+        assert bool(native.data_checksum) == verify
+        assert "Python loop" not in native.notes
+        assert "native loop unavailable (pinned)" in python.notes
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("block,offsets", [
+        (4096, [0, 8192, 4096]), (65536, [65536, 0]),
+        (8192, [4096, 20480, 12288])])
+    def test_duration_logs_agree(self, real, monkeypatch, block, offsets,
+                                 verify):
+        w = workload(real, block_size=block, request_budget=4200,
+                     verify=verify)
+        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
+            w, EngineConfig(), offsets=offsets))
+        assert len(native) == len(python) == 4200
+
+    def test_short_read_named(self, tmp_path, monkeypatch):
+        # the handle claims one block more than the file holds, and the last
+        # read finds only half of it
+        path = str(tmp_path / "short.dat")
+        prepare_target(path, size=1 << 20, seed=3).close()
+        with open(path, "ab") as f:
+            f.write(bytes(2048))
+        with open_target(path, seed=3, direct=False) as h:
+            h.capacity = (1 << 20) + 4096
+            w = workload(h, pattern="sequential", request_budget=257)
+            native, python = on_both_loops(monkeypatch, lambda: run_sync(w))
+        same_error(native, python, AbortedRun)
+        assert "short read at 1048576: 2048 of 4096 bytes" in str(native)
+
+    @pytest.mark.parametrize("offsets,error,match", [
+        ([0, 4096, 1 << 20], IoError, "beyond capacity"),
+        ([0, -4096], IoError, "beyond capacity"),
+        ([0, 6144], AlignmentError, "aligned")], ids=["past-end", "negative", "misaligned"])
+    def test_refused_offsets_named(self, real, monkeypatch, offsets, error,
+                                   match):
+        real.direct = True  # the refusals come before any read
+        w = workload(real, request_budget=10)
+        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
+            w, EngineConfig(), offsets=offsets))
+        same_error(native, python, error)
+        assert match in str(native)
+
+    def test_flipped_byte_named(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "bad.dat")
+        prepare_target(path, size=1 << 20, seed=5).close()
+        with open(path, "r+b") as f:
+            f.seek(500_001)
+            f.write(b"\x00" if f.read(1) != b"\x00" else b"\x01")
+        with open_target(path, seed=5, direct=False) as h:
+            w = workload(h, pattern="sequential", request_budget=256,
+                         verify=True)
+            native, python = on_both_loops(monkeypatch, lambda: run_sync(w))
+        same_error(native, python, VerifyError)
+        assert native.offset == python.offset == 500_000
+
+    def test_stop_word_ends_a_pool_run(self, real, monkeypatch):
+        # worker 1's first read comes up short; worker 0 reads block 0 in
+        # the compiled loop, which only the stop word ends before 30 s
+        real.capacity += 4096
+        chunks = engines._offset_chunks
+        monkeypatch.setattr(engines, "_offset_chunks",
+                            lambda wl, w, offsets=None: chunks(
+                                wl, w, [1 << 20 if w else 0]))
+        w = workload(real, request_budget=None, duration_s=30.0, threads=2)
+        t0 = time.monotonic()
+        with pytest.raises(AbortedRun, match="^1 worker.*short read"):
+            run(w, EngineConfig(kind="pool"))
+        assert time.monotonic() - t0 < 1.0
+
+    def test_window(self, real, monkeypatch):
+        # a deadline already past reads nothing; a warm-up end still ahead
+        # reads every block of the budget and logs none; an open window
+        # logs every read, the last one done after the window opened
+        def window(warm_end, deadline):
+            result = engines._RealWorkerResult(workload(real))
+            engines._real_worker(workload(real), EngineConfig(), 0, warm_end,
+                                 deadline, engines._Stop(), result)
+            return (len(result.durations), result.max_inflight,
+                    result.last_done > now)
+
+        now = time.perf_counter_ns()
+        for warm_end, deadline, want in (
+                (-math.inf, now, (0, 0, False)),
+                (now + 60 * 10 ** 9, math.inf, (0, 1, False)),
+                (now, math.inf, (200, 1, True))):
+            assert on_both_loops(monkeypatch,
+                                 lambda: window(warm_end, deadline)) == (
+                want, want)
+
+
+def test_no_compiler_falls_back_with_a_note(real, tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    hotloop.load.cache_clear()
+    try:
+        rec = run(workload(real), EngineConfig(kind="sync"))
+        probed = probe_engines()["loop"]
+    finally:
+        hotloop.load.cache_clear()
+    why = "no C compiler: cc is not on PATH"
+    assert rec.latency.count == 200
+    assert rec.extra["loop"] == "python"
+    assert rec.notes == f"native loop unavailable ({why}), reads timed on " \
+                        "the Python loop"
+    assert probed == {"native": False, "detail": why}
+    assert not (tmp_path / "cache").exists()
+
+
+def test_loop_built_once_per_cache(tmp_path, monkeypatch, native_loop):
+    # built under a temporary name and renamed, then loaded from the cache;
+    # a cache that cannot be a directory builds into a private one
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    try:
+        hotloop.load.cache_clear()
+        built = hotloop.load()[1]
+        stamp = os.stat(built).st_mtime_ns
+        hotloop.load.cache_clear()
+        assert hotloop.load()[1] == built
+        assert os.stat(built).st_mtime_ns == stamp
+        assert os.listdir(tmp_path / "cache" / "readbench") == [
+            os.path.basename(built)]
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        hotloop.load.cache_clear()
+        loop, private = hotloop.load()
+    finally:
+        hotloop.load.cache_clear()
+    assert loop is not None
+    assert not private.startswith(str(tmp_path))
