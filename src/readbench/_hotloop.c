@@ -1,26 +1,40 @@
-/* The sync-family read loop (sync, polled, pool) over one worker's offsets,
- * built and loaded by readbench.hotloop.  It times each read around the
- * syscall alone, on CLOCK_MONOTONIC, the clock of Python's perf_counter_ns.
+/* The compiled read loops of the real-file engines, built and loaded by
+ * readbench.hotloop: rb_read_loop for the sync family (sync, polled, pool)
+ * and rb_async_loop for the aio and uring engines.  Each times its reads
+ * around the syscalls alone, on CLOCK_MONOTONIC, the clock of Python's
+ * perf_counter_ns, and logs a duration in us rounded to the nearest (halves
+ * up).
  */
 #define _GNU_SOURCE
 #include <errno.h>
 #include <stdint.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/uio.h>
 #include <time.h>
+#include <unistd.h>
+
+#ifndef SYS_io_uring_enter
+#define SYS_io_uring_enter 426
+#endif
+
+#define NS 1000000000
+#define ENTER_GETEVENTS 1u
+#define ENTER_SQ_WAKEUP 2u
+#define ENTER_EXT_ARG 8u
+#define SQ_NEED_WAKEUP 1u
 
 static int64_t now_ns(void)
 {
     struct timespec ts;
     clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+    return (int64_t)ts.tv_sec * NS + ts.tv_nsec;
 }
 
 /* Read off[0..n), block bytes each, read i into buf + i * stride, with one
  * preadv2(flags) at a time, retried on EINTR.  Before each read, stop at
  * deadline or once *stop is nonzero.  Each read submitted at or after
- * warm_end logs its duration in us, rounded to the nearest (halves up), to
- * durations.
+ * warm_end logs its duration to durations.
  *
  * Returns the reads done.  out[0] gets the number logged; out[1] the end
  * stamp of the last one logged, left as it was if none; out[2] block, or the
@@ -59,4 +73,257 @@ long rb_read_loop(int fd, char *buf, long stride, long block,
     }
     out[0] = logged;
     return i;
+}
+
+/* What ended a call of rb_async_loop; and the fault that failed it, with
+ * the numbers of readbench.hotloop and readbench.errors.async_error. */
+enum { RB_DONE, RB_MORE, RB_STOPPED, RB_FAILED };
+enum { RB_UNKNOWN_SLOT = 1, RB_BAD_RESULT, RB_RING_OVERFLOW, RB_STALLED,
+       RB_SHORT_SUBMIT, RB_CALL_FAILED };
+
+struct cqe {
+    uint64_t user_data;
+    int32_t res;
+    uint32_t flags;
+};
+
+/* A kernel AIO context or an io_uring, with one request block per slot,
+ * written once by readbench.aio_native or readbench.uring_native but for
+ * its offset, which lies at off + slot * stride. */
+struct rb_queue {
+    int64_t uring, handle; /* handle: the AIO context, or the ring's fd */
+    int64_t depth, block, kernel_poll;
+    char *off;
+    int64_t stride;
+    uint64_t *iocbs, *ptrs; /* AIO: iocb addresses, io_submit's array */
+    int64_t *events;        /* AIO: io_getevents' array, 4 words each */
+    uint32_t *sq_tail, *sq_flags, *sq_array;
+    uint32_t *cq_head, *cq_tail, *cq_overflow;
+    struct cqe *cqes;
+    int64_t sq_mask, cq_mask;
+};
+
+/* One worker's loop, kept by Python across calls. */
+struct rb_async {
+    int64_t *slot_ns, *slot_off, *busy; /* per slot: submit, offset, busy */
+    int64_t *refill;    /* the slots to submit next, nrefill of them */
+    int64_t nrefill;
+    int64_t left;       /* reads the budget still allows */
+    int64_t pos;        /* the index in off of the next offset */
+    int64_t batch, inflight, max_inflight;
+    int64_t last_done;  /* the reap stamp of the last read logged */
+    int64_t logged;     /* durations logged by this call */
+    int64_t stalled;    /* a wait ran out its timeout */
+    int64_t fault, fault_a, fault_b;
+};
+
+static int fail(struct rb_async *s, int64_t fault, int64_t a, int64_t b)
+{
+    s->fault = fault;
+    s->fault_a = a;
+    s->fault_b = b;
+    return RB_FAILED;
+}
+
+/* io_uring_enter, retried on EINTR, with a timeout if timeout_ns >= 0;
+ * returns its result, or -errno. */
+static long ring_enter(const struct rb_queue *q, long submit, long min_nr,
+                       unsigned flags, int64_t timeout_ns)
+{
+    struct { int64_t sec, nsec; } ts = {timeout_ns / NS, timeout_ns % NS};
+    struct {
+        uint64_t sigmask;
+        uint32_t sigmask_sz, pad;
+        uint64_t ts;
+    } arg = {0, 0, 0, (uintptr_t)&ts};
+    int timed = timeout_ns >= 0;
+    long r;
+
+    do
+        r = syscall(SYS_io_uring_enter, (int)q->handle, (unsigned)submit,
+                    (unsigned)min_nr, flags | (timed ? ENTER_EXT_ARG : 0),
+                    timed ? &arg : NULL, timed ? sizeof arg : 0);
+    while (r < 0 && errno == EINTR);
+    return r < 0 ? -errno : r;
+}
+
+/* Submit the reads of slots[0..k), their offsets written; returns how many
+ * the kernel took, or -errno. */
+static long submit(const struct rb_queue *q, const int64_t *slots, long k)
+{
+    uint32_t tail;
+    long i, r;
+
+    if (!q->uring) {
+        for (i = 0; i < k; i++)
+            q->ptrs[i] = q->iocbs[slots[i]];
+        r = syscall(SYS_io_submit, (unsigned long)q->handle, k, q->ptrs);
+        return r < 0 ? -errno : r;
+    }
+    tail = *q->sq_tail; /* only this thread writes it */
+    for (i = 0; i < k; i++)
+        q->sq_array[(tail + i) & q->sq_mask] = (uint32_t)slots[i];
+    __atomic_store_n(q->sq_tail, tail + (uint32_t)k, __ATOMIC_RELEASE);
+    if (!q->kernel_poll)
+        return ring_enter(q, k, 0, 0, -1);
+    /* the tail before the flags, as liburing orders them */
+    __atomic_thread_fence(__ATOMIC_SEQ_CST);
+    if (__atomic_load_n(q->sq_flags, __ATOMIC_RELAXED) & SQ_NEED_WAKEUP) {
+        r = ring_enter(q, 0, 0, ENTER_SQ_WAKEUP, -1);
+        if (r < 0)
+            return r;
+    }
+    return k;
+}
+
+/* Take a completion: its slot must be in range and in flight, else it
+ * fails.  The first result that is not a whole block is kept in *bad and
+ * *bad_res. */
+static int take(const struct rb_queue *q, struct rb_async *s, int64_t slot,
+                int64_t res, int64_t *bad, int64_t *bad_res)
+{
+    if (slot < 0 || slot >= q->depth || !s->busy[slot])
+        return fail(s, RB_UNKNOWN_SLOT, slot, q->depth);
+    s->busy[slot] = 0;
+    s->inflight--;
+    s->refill[s->nrefill++] = slot;
+    if (res != q->block && *bad < 0) {
+        *bad = slot;
+        *bad_res = res;
+    }
+    return 0;
+}
+
+/* Wait up to timeout_ns for min_nr completions, then take every one
+ * posted; returns how many, or -1 with the fault recorded. */
+static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
+                 int64_t timeout_ns, int64_t *bad, int64_t *bad_res)
+{
+    uint32_t head, tail;
+    long i, r;
+
+    if (!q->uring) {
+        struct timespec ts = {timeout_ns / NS, timeout_ns % NS};
+
+        do
+            r = syscall(SYS_io_getevents, (unsigned long)q->handle, min_nr,
+                        (long)q->depth, q->events, &ts);
+        while (r < 0 && errno == EINTR);
+        if (r < 0) {
+            fail(s, RB_CALL_FAILED, errno, 0);
+            return -1;
+        }
+        for (i = 0; i < r; i++)
+                if (take(q, s, q->events[4 * i], q->events[4 * i + 2], bad,
+                     bad_res))
+                return -1;
+        return r;
+    }
+    head = *q->cq_head; /* only this thread writes it */
+    tail = __atomic_load_n(q->cq_tail, __ATOMIC_ACQUIRE);
+    if (tail - head < (uint32_t)min_nr) {
+        /* min_nr counts every completion not yet taken, these included */
+        r = ring_enter(q, 0, min_nr, ENTER_GETEVENTS, timeout_ns);
+        if (r < 0 && r != -ETIME) {
+            fail(s, RB_CALL_FAILED, -r, 0);
+            return -1;
+        }
+        tail = __atomic_load_n(q->cq_tail, __ATOMIC_ACQUIRE);
+    }
+    r = __atomic_load_n(q->cq_overflow, __ATOMIC_RELAXED);
+    if (r) { /* those reads would never be reaped */
+        fail(s, RB_RING_OVERFLOW, r, 0);
+        return -1;
+    }
+    for (r = 0; head != tail; head++, r++) {
+        const struct cqe *c = &q->cqes[head & q->cq_mask];
+
+        if (take(q, s, (int32_t)c->user_data, c->res, bad, bad_res))
+            return -1;
+    }
+    __atomic_store_n(q->cq_head, head, __ATOMIC_RELEASE);
+    return r;
+}
+
+/* Keep the queue's slots reading off[s->pos..n): refill the slots
+ * harvested, at most s->left more, none once deadline has passed or *stop
+ * is nonzero; wait for min(batch, in flight) completions, each wait ending
+ * after timeout_ns, and the run after stall_ns without one; check every
+ * completion; log the duration of each read submitted at or after
+ * warm_end, from its submit stamp to the stamp after its harvest.
+ *
+ * Returns RB_MORE when a refill needs offsets past off[n) (Python joins the
+ * rest to the next chunk), RB_DONE once nothing is in flight, RB_STOPPED
+ * when a wait came back empty with *stop set, or RB_FAILED with the fault
+ * in s.  s->logged durations went to durations, which has room for
+ * n + depth.  A slot reaped in a harvest that failed is not in flight.
+ */
+int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
+                  const int64_t *off, long n, int64_t warm_end,
+                  int64_t deadline, const int *stop, int64_t timeout_ns,
+                  int64_t stall_ns, int64_t *durations)
+{
+    s->logged = 0;
+    for (;;) {
+        int64_t now = now_ns(), since, bad = -1, bad_res = 0, want, got;
+        long i, k = s->nrefill < s->left ? s->nrefill : s->left, r;
+
+        if (k && (now >= deadline || __atomic_load_n(stop, __ATOMIC_RELAXED)))
+            k = 0;
+        if (s->pos + k > n)
+            return RB_MORE;
+        for (i = 0; i < k; i++) {
+            int64_t slot = s->refill[i], o = off[s->pos + i];
+
+            *(int64_t *)(q->off + slot * q->stride) = o;
+            s->slot_off[slot] = o;
+            s->slot_ns[slot] = now;
+            s->busy[slot] = 1;
+        }
+        if (k) {
+            r = submit(q, s->refill, k);
+            if (r > 0)
+                s->inflight += r;
+            if (r != k)
+                return q->uring && r < 0 ? fail(s, RB_CALL_FAILED, -r, 0)
+                                         : fail(s, RB_SHORT_SUBMIT, r, k);
+            s->pos += k;
+            s->left -= k;
+            if (s->inflight > s->max_inflight)
+                s->max_inflight = s->inflight;
+        }
+        s->nrefill = 0; /* slots not refilled now never will be */
+        if (!s->inflight)
+            return RB_DONE;
+
+        want = s->inflight < s->batch ? s->inflight : s->batch;
+        since = now;
+        for (got = 0; got < want;) {
+            r = reap(q, s, want - got, timeout_ns, &bad, &bad_res);
+            if (r < 0)
+                return RB_FAILED;
+            now = now_ns();
+            if (r) {
+                got += r;
+                since = now;
+                continue;
+            }
+            if (__atomic_load_n(stop, __ATOMIC_RELAXED))
+                return RB_STOPPED;
+            s->stalled = 1;
+            if (now - since >= stall_ns)
+                return fail(s, RB_STALLED, now - since, 0);
+        }
+        if (bad >= 0)
+            return fail(s, RB_BAD_RESULT, s->slot_off[bad], bad_res);
+        k = s->logged;
+        for (i = 0; i < s->nrefill; i++) {
+            int64_t start = s->slot_ns[s->refill[i]];
+
+            if (start >= warm_end)
+                durations[s->logged++] = (now - start + 500) / 1000;
+        }
+        if (s->logged > k)
+            s->last_done = now;
+    }
 }

@@ -6,7 +6,8 @@ thread; reads are truly asynchronous only on direct-mode descriptors, but
 the interface works (synchronously inside the kernel) on buffered ones too.
 
 iocb i reads slot i's buffer; io_submit copies the iocbs, so a submit
-writes just offsets, through a numpy view.
+writes just offsets, through a numpy view, or in the compiled loop
+(:meth:`AioQueue.loop_queue`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import threading
 
 import numpy as np
 
-from .errors import EngineUnsupported, IoError
+from . import hotloop
+from .errors import (CALL_FAILED, SHORT_SUBMIT, EngineUnsupported,
+                     async_error)
 
 _SYS_io_setup = 206
 _SYS_io_destroy = 207
@@ -104,8 +107,8 @@ class AioQueue:
         ret = _libc.syscall(_SYS_io_submit, self._ctx, n, self._ptrs_arg)
         self.inflight += max(ret, 0)
         if ret != n:
-            raise IoError(f"io_submit submitted {ret} of {n} reads"
-                          + (f": {_errno_str()}" if ret < 0 else ""))
+            raise async_error(SHORT_SUBMIT, ret if ret >= 0
+                              else -ctypes.get_errno(), n, "io_submit")
 
     def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
         """Block for at least min_nr completions, fewer if timeout_s runs
@@ -118,9 +121,19 @@ class AioQueue:
                 break
             err = ctypes.get_errno()
             if err != errno.EINTR:
-                raise OSError(err, f"io_getevents failed: {os.strerror(err)}")
+                raise async_error(CALL_FAILED, err, call="io_getevents")
         self.inflight -= ret
         return self._events[:ret, ::2].copy()  # data and res
+
+    def loop_queue(self) -> hotloop.Queue:
+        """This queue as the compiled async loop works it.  That loop
+        submits and reaps without submit_reads and wait, so whoever runs it
+        keeps ``inflight`` for close."""
+        return hotloop.Queue(
+            uring=0, handle=self._ctx.value, depth=self.depth,
+            block=len(self._buffers[0]), off=self._offsets.ctypes.data,
+            stride=self._offsets.strides[0], iocbs=self._addrs.ctypes.data,
+            ptrs=self._ptrs.ctypes.data, events=self._events.ctypes.data)
 
     def close(self) -> None:
         if self._ctx.value:

@@ -15,12 +15,16 @@ Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit.
 Real-file targets use actual threads and the native syscall backends, on a
-sync loop (sync, polled, pool) or an async loop (aio, uring).  The sync
-loop reads the per-worker int64 offset chunks one offset at a time, in C
-where :mod:`readbench.hotloop` builds, which times each read around its
-``preadv2`` alone, and else in Python through :func:`read_block`; the async
-loop slices the same chunks, and checks each harvest's slots against the
-set of slots in flight.  All stamp time in integer ns of the clock of
+sync loop (sync, polled, pool) or an async loop (aio, uring), each in C
+where :mod:`readbench.hotloop` builds and else in Python.  Every loop
+takes the per-worker int64 offset chunks, each refused whole
+(:func:`check_offsets`) before any of its reads.  The sync loop reads them
+one offset at a time, timed around the ``preadv2`` alone in C and through
+:func:`read_block` in Python.  The async loop refills the slots of each
+harvest with the next slice of a chunk, and checks each completion's slot
+against the slots in flight; in C it submits, waits, checks and stamps
+without the interpreter, one call per chunk, on a kernel queue of an
+unverified run.  All stamp time in integer ns of the clock of
 ``time.perf_counter_ns`` and round durations as :func:`read_block` does.
 Verified reads of up to 128 KiB blocks check against page hashes drawn
 with their offsets; a harvest of every slot is checked where it lies.
@@ -45,7 +49,8 @@ import numpy as np
 
 from . import aio_native, fill, hotloop, uring_native
 from .devicesim import SimState, advance, submit
-from .errors import AbortedRun, EngineUnsupported, IoError, VerifyError
+from .errors import (BAD_RESULT, CALL_FAILED, STALLED, UNKNOWN_SLOT,
+                     AbortedRun, EngineUnsupported, VerifyError, async_error)
 from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
                           compute_throughput, from_fields, measure_cpu,
                           snapshot_cpu)
@@ -476,6 +481,10 @@ class _Stop:
         return self.word[0] != 0
 
 
+#: the note of a run in which a harvest's wait ran out its timeout
+_STALLED = "harvest stalled beyond timeout"
+
+
 def _harvest(backend, min_nr: int, notes: list[str],
              stop: _Stop) -> np.ndarray | None:
     """Wait for at least min_nr completions, as (slot, res) rows; None once
@@ -491,11 +500,11 @@ def _harvest(backend, min_nr: int, notes: list[str],
             continue
         if stop.is_set():
             return None
-        if "harvest stalled beyond timeout" not in notes:
-            notes.append("harvest stalled beyond timeout")
-        waited = (time.perf_counter_ns() - start) / 1e9
-        if waited >= STALL_LIMIT_S:
-            raise IoError(f"harvest stalled: no completion in {waited:.1f} s")
+        if _STALLED not in notes:
+            notes.append(_STALLED)
+        waited = time.perf_counter_ns() - start
+        if waited >= STALL_LIMIT_S * 1e9:
+            raise async_error(STALLED, waited)
     return done
 
 
@@ -510,7 +519,9 @@ class _RealWorkerResult:
         self.error: BaseException | None = None
         self.notes: list[str] = []
         self.max_inflight = 0
-        self.loop = "python"  # or "native": the compiled sync-family loop
+        # or "native": the compiled loop read (the sync family, and aio and
+        # uring on a kernel queue unverified)
+        self.loop = "python"
 
 
 def _trimmed(chunks: Iterator[np.ndarray],
@@ -522,6 +533,16 @@ def _trimmed(chunks: Iterator[np.ndarray],
     while n > 0:
         chunk = next(chunks)[:n]
         n -= len(chunk)
+        yield chunk
+
+
+def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray],
+             block: int) -> Iterator[np.ndarray]:
+    """The offset chunks as contiguous int64, each refused whole
+    (:func:`check_offsets`) before any of its offsets is read."""
+    for chunk in chunks:
+        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+        check_offsets(handle, chunk, block)
         yield chunk
 
 
@@ -568,9 +589,8 @@ def _native_reads(read_loop, handle: TargetHandle, flags: int,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
     """The loop of :func:`_python_reads`, in C (:mod:`readbench.hotloop`):
-    each read is timed around its preadv2 alone.  A chunk's offsets are
-    checked before any is read; a verified run reads one batch per call,
-    into the rows of the arena."""
+    each read is timed around its preadv2 alone.  A verified run reads one
+    batch per call, into the rows of the arena."""
     durations, checksum = result.durations, result.checksum
     block = rows.shape[1] * fill.WORD
     # reads per call, and the arena stride: every read into row 0 unverified
@@ -582,8 +602,6 @@ def _native_reads(read_loop, handle: TargetHandle, flags: int,
     tail = (flags, _ns(warm_end), _ns(deadline), stop.address,
             log.ctypes.data, out.ctypes.data)
     for chunk in chunks:
-        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-        check_offsets(handle, chunk, block)
         base = chunk.ctypes.data
         for i in range(0, len(chunk), step):
             n = min(step, len(chunk) - i)
@@ -601,6 +619,134 @@ def _native_reads(read_loop, handle: TargetHandle, flags: int,
                 return
 
 
+def _python_async(backend, batch: int, remaining: int | None,
+                  chunks: Iterator[np.ndarray], rows: np.ndarray,
+                  hashing: bool, warm_end: float, deadline: float,
+                  stop: _Stop, result: _RealWorkerResult) -> None:
+    """The async loop in Python, a slot per row of the arena: refill each
+    harvest's slots, at most ``remaining`` reads in all, and check and log
+    its reads; verify them if the result has a checksum."""
+    durations, checksum = result.durations, result.checksum
+    clock, stopped = time.perf_counter_ns, stop.is_set
+    depth, block = rows.shape[0], rows.shape[1] * fill.WORD
+    per = max(1, fill.CHECK_CHUNK_BYTES // block)  # blocks per check
+    # a partial harvest's rows are gathered here for verification
+    picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
+    submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
+    slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
+    slot_hash = np.zeros((depth, block // fill.PAGE), np.uint64)  # hashes
+    # reap time + 500 and ns per us: 0-d, so numpy takes its fast path
+    reaped, us = np.zeros((), dtype=np.int64), np.array(1000, np.int64)
+    full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
+    # to submit: all at first, then a harvest's, as an array and a list
+    slots, got = np.arange(depth), list(range(depth))
+    # the slots in flight, and the last harvest's until the refill
+    busy = set(got)
+    chunk, pos = next(chunks), 0  # offsets drawn, and the next one's index
+    issued = inflight = warming = 0  # warming: in flight from warm-up
+    while True:
+        now = clock()
+        n = len(got) if remaining is None else min(len(got), remaining - issued)
+        if n and (now >= deadline or stopped()):
+            n = 0
+        if n < len(got):  # slots not refilled now never will be
+            busy.difference_update(got[n:])
+        if n:
+            slots = slots[:n]
+            if pos + n > len(chunk):  # this chunk's rest, then the next
+                chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
+            offsets = chunk[pos:pos + n]
+            pos += n
+            submit_ns[slots] = now
+            if now < warm_end:
+                warming += n
+            slot_off[slots] = offsets
+            if hashing:
+                slot_hash[slots] = checksum.take(n)
+            backend.submit_reads(slots, offsets)
+            issued += n
+            inflight += n
+            result.max_inflight = max(result.max_inflight, inflight)
+        if not inflight:
+            break
+        done = _harvest(backend, min(batch, inflight), result.notes, stop)
+        if done is None:  # another worker failed
+            break
+        now = clock()
+        inflight -= len(done)
+        # a contiguous copy: numpy indexes by it several times faster
+        slots, res = done[:, 0].copy(), done[:, 1]
+        got = slots.tolist()
+        harvested = set(got)
+        # a slot out of range is never in flight
+        if len(harvested) < len(got) or not harvested <= busy:
+            stray = next(s for i, s in enumerate(got)
+                         if s not in busy or s in got[:i])
+            raise async_error(UNKNOWN_SLOT, stray, depth)
+        if res.tobytes() != full[:res.nbytes]:
+            i = np.flatnonzero(res != block)[0]
+            raise async_error(BAD_RESULT, slot_off[slots[i]], res[i])
+        started = submit_ns[slots]
+        if warming:  # log only the reads submitted from warm_end on
+            late = started >= warm_end
+            warming -= len(late) - np.count_nonzero(late)
+            started = started[late]
+        # to the nearest us, halves up, as target.read_block rounds
+        reaped[()] = now + 500
+        durations.frombytes(((reaped - started) // us).tobytes())
+        if len(started):
+            result.last_done = now
+        if checksum is not None:
+            # before the refill; a harvest of every slot where it lies
+            whole = len(got) == depth
+            for i in range(0, len(slots), per):
+                group = slice(i, i + per) if whole else slots[i:i + per]
+                checksum.add(rows[group] if whole else
+                             np.take(rows, group, axis=0, mode="clip",
+                                     out=picked[:len(group)]),
+                             slot_off[group],
+                             slot_hash[group] if hashing else None)
+
+
+def _native_async(async_loop, backend, batch: int, remaining: int | None,
+                  chunks: Iterator[np.ndarray], warm_end: float,
+                  deadline: float, stop: _Stop,
+                  result: _RealWorkerResult) -> None:
+    """The loop of :func:`_python_async`, unverified, in C
+    (:mod:`readbench.hotloop`) over the backend's own queue: one call per
+    offset chunk, whose rest a refill that crosses its end joins to the
+    next, as in Python, so the refills are the same."""
+    aio = isinstance(backend, aio_native.AioQueue)
+    queue = backend.loop_queue()
+    left = 2 ** 63 - 1 if remaining is None else remaining
+    state = hotloop.AsyncState(queue.depth, batch, left)
+    chunk = next(chunks)
+    try:
+        while True:
+            log = np.empty(len(chunk) + queue.depth, dtype=np.int64)
+            # the limits are read at each call, so that patches apply
+            status = async_loop(
+                queue, state, chunk.ctypes.data, len(chunk), _ns(warm_end),
+                _ns(deadline), stop.address, round(HARVEST_TIMEOUT_S * 1e9),
+                round(STALL_LIMIT_S * 1e9), log.ctypes.data)
+            result.durations.frombytes(log[:state.logged].tobytes())
+            if status != hotloop.MORE:
+                break
+            chunk = np.concatenate((chunk[state.pos:], next(chunks)))
+            state.pos = 0
+    finally:
+        if aio:  # so that close cancels the reads still in flight, if any
+            backend.inflight = state.inflight
+    result.max_inflight, result.last_done = state.max_inflight, state.last_done
+    if state.stalled and _STALLED not in result.notes:
+        result.notes.append(_STALLED)
+    if status == hotloop.FAILED:
+        # io_getevents fails, io_submit falls short
+        call = ("io_uring_enter" if not aio else
+                "io_getevents" if state.fault == CALL_FAILED else "io_submit")
+        raise async_error(state.fault, state.fault_a, state.fault_b, call)
+
+
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                  warm_end: float, deadline: float, stop: _Stop,
                  result: _RealWorkerResult,
@@ -612,116 +758,48 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     block = workload.block_size
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
-    durations, checksum = result.durations, result.checksum
+    checksum = result.checksum
     chunks = _offset_chunks(workload, w, offsets)
-    # blocks per check; blocks that fit one also draw page hashes with them
-    per = max(1, fill.CHECK_CHUNK_BYTES // block)
+    # blocks that fit one check also draw page hashes with their offsets
     hashing = (checksum is not None and block <= fill.CHECK_CHUNK_BYTES
                and (offsets is None or not any(o % fill.PAGE for o in offsets)))
     if hashing:
         chunks = checksum.hashed(chunks)
+    lib, detail = hotloop.load()
+    if lib is None:
+        result.notes.append(f"native loop unavailable ({detail}), "
+                            "reads timed on the Python loop")
 
     if engine.kind not in ASYNC_KINDS:
+        per = max(1, fill.CHECK_CHUNK_BYTES // block)  # blocks per check
         bufs, rows = _arena(1 if checksum is None else per, block)
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
-        chunks = _trimmed(chunks, remaining)
-        read_loop, detail = hotloop.load()
-        if read_loop is None:
-            result.notes.append(f"native loop unavailable ({detail}), "
-                                "reads timed on the Python loop")
+        chunks = _checked(handle, _trimmed(chunks, remaining), block)
+        if lib is None:
             _python_reads(handle, flags, chunks, bufs, rows, warm_end,
                           deadline, stop, result)
         else:
             result.loop = "native"
-            _native_reads(read_loop, handle, flags, chunks, rows, warm_end,
-                          deadline, stop, result)
+            _native_reads(lib.rb_read_loop, handle, flags, chunks, rows,
+                          warm_end, deadline, stop, result)
         return
 
-    clock, stopped = time.perf_counter_ns, stop.is_set
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
-    # a partial harvest's rows are gathered here for verification
-    picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
+    chunks = _checked(handle, chunks, block)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
-        submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
-        slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
-        slot_hash = np.zeros((depth, block // fill.PAGE), np.uint64)  # hashes
-        # reap time + 500 and ns per us: 0-d, so numpy takes its fast path
-        reaped, us = np.zeros((), dtype=np.int64), np.array(1000, np.int64)
-        full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
-        # to submit: all at first, then a harvest's, as an array and a list
-        slots, got = np.arange(depth), list(range(depth))
-        # the slots in flight, and the last harvest's until the refill
-        busy = set(got)
-        chunk, pos = next(chunks), 0  # offsets drawn, and the next one's index
-        issued = inflight = warming = 0  # warming: in flight from warm-up
-        while True:
-            now = clock()
-            n = len(got) if remaining is None else min(len(got), remaining - issued)
-            if n and (now >= deadline or stopped()):
-                n = 0
-            if n < len(got):  # slots not refilled now never will be
-                busy.difference_update(got[n:])
-            if n:
-                slots = slots[:n]
-                if pos + n > len(chunk):  # this chunk's rest, then the next
-                    chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
-                offsets = chunk[pos:pos + n]
-                pos += n
-                submit_ns[slots] = now
-                if now < warm_end:
-                    warming += n
-                slot_off[slots] = offsets
-                if hashing:
-                    slot_hash[slots] = checksum.take(n)
-                backend.submit_reads(slots, offsets)
-                issued += n
-                inflight += n
-                result.max_inflight = max(result.max_inflight, inflight)
-            if not inflight:
-                break
-            done = _harvest(backend, min(batch, inflight), result.notes, stop)
-            if done is None:  # another worker failed
-                break
-            now = clock()
-            inflight -= len(done)
-            # a contiguous copy: numpy indexes by it several times faster
-            slots, res = done[:, 0].copy(), done[:, 1]
-            got = slots.tolist()
-            harvested = set(got)
-            # a slot out of range is never in flight
-            if len(harvested) < len(got) or not harvested <= busy:
-                stray = next(s for i, s in enumerate(got)
-                             if s not in busy or s in got[:i])
-                raise IoError(f"completion for unknown slot {stray} of "
-                              f"{depth} (no read in flight)")
-            if res.tobytes() != full[:res.nbytes]:
-                i = np.flatnonzero(res != block)[0]
-                raise IoError(f"async read at {slot_off[slots[i]]} "
-                              f"returned {res[i]}")
-            started = submit_ns[slots]
-            if warming:  # log only the reads submitted from warm_end on
-                late = started >= warm_end
-                warming -= len(late) - np.count_nonzero(late)
-                started = started[late]
-            # to the nearest us, halves up, as target.read_block rounds
-            reaped[()] = now + 500
-            durations.frombytes(((reaped - started) // us).tobytes())
-            if len(started):
-                result.last_done = now
-            if checksum is not None:
-                # before the refill; a harvest of every slot where it lies
-                whole = len(got) == depth
-                for i in range(0, len(slots), per):
-                    group = slice(i, i + per) if whole else slots[i:i + per]
-                    checksum.add(rows[group] if whole else
-                                 np.take(rows, group, axis=0, mode="clip",
-                                         out=picked[:len(group)]),
-                                 slot_off[group],
-                                 slot_hash[group] if hashing else None)
+        if (lib is not None and checksum is None
+                and type(backend) in (aio_native.AioQueue,
+                                      uring_native.UringQueue)):
+            result.loop = "native"
+            _native_async(lib.rb_async_loop, backend, batch, remaining,
+                          chunks, warm_end, deadline, stop, result)
+        else:
+            _python_async(backend, batch, remaining, chunks, rows, hashing,
+                          warm_end, deadline, stop, result)
     finally:
         backend.close()
 
@@ -798,8 +876,7 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
         # replays, selection and plots differ from run to run
         cpu = CpuUsage.of(0.0, elapsed_s)
     else:
-        if engine.kind not in ASYNC_KINDS:
-            hotloop.load()  # built at first use, before the clocks start
+        hotloop.load()  # built at first use, before the clocks start
         cpu_before = snapshot_cpu()
         wall0 = time.perf_counter_ns()
         log, nbytes, elapsed_s, checksum, notes, extra = _run_real(
@@ -889,8 +966,8 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
 
 def probe_engines() -> dict[str, dict]:
     """Which engines (and ring features) this system supports, and under
-    ``loop`` whether the sync, polled and pool engines read on the compiled
-    loop, which this builds if it is not built yet."""
+    ``loop`` whether the compiled loops built, which this builds if they are
+    not built yet."""
     info: dict[str, dict] = {
         "sync": {"available": True, "detail": "positional reads"},
         "polled": {"available": hasattr(os, "preadv"),

@@ -1,4 +1,6 @@
-"""The compiled read loop of the sync, polled and pool engines on real files.
+"""The compiled read loops of the real-file engines: ``rb_read_loop``, that
+of the sync, polled and pool engines, and ``rb_async_loop``, that of the aio
+and uring engines on a kernel queue.
 
 :func:`load` builds ``_hotloop.c`` with the system ``cc`` at first use, never
 at import, into ``$XDG_CACHE_HOME/readbench/<CRC-32 of the source>.so`` (default
@@ -6,7 +8,7 @@ at import, into ``$XDG_CACHE_HOME/readbench/<CRC-32 of the source>.so`` (default
 process never loads a library another one is still writing.  Where that
 directory is not writable, it builds into a temporary directory of this
 process.  Without a compiler the engines time their reads on the Python
-loop, and the record says so.
+loops, and the record says so.
 """
 
 from __future__ import annotations
@@ -21,13 +23,57 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_hotloop.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-_ARGTYPES = (ctypes.c_int, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-             ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_int64,
-             ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_void_p)
+_READ_ARGTYPES = (ctypes.c_int, ctypes.c_void_p, ctypes.c_long,
+                  ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_int,
+                  ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                  ctypes.c_void_p, ctypes.c_void_p)
+
+#: what ended a call of ``rb_async_loop``: nothing in flight, a refill that
+#: needs the next offset chunk, a wait that came back empty once the run was
+#: stopped, or a fault (``AsyncState.fault``, an ``errors.async_error`` kind)
+DONE, MORE, STOPPED, FAILED = range(4)
+
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+
+
+class Queue(ctypes.Structure):
+    """A kernel AIO context or ring as ``rb_async_loop`` works it (``struct
+    rb_queue``): slot i's request block, written once but for its offset,
+    has that offset at ``off + i * stride``.  Made by the queues'
+    ``loop_queue``; the queue must outlive it."""
+
+    _fields_ = [("uring", _I64), ("handle", _I64), ("depth", _I64),
+                ("block", _I64), ("kernel_poll", _I64), ("off", _PTR),
+                ("stride", _I64), ("iocbs", _PTR), ("ptrs", _PTR),
+                ("events", _PTR), ("sq_tail", _PTR), ("sq_flags", _PTR),
+                ("sq_array", _PTR), ("cq_head", _PTR), ("cq_tail", _PTR),
+                ("cq_overflow", _PTR), ("cqes", _PTR), ("sq_mask", _I64),
+                ("cq_mask", _I64)]
+
+
+class AsyncState(ctypes.Structure):
+    """One worker's ``rb_async_loop`` across its calls (``struct rb_async``):
+    every slot is to be submitted, and ``left`` reads more at most."""
+
+    _fields_ = [("slot_ns", _PTR), ("slot_off", _PTR), ("busy", _PTR),
+                ("refill", _PTR), ("nrefill", _I64), ("left", _I64),
+                ("pos", _I64), ("batch", _I64), ("inflight", _I64),
+                ("max_inflight", _I64), ("last_done", _I64), ("logged", _I64),
+                ("stalled", _I64), ("fault", _I64), ("fault_a", _I64),
+                ("fault_b", _I64)]
+
+    def __init__(self, depth: int, batch: int, left: int):
+        # per slot: submit stamp, offset, in flight, and the refill order
+        self.slots = np.zeros((4, depth), dtype=np.int64)
+        self.slots[3] = np.arange(depth)
+        base, row = self.slots.ctypes.data, self.slots.strides[0]
+        super().__init__(*(base + i * row for i in range(4)),
+                         nrefill=depth, left=left, batch=batch)
 
 
 class BuildError(Exception):
@@ -57,9 +103,9 @@ def _compile(directory: Path, name: str) -> Path:
 
 @functools.cache
 def load():
-    """(the loop function, its library path), or (None, why it is
-    unavailable).  Built once per source and cache directory, loaded once
-    per process."""
+    """(the library, its path), or (None, why it is unavailable).  Its
+    ``rb_read_loop`` and ``rb_async_loop`` are declared.  Built once per
+    source and cache directory, loaded once per process."""
     try:
         # a CRC, not a cryptographic hash: the cache is the user's own, and
         # hashlib would map the OpenSSL library into every run (~4 MiB RSS)
@@ -75,8 +121,13 @@ def load():
                 private = Path(tempfile.mkdtemp(prefix="readbench-"))
                 atexit.register(shutil.rmtree, private, True)
                 path = _compile(private, name)
-        loop = ctypes.CDLL(str(path)).rb_read_loop
+        lib = ctypes.CDLL(str(path))
     except (BuildError, OSError, subprocess.SubprocessError) as exc:
         return None, str(exc)
-    loop.argtypes, loop.restype = _ARGTYPES, ctypes.c_long
-    return loop, str(path)
+    lib.rb_read_loop.argtypes = _READ_ARGTYPES
+    lib.rb_read_loop.restype = ctypes.c_long
+    lib.rb_async_loop.argtypes = (
+        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR,
+        ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR)
+    lib.rb_async_loop.restype = ctypes.c_int
+    return lib, str(path)

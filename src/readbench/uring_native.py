@@ -5,7 +5,8 @@ submission through io_uring_enter, and optional registered files,
 registered buffers, and the kernel-side submission poll thread.
 
 SQE i reads slot i's buffer; the kernel reads an SQE only while submitting
-it, so a submit writes just offsets and SQ indices, through numpy views.
+it, so a submit writes just offsets and SQ indices, through numpy views, or
+in the compiled loop (:meth:`UringQueue.loop_queue`).
 
 Ring memory is touched with plain stores; x86 total-store-order plus the
 acquire/release semantics of io_uring_enter make this safe for the
@@ -22,7 +23,9 @@ import platform
 
 import numpy as np
 
-from .errors import EngineUnsupported, IoError
+from . import hotloop
+from .errors import (CALL_FAILED, RING_OVERFLOW, SHORT_SUBMIT,
+                     EngineUnsupported, async_error)
 
 _SYS_setup = 425
 _SYS_enter = 426
@@ -234,8 +237,7 @@ class UringQueue:
         else:
             submitted = self._enter(n, 0, 0)
             if submitted != n:
-                raise IoError(f"io_uring_enter submitted {submitted} of "
-                              f"{n} reads")
+                raise async_error(SHORT_SUBMIT, submitted, n, "io_uring_enter")
 
     def _enter(self, to_submit: int, min_complete: int, flags: int,
                timeout_s: float | None = None) -> int:
@@ -258,7 +260,7 @@ class UringQueue:
             if err == errno.ETIME and timeout_s is not None:
                 return 0
             if err != errno.EINTR:
-                raise OSError(err, f"io_uring_enter failed: {os.strerror(err)}")
+                raise async_error(CALL_FAILED, err, call="io_uring_enter")
 
     def _reap(self) -> np.ndarray:
         """Every CQE posted so far, as (slot, res) rows."""
@@ -280,9 +282,23 @@ class UringQueue:
             # min_complete counts every CQE not yet reaped, these included
             self._enter(0, min_nr, _ENTER_GETEVENTS, timeout_s)
         if self._cq_overflow.value:  # those reads would never be reaped
-            raise IoError(f"completion ring overflowed: "
-                          f"{self._cq_overflow.value} completion(s) lost")
+            raise async_error(RING_OVERFLOW, self._cq_overflow.value)
         return self._reap()
+
+    def loop_queue(self) -> hotloop.Queue:
+        """This ring as the compiled async loop works it."""
+        return hotloop.Queue(
+            uring=1, handle=self.ring_fd, depth=len(self._buffers),
+            block=len(self._buffers[0]), kernel_poll=self.kernel_poll,
+            off=self._sqe_off.ctypes.data, stride=self._sqe_off.strides[0],
+            sq_tail=ctypes.addressof(self._sq_tail),
+            sq_flags=ctypes.addressof(self._sq_flags),
+            sq_array=self._sq_array.ctypes.data,
+            cq_head=ctypes.addressof(self._cq_head),
+            cq_tail=ctypes.addressof(self._cq_tail),
+            cq_overflow=ctypes.addressof(self._cq_overflow),
+            cqes=self._cq_rows.ctypes.data, sq_mask=self._sq_mask,
+            cq_mask=self._cq_mask)
 
     def close(self) -> None:
         """Unmap and close the ring; BufferError if a view outlived ours."""

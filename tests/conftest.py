@@ -1,5 +1,5 @@
-"""Shared fixtures: where the compiled read loop is built, and which loop
-the sync, polled and pool engines read on."""
+"""Shared fixtures: where the compiled read loops are built, and which
+loops the real-file engines read on."""
 
 import shutil
 
@@ -21,14 +21,15 @@ def loop_cache(tmp_path_factory):
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    """Pin the sync-family engines to their Python loop, for tests that stub
-    its hooks (read_block, the clocks, os.preadv)."""
+    """Pin every engine to its Python loop, for tests that stub its hooks
+    (read_block, the clocks, os.preadv, a queue's wait or syscalls)."""
     monkeypatch.setattr(hotloop, "load", lambda: (None, "pinned by a test"))
 
 
 @pytest.fixture
 def native_loop():
-    """The compiled loop; the test skips only where there is no cc."""
+    """The compiled loops' library; the test skips only where there is no
+    cc."""
     loop, detail = hotloop.load()
     if loop is None:
         if shutil.which("cc") is None:

@@ -518,11 +518,12 @@ class TestFaults:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_completion_ring_overflow_named(self, real, monkeypatch,
-                                            threads):
+                                            threads, python_loop):
         # the first ring loses the completions of its first wait and counts
         # them as the kernel counts those it drops from a full completion
         # ring: the run ends naming their number, at once, where it would
-        # otherwise wait for them until STALL_LIMIT_S
+        # otherwise wait for them until STALL_LIMIT_S.  The Python loop is
+        # the one that calls wait; TestNativeLoop has the compiled loop's
         _native_or_skip("uring")
         wait, rings, lost = uring_native.UringQueue.wait, [], []
 
@@ -731,7 +732,9 @@ class TestAsyncBackends:
                            EngineConfig(kind="aio", queue_size=8),
                            offsets=[(7 - i) * 4096 for i in range(8)])
 
-    def test_aio_partial_submit_raises(self, real, monkeypatch):
+    def test_aio_partial_submit_raises(self, real, monkeypatch, python_loop):
+        # the Python loop is the one that calls _libc; TestNativeLoop has a
+        # submit the kernel cuts short on either loop
         _native_or_skip("aio")
         libc = aio_native._libc
 
@@ -1361,8 +1364,8 @@ def same_error(native, python, kind):
 
 @pytest.mark.usefixtures("native_loop")
 class TestNativeLoop:
-    """The compiled sync-family loop against the Python loop, its reference:
-    the same reads, checksums and named errors."""
+    """The compiled loops against the Python loops, their reference: the
+    same reads, checksums and named errors."""
 
     @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
     @pytest.mark.parametrize("block", [4096, 65536])
@@ -1470,6 +1473,256 @@ class TestNativeLoop:
             assert on_both_loops(monkeypatch,
                                  lambda: window(warm_end, deadline)) == (
                 want, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("queue,batch", [(1, 1), (7, 3), (32, 8)])
+    @pytest.mark.parametrize("name", ["aio", "uring", "uring-fixed",
+                                      "uring-sqpoll"])
+    def test_async_records_agree(self, cached, monkeypatch, name, queue,
+                                 batch, threads):
+        # 5000 reads a worker cross an offset chunk's end, and refills of 3
+        # split one across it.  A deadline already past submits nothing; a
+        # warm-up end still ahead fills the queue and logs nothing; an open
+        # window logs every read, the last one done after it opened
+        engine = async_engine(name, queue, batch)
+        with open_target(cached, seed=7, direct=False) as h:
+            w = WorkloadSpec(target=h, block_size=4096, threads=threads,
+                             request_budget=5000 * threads, seed=4)
+            native, python = on_both_loops(monkeypatch, lambda: run(w, engine))
+
+            def window(warm_end, deadline):
+                result = engines._RealWorkerResult(w)
+                engines._real_worker(w, engine, 0, warm_end, deadline,
+                                     engines._Stop(), result)
+                return (len(result.durations), result.max_inflight,
+                        result.last_done > now)
+
+            now = time.perf_counter_ns()
+            windows = on_both_loops(monkeypatch, lambda: [
+                window(-math.inf, now), window(now + 60 * 10 ** 9, math.inf),
+                window(now, math.inf)])
+        assert native.extra == {"max_inflight": queue, "loop": "native"}
+        assert python.extra == {"max_inflight": queue, "loop": "python"}
+        assert native.latency.count == python.latency.count == 5000 * threads
+        assert windows == ([(0, 0, False), (0, queue, False),
+                            (5000, queue, True)],) * 2
+
+    @pytest.mark.parametrize("kind", ["aio", "uring"])
+    def test_async_short_read_named(self, tmp_path, monkeypatch, kind):
+        # the handle claims one block more than the file holds, and each
+        # read of that block finds only half of it
+        _native_or_skip(kind)
+        path = str(tmp_path / "short.dat")
+        prepare_target(path, size=1 << 20, seed=3).close()
+        with open(path, "ab") as f:
+            f.write(bytes(2048))
+        with open_target(path, seed=3, direct=False) as h:
+            h.capacity = (1 << 20) + 4096
+            w = workload(h, request_budget=10)
+            native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
+                w, EngineConfig(kind=kind, queue_size=2), offsets=[0, 1 << 20]))
+        same_error(native, python, IoError)
+        assert str(native) == "async read at 1048576 returned 2048"
+
+    @pytest.mark.parametrize("kind,text", [
+        ("aio", "io_submit submitted 1 of 4 reads"),
+        ("uring", "async read at -4096 returned -22")])
+    def test_kernel_refusal_named(self, real, monkeypatch, kind, text):
+        # with the bounds check off, the kernel refuses the negative offset
+        # itself: AIO at submit, after taking the read before it, and the
+        # ring in that read's completion
+        _native_or_skip(kind)
+        monkeypatch.setattr(engines, "check_offsets", lambda *args: None)
+        w = workload(real, request_budget=8)
+        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
+            w, EngineConfig(kind=kind, queue_size=4), offsets=[0, -4096]))
+        same_error(native, python, IoError)
+        assert str(native) == text
+
+    def test_failed_aio_run_cancels_reads_in_flight(self, real, monkeypatch):
+        # worker 1's first submit stops at the kernel's refusal with one read
+        # in flight, which close must cancel before the buffers are freed;
+        # worker 0 stops and drains its queue
+        _native_or_skip("aio")
+        destroy, closed = aio_native._destroy, []
+
+        def recording(ctx, drained):
+            closed.append(drained)
+            destroy(ctx, drained)
+
+        monkeypatch.setattr(aio_native, "_destroy", recording)
+        monkeypatch.setattr(engines, "check_offsets", lambda *args: None)
+        chunks = engines._offset_chunks
+        monkeypatch.setattr(engines, "_offset_chunks",
+                            lambda wl, w, offsets=None: chunks(
+                                wl, w, [0, -4096] if w else None))
+        w = workload(real, request_budget=None, duration_s=30.0, threads=2)
+        with pytest.raises(AbortedRun,
+                           match="^1 worker.*io_submit submitted 1 of 4"):
+            run(w, EngineConfig(kind="aio", queue_size=4))
+        assert sorted(closed) == [False, True]
+
+    def test_stop_word_ends_a_ring_run(self, real, monkeypatch):
+        # worker 1's reads lie past the file's end; worker 0 reads block 0
+        # in the compiled loop, which only the stop word ends before 30 s
+        _native_or_skip("uring")
+        real.capacity += 4096
+        chunks = engines._offset_chunks
+        monkeypatch.setattr(engines, "_offset_chunks",
+                            lambda wl, w, offsets=None: chunks(
+                                wl, w, [1 << 20 if w else 0]))
+        w = workload(real, request_budget=None, duration_s=30.0, threads=2)
+        t0 = time.monotonic()
+        with pytest.raises(AbortedRun, match="^1 worker.*async read at "
+                                             "1048576 returned 0"):
+            run(w, EngineConfig(kind="uring", queue_size=8, batch_size=2))
+        assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ring_overflow_named(self, real, monkeypatch, threads):
+        # the first ring counts 3 completions dropped as soon as it is
+        # built: the compiled loop, which never calls wait, ends the run
+        # naming them at its first wait, where it would otherwise wait for
+        # them until STALL_LIMIT_S
+        _native_or_skip("uring")
+        init, made = uring_native.UringQueue.__init__, itertools.count()
+
+        def lossy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if next(made) == 0:
+                self._cq_overflow.value = 3
+
+        def refuse(self, *args):
+            raise AssertionError("the compiled loop called wait")
+
+        monkeypatch.setattr(uring_native.UringQueue, "__init__", lossy)
+        monkeypatch.setattr(uring_native.UringQueue, "wait", refuse)
+        monkeypatch.setattr(engines, "STALL_LIMIT_S", 5.0)
+        w = workload(real, request_budget=None, duration_s=30.0,
+                     threads=threads)
+        t0 = time.monotonic()
+        with pytest.raises(AbortedRun, match="^1 worker") as ei:
+            run(w, EngineConfig(kind="uring", queue_size=8, batch_size=2))
+        assert time.monotonic() - t0 < 2.0
+        assert isinstance(ei.value.__cause__, IoError)
+        assert str(ei.value.__cause__) == (
+            "completion ring overflowed: 3 completion(s) lost")
+
+
+    @pytest.mark.parametrize("data,slot", [(9, 9), (2 ** 64 - 1, -1), (0, 0)],
+                             ids=["past-queue", "negative", "repeated"])
+    @pytest.mark.parametrize("kind", ["aio", "uring"])
+    def test_unknown_slot_named(self, real, monkeypatch, kind, data, slot):
+        # slot 1's request block carries another slot's user data, so the
+        # kernel posts its completion for that slot: one past the queue,
+        # -1 (the ring's slot is the low word), or slot 0 a second time
+        _native_or_skip(kind)
+        make = engines._make_async_backend
+
+        def misnumbered(*args):
+            q = make(*args)
+            if kind == "aio":
+                q._iocbs["aio_data"][1] = data
+            else:
+                sqes = np.frombuffer(q._mmaps[1], dtype=uring_native._SQE)
+                sqes["user_data"][1] = data
+                del sqes  # a view of the mapping would keep close from it
+            return q
+
+        monkeypatch.setattr(engines, "_make_async_backend", misnumbered)
+        w = workload(real, request_budget=4)
+        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
+            w, EngineConfig(kind=kind, queue_size=4)))
+        same_error(native, python, IoError)
+        assert str(native) == (f"completion for unknown slot {slot} of 4 "
+                               "(no read in flight)")
+
+    def test_stalled_ring_named(self, real, monkeypatch, pipe_rings):
+        # the ring reads an empty pipe, so no read ever completes
+        _native_or_skip("uring")
+        monkeypatch.setattr(engines, "HARVEST_TIMEOUT_S", 0.05)
+        monkeypatch.setattr(engines, "STALL_LIMIT_S", 0.2)
+        w = workload(real, request_budget=4)
+        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
+            w, EngineConfig(kind="uring", queue_size=4)))
+        for exc in (native, python):
+            assert type(exc) is IoError
+            assert str(exc).startswith("harvest stalled: no completion in 0.")
+
+    def test_timed_out_wait_noted(self, real, monkeypatch, pipe_rings):
+        # each read of the pipe completes once a writer fills it, 0.1 s
+        # later: the waits before run out their timeout, and the run says so
+        _native_or_skip("uring")
+        wfd = pipe_rings
+        monkeypatch.setattr(engines, "HARVEST_TIMEOUT_S", 0.02)
+
+        def write():
+            for _ in range(2):
+                time.sleep(0.1)
+                os.write(wfd, bytes(4096))
+
+        def noted():
+            writer = threading.Thread(target=write)
+            writer.start()
+            try:
+                return run(workload(real, request_budget=2),
+                           EngineConfig(kind="uring"))
+            finally:
+                writer.join(5.0)
+
+        native, python = on_both_loops(monkeypatch, noted)
+        assert native.extra["loop"] == "native"
+        for rec in (native, python):
+            assert rec.latency.count == 2
+            assert "harvest stalled beyond timeout" in rec.notes
+
+    def test_failed_worker_stops_a_stalled_ring(self, real, monkeypatch,
+                                                pipe_rings):
+        # worker 0's ring reads an empty pipe; worker 1 fails 0.2 s in, and
+        # worker 0 must leave its wait at once, not after STALL_LIMIT_S, and
+        # not count as a second failure
+        _native_or_skip("uring")
+        chunks = engines._offset_chunks
+
+        def failing(wl, w, offsets=None):
+            if w:
+                time.sleep(0.2)
+                raise IoError("injected offset error")
+            yield from chunks(wl, w, offsets)
+
+        monkeypatch.setattr(engines, "_offset_chunks", failing)
+        monkeypatch.setattr(engines, "HARVEST_TIMEOUT_S", 0.05)
+        monkeypatch.setattr(engines, "STALL_LIMIT_S", 5.0)
+        w = workload(real, request_budget=None, duration_s=30.0, threads=2)
+        t0 = time.monotonic()
+        with pytest.raises(AbortedRun, match="^1 worker.*injected offset"):
+            run(w, EngineConfig(kind="uring", queue_size=4))
+        assert time.monotonic() - t0 < 2.0
+
+
+@pytest.fixture
+def pipe_rings(monkeypatch):
+    """Makes every async backend of a run a ring that reads an empty pipe,
+    whose reads complete only once written; yields the pipe's write end."""
+    rfd, wfd = os.pipe()
+    monkeypatch.setattr(
+        engines, "_make_async_backend",
+        lambda engine, handle, depth, bufs, notes: uring_native.UringQueue(
+            rfd, depth, bufs))
+    yield wfd
+    os.close(rfd)
+    os.close(wfd)
+
+
+def async_engine(name, queue, batch):
+    """The EngineConfig of a QUEUES name, or a skip."""
+    kind, features = name.split("-")[0], QUEUES[name] or {}
+    ok, why = (aio_native.probe() if kind == "aio" else uring_native.probe(
+        **{k: v for k, v in features.items() if k != "fixed_files"}))
+    if not ok:
+        pytest.skip(why)
+    return EngineConfig(kind=kind, queue_size=queue, batch_size=batch,
+                        **features)
 
 
 def test_no_compiler_falls_back_with_a_note(real, tmp_path, monkeypatch):
