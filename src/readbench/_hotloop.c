@@ -8,6 +8,7 @@
 #define _GNU_SOURCE
 #include <errno.h>
 #include <stdint.h>
+#include <string.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/uio.h>
@@ -31,24 +32,49 @@ static int64_t now_ns(void)
     return (int64_t)ts.tv_sec * NS + ts.tv_nsec;
 }
 
+/* The first of a block's pages whose words, less ramp, are not all that
+ * page's hash (hashes[p] for page p, page_words words a page): its index,
+ * or -1.  The hashes and the ramp come from readbench.fill, which alone
+ * knows the fill pattern. */
+static long bad_page(const uint64_t *words, const uint64_t *hashes,
+                     long pages, long page_words, const uint64_t *ramp)
+{
+    long p, j;
+
+    for (p = 0; p < pages; p++, words += page_words) {
+        uint64_t h = hashes[p], diff = 0;
+
+        for (j = 0; j < page_words; j++)
+            diff |= (words[j] - ramp[j]) ^ h;
+        if (diff)
+            return p;
+    }
+    return -1;
+}
+
 /* Read off[0..n), block bytes each, read i into buf + i * stride, with one
  * preadv2(flags) at a time, retried on EINTR.  Before each read, stop at
  * deadline or once *stop is nonzero.  Each read submitted at or after
- * warm_end logs its duration to durations.
+ * warm_end logs its duration to durations.  With hashes, check each whole
+ * read after its end stamp, read i against hashes[i * pages] on, and stop
+ * at the first that fails.
  *
- * Returns the reads done.  out[0] gets the number logged; out[1] the end
- * stamp of the last one logged, left as it was if none; out[2] block, or the
- * result of the short or failed read that ended the loop: the bytes it read,
- * or -errno.
+ * Returns the reads done, and checked with hashes.  out[0] gets the number
+ * logged; out[1] the end stamp of the last one logged, left as it was if
+ * none; out[2] block, or the result of the short or failed read that ended
+ * the loop: the bytes it read, or -errno; out[3] -1, or the first bad page
+ * of the read that ended the loop, the one after those returned.
  */
 long rb_read_loop(int fd, char *buf, long stride, long block,
                   const int64_t *off, long n, int flags, int64_t warm_end,
                   int64_t deadline, const int *stop, int64_t *durations,
-                  int64_t *out)
+                  int64_t *out, const uint64_t *hashes, long pages,
+                  const uint64_t *ramp)
 {
     long i, logged = 0;
 
     out[2] = block;
+    out[3] = -1;
     for (i = 0; i < n; i++) {
         struct iovec iov = {buf + i * stride, (size_t)block};
         int64_t start = now_ns(), end;
@@ -70,6 +96,10 @@ long rb_read_loop(int fd, char *buf, long stride, long block,
             durations[logged++] = (end - start + 500) / 1000;
             out[1] = end;
         }
+        if (hashes && (out[3] = bad_page((const uint64_t *)(buf + i * stride),
+                                         hashes + i * pages, pages,
+                                         block / 8 / pages, ramp)) >= 0)
+            break;
     }
     out[0] = logged;
     return i;
@@ -79,7 +109,7 @@ long rb_read_loop(int fd, char *buf, long stride, long block,
  * the numbers of readbench.hotloop and readbench.errors.async_error. */
 enum { RB_DONE, RB_MORE, RB_STOPPED, RB_FAILED };
 enum { RB_UNKNOWN_SLOT = 1, RB_BAD_RESULT, RB_RING_OVERFLOW, RB_STALLED,
-       RB_SHORT_SUBMIT, RB_CALL_FAILED };
+       RB_SHORT_SUBMIT, RB_CALL_FAILED, RB_BAD_DATA };
 
 struct cqe {
     uint64_t user_data;
@@ -115,6 +145,12 @@ struct rb_async {
     int64_t logged;     /* durations logged by this call */
     int64_t stalled;    /* a wait ran out its timeout */
     int64_t fault, fault_a, fault_b;
+    /* with pages: slot i's block at rows + i * block, checked against the
+     * pages hashes at slot_hash + i * pages, copied at its submit */
+    const uint64_t *rows;
+    uint64_t *slot_hash;
+    int64_t pages;
+    int64_t checked;    /* offsets checked by this call */
 };
 
 static int fail(struct rb_async *s, int64_t fault, int64_t a, int64_t b)
@@ -250,20 +286,27 @@ static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
  * is nonzero; wait for min(batch, in flight) completions, each wait ending
  * after timeout_ns, and the run after stall_ns without one; check every
  * completion; log the duration of each read submitted at or after
- * warm_end, from its submit stamp to the stamp after its harvest.
+ * warm_end, from its submit stamp to the stamp after its harvest.  With
+ * s->pages, offset i's block has the hashes at hashes + i * s->pages, and
+ * each slot of a harvest is checked (bad_page) before it is refilled, its
+ * offset then written to checked.
  *
  * Returns RB_MORE when a refill needs offsets past off[n) (Python joins the
  * rest to the next chunk), RB_DONE once nothing is in flight, RB_STOPPED
  * when a wait came back empty with *stop set, or RB_FAILED with the fault
- * in s.  s->logged durations went to durations, which has room for
- * n + depth.  A slot reaped in a harvest that failed is not in flight.
+ * in s.  s->logged durations went to durations and s->checked offsets to
+ * checked, each with room for n + depth.  A slot reaped in a harvest that
+ * failed is not in flight.
  */
 int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
-                  const int64_t *off, long n, int64_t warm_end,
-                  int64_t deadline, const int *stop, int64_t timeout_ns,
-                  int64_t stall_ns, int64_t *durations)
+                  const int64_t *off, const uint64_t *hashes, long n,
+                  int64_t warm_end, int64_t deadline, const int *stop,
+                  int64_t timeout_ns, int64_t stall_ns, int64_t *durations,
+                  int64_t *checked, const uint64_t *ramp)
 {
-    s->logged = 0;
+    const long words = q->block / 8;
+
+    s->logged = s->checked = 0;
     for (;;) {
         int64_t now = now_ns(), since, bad = -1, bad_res = 0, want, got;
         long i, k = s->nrefill < s->left ? s->nrefill : s->left, r;
@@ -279,6 +322,9 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
             s->slot_off[slot] = o;
             s->slot_ns[slot] = now;
             s->busy[slot] = 1;
+            if (s->pages)
+                memcpy(s->slot_hash + slot * s->pages,
+                       hashes + (s->pos + i) * s->pages, 8 * s->pages);
         }
         if (k) {
             r = submit(q, s->refill, k);
@@ -325,5 +371,14 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
         }
         if (s->logged > k)
             s->last_done = now;
+        for (i = 0; s->pages && i < s->nrefill; i++) {
+            int64_t slot = s->refill[i];
+
+            if (bad_page(s->rows + slot * words,
+                         s->slot_hash + slot * s->pages, s->pages,
+                         words / s->pages, ramp) >= 0)
+                return fail(s, RB_BAD_DATA, slot, 0);
+            checked[s->checked++] = s->slot_off[slot];
+        }
     }
 }

@@ -23,11 +23,13 @@ one offset at a time, timed around the ``preadv2`` alone in C and through
 :func:`read_block` in Python.  The async loop refills the slots of each
 harvest with the next slice of a chunk, and checks each completion's slot
 against the slots in flight; in C it submits, waits, checks and stamps
-without the interpreter, one call per chunk, on a kernel queue of an
-unverified run.  All stamp time in integer ns of the clock of
-``time.perf_counter_ns`` and round durations as :func:`read_block` does.
-Verified reads of up to 128 KiB blocks check against page hashes drawn
-with their offsets; a harvest of every slot is checked where it lies.
+without the interpreter, one call per chunk, on a kernel queue.  All stamp
+time in integer ns of the clock of ``time.perf_counter_ns`` and round
+durations as :func:`read_block` does.  Verified reads of up to 128 KiB
+blocks at page-aligned offsets check against page hashes drawn with each
+offset chunk, in C on the compiled loops; a block that fails there is named
+by :func:`fill.check_blocks`.  Other verified reads check in Python, and a
+harvest of every slot is checked where it lies.
 Scattered multi-block reads and sequential whole-target scans run on these
 same three loops, through :func:`duration_log`.
 """
@@ -250,33 +252,29 @@ class _Checksum:
         self.lanes = np.zeros(fill.LANES, dtype=np.uint64)
         self.undigested = array("q")
         self.scratch = fill.new_scratch()
-        self.hashes = None  # page hashes drawn, not yet taken (see hashed)
 
-    def hashed(self, chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        """Yield the offset chunks, keeping the :func:`fill.page_hashes` of
-        each block, one row per offset, for :meth:`take`, in stream order."""
-        self.hashes = np.empty((0, self.nbytes // fill.PAGE), np.uint64)
-        for chunk in chunks:
-            x = fill.page_hashes(chunk, self.nbytes, self.seed)
-            self.hashes = np.vstack((self.hashes, x.reshape(len(chunk), -1)))
-            yield chunk
-
-    def take(self, n: int) -> np.ndarray | None:
-        """Page hashes of the next n offsets drawn, a row each; or None."""
-        if self.hashes is None:
-            return None
-        taken, self.hashes = self.hashes[:n], self.hashes[n:]
-        return taken
-
-    def add(self, rows: np.ndarray, offsets, hashes=None) -> None:
+    def add(self, rows: np.ndarray, offsets: np.ndarray, hashes=None) -> None:
         """Verify one batch of read blocks, then keep their offsets."""
         fill.check_blocks(rows, offsets, self.seed, self.scratch, hashes)
-        self.keep(offsets.tolist())
+        self.keep(offsets)
 
-    def keep(self, offsets: list[int]) -> None:
-        self.undigested.extend(offsets)
+    def keep(self, offsets) -> None:
+        """Keep the offsets of verified blocks, a list or an int64 array."""
+        if isinstance(offsets, np.ndarray):
+            self.undigested.frombytes(offsets.tobytes())
+        else:
+            self.undigested.extend(offsets)
         if len(self.undigested) >= _OFFSET_CHUNK:
             self.digest()
+
+    def raise_refused(self, row: np.ndarray, offset: int, hashes) -> None:
+        """Raise the error of a block that failed the compiled loop's page
+        check: :func:`fill.check_blocks`'s VerifyError, or, should that pass
+        the block, an error naming the two checks' disagreement."""
+        fill.check_blocks(row[None, :], (offset,), self.seed, self.scratch,
+                          hashes)
+        raise RuntimeError(f"the compiled loop refused the block at byte "
+                           f"offset {offset}, which fill.check_blocks passes")
 
     def digest(self) -> np.ndarray:
         """The lanes, with every offset kept so far digested."""
@@ -520,7 +518,7 @@ class _RealWorkerResult:
         self.notes: list[str] = []
         self.max_inflight = 0
         # or "native": the compiled loop read (the sync family, and aio and
-        # uring on a kernel queue unverified)
+        # uring on a kernel queue, unverified or with page hashes)
         self.loop = "python"
 
 
@@ -536,44 +534,66 @@ def _trimmed(chunks: Iterator[np.ndarray],
         yield chunk
 
 
-def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray],
-             block: int) -> Iterator[np.ndarray]:
+#: an offset chunk, and the page hashes of its blocks, a row per offset, or
+#: None where the run draws none
+_Chunk = tuple[np.ndarray, "np.ndarray | None"]
+
+
+def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray], block: int,
+             seed: int | None) -> Iterator[_Chunk]:
     """The offset chunks as contiguous int64, each refused whole
-    (:func:`check_offsets`) before any of its offsets is read."""
+    (:func:`check_offsets`) before any of its offsets is read, with their
+    :func:`fill.page_hashes` for the fill seed ``seed``, if given."""
     for chunk in chunks:
         chunk = np.ascontiguousarray(chunk, dtype=np.int64)
         check_offsets(handle, chunk, block)
-        yield chunk
+        yield chunk, (None if seed is None else fill.page_hashes(
+            chunk, block, seed).reshape(len(chunk), -1))
 
 
-def _python_reads(handle: TargetHandle, flags: int,
-                  chunks: Iterator[np.ndarray], bufs, rows: np.ndarray,
-                  warm_end: float, deadline: float, stop: _Stop,
-                  result: _RealWorkerResult) -> None:
+def _joined(chunk: np.ndarray, hashes, pos: int,
+            chunks: Iterator[_Chunk]) -> _Chunk:
+    """The rest of an offset chunk from pos, and of its hashes, each joined
+    to the next chunk's."""
+    more, more_hashes = next(chunks)
+    return (np.concatenate((chunk[pos:], more)), None if hashes is None
+            else np.concatenate((hashes[pos:], more_hashes)))
+
+
+def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
+                  bufs, rows: np.ndarray, warm_end: float, deadline: float,
+                  stop: _Stop, result: _RealWorkerResult) -> None:
     """The sync-family loop in Python, one :func:`read_block` per offset.
-    Each read is timed in read_block, after the window test."""
+    Each read is timed in read_block, after the window test.  A verified
+    run checks a row of the arena's reads at a time, and a chunk's last."""
     durations, checksum = result.durations, result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
     nslots = len(bufs)
-    read_off = array("q", bytes(8 * nslots))
-    took, n = None, 0
-    for offset in itertools.chain.from_iterable(c.tolist() for c in chunks):
-        now = clock()
-        if now >= deadline or stopped():
+    took = None
+
+    def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
+        checksum.add(rows[:hi - lo], chunk[lo:hi],
+                     None if hashes is None else hashes[lo:hi])
+
+    for chunk, hashes in chunks:
+        done = lo = 0  # reads of this chunk, and the first not checked
+        for offset in chunk.tolist():
+            now = clock()
+            if now >= deadline or stopped():
+                break
+            took = read(handle, offset, bufs[done % nslots], flags)
+            if now >= warm_end:
+                durations.append(took)
+                last = now  # submit time of the last logged read
+            done += 1
+            if checksum is not None and done - lo == nslots:
+                check(lo, done)
+                lo = done
+        if checksum is not None and done > lo:
+            check(lo, done)
+        if done < len(chunk):
             break
-        took = read(handle, offset, bufs[n], flags)
-        if now >= warm_end:
-            durations.append(took)
-            last = now  # submit time of the last logged read
-        if checksum is not None:
-            read_off[n] = offset
-            n += 1
-            if n == nslots:  # one contiguous run of the stream
-                checksum.add(rows, read_off, checksum.take(n))
-                n = 0
-    if n:
-        checksum.add(rows[:n], read_off[:n], checksum.take(n))
     if durations:
         result.last_done = last + durations[-1] * 1000
     result.max_inflight = int(took is not None)
@@ -585,44 +605,54 @@ def _ns(t: float) -> int:
 
 
 def _native_reads(read_loop, handle: TargetHandle, flags: int,
-                  chunks: Iterator[np.ndarray], rows: np.ndarray,
+                  chunks: Iterator[_Chunk], rows: np.ndarray,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
     """The loop of :func:`_python_reads`, in C (:mod:`readbench.hotloop`):
-    each read is timed around its preadv2 alone.  A verified run reads one
-    batch per call, into the rows of the arena."""
+    each read is timed around its preadv2 alone.  Reads go to row 0 of the
+    arena, a call per offset chunk, each checked there against its page
+    hashes if the chunk has them.  A verified run without hashes reads one
+    batch per call, into the rows of the arena, and checks it in Python."""
     durations, checksum = result.durations, result.checksum
     block = rows.shape[1] * fill.WORD
-    # reads per call, and the arena stride: every read into row 0 unverified
-    step, stride = ((len(rows), block) if checksum is not None
-                    else (_OFFSET_CHUNK, 0))
-    log = np.empty(step, dtype=np.int64)
-    out = np.zeros(3, dtype=np.int64)  # reads logged, last end, bad result
-    head = (handle.fd, rows.ctypes.data, stride, block)
-    tail = (flags, _ns(warm_end), _ns(deadline), stop.address,
-            log.ctypes.data, out.ctypes.data)
-    for chunk in chunks:
-        base = chunk.ctypes.data
+    log = np.empty(_OFFSET_CHUNK, dtype=np.int64)
+    # reads logged, last end, bad result, bad page
+    out = np.zeros(4, dtype=np.int64)
+    head = (handle.fd, rows.ctypes.data)
+    window = (flags, _ns(warm_end), _ns(deadline), stop.address,
+              log.ctypes.data, out.ctypes.data)
+    for chunk, hashes in chunks:
+        batched = checksum is not None and hashes is None
+        # reads per call, and the arena stride
+        step, stride = (len(rows), block) if batched else (_OFFSET_CHUNK, 0)
+        pages = 0 if hashes is None else hashes.shape[1]
         for i in range(0, len(chunk), step):
             n = min(step, len(chunk) - i)
-            done = read_loop(*head, base + 8 * i, n, *tail)
+            done = read_loop(
+                *head, stride, block, chunk.ctypes.data + 8 * i, n, *window,
+                None if hashes is None else hashes[i:].ctypes.data, pages,
+                fill.RAMP.ctypes.data)
             durations.frombytes(log[:out[0]].tobytes())
             result.last_done = int(out[1])
             if out[2] != block:
                 raise read_error(int(chunk[i + done]), int(out[2]), block)
             if done:
                 result.max_inflight = 1
-                if checksum is not None:
-                    checksum.add(rows[:done], chunk[i:i + done],
-                                 checksum.take(done))
+                if batched:
+                    checksum.add(rows[:done], chunk[i:i + done])
+                elif checksum is not None:
+                    checksum.keep(chunk[i:i + done])
+            if out[3] >= 0:
+                checksum.raise_refused(rows[0], int(chunk[i + done]),
+                                 hashes[i + done])
             if done < n:  # the deadline passed, or the run was stopped
                 return
 
 
 def _python_async(backend, batch: int, remaining: int | None,
-                  chunks: Iterator[np.ndarray], rows: np.ndarray,
-                  hashing: bool, warm_end: float, deadline: float,
-                  stop: _Stop, result: _RealWorkerResult) -> None:
+                  chunks: Iterator[_Chunk], rows: np.ndarray,
+                  warm_end: float, deadline: float, stop: _Stop,
+                  result: _RealWorkerResult) -> None:
     """The async loop in Python, a slot per row of the arena: refill each
     harvest's slots, at most ``remaining`` reads in all, and check and log
     its reads; verify them if the result has a checksum."""
@@ -642,7 +672,9 @@ def _python_async(backend, batch: int, remaining: int | None,
     slots, got = np.arange(depth), list(range(depth))
     # the slots in flight, and the last harvest's until the refill
     busy = set(got)
-    chunk, pos = next(chunks), 0  # offsets drawn, and the next one's index
+    # offsets drawn with their page hashes, and the next one's index
+    (chunk, hashes), pos = next(chunks), 0
+    hashing = hashes is not None
     issued = inflight = warming = 0  # warming: in flight from warm-up
     while True:
         now = clock()
@@ -654,7 +686,7 @@ def _python_async(backend, batch: int, remaining: int | None,
         if n:
             slots = slots[:n]
             if pos + n > len(chunk):  # this chunk's rest, then the next
-                chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
+                (chunk, hashes), pos = _joined(chunk, hashes, pos, chunks), 0
             offsets = chunk[pos:pos + n]
             pos += n
             submit_ns[slots] = now
@@ -662,7 +694,7 @@ def _python_async(backend, batch: int, remaining: int | None,
                 warming += n
             slot_off[slots] = offsets
             if hashing:
-                slot_hash[slots] = checksum.take(n)
+                slot_hash[slots] = hashes[pos - n:pos]
             backend.submit_reads(slots, offsets)
             issued += n
             inflight += n
@@ -709,30 +741,38 @@ def _python_async(backend, batch: int, remaining: int | None,
 
 
 def _native_async(async_loop, backend, batch: int, remaining: int | None,
-                  chunks: Iterator[np.ndarray], warm_end: float,
-                  deadline: float, stop: _Stop,
+                  chunks: Iterator[_Chunk], rows: np.ndarray,
+                  warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
-    """The loop of :func:`_python_async`, unverified, in C
-    (:mod:`readbench.hotloop`) over the backend's own queue: one call per
-    offset chunk, whose rest a refill that crosses its end joins to the
-    next, as in Python, so the refills are the same."""
+    """The loop of :func:`_python_async` in C (:mod:`readbench.hotloop`),
+    over the backend's own queue: one call per offset chunk, whose rest a
+    refill that crosses its end joins to the next, as in Python, so the
+    refills are the same.  A chunk with page hashes has each harvest checked
+    against them in C."""
     aio = isinstance(backend, aio_native.AioQueue)
     queue = backend.loop_queue()
     left = 2 ** 63 - 1 if remaining is None else remaining
-    state = hotloop.AsyncState(queue.depth, batch, left)
-    chunk = next(chunks)
+    chunk, hashes = next(chunks)
+    pages = 0 if hashes is None else hashes.shape[1]
+    state = hotloop.AsyncState(queue.depth, batch, left, rows, pages)
+    checksum = result.checksum
     try:
         while True:
-            log = np.empty(len(chunk) + queue.depth, dtype=np.int64)
+            # the durations logged and the offsets checked
+            log = np.empty((2, len(chunk) + queue.depth), dtype=np.int64)
             # the limits are read at each call, so that patches apply
             status = async_loop(
-                queue, state, chunk.ctypes.data, len(chunk), _ns(warm_end),
-                _ns(deadline), stop.address, round(HARVEST_TIMEOUT_S * 1e9),
-                round(STALL_LIMIT_S * 1e9), log.ctypes.data)
-            result.durations.frombytes(log[:state.logged].tobytes())
+                queue, state, chunk.ctypes.data,
+                None if hashes is None else hashes.ctypes.data, len(chunk),
+                _ns(warm_end), _ns(deadline), stop.address,
+                round(HARVEST_TIMEOUT_S * 1e9), round(STALL_LIMIT_S * 1e9),
+                log[0].ctypes.data, log[1].ctypes.data, fill.RAMP.ctypes.data)
+            result.durations.frombytes(log[0, :state.logged].tobytes())
+            if state.checked:
+                checksum.keep(log[1, :state.checked])
             if status != hotloop.MORE:
                 break
-            chunk = np.concatenate((chunk[state.pos:], next(chunks)))
+            chunk, hashes = _joined(chunk, hashes, state.pos, chunks)
             state.pos = 0
     finally:
         if aio:  # so that close cancels the reads still in flight, if any
@@ -741,6 +781,10 @@ def _native_async(async_loop, backend, batch: int, remaining: int | None,
     if state.stalled and _STALLED not in result.notes:
         result.notes.append(_STALLED)
     if status == hotloop.FAILED:
+        if state.fault == hotloop.BAD_DATA:
+            slot = state.fault_a
+            checksum.raise_refused(rows[slot], int(state.slots[1, slot]),
+                             state.hashes[slot])
         # io_getevents fails, io_submit falls short
         call = ("io_uring_enter" if not aio else
                 "io_getevents" if state.fault == CALL_FAILED else "io_submit")
@@ -763,8 +807,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     # blocks that fit one check also draw page hashes with their offsets
     hashing = (checksum is not None and block <= fill.CHECK_CHUNK_BYTES
                and (offsets is None or not any(o % fill.PAGE for o in offsets)))
-    if hashing:
-        chunks = checksum.hashed(chunks)
+    seed = checksum.seed if hashing else None
     lib, detail = hotloop.load()
     if lib is None:
         result.notes.append(f"native loop unavailable ({detail}), "
@@ -776,7 +819,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
-        chunks = _checked(handle, _trimmed(chunks, remaining), block)
+        chunks = _checked(handle, _trimmed(chunks, remaining), block, seed)
         if lib is None:
             _python_reads(handle, flags, chunks, bufs, rows, warm_end,
                           deadline, stop, result)
@@ -788,18 +831,19 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
 
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
-    chunks = _checked(handle, chunks, block)
+    chunks = _checked(handle, chunks, block, seed)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
-        if (lib is not None and checksum is None
+        # a verified run checks in C only against hashes
+        if (lib is not None and (checksum is None or hashing)
                 and type(backend) in (aio_native.AioQueue,
                                       uring_native.UringQueue)):
             result.loop = "native"
             _native_async(lib.rb_async_loop, backend, batch, remaining,
-                          chunks, warm_end, deadline, stop, result)
+                          chunks, rows, warm_end, deadline, stop, result)
         else:
-            _python_async(backend, batch, remaining, chunks, rows, hashing,
-                          warm_end, deadline, stop, result)
+            _python_async(backend, batch, remaining, chunks, rows, warm_end,
+                          deadline, stop, result)
     finally:
         backend.close()
 

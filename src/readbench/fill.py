@@ -43,8 +43,8 @@ LANES = 4
 _U = np.uint64
 
 #: word j of a page is the page's hash plus word j of this ramp
-_RAMP = np.arange(_PAGE_WORDS, dtype=np.uint64) * _U(GOLDEN)
-_RAMP.flags.writeable = False
+RAMP = np.arange(_PAGE_WORDS, dtype=np.uint64) * _U(GOLDEN)
+RAMP.flags.writeable = False
 
 
 def new_scratch() -> np.ndarray:
@@ -75,7 +75,7 @@ def pattern_rows(seed: int, offsets, nbytes: int,
     for r, o in enumerate(offsets):  # from the start of o's page
         skip = int(o) % PAGE // WORD
         padded = page_hashes((int(o) - skip * WORD,), nbytes + skip * WORD,
-                             seed)[:, None] + _RAMP
+                             seed)[:, None] + RAMP
         out[r] = padded.reshape(-1)[skip:skip + words]
     return out
 
@@ -127,7 +127,7 @@ def check_blocks(rows, offsets, seed: int, scratch: np.ndarray | None = None,
                           (rows[lo:lo + step], hashes[lo:lo + step]))
             x = scratch[:len(part)]
             # less the ramp, each word of a page is the page's hash
-            np.subtract(part, _RAMP, out=x)
+            np.subtract(part, RAMP, out=x)
             if (x.max(axis=1).tobytes() == want.tobytes()
                     == x.min(axis=1).tobytes()):
                 continue

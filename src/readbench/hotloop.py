@@ -26,19 +26,24 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_hotloop.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+# vectorised, a page's check takes about half the time
+_CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
-_READ_ARGTYPES = (ctypes.c_int, ctypes.c_void_p, ctypes.c_long,
-                  ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_int,
-                  ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                  ctypes.c_void_p, ctypes.c_void_p)
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+
+_READ_ARGTYPES = (ctypes.c_int, _PTR, ctypes.c_long, ctypes.c_long, _PTR,
+                  ctypes.c_long, ctypes.c_int, _I64, _I64, _PTR, _PTR, _PTR,
+                  _PTR, ctypes.c_long, _PTR)
 
 #: what ended a call of ``rb_async_loop``: nothing in flight, a refill that
 #: needs the next offset chunk, a wait that came back empty once the run was
-#: stopped, or a fault (``AsyncState.fault``, an ``errors.async_error`` kind)
+#: stopped, or a fault (``AsyncState.fault``, an ``errors.async_error`` kind
+#: or BAD_DATA)
 DONE, MORE, STOPPED, FAILED = range(4)
 
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+#: the fault of a block that failed the loop's page check, slot
+#: ``AsyncState.fault_a``: ``fill.check_blocks`` names what is wrong with it
+BAD_DATA = 7
 
 
 class Queue(ctypes.Structure):
@@ -58,22 +63,29 @@ class Queue(ctypes.Structure):
 
 class AsyncState(ctypes.Structure):
     """One worker's ``rb_async_loop`` across its calls (``struct rb_async``):
-    every slot is to be submitted, and ``left`` reads more at most."""
+    every slot is to be submitted, and ``left`` reads more at most.  Slot
+    i's block is row i of ``rows``; with ``pages`` hashes a block, it is
+    checked against those it was submitted with, row i of ``hashes``."""
 
     _fields_ = [("slot_ns", _PTR), ("slot_off", _PTR), ("busy", _PTR),
                 ("refill", _PTR), ("nrefill", _I64), ("left", _I64),
                 ("pos", _I64), ("batch", _I64), ("inflight", _I64),
                 ("max_inflight", _I64), ("last_done", _I64), ("logged", _I64),
                 ("stalled", _I64), ("fault", _I64), ("fault_a", _I64),
-                ("fault_b", _I64)]
+                ("fault_b", _I64), ("rows", _PTR), ("slot_hash", _PTR),
+                ("pages", _I64), ("checked", _I64)]
 
-    def __init__(self, depth: int, batch: int, left: int):
+    def __init__(self, depth: int, batch: int, left: int, rows: np.ndarray,
+                 pages: int):
         # per slot: submit stamp, offset, in flight, and the refill order
         self.slots = np.zeros((4, depth), dtype=np.int64)
         self.slots[3] = np.arange(depth)
+        self.hashes = np.zeros((depth, pages), dtype=np.uint64)
         base, row = self.slots.ctypes.data, self.slots.strides[0]
         super().__init__(*(base + i * row for i in range(4)),
-                         nrefill=depth, left=left, batch=batch)
+                         nrefill=depth, left=left, batch=batch,
+                         rows=rows.ctypes.data,
+                         slot_hash=self.hashes.ctypes.data, pages=pages)
 
 
 class BuildError(Exception):
@@ -127,7 +139,7 @@ def load():
     lib.rb_read_loop.argtypes = _READ_ARGTYPES
     lib.rb_read_loop.restype = ctypes.c_long
     lib.rb_async_loop.argtypes = (
-        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR,
-        ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR)
+        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR, _PTR,
+        ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
     lib.rb_async_loop.restype = ctypes.c_int
     return lib, str(path)

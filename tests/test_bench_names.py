@@ -42,21 +42,38 @@ def test_simulated_run_counts(tracer):
     assert table["measurement.aggregate_latencies"][ITEMS] == 1000
 
 
-def test_file_run_counts(tracer, tmp_path):
+def traced_uring_run(tracer, tmp_path):
+    """A verified uring run of 200 reads under the tracer, or a skip."""
     ok, why = uring_native.probe()
     if not ok:
         pytest.skip(why)
     path = str(tmp_path / "traced.dat")
     with prepare_target(path, size=1 << 20, seed=2) as h:
         with tracer:
-            rec = run(WorkloadSpec(target=h, request_budget=200, seed=1,
-                                   verify=True),
-                      EngineConfig(kind="uring", queue_size=8, batch_size=2))
+            return run(WorkloadSpec(target=h, request_budget=200, seed=1,
+                                    verify=True),
+                       EngineConfig(kind="uring", queue_size=8, batch_size=2))
+
+
+def test_file_run_counts(tracer, tmp_path, python_loop):
+    rec = traced_uring_run(tracer, tmp_path)
     table = tracer.table()
     assert rec.latency.count == 200
+    assert rec.extra["loop"] == "python"
     assert table["uring_native.submit_reads"][ITEMS] == 200
     assert table["uring_native.wait"][ITEMS] == 200
     assert table["engines.checksum"][CALLS] > 0
+    assert table["measurement.aggregate_latencies"][ITEMS] == 200
+
+
+def test_file_run_counts_native(tracer, tmp_path, native_loop):
+    # the compiled loop submits, reaps and checks without the queue's
+    # methods or the checksum's add
+    rec = traced_uring_run(tracer, tmp_path)
+    table = tracer.table()
+    assert rec.latency.count == 200
+    assert rec.extra["loop"] == "native"
+    assert table.get("uring_native.submit_reads", [0] * 4)[CALLS] == 0
     assert table["measurement.aggregate_latencies"][ITEMS] == 200
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import mmap
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readbench import (aio_native, engines, fill, hotloop, target,
+from readbench import (aio_native, engines, fill, hotloop, rng, target,
                        uring_native)
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
@@ -1352,6 +1353,18 @@ def on_both_loops(monkeypatch, make):
     return native, python
 
 
+def window_run(w, engine, warm_end, deadline, after, offsets=None):
+    """One worker of w in the window [warm_end, deadline): (durations
+    logged, its max in flight, whether its last logged read ended after
+    ``after``, its digest or None unverified, its loop)."""
+    result = engines._RealWorkerResult(w)
+    engines._real_worker(w, engine, 0, warm_end, deadline, engines._Stop(),
+                         result, offsets)
+    digest = result.checksum and fill.hexdigest(result.checksum.digest())
+    return (len(result.durations), result.max_inflight,
+            result.last_done > after, digest, result.loop)
+
+
 def same_error(native, python, kind):
     """Both loops raised the same error of this kind, with the same text."""
     assert isinstance(native, kind) and type(native) is type(python)
@@ -1402,17 +1415,21 @@ class TestNativeLoop:
 
     def test_short_read_named(self, tmp_path, monkeypatch):
         # the handle claims one block more than the file holds, and the last
-        # read finds only half of it
+        # read finds only half of it, unverified or verified
         path = str(tmp_path / "short.dat")
         prepare_target(path, size=1 << 20, seed=3).close()
         with open(path, "ab") as f:
             f.write(bytes(2048))
         with open_target(path, seed=3, direct=False) as h:
             h.capacity = (1 << 20) + 4096
-            w = workload(h, pattern="sequential", request_budget=257)
-            native, python = on_both_loops(monkeypatch, lambda: run_sync(w))
-        same_error(native, python, AbortedRun)
-        assert "short read at 1048576: 2048 of 4096 bytes" in str(native)
+            for verify in (False, True):
+                w = workload(h, pattern="sequential", request_budget=257,
+                             verify=verify)
+                native, python = on_both_loops(monkeypatch,
+                                               lambda: run_sync(w))
+                same_error(native, python, AbortedRun)
+                assert "short read at 1048576: 2048 of 4096 bytes" in str(
+                    native)
 
     @pytest.mark.parametrize("offsets,error,match", [
         ([0, 4096, 1 << 20], IoError, "beyond capacity"),
@@ -1440,6 +1457,100 @@ class TestNativeLoop:
         same_error(native, python, VerifyError)
         assert native.offset == python.offset == 500_000
 
+    @pytest.mark.parametrize("block", [4096, 8192, 65536, 131072])
+    @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring",
+                                      "uring-fixed"])
+    def test_flipped_words_named(self, tmp_path, monkeypatch, name, block):
+        # a byte of the first, a middle or the last word of each page of
+        # block 2 flipped in turn: the compiled loop checks in C, then
+        # fill.check_blocks names the word, as on the Python loop
+        path = str(tmp_path / "flip.dat")
+        prepare_target(path, size=1 << 20, seed=5).close()
+        threads = 2 if name == "pool" else 1
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 4, 2))
+        fd = os.open(path, os.O_RDWR)
+        try:
+            with open_target(path, seed=5, direct=False) as h:
+                w = WorkloadSpec(target=h, pattern="sequential",
+                                 block_size=block, threads=threads,
+                                 request_budget=4 * threads, seed=1,
+                                 verify=True)
+                for page in range(block // 4096):
+                    for word in (0, 255, 511):
+                        at = 2 * block + page * 4096 + word * 8
+                        byte = os.pread(fd, 1, at + 3)
+                        os.pwrite(fd, bytes([byte[0] ^ 0x10]), at + 3)
+                        try:
+                            native, python = on_both_loops(
+                                monkeypatch, lambda: run(w, engine))
+                        finally:
+                            os.pwrite(fd, byte, at + 3)
+                        same_error(native, python, VerifyError)
+                        assert native.offset == at, (page, word)
+                        assert str(native) == (
+                            f"data mismatch at byte offset {at}")
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
+    def test_old_pattern_named(self, tmp_path, monkeypatch, name):
+        # a file of the fill of earlier versions, mix64(seed ^ o) in the
+        # word at o, differs first at word 1
+        path = tmp_path / "old.dat"
+        words = np.arange(0, 1 << 20, 8, dtype=np.uint64) ^ np.uint64(5)
+        path.write_bytes(rng.mix64_array(words).astype("<u8").tobytes())
+        threads = 2 if name == "pool" else 1
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 4, 2))
+        with open_target(str(path), seed=5, direct=False) as h:
+            w = WorkloadSpec(target=h, pattern="sequential", threads=threads,
+                             request_budget=4 * threads, seed=1, verify=True)
+            native, python = on_both_loops(monkeypatch, lambda: run(w, engine))
+        same_error(native, python, VerifyError)
+        assert str(native) == ("data at byte offset 8 has the old fill "
+                               "pattern; prepare the file again")
+
+    @pytest.mark.parametrize("name", ["aio", "uring", "uring-fixed"])
+    def test_verified_loop_needs_hashes(self, real, name):
+        # page-aligned offsets draw page hashes, and the compiled loop
+        # checks against them; offsets off the page draw none, and take the
+        # Python loop
+        engine = async_engine(name, 4, 2)
+        w = workload(real, request_budget=16, verify=True)
+        for offsets, loop in ((None, "native"), ([4096, 0], "native"),
+                              ([2048, 8192], "python")):
+            got = window_run(w, engine, -math.inf, math.inf, 0, offsets)
+            assert (got[0], got[4]) == (16, loop)
+        rec = run(w, engine)
+        assert rec.extra["loop"] == "native" and rec.data_checksum
+
+    @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
+    def test_disagreeing_checks_named(self, real, monkeypatch, name):
+        # a ramp of zeros makes the compiled check refuse every block, which
+        # fill.check_blocks passes: the run ends naming the disagreement
+        lib, where = hotloop.load()
+        zeros = np.zeros_like(fill.RAMP)
+
+        def lying(loop):  # the ramp is each loop's last argument
+            return lambda *args: loop(*args[:-1], zeros.ctypes.data)
+
+        monkeypatch.setattr(hotloop, "load", lambda: (SimpleNamespace(
+            rb_read_loop=lying(lib.rb_read_loop),
+            rb_async_loop=lying(lib.rb_async_loop)), where))
+        threads = 2 if name == "pool" else 1
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 4, 2))
+        w = workload(real, request_budget=8 * threads, threads=threads,
+                     verify=True)
+        with pytest.raises(AbortedRun) as ei:
+            run(w, engine)
+        cause = ei.value.__cause__
+        assert type(cause) is RuntimeError
+        assert re.fullmatch(r"the compiled loop refused the block at byte "
+                            r"offset \d+, which fill.check_blocks passes",
+                            str(cause))
+
     def test_stop_word_ends_a_pool_run(self, real, monkeypatch):
         # worker 1's first read comes up short; worker 0 reads block 0 in
         # the compiled loop, which only the stop word ends before 30 s
@@ -1457,22 +1568,22 @@ class TestNativeLoop:
     def test_window(self, real, monkeypatch):
         # a deadline already past reads nothing; a warm-up end still ahead
         # reads every block of the budget and logs none; an open window
-        # logs every read, the last one done after the window opened
-        def window(warm_end, deadline):
-            result = engines._RealWorkerResult(workload(real))
-            engines._real_worker(workload(real), EngineConfig(), 0, warm_end,
-                                 deadline, engines._Stop(), result)
-            return (len(result.durations), result.max_inflight,
-                    result.last_done > now)
-
+        # logs every read, the last one done after the window opened.  A
+        # verified run digests every read it made, logged or not
         now = time.perf_counter_ns()
-        for warm_end, deadline, want in (
-                (-math.inf, now, (0, 0, False)),
-                (now + 60 * 10 ** 9, math.inf, (0, 1, False)),
-                (now, math.inf, (200, 1, True))):
-            assert on_both_loops(monkeypatch,
-                                 lambda: window(warm_end, deadline)) == (
-                want, want)
+        for verify in (False, True):
+            w = workload(real, verify=verify)
+            native, python = on_both_loops(monkeypatch, lambda: [
+                window_run(w, EngineConfig(), *edges, now) for edges in (
+                    (-math.inf, now), (now + 60 * 10 ** 9, math.inf),
+                    (now, math.inf))])
+            assert [r[:3] for r in native] == [
+                (0, 0, False), (0, 1, False), (200, 1, True)]
+            assert [r[4] for r in native] == ["native"] * 3
+            assert [r[:4] for r in python] == [r[:4] for r in native]
+            digests = [r[3] for r in native]
+            assert (digests[1] == digests[2] != digests[0]) if verify else (
+                digests == [None] * 3)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("queue,batch", [(1, 1), (7, 3), (32, 8)])
@@ -1481,36 +1592,41 @@ class TestNativeLoop:
     def test_async_records_agree(self, cached, monkeypatch, name, queue,
                                  batch, threads):
         # 5000 reads a worker cross an offset chunk's end, and refills of 3
-        # split one across it.  A deadline already past submits nothing; a
-        # warm-up end still ahead fills the queue and logs nothing; an open
-        # window logs every read, the last one done after it opened
+        # split one across it, with its page hashes when verified.  A
+        # deadline already past submits nothing; a warm-up end still ahead
+        # fills the queue and logs nothing; an open window logs every read,
+        # the last one done after it opened.  A verified run, checked in C
+        # on the compiled loop, digests every read it made, logged or not
         engine = async_engine(name, queue, batch)
-        with open_target(cached, seed=7, direct=False) as h:
-            w = WorkloadSpec(target=h, block_size=4096, threads=threads,
-                             request_budget=5000 * threads, seed=4)
-            native, python = on_both_loops(monkeypatch, lambda: run(w, engine))
-
-            def window(warm_end, deadline):
-                result = engines._RealWorkerResult(w)
-                engines._real_worker(w, engine, 0, warm_end, deadline,
-                                     engines._Stop(), result)
-                return (len(result.durations), result.max_inflight,
-                        result.last_done > now)
-
-            now = time.perf_counter_ns()
-            windows = on_both_loops(monkeypatch, lambda: [
-                window(-math.inf, now), window(now + 60 * 10 ** 9, math.inf),
-                window(now, math.inf)])
-        assert native.extra == {"max_inflight": queue, "loop": "native"}
-        assert python.extra == {"max_inflight": queue, "loop": "python"}
-        assert native.latency.count == python.latency.count == 5000 * threads
-        assert windows == ([(0, 0, False), (0, queue, False),
-                            (5000, queue, True)],) * 2
+        now = time.perf_counter_ns()
+        for verify in (False, True):
+            with open_target(cached, seed=7, direct=False) as h:
+                w = WorkloadSpec(target=h, block_size=4096, threads=threads,
+                                 request_budget=5000 * threads, seed=4,
+                                 verify=verify)
+                native, python = on_both_loops(monkeypatch,
+                                               lambda: run(w, engine))
+                windows = on_both_loops(monkeypatch, lambda: [
+                    window_run(w, engine, *edges, now) for edges in (
+                        (-math.inf, now), (now + 60 * 10 ** 9, math.inf),
+                        (now, math.inf))])
+            assert native.extra == {"max_inflight": queue, "loop": "native"}
+            assert python.extra == {"max_inflight": queue, "loop": "python"}
+            assert (native.latency.count == python.latency.count
+                    == 5000 * threads)
+            assert native.data_checksum == python.data_checksum
+            assert bool(native.data_checksum) == verify
+            assert [r[:3] for r in windows[0]] == [
+                (0, 0, False), (0, queue, False), (5000, queue, True)]
+            assert [r[:4] for r in windows[1]] == [r[:4] for r in windows[0]]
+            digests = [r[3] for r in windows[0]]
+            assert (digests[1] == digests[2] != digests[0]) if verify else (
+                digests == [None] * 3)
 
     @pytest.mark.parametrize("kind", ["aio", "uring"])
     def test_async_short_read_named(self, tmp_path, monkeypatch, kind):
         # the handle claims one block more than the file holds, and each
-        # read of that block finds only half of it
+        # read of that block finds only half of it, unverified or verified
         _native_or_skip(kind)
         path = str(tmp_path / "short.dat")
         prepare_target(path, size=1 << 20, seed=3).close()
@@ -1518,11 +1634,14 @@ class TestNativeLoop:
             f.write(bytes(2048))
         with open_target(path, seed=3, direct=False) as h:
             h.capacity = (1 << 20) + 4096
-            w = workload(h, request_budget=10)
-            native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
-                w, EngineConfig(kind=kind, queue_size=2), offsets=[0, 1 << 20]))
-        same_error(native, python, IoError)
-        assert str(native) == "async read at 1048576 returned 2048"
+            for verify in (False, True):
+                w = workload(h, request_budget=10, verify=verify)
+                native, python = on_both_loops(
+                    monkeypatch, lambda: engines.duration_log(
+                        w, EngineConfig(kind=kind, queue_size=2),
+                        offsets=[0, 1 << 20]))
+                same_error(native, python, IoError)
+                assert str(native) == "async read at 1048576 returned 2048"
 
     @pytest.mark.parametrize("kind,text", [
         ("aio", "io_submit submitted 1 of 4 reads"),
@@ -1598,15 +1717,17 @@ class TestNativeLoop:
         monkeypatch.setattr(uring_native.UringQueue, "__init__", lossy)
         monkeypatch.setattr(uring_native.UringQueue, "wait", refuse)
         monkeypatch.setattr(engines, "STALL_LIMIT_S", 5.0)
-        w = workload(real, request_budget=None, duration_s=30.0,
-                     threads=threads)
-        t0 = time.monotonic()
-        with pytest.raises(AbortedRun, match="^1 worker") as ei:
-            run(w, EngineConfig(kind="uring", queue_size=8, batch_size=2))
-        assert time.monotonic() - t0 < 2.0
-        assert isinstance(ei.value.__cause__, IoError)
-        assert str(ei.value.__cause__) == (
-            "completion ring overflowed: 3 completion(s) lost")
+        for verify in (False, True):
+            made = itertools.count()  # the first ring of each run is lossy
+            w = workload(real, request_budget=None, duration_s=30.0,
+                         threads=threads, verify=verify)
+            t0 = time.monotonic()
+            with pytest.raises(AbortedRun, match="^1 worker") as ei:
+                run(w, EngineConfig(kind="uring", queue_size=8, batch_size=2))
+            assert time.monotonic() - t0 < 2.0
+            assert isinstance(ei.value.__cause__, IoError)
+            assert str(ei.value.__cause__) == (
+                "completion ring overflowed: 3 completion(s) lost")
 
 
     @pytest.mark.parametrize("data,slot", [(9, 9), (2 ** 64 - 1, -1), (0, 0)],
@@ -1630,24 +1751,29 @@ class TestNativeLoop:
             return q
 
         monkeypatch.setattr(engines, "_make_async_backend", misnumbered)
-        w = workload(real, request_budget=4)
-        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
-            w, EngineConfig(kind=kind, queue_size=4)))
-        same_error(native, python, IoError)
-        assert str(native) == (f"completion for unknown slot {slot} of 4 "
-                               "(no read in flight)")
+        for verify in (False, True):
+            w = workload(real, request_budget=4, verify=verify)
+            native, python = on_both_loops(
+                monkeypatch, lambda: engines.duration_log(
+                    w, EngineConfig(kind=kind, queue_size=4)))
+            same_error(native, python, IoError)
+            assert str(native) == (f"completion for unknown slot {slot} of "
+                                   "4 (no read in flight)")
 
     def test_stalled_ring_named(self, real, monkeypatch, pipe_rings):
         # the ring reads an empty pipe, so no read ever completes
         _native_or_skip("uring")
         monkeypatch.setattr(engines, "HARVEST_TIMEOUT_S", 0.05)
         monkeypatch.setattr(engines, "STALL_LIMIT_S", 0.2)
-        w = workload(real, request_budget=4)
-        native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
-            w, EngineConfig(kind="uring", queue_size=4)))
-        for exc in (native, python):
-            assert type(exc) is IoError
-            assert str(exc).startswith("harvest stalled: no completion in 0.")
+        for verify in (False, True):
+            w = workload(real, request_budget=4, verify=verify)
+            native, python = on_both_loops(
+                monkeypatch, lambda: engines.duration_log(
+                    w, EngineConfig(kind="uring", queue_size=4)))
+            for exc in (native, python):
+                assert type(exc) is IoError
+                assert str(exc).startswith(
+                    "harvest stalled: no completion in 0.")
 
     def test_timed_out_wait_noted(self, real, monkeypatch, pipe_rings):
         # each read of the pipe completes once a writer fills it, 0.1 s
