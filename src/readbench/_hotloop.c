@@ -52,12 +52,11 @@ static long bad_page(const uint64_t *words, const uint64_t *hashes,
     return -1;
 }
 
-/* Read off[0..n), block bytes each, read i into buf + i * stride, with one
- * preadv2(flags) at a time, retried on EINTR.  Before each read, stop at
- * deadline or once *stop is nonzero.  Each read submitted at or after
- * warm_end logs its duration to durations.  With hashes, check each whole
- * read after its end stamp, read i against hashes[i * pages] on, and stop
- * at the first that fails.
+/* Read off[0..n), block bytes each, into buf, with one preadv2(flags) at a
+ * time, retried on EINTR.  Before each read, stop at deadline or once *stop
+ * is nonzero.  Each read submitted at or after warm_end logs its duration to
+ * durations.  With hashes, check each whole read after its end stamp, read i
+ * against hashes[i * pages] on, and stop at the first that fails.
  *
  * Returns the reads done, and checked with hashes.  out[0] gets the number
  * logged; out[1] the end stamp of the last one logged, left as it was if
@@ -65,18 +64,17 @@ static long bad_page(const uint64_t *words, const uint64_t *hashes,
  * the loop: the bytes it read, or -errno; out[3] -1, or the first bad page
  * of the read that ended the loop, the one after those returned.
  */
-long rb_read_loop(int fd, char *buf, long stride, long block,
-                  const int64_t *off, long n, int flags, int64_t warm_end,
-                  int64_t deadline, const int *stop, int64_t *durations,
-                  int64_t *out, const uint64_t *hashes, long pages,
-                  const uint64_t *ramp)
+long rb_read_loop(int fd, char *buf, long block, const int64_t *off, long n,
+                  int flags, int64_t warm_end, int64_t deadline,
+                  const int *stop, int64_t *durations, int64_t *out,
+                  const uint64_t *hashes, long pages, const uint64_t *ramp)
 {
     long i, logged = 0;
 
     out[2] = block;
     out[3] = -1;
     for (i = 0; i < n; i++) {
-        struct iovec iov = {buf + i * stride, (size_t)block};
+        struct iovec iov = {buf, (size_t)block};
         int64_t start = now_ns(), end;
         ssize_t got;
 
@@ -96,7 +94,7 @@ long rb_read_loop(int fd, char *buf, long stride, long block,
             durations[logged++] = (end - start + 500) / 1000;
             out[1] = end;
         }
-        if (hashes && (out[3] = bad_page((const uint64_t *)(buf + i * stride),
+        if (hashes && (out[3] = bad_page((const uint64_t *)buf,
                                          hashes + i * pages, pages,
                                          block / 8 / pages, ramp)) >= 0)
             break;
@@ -250,7 +248,7 @@ static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
             return -1;
         }
         for (i = 0; i < r; i++)
-                if (take(q, s, q->events[4 * i], q->events[4 * i + 2], bad,
+            if (take(q, s, q->events[4 * i], q->events[4 * i + 2], bad,
                      bad_res))
                 return -1;
         return r;

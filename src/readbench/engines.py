@@ -23,13 +23,11 @@ one offset at a time, timed around the ``preadv2`` alone in C and through
 :func:`read_block` in Python.  The async loop refills the slots of each
 harvest with the next slice of a chunk, and checks each completion's slot
 against the slots in flight; in C it submits, waits, checks and stamps
-without the interpreter, one call per chunk, on a kernel queue.  All stamp
-time in integer ns of the clock of ``time.perf_counter_ns`` and round
-durations as :func:`read_block` does.  Verified reads of up to 128 KiB
-blocks at page-aligned offsets check against page hashes drawn with each
-offset chunk, in C on the compiled loops; a block that fails there is named
-by :func:`fill.check_blocks`.  Other verified reads check in Python, and a
-harvest of every slot is checked where it lies.
+without the interpreter, one call per piece of a chunk, on a kernel queue.
+All stamp time in integer ns of the clock of ``time.perf_counter_ns`` and
+round durations as :func:`read_block` does.  Verified reads, at
+page-aligned offsets, check against the page hashes drawn with each piece,
+in C on the compiled loops; :func:`fill.check_blocks` names a bad block.
 Scattered multi-block reads and sequential whole-target scans run on these
 same three loops, through :func:`duration_log`.
 """
@@ -76,6 +74,9 @@ STALL_LIMIT_S = 30.0
 
 #: offsets are drawn this many at a time
 _OFFSET_CHUNK = 4096
+
+#: the most page hashes a piece of an offset chunk draws (1 MiB of them)
+_HASH_PIECE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,8 @@ class WorkloadSpec:
             raise ValueError("threads must be >= 1")
         if (self.duration_s is None) == (self.request_budget is None):
             raise ValueError("set exactly one of duration_s / request_budget")
+        if self.request_budget is not None and self.request_budget < 1:
+            raise ValueError("request_budget must be >= 1")
 
     def describe(self) -> dict:
         """The record form: every field, the target as its description."""
@@ -253,7 +256,7 @@ class _Checksum:
         self.undigested = array("q")
         self.scratch = fill.new_scratch()
 
-    def add(self, rows: np.ndarray, offsets: np.ndarray, hashes=None) -> None:
+    def add(self, rows: np.ndarray, offsets: np.ndarray, hashes) -> None:
         """Verify one batch of read blocks, then keep their offsets."""
         fill.check_blocks(rows, offsets, self.seed, self.scratch, hashes)
         self.keep(offsets)
@@ -518,7 +521,7 @@ class _RealWorkerResult:
         self.notes: list[str] = []
         self.max_inflight = 0
         # or "native": the compiled loop read (the sync family, and aio and
-        # uring on a kernel queue, unverified or with page hashes)
+        # uring on a kernel queue)
         self.loop = "python"
 
 
@@ -534,27 +537,32 @@ def _trimmed(chunks: Iterator[np.ndarray],
         yield chunk
 
 
-#: an offset chunk, and the page hashes of its blocks, a row per offset, or
-#: None where the run draws none
+#: a piece of an offset chunk, and the page hashes of its blocks, a row per
+#: offset, or None in an unverified run
 _Chunk = tuple[np.ndarray, "np.ndarray | None"]
 
 
 def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray], block: int,
              seed: int | None) -> Iterator[_Chunk]:
     """The offset chunks as contiguous int64, each refused whole
-    (:func:`check_offsets`) before any of its offsets is read, with their
+    (:func:`check_offsets`) before any of its offsets is read, in pieces of
+    at most _OFFSET_CHUNK offsets and _HASH_PIECE page hashes, each with its
     :func:`fill.page_hashes` for the fill seed ``seed``, if given."""
+    pages = block // fill.PAGE
+    step = min(_OFFSET_CHUNK, max(1, _HASH_PIECE // pages))
     for chunk in chunks:
         chunk = np.ascontiguousarray(chunk, dtype=np.int64)
         check_offsets(handle, chunk, block)
-        yield chunk, (None if seed is None else fill.page_hashes(
-            chunk, block, seed).reshape(len(chunk), -1))
+        for i in range(0, len(chunk), step):
+            piece = chunk[i:i + step]
+            yield piece, (None if seed is None else fill.page_hashes(
+                piece, block, seed).reshape(len(piece), pages))
 
 
 def _joined(chunk: np.ndarray, hashes, pos: int,
             chunks: Iterator[_Chunk]) -> _Chunk:
-    """The rest of an offset chunk from pos, and of its hashes, each joined
-    to the next chunk's."""
+    """The rest of an offset piece from pos, and of its hashes, each joined
+    to the next piece's."""
     more, more_hashes = next(chunks)
     return (np.concatenate((chunk[pos:], more)), None if hashes is None
             else np.concatenate((hashes[pos:], more_hashes)))
@@ -565,7 +573,7 @@ def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
                   stop: _Stop, result: _RealWorkerResult) -> None:
     """The sync-family loop in Python, one :func:`read_block` per offset.
     Each read is timed in read_block, after the window test.  A verified
-    run checks a row of the arena's reads at a time, and a chunk's last."""
+    run checks a row of the arena's reads at a time, and a piece's last."""
     durations, checksum = result.durations, result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
@@ -573,8 +581,7 @@ def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
     took = None
 
     def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
-        checksum.add(rows[:hi - lo], chunk[lo:hi],
-                     None if hashes is None else hashes[lo:hi])
+        checksum.add(rows[:hi - lo], chunk[lo:hi], hashes[lo:hi])
 
     for chunk, hashes in chunks:
         done = lo = 0  # reads of this chunk, and the first not checked
@@ -610,43 +617,32 @@ def _native_reads(read_loop, handle: TargetHandle, flags: int,
                   result: _RealWorkerResult) -> None:
     """The loop of :func:`_python_reads`, in C (:mod:`readbench.hotloop`):
     each read is timed around its preadv2 alone.  Reads go to row 0 of the
-    arena, a call per offset chunk, each checked there against its page
-    hashes if the chunk has them.  A verified run without hashes reads one
-    batch per call, into the rows of the arena, and checks it in Python."""
+    arena, a call per offset piece, each checked there against its page
+    hashes if the piece has them."""
     durations, checksum = result.durations, result.checksum
     block = rows.shape[1] * fill.WORD
     log = np.empty(_OFFSET_CHUNK, dtype=np.int64)
     # reads logged, last end, bad result, bad page
     out = np.zeros(4, dtype=np.int64)
-    head = (handle.fd, rows.ctypes.data)
+    head = (handle.fd, rows.ctypes.data, block)
     window = (flags, _ns(warm_end), _ns(deadline), stop.address,
               log.ctypes.data, out.ctypes.data)
     for chunk, hashes in chunks:
-        batched = checksum is not None and hashes is None
-        # reads per call, and the arena stride
-        step, stride = (len(rows), block) if batched else (_OFFSET_CHUNK, 0)
-        pages = 0 if hashes is None else hashes.shape[1]
-        for i in range(0, len(chunk), step):
-            n = min(step, len(chunk) - i)
-            done = read_loop(
-                *head, stride, block, chunk.ctypes.data + 8 * i, n, *window,
-                None if hashes is None else hashes[i:].ctypes.data, pages,
-                fill.RAMP.ctypes.data)
-            durations.frombytes(log[:out[0]].tobytes())
-            result.last_done = int(out[1])
-            if out[2] != block:
-                raise read_error(int(chunk[i + done]), int(out[2]), block)
-            if done:
-                result.max_inflight = 1
-                if batched:
-                    checksum.add(rows[:done], chunk[i:i + done])
-                elif checksum is not None:
-                    checksum.keep(chunk[i:i + done])
-            if out[3] >= 0:
-                checksum.raise_refused(rows[0], int(chunk[i + done]),
-                                 hashes[i + done])
-            if done < n:  # the deadline passed, or the run was stopped
-                return
+        done = read_loop(*head, chunk.ctypes.data, len(chunk), *window,
+                         None if hashes is None else hashes.ctypes.data,
+                         block // fill.PAGE, fill.RAMP.ctypes.data)
+        durations.frombytes(log[:out[0]].tobytes())
+        result.last_done = int(out[1])
+        if out[2] != block:
+            raise read_error(int(chunk[done]), int(out[2]), block)
+        if done:
+            result.max_inflight = 1
+            if checksum is not None:
+                checksum.keep(chunk[:done])
+        if out[3] >= 0:
+            checksum.raise_refused(rows[0], int(chunk[done]), hashes[done])
+        if done < len(chunk):  # the deadline passed, or the run was stopped
+            return
 
 
 def _python_async(backend, batch: int, remaining: int | None,
@@ -674,7 +670,6 @@ def _python_async(backend, batch: int, remaining: int | None,
     busy = set(got)
     # offsets drawn with their page hashes, and the next one's index
     (chunk, hashes), pos = next(chunks), 0
-    hashing = hashes is not None
     issued = inflight = warming = 0  # warming: in flight from warm-up
     while True:
         now = clock()
@@ -685,7 +680,7 @@ def _python_async(backend, batch: int, remaining: int | None,
             busy.difference_update(got[n:])
         if n:
             slots = slots[:n]
-            if pos + n > len(chunk):  # this chunk's rest, then the next
+            while pos + n > len(chunk):  # this piece's rest, then the next
                 (chunk, hashes), pos = _joined(chunk, hashes, pos, chunks), 0
             offsets = chunk[pos:pos + n]
             pos += n
@@ -693,7 +688,7 @@ def _python_async(backend, batch: int, remaining: int | None,
             if now < warm_end:
                 warming += n
             slot_off[slots] = offsets
-            if hashing:
+            if checksum is not None:
                 slot_hash[slots] = hashes[pos - n:pos]
             backend.submit_reads(slots, offsets)
             issued += n
@@ -736,8 +731,7 @@ def _python_async(backend, batch: int, remaining: int | None,
                 checksum.add(rows[group] if whole else
                              np.take(rows, group, axis=0, mode="clip",
                                      out=picked[:len(group)]),
-                             slot_off[group],
-                             slot_hash[group] if hashing else None)
+                             slot_off[group], slot_hash[group])
 
 
 def _native_async(async_loop, backend, batch: int, remaining: int | None,
@@ -745,9 +739,9 @@ def _native_async(async_loop, backend, batch: int, remaining: int | None,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
     """The loop of :func:`_python_async` in C (:mod:`readbench.hotloop`),
-    over the backend's own queue: one call per offset chunk, whose rest a
+    over the backend's own queue: one call per offset piece, whose rest a
     refill that crosses its end joins to the next, as in Python, so the
-    refills are the same.  A chunk with page hashes has each harvest checked
+    refills are the same.  A piece with page hashes has each harvest checked
     against them in C."""
     aio = isinstance(backend, aio_native.AioQueue)
     queue = backend.loop_queue()
@@ -803,11 +797,11 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     remaining = (split_budget(workload.request_budget, workload.threads, w)
                  if workload.request_budget is not None else None)
     checksum = result.checksum
+    if checksum is not None and offsets is not None and any(
+            o % fill.PAGE for o in offsets):
+        raise ValueError("verified reads need page-aligned offsets")
     chunks = _offset_chunks(workload, w, offsets)
-    # blocks that fit one check also draw page hashes with their offsets
-    hashing = (checksum is not None and block <= fill.CHECK_CHUNK_BYTES
-               and (offsets is None or not any(o % fill.PAGE for o in offsets)))
-    seed = checksum.seed if hashing else None
+    seed = None if checksum is None else checksum.seed
     lib, detail = hotloop.load()
     if lib is None:
         result.notes.append(f"native loop unavailable ({detail}), "
@@ -834,10 +828,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     chunks = _checked(handle, chunks, block, seed)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
-        # a verified run checks in C only against hashes
-        if (lib is not None and (checksum is None or hashing)
-                and type(backend) in (aio_native.AioQueue,
-                                      uring_native.UringQueue)):
+        if lib is not None and type(backend) in (aio_native.AioQueue,
+                                                 uring_native.UringQueue):
             result.loop = "native"
             _native_async(lib.rb_async_loop, backend, batch, remaining,
                           chunks, rows, warm_end, deadline, stop, result)
@@ -977,6 +969,8 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     """Per-request latencies (us), in harvest order, of a single-worker
     request-budget run without warm-up; ``offsets``, when given, replace
     the offset stream, repeated in order."""
+    if offsets is not None and not len(offsets):
+        raise ValueError("the offset list is empty")
     if workload.target.is_simulated:
         return _simulate(workload, engine, offsets)[0]
     result = _RealWorkerResult(workload)
@@ -997,6 +991,8 @@ def read_scattered(workload: WorkloadSpec, engine: EngineConfig,
         raise ValueError("scattered reads require an async engine")
     if workload.request_budget is None:
         raise ValueError("scattered reads run in request-budget mode")
+    if offsets is not None and not len(offsets):
+        raise ValueError("the offset list is empty")
     if offsets is not None and len(offsets) > engine.queue_size:
         raise ValueError("more offsets than queue slots")
 

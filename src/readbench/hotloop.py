@@ -31,9 +31,9 @@ _CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 
-_READ_ARGTYPES = (ctypes.c_int, _PTR, ctypes.c_long, ctypes.c_long, _PTR,
-                  ctypes.c_long, ctypes.c_int, _I64, _I64, _PTR, _PTR, _PTR,
-                  _PTR, ctypes.c_long, _PTR)
+_READ_ARGTYPES = (ctypes.c_int, _PTR, ctypes.c_long, _PTR, ctypes.c_long,
+                  ctypes.c_int, _I64, _I64, _PTR, _PTR, _PTR, _PTR,
+                  ctypes.c_long, _PTR)
 
 #: what ended a call of ``rb_async_loop``: nothing in flight, a refill that
 #: needs the next offset chunk, a wait that came back empty once the run was

@@ -7,6 +7,8 @@ import math
 import mmap
 import os
 import re
+import shutil
+import subprocess
 import threading
 import time
 import tracemalloc
@@ -155,6 +157,31 @@ class TestOffsets:
                                           batch_size=2), offsets=offsets)
         assert trickled[0].offsets == list(
             itertools.islice(itertools.cycle(offsets), 4100))
+
+    @pytest.mark.parametrize("kind", ["sync", "aio", "uring", "simulated"])
+    @pytest.mark.parametrize("budget", [-5, 0])
+    def test_budget_below_one_refused(self, real, sim, monkeypatch, kind,
+                                      budget):
+        # `readbench run --requests -5` reaches this; at -5 a ring would
+        # submit stale entries, and aio would fail with EINVAL
+        made = []
+        monkeypatch.setattr(engines, "_make_async_backend",
+                            lambda *args: made.append(args))
+        engine = (EngineConfig(kind="sync") if kind == "sync"
+                  else async_engine("aio" if kind == "simulated" else kind,
+                                    4, 2))
+        with pytest.raises(ValueError, match="^request_budget must be >= 1$"):
+            run(workload(sim if kind == "simulated" else real,
+                         request_budget=budget), engine)
+        assert made == []
+
+    @pytest.mark.parametrize("call", [engines.duration_log, read_scattered])
+    @pytest.mark.parametrize("where", ["simulated", "real"])
+    def test_empty_offsets_refused(self, real, sim, call, where):
+        with pytest.raises(ValueError, match="^the offset list is empty$"):
+            call(workload(sim if where == "simulated" else real),
+                 EngineConfig(kind="aio", queue_size=4, batch_size=4),
+                 offsets=[])
 
     def test_split_budget_sums(self):
         for total in (1, 7, 100, 101):
@@ -1457,15 +1484,19 @@ class TestNativeLoop:
         same_error(native, python, VerifyError)
         assert native.offset == python.offset == 500_000
 
-    @pytest.mark.parametrize("block", [4096, 8192, 65536, 131072])
+    @pytest.mark.parametrize("block", [4096, 8192, 65536, 131072, 262144,
+                                       1 << 20])
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring",
                                       "uring-fixed"])
     def test_flipped_words_named(self, tmp_path, monkeypatch, name, block):
         # a byte of the first, a middle or the last word of each page of
-        # block 2 flipped in turn: the compiled loop checks in C, then
+        # block 2 flipped in turn (of the first two, a middle and the last
+        # two pages above 128 KiB): the compiled loop checks in C, then
         # fill.check_blocks names the word, as on the Python loop
         path = str(tmp_path / "flip.dat")
-        prepare_target(path, size=1 << 20, seed=5).close()
+        prepare_target(path, size=max(1 << 20, 4 * block), seed=5).close()
+        n = block // 4096
+        pages = range(n) if n <= 32 else (0, 1, n // 2, n - 2, n - 1)
         threads = 2 if name == "pool" else 1
         engine = (EngineConfig(kind=name) if name in ("sync", "pool")
                   else async_engine(name, 4, 2))
@@ -1476,7 +1507,7 @@ class TestNativeLoop:
                                  block_size=block, threads=threads,
                                  request_budget=4 * threads, seed=1,
                                  verify=True)
-                for page in range(block // 4096):
+                for page in pages:
                     for word in (0, 255, 511):
                         at = 2 * block + page * 4096 + word * 8
                         byte = os.pread(fd, 1, at + 3)
@@ -1511,19 +1542,65 @@ class TestNativeLoop:
         assert str(native) == ("data at byte offset 8 has the old fill "
                                "pattern; prepare the file again")
 
-    @pytest.mark.parametrize("name", ["aio", "uring", "uring-fixed"])
-    def test_verified_loop_needs_hashes(self, real, name):
-        # page-aligned offsets draw page hashes, and the compiled loop
-        # checks against them; offsets off the page draw none, and take the
-        # Python loop
-        engine = async_engine(name, 4, 2)
-        w = workload(real, request_budget=16, verify=True)
-        for offsets, loop in ((None, "native"), ([4096, 0], "native"),
-                              ([2048, 8192], "python")):
-            got = window_run(w, engine, -math.inf, math.inf, 0, offsets)
-            assert (got[0], got[4]) == (16, loop)
-        rec = run(w, engine)
-        assert rec.extra["loop"] == "native" and rec.data_checksum
+    @pytest.mark.parametrize("block", [4096, 262144, 1 << 20])
+    @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring",
+                                      "uring-fixed"])
+    def test_verified_loop_needs_hashes(self, cached, monkeypatch, name,
+                                        block):
+        # every verified run draws page hashes with its offsets, whatever
+        # the block size, and checks in C: the stream and page-aligned
+        # explicit offsets read on the compiled loop, with the Python loop's
+        # digest; offsets off the page are refused on both loops, before
+        # any arena or queue is made
+        threads = 2 if name == "pool" else 1
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 4, 2))
+        with open_target(cached, seed=7, direct=False) as h:
+            w = WorkloadSpec(target=h, block_size=block, threads=threads,
+                             request_budget=16 * threads, seed=4,
+                             verify=True)
+            for offsets in (None, [4096, 0, 3 * block]):
+                native, python = on_both_loops(monkeypatch, lambda: window_run(
+                    w, engine, -math.inf, math.inf, 0, offsets))
+                assert native[0] == 16 and native[3]
+                assert native[:4] == python[:4]
+                assert (native[4], python[4]) == ("native", "python")
+            native, python = on_both_loops(monkeypatch, lambda: run(w, engine))
+            assert native.extra["loop"] == "native"
+            assert native.data_checksum == python.data_checksum != ""
+            made = []
+            for hook in ("_arena", "_make_async_backend"):
+                monkeypatch.setattr(engines, hook,
+                                    lambda *args: made.append(args))
+            native, python = on_both_loops(monkeypatch, lambda: window_run(
+                w, engine, -math.inf, math.inf, 0, [2048, 8192]))
+        same_error(native, python, ValueError)
+        assert str(native) == "verified reads need page-aligned offsets"
+        assert made == []
+
+    @pytest.mark.parametrize("block,piece", [(4096, 3), (65536, 16)])
+    @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
+    def test_refills_span_hash_pieces(self, cached, monkeypatch, name, block,
+                                      piece):
+        # pieces of 3 offsets, or of 1, give the compiled loops a call each,
+        # and make every refill of 8 join several of them: both loops read
+        # what a run on whole pieces reads, across an offset chunk's end
+        threads = 2 if name == "pool" else 1
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 32, 8))
+        with open_target(cached, seed=7, direct=False) as h:
+            w = WorkloadSpec(target=h, block_size=block, threads=threads,
+                             request_budget=4200 * threads, seed=4,
+                             verify=True)
+            whole = run(w, engine)
+            monkeypatch.setattr(engines, "_HASH_PIECE", piece)
+            native, python = on_both_loops(monkeypatch, lambda: run(w, engine))
+        assert (native.extra["loop"], python.extra["loop"]) == (
+            "native", "python")
+        for rec in (native, python):
+            assert rec.data_checksum == whole.data_checksum != ""
+            assert rec.latency.count == whole.latency.count == 4200 * threads
+            assert rec.extra["max_inflight"] == whole.extra["max_inflight"]
 
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
     def test_disagreeing_checks_named(self, real, monkeypatch, name):
@@ -1867,6 +1944,17 @@ def test_no_compiler_falls_back_with_a_note(real, tmp_path, monkeypatch):
                         "the Python loop"
     assert probed == {"native": False, "detail": why}
     assert not (tmp_path / "cache").exists()
+
+
+def test_loop_source_compiles_without_warnings():
+    # skips only where there is no cc, as the native_loop fixture does
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler: cc is not on PATH")
+    proc = subprocess.run(
+        [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(hotloop.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_loop_built_once_per_cache(tmp_path, monkeypatch, native_loop):
