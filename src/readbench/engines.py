@@ -24,12 +24,12 @@ one offset at a time, timed around the ``preadv2`` alone in C and through
 harvest with the next slice of a chunk, and checks each completion's slot
 against the slots in flight; in C it submits, waits, checks and stamps
 without the interpreter, one call per piece of a chunk, on a kernel queue.
-All stamp time in integer ns of the clock of ``time.perf_counter_ns`` and
-round durations as :func:`read_block` does.  Verified reads, at
-page-aligned offsets, check against the page hashes drawn with each piece,
-in C on the compiled loops; :func:`fill.check_blocks` names a bad block.
-Scattered multi-block reads and sequential whole-target scans run on these
-same three loops, through :func:`duration_log`.
+All stamp time in integer ns of the clock of ``time.perf_counter_ns``,
+round durations as :func:`read_block` does, and fold them into the worker's
+:class:`LatencyCounts` a chunk at a time.  Verified reads, at page-aligned
+offsets, check against the page hashes drawn with each piece, in C on the
+compiled loops; :func:`fill.check_blocks` names a bad block.  Scattered
+reads and whole-target scans keep theirs in order, by :func:`duration_log`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from . import aio_native, fill, hotloop, uring_native
 from .devicesim import SimState, advance, submit
 from .errors import (BAD_RESULT, CALL_FAILED, STALLED, UNKNOWN_SLOT,
                      AbortedRun, EngineUnsupported, VerifyError, async_error)
-from .measurement import (CpuUsage, LatencyStats, aggregate_latencies,
-                          compute_throughput, from_fields, measure_cpu,
-                          snapshot_cpu)
+from .measurement import (CpuUsage, LatencyCounts, LatencyStats,
+                          aggregate_latencies, compute_throughput,
+                          from_fields, measure_cpu, snapshot_cpu)
 from .rng import u64_chunks, worker_seed
 from .target import (TargetHandle, alloc_aligned, check_offsets, polled_flags,
                      read_block, read_error)
@@ -303,11 +303,11 @@ class _SimWorker:
         self.max_outstanding = 0
 
 
-def _simulate(workload: WorkloadSpec, engine: EngineConfig,
+def _simulate(workload: WorkloadSpec, engine: EngineConfig, sink,
               offsets: list[int] | None = None):
-    """Run the workload in virtual time; returns (duration log, bytes,
-    elapsed_s, checksum hex, notes, extra).  ``offsets``, when given,
-    replaces the offset stream of a single-worker run."""
+    """Run the workload in virtual time, the logged durations passed to
+    ``sink`` in chunks; returns (elapsed_s, checksum hex, notes, extra).
+    ``offsets``, when given, replaces the offset stream of one worker."""
     depth, batch = engine.queue_size, engine.batch_size
     state = SimState(workload.target.model, workload.target.capacity,
                      polled=engine.kind == "polled")
@@ -351,7 +351,7 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
     for wk in workers:
         refill(wk, depth, 0.0)
 
-    log = array("q")
+    log = array("q")  # the durations logged since the last call of sink
     last_completion = warmup_us
     ready = [0] * len(workers)  # per worker: completed, not yet harvested
 
@@ -363,6 +363,9 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
             if warmup_us <= submitted < window_end:
                 log.append(round(t - submitted))
                 last_completion = t  # event times never decrease
+        if len(log) >= _OFFSET_CHUNK:
+            sink(log)
+            del log[:]
         now = state.clock
         for wk in workers:
             # harvest once >= batch completions are ready, or on final drain
@@ -375,13 +378,14 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig,
                 wk.outstanding -= n
                 outstanding -= n
                 refill(wk, n, now)
+    sink(log)
 
     elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
     notes = ["simulated"]
     extra = {"max_inflight": max(wk.max_outstanding for wk in workers),
              "short_harvests": 0}
     digest = "" if checksum is None else fill.hexdigest(checksum.digest())
-    return log, len(log) * block, elapsed_s, digest, notes, extra
+    return elapsed_s, digest, notes, extra
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +514,12 @@ def _harvest(backend, min_nr: int, notes: list[str],
 
 
 class _RealWorkerResult:
-    __slots__ = ("durations", "last_done", "checksum", "error", "notes",
-                 "max_inflight", "loop")
+    __slots__ = ("counts", "sink", "last_done", "checksum", "error",
+                 "notes", "max_inflight", "loop")
 
-    def __init__(self, workload: WorkloadSpec):
-        self.durations = array("q")  # us, one per logged read
+    def __init__(self, workload: WorkloadSpec, sink=None):
+        self.counts = LatencyCounts()  # of the durations (us) of logged reads
+        self.sink = self.counts.add if sink is None else sink  # or a log's
         self.last_done = 0  # ns time of the last logged completion
         self.checksum = _Checksum(workload) if workload.verify else None
         self.error: BaseException | None = None
@@ -574,11 +579,11 @@ def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
     """The sync-family loop in Python, one :func:`read_block` per offset.
     Each read is timed in read_block, after the window test.  A verified
     run checks a row of the arena's reads at a time, and a piece's last."""
-    durations, checksum = result.durations, result.checksum
+    durations, checksum = array("q"), result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
     nslots = len(bufs)
-    took = None
+    took = last = None
 
     def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
         checksum.add(rows[:hi - lo], chunk[lo:hi], hashes[lo:hi])
@@ -599,10 +604,12 @@ def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
                 lo = done
         if checksum is not None and done > lo:
             check(lo, done)
+        result.sink(durations)  # a piece's, at its end
+        del durations[:]
         if done < len(chunk):
             break
-    if durations:
-        result.last_done = last + durations[-1] * 1000
+    if last is not None:  # the last read was logged
+        result.last_done = last + took * 1000
     result.max_inflight = int(took is not None)
 
 
@@ -619,7 +626,7 @@ def _native_reads(read_loop, handle: TargetHandle, flags: int,
     each read is timed around its preadv2 alone.  Reads go to row 0 of the
     arena, a call per offset piece, each checked there against its page
     hashes if the piece has them."""
-    durations, checksum = result.durations, result.checksum
+    sink, checksum = result.sink, result.checksum
     block = rows.shape[1] * fill.WORD
     log = np.empty(_OFFSET_CHUNK, dtype=np.int64)
     # reads logged, last end, bad result, bad page
@@ -631,7 +638,7 @@ def _native_reads(read_loop, handle: TargetHandle, flags: int,
         done = read_loop(*head, chunk.ctypes.data, len(chunk), *window,
                          None if hashes is None else hashes.ctypes.data,
                          block // fill.PAGE, fill.RAMP.ctypes.data)
-        durations.frombytes(log[:out[0]].tobytes())
+        sink(log[:out[0]])
         result.last_done = int(out[1])
         if out[2] != block:
             raise read_error(int(chunk[done]), int(out[2]), block)
@@ -652,7 +659,7 @@ def _python_async(backend, batch: int, remaining: int | None,
     """The async loop in Python, a slot per row of the arena: refill each
     harvest's slots, at most ``remaining`` reads in all, and check and log
     its reads; verify them if the result has a checksum."""
-    durations, checksum = result.durations, result.checksum
+    durations, checksum = array("q"), result.checksum
     clock, stopped = time.perf_counter_ns, stop.is_set
     depth, block = rows.shape[0], rows.shape[1] * fill.WORD
     per = max(1, fill.CHECK_CHUNK_BYTES // block)  # blocks per check
@@ -723,6 +730,9 @@ def _python_async(backend, batch: int, remaining: int | None,
         durations.frombytes(((reaped - started) // us).tobytes())
         if len(started):
             result.last_done = now
+        if len(durations) >= _OFFSET_CHUNK:
+            result.sink(durations)
+            del durations[:]
         if checksum is not None:
             # before the refill; a harvest of every slot where it lies
             whole = len(got) == depth
@@ -732,6 +742,7 @@ def _python_async(backend, batch: int, remaining: int | None,
                              np.take(rows, group, axis=0, mode="clip",
                                      out=picked[:len(group)]),
                              slot_off[group], slot_hash[group])
+    result.sink(durations)
 
 
 def _native_async(async_loop, backend, batch: int, remaining: int | None,
@@ -761,7 +772,7 @@ def _native_async(async_loop, backend, batch: int, remaining: int | None,
                 _ns(warm_end), _ns(deadline), stop.address,
                 round(HARVEST_TIMEOUT_S * 1e9), round(STALL_LIMIT_S * 1e9),
                 log[0].ctypes.data, log[1].ctypes.data, fill.RAMP.ctypes.data)
-            result.durations.frombytes(log[0, :state.logged].tobytes())
+            result.sink(log[0, :state.logged])
             if state.checked:
                 checksum.keep(log[1, :state.checked])
             if status != hotloop.MORE:
@@ -840,7 +851,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         backend.close()
 
 
-def _run_real(workload: WorkloadSpec, engine: EngineConfig):
+def _run_real(workload: WorkloadSpec, engine: EngineConfig, counts):
+    """Run on the file; each worker's counts are merged into ``counts``."""
     warm_end = time.perf_counter_ns() + round(workload.warmup_s * 1e9)
     deadline = (math.inf if workload.duration_s is None
                 else warm_end + round(workload.duration_s * 1e9))
@@ -874,11 +886,8 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
             raise failed[0]
         raise AbortedRun(f"{len(failed)} worker(s) failed: {failed[0]!r}") from failed[0]
 
-    # one log, with each worker's released once it is merged in
-    log = results[0].durations
-    for r in results[1:]:
-        log.extend(r.durations)
-        r.durations = None
+    for r in results:
+        counts.merge(r.counts)
     elapsed = max(max(r.last_done for r in results) - warm_end, 1) / 1e9
 
     # workers' digests merge by adding lanes, mod 2^64
@@ -891,7 +900,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig):
                 notes.append(n)
     extra = {"max_inflight": max(r.max_inflight for r in results),
              "loop": results[0].loop}
-    return log, len(log) * workload.block_size, elapsed, checksum, notes, extra
+    return elapsed, checksum, notes, extra
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +914,10 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
     from .report import encode_label  # local import: report depends on us
 
     started_at = datetime.now(timezone.utc).isoformat()
+    counts = LatencyCounts()
     if workload.target.is_simulated:
-        log, nbytes, elapsed_s, checksum, notes, extra = _simulate(
-            workload, engine)
+        elapsed_s, checksum, notes, extra = _simulate(workload, engine,
+                                                      counts.add)
         # the device model spends no host CPU, and host CPU would make
         # replays, selection and plots differ from run to run
         cpu = CpuUsage.of(0.0, elapsed_s)
@@ -915,22 +925,19 @@ def run(workload: WorkloadSpec, engine: EngineConfig) -> RunRecord:
         hotloop.load()  # built at first use, before the clocks start
         cpu_before = snapshot_cpu()
         wall0 = time.perf_counter_ns()
-        log, nbytes, elapsed_s, checksum, notes, extra = _run_real(
-            workload, engine)
+        elapsed_s, checksum, notes, extra = _run_real(workload, engine, counts)
         wall = max(time.perf_counter_ns() - wall0, 1) / 1e9
         cpu = measure_cpu(cpu_before, snapshot_cpu(), wall)
 
-    # the run owns its log: sorted where it lies, aggregation copies nothing
-    log = np.asarray(log, dtype=np.int64)
-    log.sort()
     label = encode_label(engine, workload.threads)
     if label.note:
         notes = notes + [label.note]
     return RunRecord(
         workload=workload.describe(),
         engine=engine,
-        throughput_mb_s=compute_throughput(nbytes, elapsed_s),
-        latency=aggregate_latencies(log),
+        throughput_mb_s=compute_throughput(
+            len(counts) * workload.block_size, elapsed_s),
+        latency=aggregate_latencies(counts),
         cpu=cpu,
         label=label.text,
         started_at=started_at,
@@ -971,12 +978,17 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     the offset stream, repeated in order."""
     if offsets is not None and not len(offsets):
         raise ValueError("the offset list is empty")
+    log = array("q")
+
+    def keep(chunk) -> None:  # an array('q') or an int64 ndarray, in order
+        log.frombytes(np.asarray(chunk).tobytes())
+
     if workload.target.is_simulated:
-        return _simulate(workload, engine, offsets)[0]
-    result = _RealWorkerResult(workload)
-    _real_worker(workload, engine, 0, -math.inf, math.inf, _Stop(), result,
-                 offsets)
-    return result.durations
+        _simulate(workload, engine, keep, offsets)
+    else:
+        _real_worker(workload, engine, 0, -math.inf, math.inf, _Stop(),
+                     _RealWorkerResult(workload, keep), offsets)
+    return log
 
 
 def read_scattered(workload: WorkloadSpec, engine: EngineConfig,

@@ -1,13 +1,9 @@
 """Latency sample aggregation, throughput math, and CPU accounting.
 
-Engines keep the durations of a run as an int64 log of integer microseconds
-(an ``array('q')`` or an ndarray), one entry per logged read, so a long
-run costs 8 bytes per sample and no Python object per request.  A run
-sorts its own log in place before it aggregates it, and
-``aggregate_latencies`` reads a log already in ascending order where it
-lies, so each sample is held once.  :class:`LatencySample` is the public
-adapter for callers that hold individual samples; ``aggregate_latencies``
-accepts either form.
+A run folds the integer-µs durations it logs into :class:`LatencyCounts`,
+so its memory does not grow with its length; ``engines.duration_log`` keeps
+an ordered int64 log, and :class:`LatencySample` adapts single samples.
+``aggregate_latencies`` gives the same statistics from all three.
 
 Percentiles are nearest-rank on the sorted integer-microsecond durations:
 the k-th order statistic with k = ceil(q * count).  CPU accounting reads
@@ -21,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -99,15 +96,66 @@ def nearest_rank(sorted_durations: Sequence[int], q: float) -> int:
     return int(sorted_durations[k - 1])
 
 
-def aggregate_latencies(
-        samples: array | np.ndarray | Iterable[LatencySample]) -> LatencyStats:
+class LatencyCounts:
+    """Exact counts of integer-µs durations: a dense table for 0..DENSE - 1,
+    grown only to the largest duration seen, and a sparse one, duration to
+    count, above it.  Its length is the number of durations counted."""
+
+    DENSE = 1 << 16
+
+    def __init__(self):
+        self.dense = np.zeros(0, dtype=np.int64)
+        self.sparse: Counter[int] = Counter()
+
+    def __len__(self) -> int:
+        return int(self.dense.sum()) + self.sparse.total()
+
+    def add(self, chunk: array | np.ndarray) -> None:
+        """Count each duration of an int64 chunk."""
+        d = np.asarray(chunk, dtype=np.int64)  # int64: a view
+        # as uint64 a negative duration is >= 2^63: one pass finds both
+        if d.size and d.view(np.uint64).max() >= self.DENSE:
+            if d.min() < 0:
+                raise ValueError("duration must be >= 0")
+            self.sparse.update(d[d >= self.DENSE].tolist())
+            d = d[d < self.DENSE]
+        self._add_dense(np.bincount(d))
+
+    def merge(self, other: LatencyCounts) -> None:
+        """Add another worker's counts to these."""
+        self.sparse.update(other.sparse)
+        self._add_dense(other.dense)
+
+    def _add_dense(self, dense: np.ndarray) -> None:
+        if len(dense) > len(self.dense):  # the longer table takes the sum
+            self.dense, dense = dense.copy(), self.dense
+        self.dense[:len(dense)] += dense
+
+
+def aggregate_latencies(samples: LatencyCounts | array | np.ndarray
+                        | Iterable[LatencySample]) -> LatencyStats:
     """Summarize samples into min/max/mean/p99/p99.9 by nearest rank.
 
-    ``samples`` is an int64 duration log (``array('q')`` or ndarray, in
-    microseconds) or an iterable of :class:`LatencySample`.  A log already
-    in ascending order is read where it lies; any other is copied and
-    sorted, so the caller's log is never changed.
+    ``samples`` is a :class:`LatencyCounts`, an int64 duration log (µs,
+    ``array('q')`` or ndarray) or an iterable of :class:`LatencySample`.
+    Counts give their percentiles by cumulative count, and as mean their
+    exact sum over their count: the log's float64 mean while the sum is
+    below 2^53 µs.  A log already in ascending order is read where it lies;
+    any other is copied and sorted, so the caller's log is never changed.
     """
+    if isinstance(samples, LatencyCounts):
+        low = np.flatnonzero(samples.dense)
+        high = np.array(sorted(samples.sparse.items()), np.int64).reshape(-1, 2)
+        values = np.concatenate((low, high[:, 0]))
+        at_or_below = np.cumsum(np.concatenate((samples.dense[low], high[:, 1])))
+        if not values.size:
+            raise EmptySampleSet("no latency samples to aggregate")
+        n = int(at_or_below[-1])
+        p99, p999 = values[np.searchsorted(  # the ceil(q*n)-th smallest
+            at_or_below, [max(1, math.ceil(q * n)) for q in (0.99, 0.999)])]
+        total = int(low @ samples.dense[low]) + int(high.prod(axis=1).sum())
+        return LatencyStats(n, int(values[0]), int(values[-1]), total / n,
+                            int(p99), int(p999))
     if isinstance(samples, (array, np.ndarray)):
         durations = np.asarray(samples, dtype=np.int64)  # int64: a view
         if (durations[1:] < durations[:-1]).any():

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,7 @@ from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
 from readbench.errors import (AbortedRun, AlignmentError, EngineUnsupported,
                               IoError, VerifyError)
 from readbench.fill import check_block
-from readbench.measurement import compute_throughput
+from readbench.measurement import LatencyCounts, compute_throughput
 from readbench.target import (open_target, prepare_target, simulated_target,
                               verify_file)
 
@@ -1183,7 +1184,8 @@ class TestRealWindow:
                      warmup_s=self.WARMUP)
         warm_end = self.START + self.WARMUP
         reads = self.stub(order, monkeypatch)
-        log, nbytes, elapsed = engines._run_real(w, engine)[:3]
+        counts = LatencyCounts()
+        elapsed = engines._run_real(w, engine, counts)[0]
         kept = [(s, c) for s, c in reads if s >= warm_end]
         # the window's edges are exercised: a read submitted exactly at the
         # warm-up end, warm-up reads completing after it (async), and
@@ -1194,8 +1196,7 @@ class TestRealWindow:
             assert any(s < warm_end < c for s, c in reads)
         if order == "newest":
             assert reads[-1][0] < warm_end
-        assert list(log) == [round((c - s) * 1e6) for s, c in kept]
-        assert nbytes == len(kept) * 4096
+        assert counted(counts) == sorted(round((c - s) * 1e6) for s, c in kept)
         last = max(c for _, c in kept)
         assert elapsed == pytest.approx(last - warm_end, abs=1e-6)
 
@@ -1260,46 +1261,85 @@ def cached(tmp_path_factory):
     return path
 
 
-def peak_bytes_per_request(w, engine):
-    """The traced memory peak of one run, per request of its budget."""
+def traced_peak(w, engine):
+    """The traced memory peak of one run, and its record."""
     tracemalloc.start()
     try:
         rec = run(w, engine)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], rec
     finally:
         tracemalloc.stop()
-    assert rec.latency.count == w.request_budget
-    return peak / w.request_budget
 
 
-#: requests per memory-measured run: enough that fixed costs, such as a
-#: worker's offset chunk, add only ~2-3 B per request
-MEMORY_RUN = 200_000
+def peak_growth(w, engine, n):
+    """How much higher the traced peak of a run of budget 4n is than that
+    of a run of budget n, in bytes."""
+    peaks = []
+    for budget in (n, 4 * n):
+        peak, rec = traced_peak(replace(w, request_budget=budget), engine)
+        assert rec.latency.count == budget
+        peaks.append(peak)
+    return peaks[1] - peaks[0]
 
 
-@pytest.mark.parametrize("engine, threads, bound", [
-    (EngineConfig(kind="sync"), 1, 13),
+#: a worker's dense count table grows with the longest duration it sees,
+#: to at most 512 KiB, and a fold briefly holds it twice with the chunk's
+#: counts: a fixed bound on what a real run holds beyond its fixed costs
+REAL_RUN_BOUND = 2 << 20
+
+
+@pytest.mark.parametrize("engine, threads", [
+    (EngineConfig(kind="sync"), 1),
     (EngineConfig(kind="aio", queue_size=32, batch_size=8,
-                  allow_fallback=True), 1, 13),
-    (EngineConfig(kind="pool"), 2, 17)], ids=["sync", "aio", "pool"])
-def test_real_run_memory_per_request(cached, engine, threads, bound):
-    # one int64 duration per request, sorted where it lies; merging the
-    # logs of several workers holds at most one more copy of all but the
-    # first, and no per-request log lies beside them
+                  allow_fallback=True), 1),
+    (EngineConfig(kind="pool"), 2)], ids=["sync", "aio", "pool"])
+def test_real_run_memory_per_request(cached, engine, threads):
+    # durations are folded into counts a chunk at a time, so four times the
+    # requests cost no more memory; a log of 8 B per request would add
+    # 3 MiB here
     with open_target(cached, seed=7, direct=False) as h:
         w = WorkloadSpec(target=h, block_size=4096, threads=threads,
-                         request_budget=MEMORY_RUN, seed=1)
-        per_request = peak_bytes_per_request(w, engine)
-    assert per_request <= bound, f"{per_request:.1f} B per request"
+                         request_budget=1, seed=1)
+        growth = peak_growth(w, engine, 1 << 17)
+    assert growth <= REAL_RUN_BOUND, f"{growth} B more at 4x the budget"
 
 
 def test_simulated_run_memory_per_request():
+    # simulated durations are at most a few hundred µs, so the counts stay
+    # small; a log of 8 B per request would add 192 KiB here
     with simulated_target(preset_model("nvme"), 1 << 30, seed=1) as h:
-        w = WorkloadSpec(target=h, block_size=4096,
-                         request_budget=MEMORY_RUN, seed=1)
-        per_request = peak_bytes_per_request(
-            w, EngineConfig(kind="uring", queue_size=64, batch_size=8))
-    assert per_request <= 13, f"{per_request:.1f} B per request"
+        w = WorkloadSpec(target=h, block_size=4096, request_budget=1, seed=1)
+        growth = peak_growth(
+            w, EngineConfig(kind="uring", queue_size=64, batch_size=8),
+            1 << 13)
+    assert growth <= 64 << 10, f"{growth} B more at 4x the budget"
+
+
+class TalliedCounts(LatencyCounts):
+    """Counts that also tally every duration added to any of them."""
+
+    added = 0
+
+    def add(self, chunk):
+        TalliedCounts.added += len(chunk)
+        super().add(chunk)
+
+
+@pytest.mark.parametrize("engine", [
+    EngineConfig(kind="sync"),
+    EngineConfig(kind="uring", queue_size=32, batch_size=8,
+                 allow_fallback=True)], ids=["sync", "uring"])
+def test_duration_run_memory_is_fixed(cached, monkeypatch, engine):
+    # a 1 s run reads ~10^5-10^6 blocks; its peak stays under the fixed
+    # bound whatever that number, and its record counts every read logged
+    monkeypatch.setattr(engines, "LatencyCounts", TalliedCounts)
+    monkeypatch.setattr(TalliedCounts, "added", 0)
+    with open_target(cached, seed=7, direct=False) as h:
+        peak, rec = traced_peak(WorkloadSpec(target=h, block_size=4096,
+                                             duration_s=1.0, seed=1), engine)
+    assert peak <= REAL_RUN_BOUND, (
+        f"{peak} B peak over {rec.latency.count} reads")
+    assert rec.latency.count == TalliedCounts.added > 0
 
 
 @pytest.mark.parametrize("engine", [
@@ -1380,6 +1420,12 @@ def on_both_loops(monkeypatch, make):
     return native, python
 
 
+def counted(counts: LatencyCounts) -> list[int]:
+    """Every duration the counts hold, in ascending order."""
+    dense = np.repeat(np.arange(len(counts.dense)), counts.dense).tolist()
+    return dense + sorted(counts.sparse.elements())
+
+
 def window_run(w, engine, warm_end, deadline, after, offsets=None):
     """One worker of w in the window [warm_end, deadline): (durations
     logged, its max in flight, whether its last logged read ended after
@@ -1388,7 +1434,7 @@ def window_run(w, engine, warm_end, deadline, after, offsets=None):
     engines._real_worker(w, engine, 0, warm_end, deadline, engines._Stop(),
                          result, offsets)
     digest = result.checksum and fill.hexdigest(result.checksum.digest())
-    return (len(result.durations), result.max_inflight,
+    return (len(result.counts), result.max_inflight,
             result.last_done > after, digest, result.loop)
 
 
@@ -1526,11 +1572,15 @@ class TestNativeLoop:
 
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
     def test_old_pattern_named(self, tmp_path, monkeypatch, name):
-        # a file of the fill of earlier versions, mix64(seed ^ o) in the
-        # word at o, differs first at word 1
+        # the fill of earlier versions, mix64(seed ^ o) in the word at o,
+        # differs first at word 1; it fills only the first half, where
+        # worker 0 of pool reads, as a run names whichever worker's bad
+        # block it finds first, and worker 1 starts at the second half
         path = tmp_path / "old.dat"
-        words = np.arange(0, 1 << 20, 8, dtype=np.uint64) ^ np.uint64(5)
-        path.write_bytes(rng.mix64_array(words).astype("<u8").tobytes())
+        prepare_target(str(path), size=1 << 20, seed=5).close()
+        words = np.arange(0, 1 << 19, 8, dtype=np.uint64) ^ np.uint64(5)
+        with open(path, "r+b") as f:
+            f.write(rng.mix64_array(words).astype("<u8").tobytes())
         threads = 2 if name == "pool" else 1
         engine = (EngineConfig(kind=name) if name in ("sync", "pool")
                   else async_engine(name, 4, 2))

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from readbench import uring_native
 from readbench.errors import ClockError, EmptySampleSet, InvalidInterval
-from readbench.measurement import (LatencySample, aggregate_latencies,
-                                   compute_throughput, measure_cpu,
-                                   snapshot_cpu)
+from readbench.measurement import (LatencyCounts, LatencySample,
+                                   aggregate_latencies, compute_throughput,
+                                   measure_cpu, snapshot_cpu)
 
 
 def samples(durations):
@@ -91,6 +91,44 @@ def test_sorted_log_is_read_where_it_lies():
             tracemalloc.stop()
         assert got == want
         assert peak < 2 * n, f"{peak / n:.2f} B per sample"
+
+
+#: durations on both sides of the dense table's end, and far above it
+DURATIONS = st.one_of(st.sampled_from([0, 65535, 65536, 10**6 + 1]),
+                      st.integers(0, 70_000), st.integers(10**6, 10**12))
+
+
+@given(st.lists(DURATIONS, min_size=1, max_size=400), st.data())
+@settings(max_examples=200, deadline=None)
+def test_counts_give_the_sorted_logs_stats(durs, data):
+    # folded in any chunking, as array('q') or ndarray, by either of two
+    # workers whose counts are then merged
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(durs)), max_size=8)))
+    workers = [LatencyCounts(), LatencyCounts()]
+    for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(durs)])):
+        chunk = durs[lo:hi]
+        data.draw(st.sampled_from(workers)).add(
+            array("q", chunk) if i % 2 else np.array(chunk, dtype=np.int64))
+    one = LatencyCounts()
+    one.add(np.array(durs, dtype=np.int64))
+    workers[0].merge(workers[1])
+    want = aggregate_latencies(np.sort(np.array(durs, dtype=np.int64)))
+    for counts in (one, workers[0]):
+        assert len(counts) == len(durs)
+        assert aggregate_latencies(counts) == want
+
+
+def test_counts_refuse_what_a_log_refuses():
+    counts = LatencyCounts()
+    with pytest.raises(EmptySampleSet):
+        aggregate_latencies(counts)
+    counts.add(array("q"))
+    with pytest.raises(EmptySampleSet):
+        aggregate_latencies(counts)
+    for chunk in (array("q", [5, -1]), np.array([-(2 ** 63), 70_000])):
+        with pytest.raises(ValueError, match="^duration must be >= 0$"):
+            counts.add(chunk)
+    assert len(counts) == 0  # a refused chunk counts none of its durations
 
 
 def test_empty_raises():
