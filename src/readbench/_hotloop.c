@@ -1,13 +1,17 @@
-/* The compiled read loops of the real-file engines, built and loaded by
- * readbench.hotloop: rb_read_loop for the sync family (sync, polled, pool)
- * and rb_async_loop for the aio and uring engines.  Each times its reads
- * around the syscalls alone, on CLOCK_MONOTONIC, the clock of Python's
- * perf_counter_ns, and logs a duration in us rounded to the nearest (halves
- * up).
+/* The compiled loops of readbench, built and loaded by readbench.hotloop:
+ * rb_read_loop for the sync family (sync, polled, pool) and rb_async_loop
+ * for the aio and uring engines on real files, and rb_sim_loop for every
+ * engine on a simulated device.  The two read loops time their reads around
+ * the syscalls alone, on CLOCK_MONOTONIC, the clock of Python's
+ * perf_counter_ns, and log a duration in us rounded to the nearest (halves
+ * up).  The simulated loop replays readbench.engines._simulate and the
+ * scheduler of readbench.devicesim in virtual time, bit for bit.
  */
 #define _GNU_SOURCE
 #include <errno.h>
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
@@ -377,6 +381,250 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
                          words / s->pages, ramp) >= 0)
                 return fail(s, RB_BAD_DATA, slot, 0);
             checked[s->checked++] = s->slot_off[slot];
+        }
+    }
+}
+
+/* The fault of a refused simulated submit: devicesim.submit's ValueError
+ * for a request outside the device, or its Backpressure. */
+enum { RB_OUTSIDE = 8, RB_BACKPRESSURE };
+
+struct rb_req { /* a queued request */
+    int64_t off, tag;
+    double submitted;
+};
+
+struct rb_event { /* a request in service, in (completion, seq) order */
+    double completion;
+    int64_t seq, tag;
+    double submitted;
+};
+
+/* One run of readbench.engines._simulate, kept by Python across calls: the
+ * model's terms as devicesim._fill_slots derives them, the state of a
+ * devicesim.SimState, and the workers' state. */
+struct rb_sim {
+    double base, per_byte, two_scale, cap, power, spike_p, spike_us;
+    double seek_min, seek_span, rotation, outer, rate_span;
+    double bandwidth, degraded_until, degraded_factor;
+    double warmup, window_end; /* logged iff warmup <= submit < window_end */
+    double clock, channel_free, last_completion;
+    int64_t hdd, jitter, uniform, parallelism, capacity, block;
+    int64_t threads, depth, batch, budget, pending_bound;
+    int64_t head, last_end, active, seq, outstanding;
+    struct rb_req *pending; /* queued: (first + i) & mask, i < npending */
+    int64_t mask, first, npending;
+    struct rb_event *heap;  /* the active requests in service */
+    /* per worker: reads its budget allows, in flight, most in flight, ready
+     * to harvest, to refill at the top of the loop, and the index in off of
+     * the next of its len offsets */
+    int64_t *left, *out, *most, *ready, *owed, *pos, *len;
+    const int64_t **off;
+    const double *draws;    /* draws[dpos..ndraws): uniform, in order */
+    int64_t ndraws, dpos;
+    int64_t *log;           /* the nlog durations this call may log */
+    int64_t nlog, logged;
+    int64_t fault;
+};
+
+#define PENDING(s, i) ((s)->pending[((s)->first + (i)) & (s)->mask])
+
+static int before(const struct rb_event *a, const struct rb_event *b)
+{
+    return a->completion < b->completion
+           || (a->completion == b->completion && a->seq < b->seq);
+}
+
+static void push(struct rb_sim *s, struct rb_event e)
+{
+    int64_t i = s->active++;
+
+    for (; i && before(&e, &s->heap[(i - 1) / 2]); i = (i - 1) / 2)
+        s->heap[i] = s->heap[(i - 1) / 2];
+    s->heap[i] = e;
+}
+
+static struct rb_event pop(struct rb_sim *s)
+{
+    struct rb_event top = s->heap[0], last = s->heap[--s->active];
+    int64_t i = 0, c;
+
+    for (; (c = 2 * i + 1) < s->active; i = c) {
+        if (c + 1 < s->active && before(&s->heap[c + 1], &s->heap[c]))
+            c++;
+        if (!before(&s->heap[c], &last))
+            break;
+        s->heap[i] = s->heap[c];
+    }
+    s->heap[i] = last;
+    return top;
+}
+
+/* devicesim._fill_slots: start pending requests while slots are free, each
+ * operation in the order Python makes it. */
+static void fill(struct rb_sim *s)
+{
+    const double length = (double)s->block;
+
+    while (s->active < s->parallelism && s->npending) {
+        struct rb_req r;
+        struct rb_event e;
+        double total, start;
+        int64_t i, best = 0;
+
+        if (s->hdd) { /* shortest seek first, the first of equal seeks */
+            for (i = 1; i < s->npending; i++)
+                if (llabs(PENDING(s, i).off - s->head)
+                    < llabs(PENDING(s, best).off - s->head))
+                    best = i;
+            r = PENDING(s, best);
+            for (i = best; i > 0; i--)
+                PENDING(s, i) = PENDING(s, i - 1);
+            if (r.off == s->last_end) {
+                total = 0.0;
+            } else {
+                total = s->seek_min + s->seek_span
+                        * ((double)llabs(r.off - s->head) / (double)s->capacity);
+                total += s->rotation * s->draws[s->dpos++];
+            }
+            total += length / (s->outer + s->rate_span
+                               * ((double)r.off / (double)s->capacity)) * 1e6;
+            s->head = s->last_end = r.off + s->block;
+        } else {
+            r = PENDING(s, 0);
+            total = s->base + length * s->per_byte;
+            if (s->jitter) {
+                double u = s->draws[s->dpos++];
+
+                total += s->uniform ? s->two_scale * u : s->cap * pow(u, s->power);
+            }
+            if (s->spike_p > 0 && s->draws[s->dpos++] < s->spike_p)
+                total += s->spike_us;
+        }
+        s->first++;
+        s->npending--;
+        start = s->clock > r.submitted ? s->clock : r.submitted;
+        if (start < s->degraded_until)
+            total *= s->degraded_factor;
+        e.completion = start + total;
+        if (s->bandwidth > 0) { /* the transfer serializes on the channel */
+            double tb = length / s->bandwidth * 1e6;
+            double from = e.completion - tb;
+
+            if (s->channel_free > from)
+                from = s->channel_free;
+            e.completion = s->channel_free = from + tb;
+        }
+        e.seq = ++s->seq;
+        e.tag = r.tag;
+        e.submitted = r.submitted;
+        push(s, e);
+    }
+}
+
+/* devicesim.submit, at the clock; nonzero, with the fault in s, where it
+ * raises. */
+static int sim_submit(struct rb_sim *s, int64_t off, int64_t tag)
+{
+    int64_t free = s->parallelism - s->active;
+
+    if (off < 0 || off > s->capacity - s->block) {
+        s->fault = RB_OUTSIDE;
+        return 1;
+    }
+    if (s->npending - free >= s->pending_bound) {
+        s->fault = RB_BACKPRESSURE;
+        return 1;
+    }
+    PENDING(s, s->npending++) = (struct rb_req){off, tag, s->clock};
+    if (free > 0 && s->hdd)
+        fill(s);
+    return 0;
+}
+
+/* devicesim.advance with a ready count per worker: fill, then pop every
+ * completion of the next event time, logging those submitted in the
+ * window, until a worker has batch ready or nothing is in flight. */
+static void advance(struct rb_sim *s)
+{
+    int full = 0;
+
+    while (!full) {
+        double t;
+
+        if (s->npending && s->active < s->parallelism)
+            fill(s);
+        if (!s->active)
+            break;
+        t = s->heap[0].completion;
+        while (s->active && s->heap[0].completion == t) {
+            struct rb_event e = pop(s);
+
+            if (++s->ready[e.tag] >= s->batch)
+                full = 1;
+            if (s->warmup <= e.submitted && e.submitted < s->window_end) {
+                /* Python's round: halves to even, as nearbyint rounds */
+                s->log[s->logged++] = (int64_t)nearbyint(t - e.submitted);
+                s->last_completion = t;
+            }
+        }
+        if (t > s->clock)
+            s->clock = t;
+        if (s->npending && s->hdd)
+            fill(s);
+    }
+}
+
+/* engines._simulate's loop, from its top: refill what each worker owes (at
+ * the start, depth), from its budget and only before window_end; advance;
+ * then harvest each worker with batch ready, or with any ready once it will
+ * submit no more.  Returns RB_DONE once nothing is in flight; RB_MORE at
+ * the top of the loop while a worker has fewer than depth offsets left,
+ * fewer draws are left than two for each of threads * depth requests (each
+ * starts at most once in a pass), or the log has less room than one
+ * completion each (Python gives more and calls again); RB_FAILED, the
+ * fault in s, where devicesim.submit raises. */
+int rb_sim_loop(struct rb_sim *s)
+{
+    const int64_t most = s->threads * s->depth;
+    int64_t w, i, n;
+
+    s->logged = 0;
+    for (;;) {
+        for (w = 0; w < s->threads; w++)
+            if (s->len[w] - s->pos[w] < s->depth)
+                return RB_MORE;
+        if (s->ndraws - s->dpos < 2 * most || s->nlog - s->logged < most)
+            return RB_MORE;
+        for (w = 0; w < s->threads; w++) {
+            n = s->owed[w];
+            s->owed[w] = 0;
+            if (s->budget) {
+                n = n < s->left[w] ? n : s->left[w];
+                s->left[w] -= n;
+            } else if (s->clock >= s->window_end) {
+                n = 0;
+            }
+            for (i = 0; i < n; i++)
+                if (sim_submit(s, s->off[w][s->pos[w]++], w))
+                    return RB_FAILED;
+            s->out[w] += n;
+            s->outstanding += n;
+            if (s->out[w] > s->most[w])
+                s->most[w] = s->out[w];
+        }
+        if (!s->outstanding)
+            return RB_DONE;
+        advance(s);
+        for (w = 0; w < s->threads; w++) {
+            n = s->ready[w];
+            if (n && (n >= s->batch || (s->budget ? !s->left[w]
+                                        : s->clock >= s->window_end))) {
+                s->ready[w] = 0;
+                s->out[w] -= n;
+                s->outstanding -= n;
+                s->owed[w] = n;
+            }
         }
     }
 }

@@ -35,6 +35,13 @@ Model components:
   same fill before each, until a tag has as many as it needs.
 * Draws: jitter, stall and rotation draws come from one stream per device,
   ``rng.uniform_floats(rng_seed)``, computed in numpy chunks.
+
+Where the compiled loops build, ``engines._simulate`` runs on
+``rb_sim_loop`` in ``_hotloop.c``, which makes each operation of this
+scheduler in C, in the same order and on the same draws
+(``rng.uniform_chunks``), so it gives the same completions bit for bit.
+This module is then the fallback where there is no C compiler, and the
+reference the tests compare the compiled loop with.
 """
 
 from __future__ import annotations

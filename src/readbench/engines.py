@@ -13,7 +13,9 @@ Engine kinds:
 
 Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
-re-run with identical seeds reproduces identical statistics bit for bit.
+re-run with identical seeds reproduces identical statistics bit for bit;
+that loop runs in C where :mod:`readbench.hotloop` builds, and else in
+Python over :mod:`readbench.devicesim`, with the same records.
 Real-file targets use actual threads and the native syscall backends, on a
 sync loop (sync, polled, pool) or an async loop (aio, uring), each in C
 where :mod:`readbench.hotloop` builds and else in Python.  Every loop
@@ -50,11 +52,12 @@ import numpy as np
 from . import aio_native, fill, hotloop, uring_native
 from .devicesim import SimState, advance, submit
 from .errors import (BAD_RESULT, CALL_FAILED, STALLED, UNKNOWN_SLOT,
-                     AbortedRun, EngineUnsupported, VerifyError, async_error)
+                     AbortedRun, Backpressure, EngineUnsupported, VerifyError,
+                     async_error)
 from .measurement import (CpuUsage, LatencyCounts, LatencyStats,
                           aggregate_latencies, compute_throughput,
                           from_fields, measure_cpu, snapshot_cpu)
-from .rng import u64_chunks, worker_seed
+from .rng import u64_chunks, uniform_chunks, worker_seed
 from .target import (TargetHandle, alloc_aligned, check_offsets, polled_flags,
                      read_block, read_error)
 
@@ -307,26 +310,50 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig, sink,
               offsets: list[int] | None = None):
     """Run the workload in virtual time, the logged durations passed to
     ``sink`` in chunks; returns (elapsed_s, checksum hex, notes, extra).
-    ``offsets``, when given, replaces the offset stream of one worker."""
-    depth, batch = engine.queue_size, engine.batch_size
+    ``offsets``, when given, replaces the offset stream of one worker.
+    The loop runs in C (:mod:`readbench.hotloop`) where it builds, else in
+    Python; both give the same log in the same order."""
     state = SimState(workload.target.model, workload.target.capacity,
                      polled=engine.kind == "polled")
-    block = workload.block_size
     budget_mode = workload.request_budget is not None
     # a request is logged iff warmup_us <= its submit time < window_end
     warmup_us = workload.warmup_s * 1e6
-    window_end = (math.inf if budget_mode
-                  else warmup_us + workload.duration_s * 1e6)
-
-    workers = []
-    for w in range(workload.threads):
-        remaining = (split_budget(workload.request_budget, workload.threads, w)
-                     if budget_mode else None)
-        workers.append(_SimWorker(w, offset_stream(workload, w, offsets),
-                                  remaining))
-
+    window = (warmup_us, math.inf if budget_mode
+              else warmup_us + workload.duration_s * 1e6)
+    budgets = [split_budget(workload.request_budget, workload.threads, w)
+               if budget_mode else None for w in range(workload.threads)]
     # simulated reads return no data: digest the submitted offsets
     checksum = _Checksum(workload) if workload.verify else None
+    lib, _ = hotloop.load()
+    # C divides offsets by the capacity as doubles, which Python's int
+    # division matches only below 2^53
+    if lib is None or state.capacity >> 53:
+        last_completion, max_inflight = _python_sim(
+            workload, engine, state, sink, offsets, budgets, window, checksum)
+    else:
+        last_completion, max_inflight = _native_sim(
+            lib.rb_sim_loop, workload, engine, state, sink, offsets, budgets,
+            window, checksum)
+    elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
+    notes = ["simulated"]
+    extra = {"max_inflight": max_inflight, "short_harvests": 0}
+    digest = "" if checksum is None else fill.hexdigest(checksum.digest())
+    return elapsed_s, digest, notes, extra
+
+
+def _python_sim(workload: WorkloadSpec, engine: EngineConfig,
+                state: SimState, sink, offsets: list[int] | None,
+                budgets: list, window: tuple[float, float],
+                checksum: _Checksum | None) -> tuple[float, int]:
+    """The simulated loop in Python, over :mod:`readbench.devicesim`: the
+    time of the last logged completion, and the most reads a worker had in
+    flight."""
+    depth, batch = engine.queue_size, engine.batch_size
+    block = workload.block_size
+    budget_mode = budgets[0] is not None
+    warmup_us, window_end = window
+    workers = [_SimWorker(w, offset_stream(workload, w, offsets), remaining)
+               for w, remaining in enumerate(budgets)]
     outstanding = 0
 
     def refill(wk: _SimWorker, n: int, now: float) -> None:
@@ -379,13 +406,52 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig, sink,
                 outstanding -= n
                 refill(wk, n, now)
     sink(log)
+    return last_completion, max(wk.max_outstanding for wk in workers)
 
-    elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
-    notes = ["simulated"]
-    extra = {"max_inflight": max(wk.max_outstanding for wk in workers),
-             "short_harvests": 0}
-    digest = "" if checksum is None else fill.hexdigest(checksum.digest())
-    return elapsed_s, digest, notes, extra
+
+def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
+                state: SimState, sink, offsets: list[int] | None,
+                budgets: list, window: tuple[float, float],
+                checksum: _Checksum | None) -> tuple[float, int]:
+    """The loop of :func:`_python_sim` in C (:mod:`readbench.hotloop`), on
+    the model of ``state``.  Before each call, a worker short of offsets
+    has the rest of its chunk joined to its next, the offsets it consumed
+    digested if verified, and the draws, the stream ``devicesim`` draws
+    from, are topped up to what ``rb_sim_loop`` needs for a pass."""
+    depth, threads = engine.queue_size, workload.threads
+    sim = hotloop.SimLoop(state, workload.block_size, depth,
+                          engine.batch_size, budgets, *window)
+    pos, lens = sim.workers[sim.POS], sim.workers[sim.LEN]
+    streams = [_offset_chunks(workload, w, offsets) for w in range(threads)]
+    chunks = [np.empty(0, dtype=np.int64)] * threads
+    draw_chunks, draws = uniform_chunks(state.model.rng_seed), np.empty(0)
+    log = np.empty(threads * depth + _OFFSET_CHUNK, dtype=np.int64)
+    sim.log, sim.nlog = log.ctypes.data, len(log)
+    while True:
+        for w, chunk in enumerate(chunks):
+            if lens[w] - pos[w] < depth:
+                if checksum is not None:
+                    checksum.keep(chunk[:pos[w]])
+                chunks[w] = chunk = np.concatenate((chunk[pos[w]:],
+                                                    next(streams[w])))
+                pos[w], lens[w] = 0, len(chunk)
+                sim.addrs[w] = chunk.ctypes.data
+        while sim.ndraws - sim.dpos < 2 * threads * depth:
+            draws = np.concatenate((draws[sim.dpos:], next(draw_chunks)))
+            sim.draws, sim.ndraws, sim.dpos = (draws.ctypes.data,
+                                               len(draws), 0)
+        status = sim_loop(sim)
+        sink(log[:sim.logged])
+        if status != hotloop.MORE:
+            break
+    if status == hotloop.FAILED:
+        if sim.fault == hotloop.OUTSIDE:
+            raise ValueError("request outside device capacity")
+        raise Backpressure(f"more than {state.pending_bound} requests queued")
+    if checksum is not None:
+        for w, chunk in enumerate(chunks):
+            checksum.keep(chunk[:pos[w]])
+    return sim.last_completion, int(sim.workers[sim.MOST].max())
 
 
 # ---------------------------------------------------------------------------

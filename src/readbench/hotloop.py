@@ -1,14 +1,16 @@
-"""The compiled read loops of the real-file engines: ``rb_read_loop``, that
-of the sync, polled and pool engines, and ``rb_async_loop``, that of the aio
-and uring engines on a kernel queue.
+"""The compiled loops: ``rb_read_loop``, that of the sync, polled and pool
+engines, and ``rb_async_loop``, that of the aio and uring engines on a
+kernel queue, for real files; ``rb_sim_loop``, that of every engine on a
+simulated device, which replays ``engines._simulate`` and the scheduler of
+:mod:`readbench.devicesim` bit for bit.
 
 :func:`load` builds ``_hotloop.c`` with the system ``cc`` at first use, never
 at import, into ``$XDG_CACHE_HOME/readbench/<CRC-32 of the source>.so`` (default
 ``~/.cache``): under a temporary name there, then renamed into place, so a
 process never loads a library another one is still writing.  Where that
 directory is not writable, it builds into a temporary directory of this
-process.  Without a compiler the engines time their reads on the Python
-loops, and the record says so.
+process.  Without a compiler the engines run on the Python loops; a
+real-file record says so.
 """
 
 from __future__ import annotations
@@ -25,9 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import devicesim
+
 SOURCE = Path(__file__).with_name("_hotloop.c")
-# vectorised, a page's check takes about half the time
-_CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
+# vectorised, a page's check takes about half the time; no fused
+# multiply-add (the default on aarch64), which would round the simulator's
+# ``base + length * per_byte`` and channel arithmetic once where Python
+# rounds twice
+_CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC", "-ffp-contract=off")
+# pow, for the simulator's heavy-tail jitter, is in libm
+_LIBS = ("-lm",)
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 
@@ -88,6 +97,77 @@ class AsyncState(ctypes.Structure):
                          slot_hash=self.hashes.ctypes.data, pages=pages)
 
 
+#: the fault of a refused simulated submit, ``SimLoop.fault``: a request
+#: outside the device, or more queued than ``SimState.pending_bound``
+OUTSIDE, BACKPRESSURE = 8, 9
+
+
+class SimLoop(ctypes.Structure):
+    """One simulated run as ``rb_sim_loop`` keeps it across calls (``struct
+    rb_sim``): the terms of the state's model as ``devicesim._fill_slots``
+    derives them, the device state, and per worker (a column of
+    ``workers``) its budget left, reads in flight, most in flight, reads
+    ready, reads to refill, and the next of its ``len`` offsets at
+    ``addrs``.  Every worker owes a refill of ``depth`` at first."""
+
+    _fields_ = ([(name, ctypes.c_double) for name in (
+        "base", "per_byte", "two_scale", "cap", "power", "spike_p",
+        "spike_us", "seek_min", "seek_span", "rotation", "outer", "rate_span",
+        "bandwidth", "degraded_until", "degraded_factor", "warmup",
+        "window_end", "clock", "channel_free", "last_completion")]
+        + [(name, _I64) for name in (
+            "hdd", "jitter", "uniform", "parallelism", "capacity", "block",
+            "threads", "depth", "batch", "budget", "pending_bound", "head",
+            "last_end", "active", "seq", "outstanding")]
+        + [("pending", _PTR), ("mask", _I64), ("first", _I64),
+           ("npending", _I64), ("heap", _PTR)]
+        + [(name, _PTR) for name in ("left", "out", "most", "ready", "owed",
+                                     "pos", "len", "off")]
+        + [("draws", _PTR), ("ndraws", _I64), ("dpos", _I64), ("log", _PTR),
+           ("nlog", _I64), ("logged", _I64), ("fault", _I64)])
+
+    #: rows of ``workers``
+    LEFT, OUT, MOST, READY, OWED, POS, LEN = range(7)
+
+    def __init__(self, state, block: int, depth: int, batch: int,
+                 budgets: list, warmup: float, window_end: float):
+        m, threads = state.model, len(budgets)
+        self.workers = np.zeros((7, threads), dtype=np.int64)
+        self.workers[self.OWED] = depth
+        if budgets[0] is not None:
+            self.workers[self.LEFT] = budgets
+        self.addrs = np.zeros(threads, dtype=np.uintp)  # each worker's chunk
+        n = threads * depth
+        # 24 B a queued request, a ring of 2^k >= n; 32 B one in service
+        self.ring = np.zeros(3 << (n - 1).bit_length(), dtype=np.int64)
+        self.events = np.zeros(4 * n, dtype=np.int64)
+        base, row = self.workers.ctypes.data, self.workers.strides[0]
+        super().__init__(
+            **{name: base + i * row for i, name in enumerate(
+                ("left", "out", "most", "ready", "owed", "pos", "len"))},
+            base=m.base_latency_us, per_byte=m.per_byte_us,
+            two_scale=2.0 * m.jitter_scale_us,
+            cap=(devicesim.HEAVY_TAIL_POWER + 1) * m.jitter_scale_us,
+            power=devicesim.HEAVY_TAIL_POWER, spike_p=m.spike_probability,
+            spike_us=m.spike_duration_us, seek_min=m.seek_min_us,
+            seek_span=m.seek_max_us - m.seek_min_us,
+            rotation=m.rotation_period_us, outer=m.outer_rate_bps,
+            rate_span=m.inner_rate_bps - m.outer_rate_bps,
+            bandwidth=m.bandwidth_limit_bps,
+            degraded_until=m.degraded_until_us,
+            degraded_factor=m.degraded_factor, warmup=warmup,
+            window_end=window_end, last_completion=warmup,
+            hdd=m.kind == "hdd",
+            jitter=m.jitter_kind != "none" and m.jitter_scale_us > 0,
+            uniform=m.jitter_kind == "uniform" or state.polled,
+            parallelism=m.parallelism, capacity=state.capacity, block=block,
+            threads=threads, depth=depth, batch=batch,
+            budget=budgets[0] is not None, pending_bound=state.pending_bound,
+            pending=self.ring.ctypes.data,
+            mask=(1 << (n - 1).bit_length()) - 1, heap=self.events.ctypes.data,
+            off=self.addrs.ctypes.data)
+
+
 class BuildError(Exception):
     """The loop could not be compiled."""
 
@@ -101,7 +181,7 @@ def _compile(directory: Path, name: str) -> Path:
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
     os.close(fd)
     try:
-        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(SOURCE)],
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(SOURCE), *_LIBS],
                               capture_output=True, text=True, timeout=120)
         if proc.returncode:
             why = (proc.stderr.strip().splitlines() or ["no output"])[0]
@@ -116,12 +196,12 @@ def _compile(directory: Path, name: str) -> Path:
 @functools.cache
 def load():
     """(the library, its path), or (None, why it is unavailable).  Its
-    ``rb_read_loop`` and ``rb_async_loop`` are declared.  Built once per
-    source and cache directory, loaded once per process."""
+    ``rb_read_loop``, ``rb_async_loop`` and ``rb_sim_loop`` are declared.
+    Built once per source and cache directory, loaded once per process."""
     try:
         # a CRC, not a cryptographic hash: the cache is the user's own, and
         # hashlib would map the OpenSSL library into every run (~4 MiB RSS)
-        key = " ".join(_CFLAGS).encode() + SOURCE.read_bytes()
+        key = " ".join(_CFLAGS + _LIBS).encode() + SOURCE.read_bytes()
         name = f"{zlib.crc32(key):08x}.so"
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "readbench"
@@ -142,4 +222,6 @@ def load():
         ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR, _PTR,
         ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
     lib.rb_async_loop.restype = ctypes.c_int
+    lib.rb_sim_loop.argtypes = (ctypes.POINTER(SimLoop),)
+    lib.rb_sim_loop.restype = ctypes.c_int
     return lib, str(path)

@@ -30,15 +30,30 @@ def tracer(tracing):
     return tracing.Tracer()
 
 
-def test_simulated_run_counts(tracer):
+def traced_simulated_run(tracer):
+    """An aio q8 b2 run of 1000 simulated reads under the tracer."""
     with simulated_target(preset_model("nvme"), 1 << 26, seed=1) as h:
         with tracer:
-            rec = run(WorkloadSpec(target=h, request_budget=1000, seed=1),
-                      EngineConfig(kind="aio", queue_size=8, batch_size=2))
+            return run(WorkloadSpec(target=h, request_budget=1000, seed=1),
+                       EngineConfig(kind="aio", queue_size=8, batch_size=2))
+
+
+def test_simulated_run_counts(tracer, python_loop):
+    rec = traced_simulated_run(tracer)
     table = tracer.table()
     assert rec.latency.count == 1000
     assert table["devicesim.submit"][CALLS] == 1000
     assert table["devicesim.advance"][ITEMS] == 1000
+    assert table["measurement.aggregate_latencies"][ITEMS] == 1000
+
+
+def test_simulated_run_counts_native(tracer, native_loop):
+    # the compiled loop schedules without devicesim's submit and advance
+    rec = traced_simulated_run(tracer)
+    table = tracer.table()
+    assert rec.latency.count == 1000
+    assert table.get("devicesim.submit", [0] * 4)[CALLS] == 0
+    assert table.get("devicesim.advance", [0] * 4)[CALLS] == 0
     assert table["measurement.aggregate_latencies"][ITEMS] == 1000
 
 

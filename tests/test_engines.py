@@ -18,18 +18,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from readbench import (aio_native, engines, fill, hotloop, rng, target,
                        uring_native)
-from readbench.devicesim import DeviceModel, preset_model
+from readbench.devicesim import DeviceModel, preset_model, submit
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
                                run, run_kernel_async, run_polled, run_ring,
                                run_sync, run_threadpool, split_budget)
-from readbench.errors import (AbortedRun, AlignmentError, EngineUnsupported,
-                              IoError, VerifyError)
+from readbench.errors import (AbortedRun, AlignmentError, Backpressure,
+                              EngineUnsupported, IoError, VerifyError)
 from readbench.fill import check_block
 from readbench.measurement import LatencyCounts, compute_throughput
 from readbench.target import (open_target, prepare_target, simulated_target,
@@ -275,6 +275,128 @@ class TestSimulatedRuns:
     def test_threads_on_sync_rejected(self, sim):
         with pytest.raises(ValueError):
             run_sync(workload(sim, threads=2))
+
+
+#: a solid-state model with every random component: uniform jitter,
+#: spikes, a degraded start-up window and a shared channel
+RANDOM_SSD = DeviceModel(kind="custom", base_latency_us=40.0,
+                         per_byte_us=1.0 / 1000.0, parallelism=4,
+                         jitter_kind="uniform", jitter_scale_us=6.0,
+                         spike_probability=0.02, spike_duration_us=5000.0,
+                         bandwidth_limit_bps=400e6, degraded_until_us=3000.0,
+                         degraded_factor=4.0, rng_seed=17)
+
+#: every preset, the model above, and one without draws whose queued
+#: durations are whole or half µs, so that rounding halves to even shows
+SIM_MODELS = [*map(preset_model, ("hdd", "sata-ssd", "nvme-ssd", "ull")),
+              RANDOM_SSD, flat_model(latency_us=20.5, parallelism=2)]
+
+
+def simulated_outcome(loop, w, engine, offsets, chunk=None):
+    """A simulated run on one loop: its ordered log, what _simulate returns
+    and, without offsets, the fields of its record; or the error raised.
+    ``chunk`` sets how many offsets and draws are computed at a time."""
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        if loop == "python":
+            mp.setattr(hotloop, "load", lambda: (None, "pinned by a test"))
+        else:  # the compiled loop schedules without devicesim
+            mp.setattr(engines, "submit", None)
+        if chunk is not None:
+            mp.setattr(engines, "_OFFSET_CHUNK", chunk)
+            mp.setattr(rng, "FLOAT_CHUNK", chunk)
+        try:
+            got = engines._simulate(w, engine, lambda c: log.extend(c),
+                                    offsets)
+            if offsets is None:
+                rec = run(w, engine)
+                got += (rec.latency, rec.throughput_mb_s, rec.data_checksum,
+                        rec.extra)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return log, got
+
+
+@st.composite
+def simulated_runs(draw):
+    model = draw(st.sampled_from(SIM_MODELS))
+    kind = draw(st.sampled_from(engines.ENGINE_KINDS))
+    queue = draw(st.integers(1, 24)) if kind in engines.ASYNC_KINDS else 1
+    engine = EngineConfig(kind=kind, queue_size=queue,
+                          batch_size=draw(st.integers(1, queue)))
+    threads = 1 if kind in ("sync", "polled") else draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        window = dict(request_budget=draw(st.integers(1, 1500)))
+    else:  # about as many reads on the slow disk as on the fast ones
+        scale = 10.0 if model.kind == "hdd" else 1.0
+        window = dict(warmup_s=draw(st.sampled_from([0.0, 0.001, 0.0025])),
+                      duration_s=scale * draw(st.floats(0.0005, 0.01)))
+    capacity = draw(st.sampled_from([1 << 22, 1 << 28]))
+    offsets = draw(st.none() | st.lists(
+        st.integers(0, capacity // 4096 - 1).map(lambda b: b * 4096),
+        min_size=1, max_size=40))
+    fields = dict(pattern=draw(st.sampled_from(engines.PATTERNS)),
+                  threads=threads, seed=draw(st.integers(0, 2 ** 64 - 1)),
+                  verify=draw(st.booleans()), **window)
+    # chunks of 32 make the compiled loop return for more offsets, draws
+    # and log room many times a run
+    chunk = draw(st.sampled_from([None, 32]))
+    return model, capacity, fields, engine, offsets, chunk
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture])
+@given(simulated_runs())
+def test_simulated_loops_agree(native_loop, case):
+    # the compiled loop logs what the Python scheduler logs, in its order,
+    # and gives the same record, every preset and engine on either window
+    model, capacity, fields, engine, offsets, chunk = case
+    with simulated_target(model, capacity, seed=3) as h:
+        w = WorkloadSpec(target=h, **fields)
+        assert simulated_outcome("native", w, engine, offsets, chunk) \
+            == simulated_outcome("python", w, engine, offsets)
+
+
+@pytest.mark.parametrize("capacity,submits", [
+    ((1 << 53) - 4096, 0), (1 << 53, 20)], ids=["below-2^53", "2^53"])
+def test_capacity_past_2_53_runs_in_python(native_loop, monkeypatch,
+                                           capacity, submits):
+    # C divides offsets by the capacity as doubles, which equal Python's
+    # int division only below 2^53, so a larger device runs on devicesim
+    calls = []
+    monkeypatch.setattr(engines, "submit",
+                        lambda *a: calls.append(a) or submit(*a))
+    with simulated_target(preset_model("hdd"), capacity, seed=1) as h:
+        assert run(workload(h, request_budget=20),
+                   EngineConfig()).latency.count == 20
+    assert len(calls) == submits
+
+
+@pytest.mark.parametrize("loop", ["python", "native"])
+@pytest.mark.parametrize("offsets,budget,refused", [
+    ([0, 1 << 26], 3, True), ([0, (1 << 26) - 4095], 3, True),
+    ([-4096], 1, True), ([0, 1 << 26], 1, False)],
+    ids=["at-capacity", "straddling", "negative", "never-submitted"])
+def test_offsets_outside_the_device_refused(sim, request, loop, offsets,
+                                            budget, refused):
+    # refused when submitted, as devicesim.submit refuses it
+    request.getfixturevalue(f"{loop}_loop")
+    w = workload(sim, request_budget=budget)
+    if not refused:
+        assert len(engines.duration_log(w, EngineConfig(), offsets)) == 1
+        return
+    with pytest.raises(ValueError, match="^request outside device capacity$"):
+        engines.duration_log(w, EngineConfig(), offsets)
+
+
+@pytest.mark.parametrize("loop", ["python", "native"])
+def test_queue_beyond_pending_bound_refused(sim, request, loop):
+    # 17 simulated workers of 4096 queue more than the device's bound of
+    # 65536 pending requests; a simulated run starts no OS threads
+    request.getfixturevalue(f"{loop}_loop")
+    w = workload(sim, threads=17, request_budget=17 * 4096)
+    with pytest.raises(Backpressure, match="^more than 65536 requests queued$"):
+        run(w, EngineConfig(kind="aio", queue_size=4096, batch_size=64))
 
 
 class TestScattered:

@@ -4,7 +4,8 @@ The simulator's statistics must replay bit for bit across refactors of the
 engine loop, the device scheduler, the offset stream and the sample store.
 The values below were produced by the per-request-object implementation
 (one ``LatencySample`` per request, one ``SplitMix64.next_u64`` per random
-offset); any change to them is a behaviour change, not a speed-up.
+offset); any change to them is a behaviour change, not a speed-up.  Each
+pinned run is checked on the compiled simulator loop and on the Python one.
 """
 
 import itertools
@@ -101,8 +102,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN)
-def test_simulated_record_is_pinned(name):
+def check_record(name):
     (model, capacity, fill_seed, fields, engine,
      latency, throughput, checksum, extra) = GOLDEN[name]
     if isinstance(model, str):
@@ -113,13 +113,22 @@ def test_simulated_record_is_pinned(name):
         == (latency, throughput, checksum, extra)
 
 
-def test_scattered_makespans_are_pinned():
+@pytest.mark.parametrize("name", GOLDEN)
+def test_simulated_record_is_pinned(name, native_loop):
+    check_record(name)
+
+
+def check_scattered():
     with simulated_target(preset_model("hdd"), GiB, seed=7) as h:
         w = WorkloadSpec(target=h, block_size=262144, request_budget=200,
                          seed=6)
         got = read_scattered(w, EngineConfig(kind="aio", queue_size=5))
     assert got == LatencyStats(count=200, min_us=37404, max_us=72562,
                                mean_us=53625.01, p99_us=67367, p999_us=72562)
+
+
+def test_scattered_makespans_are_pinned(native_loop):
+    check_scattered()
 
 
 #: per-window scan time (us) of the hdd whole scan, outermost window first
@@ -133,7 +142,7 @@ SCAN_WINDOW_US = [
     106808, 107880, 108975, 110094, 111232]
 
 
-def test_whole_scan_timeline_is_pinned():
+def check_whole_scan():
     # per-block latencies are integer us, as in every run record
     with simulated_target(preset_model("hdd"), GiB, seed=7) as h:
         tl = whole_scan(h, block=1 << 20)
@@ -141,6 +150,17 @@ def test_whole_scan_timeline_is_pinned():
     assert tl.window_elapsed_s == [us / 1e6 for us in SCAN_WINDOW_US]
     assert (tl.window_mb_s[0], tl.window_mb_s[-1], tl.total_s) \
         == (249.26776216087717, 150.83084004602992, 5.483531)
+
+
+def test_whole_scan_timeline_is_pinned(native_loop):
+    check_whole_scan()
+
+
+@pytest.mark.parametrize("pin", [*GOLDEN, "scattered", "whole-scan"])
+def test_pins_hold_on_the_python_loop(pin, python_loop):
+    # the scheduler in Python, the fallback without cc, replays every pin
+    {"scattered": check_scattered,
+     "whole-scan": check_whole_scan}.get(pin, lambda: check_record(pin))()
 
 
 @pytest.mark.parametrize("threads", [1, 3])
