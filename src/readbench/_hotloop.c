@@ -1,11 +1,12 @@
 /* The compiled loops of readbench, built and loaded by readbench.hotloop:
- * rb_read_loop for the sync family (sync, polled, pool) and rb_async_loop
- * for the aio and uring engines on real files, and rb_sim_loop for every
- * engine on a simulated device.  The two read loops time their reads around
- * the syscalls alone, on CLOCK_MONOTONIC, the clock of Python's
- * perf_counter_ns, and log a duration in us rounded to the nearest (halves
- * up).  The simulated loop replays readbench.engines._simulate and the
- * scheduler of readbench.devicesim in virtual time, bit for bit.
+ * rb_async_loop for every engine on a real file, over a kernel queue (aio,
+ * uring) or a depth-1 sync queue (sync, polled, pool), and rb_sim_loop for
+ * every engine on a simulated device.  rb_async_loop times a read from the
+ * top of the pass that submits it to the reap that takes it, on
+ * CLOCK_MONOTONIC, the clock of Python's perf_counter_ns, and logs a
+ * duration in us rounded to the nearest (halves up).  The simulated loop
+ * replays readbench.engines._simulate and the scheduler of
+ * readbench.devicesim in virtual time, bit for bit.
  */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -56,57 +57,6 @@ static long bad_page(const uint64_t *words, const uint64_t *hashes,
     return -1;
 }
 
-/* Read off[0..n), block bytes each, into buf, with one preadv2(flags) at a
- * time, retried on EINTR.  Before each read, stop at deadline or once *stop
- * is nonzero.  Each read submitted at or after warm_end logs its duration to
- * durations.  With hashes, check each whole read after its end stamp, read i
- * against hashes[i * pages] on, and stop at the first that fails.
- *
- * Returns the reads done, and checked with hashes.  out[0] gets the number
- * logged; out[1] the end stamp of the last one logged, left as it was if
- * none; out[2] block, or the result of the short or failed read that ended
- * the loop: the bytes it read, or -errno; out[3] -1, or the first bad page
- * of the read that ended the loop, the one after those returned.
- */
-long rb_read_loop(int fd, char *buf, long block, const int64_t *off, long n,
-                  int flags, int64_t warm_end, int64_t deadline,
-                  const int *stop, int64_t *durations, int64_t *out,
-                  const uint64_t *hashes, long pages, const uint64_t *ramp)
-{
-    long i, logged = 0;
-
-    out[2] = block;
-    out[3] = -1;
-    for (i = 0; i < n; i++) {
-        struct iovec iov = {buf, (size_t)block};
-        int64_t start = now_ns(), end;
-        ssize_t got;
-
-        if (start >= deadline || __atomic_load_n(stop, __ATOMIC_RELAXED))
-            break;
-        do
-            got = preadv2(fd, &iov, 1, off[i], flags);
-        while (got < 0 && errno == EINTR);
-        if (got < 0)
-            got = -errno;
-        end = now_ns();
-        if (got != block) {
-            out[2] = got;
-            break;
-        }
-        if (start >= warm_end) {
-            durations[logged++] = (end - start + 500) / 1000;
-            out[1] = end;
-        }
-        if (hashes && (out[3] = bad_page((const uint64_t *)buf,
-                                         hashes + i * pages, pages,
-                                         block / 8 / pages, ramp)) >= 0)
-            break;
-    }
-    out[0] = logged;
-    return i;
-}
-
 /* What ended a call of rb_async_loop; and the fault that failed it, with
  * the numbers of readbench.hotloop and readbench.errors.async_error. */
 enum { RB_DONE, RB_MORE, RB_STOPPED, RB_FAILED };
@@ -119,16 +69,20 @@ struct cqe {
     uint32_t flags;
 };
 
+enum { RB_AIO, RB_URING, RB_SYNC }; /* a queue's kind */
+
 /* A kernel AIO context or an io_uring, with one request block per slot,
  * written once by readbench.aio_native or readbench.uring_native but for
- * its offset, which lies at off + slot * stride. */
+ * its offset, which lies at off + slot * stride; or a sync queue, whose
+ * submit reads each slot there and then with preadv2(flags), and whose off
+ * is a word that the offsets written go to. */
 struct rb_queue {
-    int64_t uring, handle; /* handle: the AIO context, or the ring's fd */
-    int64_t depth, block, kernel_poll;
+    int64_t kind, handle; /* handle: the AIO context, the ring's or file's fd */
+    int64_t depth, block, kernel_poll, flags;
     char *off;
     int64_t stride;
     uint64_t *iocbs, *ptrs; /* AIO: iocb addresses, io_submit's array */
-    int64_t *events;        /* AIO: io_getevents' array, 4 words each */
+    int64_t *events; /* AIO, sync: the completions, (slot, -, res, -) each */
     uint32_t *sq_tail, *sq_flags, *sq_array;
     uint32_t *cq_head, *cq_tail, *cq_overflow;
     struct cqe *cqes;
@@ -147,9 +101,10 @@ struct rb_async {
     int64_t logged;     /* durations logged by this call */
     int64_t stalled;    /* a wait ran out its timeout */
     int64_t fault, fault_a, fault_b;
-    /* with pages: slot i's block at rows + i * block, checked against the
-     * pages hashes at slot_hash + i * pages, copied at its submit */
-    const uint64_t *rows;
+    /* slot i's block at rows + i * block, where a sync queue reads it;
+     * with pages, checked against the pages hashes at slot_hash + i *
+     * pages, copied at its submit */
+    uint64_t *rows;
     uint64_t *slot_hash;
     int64_t pages;
     int64_t checked;    /* offsets checked by this call */
@@ -185,14 +140,31 @@ static long ring_enter(const struct rb_queue *q, long submit, long min_nr,
     return r < 0 ? -errno : r;
 }
 
-/* Submit the reads of slots[0..k), their offsets written; returns how many
- * the kernel took, or -errno. */
-static long submit(const struct rb_queue *q, const int64_t *slots, long k)
+/* Submit the reads of s->refill[0..k), their offsets written; returns how
+ * many the kernel took, or -errno.  A sync queue reads each into its row of
+ * s->rows, retried on EINTR, and keeps its result in events for reap. */
+static long submit(const struct rb_queue *q, const struct rb_async *s,
+                   long k)
 {
+    const int64_t *slots = s->refill;
     uint32_t tail;
     long i, r;
 
-    if (!q->uring) {
+    if (q->kind == RB_SYNC) {
+        for (i = 0; i < k; i++) {
+            struct iovec iov = {(char *)s->rows + slots[i] * q->block,
+                                (size_t)q->block};
+
+            do
+                r = preadv2((int)q->handle, &iov, 1, s->slot_off[slots[i]],
+                            (int)q->flags);
+            while (r < 0 && errno == EINTR);
+            q->events[4 * i] = slots[i];
+            q->events[4 * i + 2] = r < 0 ? -errno : r;
+        }
+        return k;
+    }
+    if (q->kind == RB_AIO) {
         for (i = 0; i < k; i++)
             q->ptrs[i] = q->iocbs[slots[i]];
         r = syscall(SYS_io_submit, (unsigned long)q->handle, k, q->ptrs);
@@ -233,20 +205,24 @@ static int take(const struct rb_queue *q, struct rb_async *s, int64_t slot,
 }
 
 /* Wait up to timeout_ns for min_nr completions, then take every one
- * posted; returns how many, or -1 with the fault recorded. */
+ * posted; returns how many, or -1 with the fault recorded.  Every read a
+ * sync queue has in flight is done. */
 static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
                  int64_t timeout_ns, int64_t *bad, int64_t *bad_res)
 {
     uint32_t head, tail;
     long i, r;
 
-    if (!q->uring) {
+    if (q->kind != RB_URING) {
         struct timespec ts = {timeout_ns / NS, timeout_ns % NS};
 
-        do
-            r = syscall(SYS_io_getevents, (unsigned long)q->handle, min_nr,
-                        (long)q->depth, q->events, &ts);
-        while (r < 0 && errno == EINTR);
+        if (q->kind == RB_SYNC)
+            r = s->inflight;
+        else
+            do
+                r = syscall(SYS_io_getevents, (unsigned long)q->handle,
+                            min_nr, (long)q->depth, q->events, &ts);
+            while (r < 0 && errno == EINTR);
         if (r < 0) {
             fail(s, RB_CALL_FAILED, errno, 0);
             return -1;
@@ -329,12 +305,13 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
                        hashes + (s->pos + i) * s->pages, 8 * s->pages);
         }
         if (k) {
-            r = submit(q, s->refill, k);
+            r = submit(q, s, k);
             if (r > 0)
                 s->inflight += r;
             if (r != k)
-                return q->uring && r < 0 ? fail(s, RB_CALL_FAILED, -r, 0)
-                                         : fail(s, RB_SHORT_SUBMIT, r, k);
+                return q->kind == RB_URING && r < 0
+                       ? fail(s, RB_CALL_FAILED, -r, 0)
+                       : fail(s, RB_SHORT_SUBMIT, r, k);
             s->pos += k;
             s->left -= k;
             if (s->inflight > s->max_inflight)

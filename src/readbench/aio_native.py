@@ -130,7 +130,7 @@ class AioQueue:
         submits and reaps without submit_reads and wait, so whoever runs it
         keeps ``inflight`` for close."""
         return hotloop.Queue(
-            uring=0, handle=self._ctx.value, depth=self.depth,
+            kind=hotloop.AIO, handle=self._ctx.value, depth=self.depth,
             block=len(self._buffers[0]), off=self._offsets.ctypes.data,
             stride=self._offsets.strides[0], iocbs=self._addrs.ctypes.data,
             ptrs=self._ptrs.ctypes.data, events=self._events.ctypes.data)

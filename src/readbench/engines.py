@@ -16,21 +16,21 @@ a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit;
 that loop runs in C where :mod:`readbench.hotloop` builds, and else in
 Python over :mod:`readbench.devicesim`, with the same records.
-Real-file targets use actual threads and the native syscall backends, on a
-sync loop (sync, polled, pool) or an async loop (aio, uring), each in C
-where :mod:`readbench.hotloop` builds and else in Python.  Every loop
-takes the per-worker int64 offset chunks, each refused whole
-(:func:`check_offsets`) before any of its reads.  The sync loop reads them
-one offset at a time, timed around the ``preadv2`` alone in C and through
-:func:`read_block` in Python.  The async loop refills the slots of each
-harvest with the next slice of a chunk, and checks each completion's slot
-against the slots in flight; in C it submits, waits, checks and stamps
-without the interpreter, one call per piece of a chunk, on a kernel queue.
-All stamp time in integer ns of the clock of ``time.perf_counter_ns``,
-round durations as :func:`read_block` does, and fold them into the worker's
-:class:`LatencyCounts` a chunk at a time.  Verified reads, at page-aligned
-offsets, check against the page hashes drawn with each piece, in C on the
-compiled loops; :func:`fill.check_blocks` names a bad block.  Scattered
+Real-file targets use actual threads and the native syscall backends, on
+one loop in C where :mod:`readbench.hotloop` builds: it refills the slots
+of each harvest with the next slice of a chunk, checks each completion's
+slot against the slots in flight, and submits, waits, checks and stamps
+without the interpreter, one call per piece of a chunk, on a kernel queue
+(aio, uring) or a depth-1 sync queue (sync, polled, pool).  Else a Python
+sync loop makes one :func:`read_block` per offset, and a Python async
+loop the compiled loop's refills and checks.  Every loop takes the
+per-worker int64 offset chunks, each refused whole (:func:`check_offsets`)
+before any of its reads.  All stamp time in integer ns of the clock of
+``time.perf_counter_ns``, round durations as :func:`read_block` does, and
+fold them into the worker's :class:`LatencyCounts` a chunk at a time.
+Verified reads, at page-aligned offsets, check against the page hashes
+drawn with each piece, in C on the compiled loop; :func:`fill.check_blocks`
+names a bad block.  Scattered
 reads and whole-target scans keep theirs in order, by :func:`duration_log`.
 """
 
@@ -537,7 +537,7 @@ _NO_ROWS = np.empty((0, 2), dtype=np.int64)
 class _Stop:
     """A run's stop flag, set by the first worker to fail.  The Python loops
     test it before each read or harvest; the compiled loop reads its word,
-    at ``address``, before each read."""
+    at ``address``, before each refill and after an empty wait."""
 
     __slots__ = ("word", "address")
 
@@ -591,9 +591,7 @@ class _RealWorkerResult:
         self.error: BaseException | None = None
         self.notes: list[str] = []
         self.max_inflight = 0
-        # or "native": the compiled loop read (the sync family, and aio and
-        # uring on a kernel queue)
-        self.loop = "python"
+        self.loop = "python"  # or "native": the compiled loop read
 
 
 def _trimmed(chunks: Iterator[np.ndarray],
@@ -682,40 +680,6 @@ def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
 def _ns(t: float) -> int:
     """A window edge as int64 ns, the infinite ones clamped."""
     return int(min(max(t, -2 ** 63), 2 ** 63 - 1))
-
-
-def _native_reads(read_loop, handle: TargetHandle, flags: int,
-                  chunks: Iterator[_Chunk], rows: np.ndarray,
-                  warm_end: float, deadline: float, stop: _Stop,
-                  result: _RealWorkerResult) -> None:
-    """The loop of :func:`_python_reads`, in C (:mod:`readbench.hotloop`):
-    each read is timed around its preadv2 alone.  Reads go to row 0 of the
-    arena, a call per offset piece, each checked there against its page
-    hashes if the piece has them."""
-    sink, checksum = result.sink, result.checksum
-    block = rows.shape[1] * fill.WORD
-    log = np.empty(_OFFSET_CHUNK, dtype=np.int64)
-    # reads logged, last end, bad result, bad page
-    out = np.zeros(4, dtype=np.int64)
-    head = (handle.fd, rows.ctypes.data, block)
-    window = (flags, _ns(warm_end), _ns(deadline), stop.address,
-              log.ctypes.data, out.ctypes.data)
-    for chunk, hashes in chunks:
-        done = read_loop(*head, chunk.ctypes.data, len(chunk), *window,
-                         None if hashes is None else hashes.ctypes.data,
-                         block // fill.PAGE, fill.RAMP.ctypes.data)
-        sink(log[:out[0]])
-        result.last_done = int(out[1])
-        if out[2] != block:
-            raise read_error(int(chunk[done]), int(out[2]), block)
-        if done:
-            result.max_inflight = 1
-            if checksum is not None:
-                checksum.keep(chunk[:done])
-        if out[3] >= 0:
-            checksum.raise_refused(rows[0], int(chunk[done]), hashes[done])
-        if done < len(chunk):  # the deadline passed, or the run was stopped
-            return
 
 
 def _python_async(backend, batch: int, remaining: int | None,
@@ -811,20 +775,22 @@ def _python_async(backend, batch: int, remaining: int | None,
     result.sink(durations)
 
 
-def _native_async(async_loop, backend, batch: int, remaining: int | None,
-                  chunks: Iterator[_Chunk], rows: np.ndarray,
-                  warm_end: float, deadline: float, stop: _Stop,
-                  result: _RealWorkerResult) -> None:
+def _native_async(async_loop, queue: hotloop.Queue, batch: int,
+                  remaining: int | None, chunks: Iterator[_Chunk],
+                  rows: np.ndarray, warm_end: float, deadline: float,
+                  stop: _Stop, result: _RealWorkerResult,
+                  backend=None) -> None:
     """The loop of :func:`_python_async` in C (:mod:`readbench.hotloop`),
-    over the backend's own queue: one call per offset piece, whose rest a
-    refill that crosses its end joins to the next, as in Python, so the
-    refills are the same.  A piece with page hashes has each harvest checked
-    against them in C."""
-    aio = isinstance(backend, aio_native.AioQueue)
-    queue = backend.loop_queue()
-    left = 2 ** 63 - 1 if remaining is None else remaining
-    chunk, hashes = next(chunks)
+    over ``queue``, a kernel queue's or a sync one: one call per offset
+    piece, whose rest a refill that crosses its end joins to the next, as
+    in Python, so the refills are the same.  A piece with page hashes has
+    each harvest checked against them in C.  ``backend``, the AIO queue the
+    kernel queue is, gets the reads left in flight, so that its close
+    cancels them."""
+    # a pool worker's share of a budget may be no reads at all
+    chunk, hashes = next(chunks, (np.empty(0, dtype=np.int64), None))
     pages = 0 if hashes is None else hashes.shape[1]
+    left = 2 ** 63 - 1 if remaining is None else remaining
     state = hotloop.AsyncState(queue.depth, batch, left, rows, pages)
     checksum = result.checksum
     try:
@@ -846,7 +812,7 @@ def _native_async(async_loop, backend, batch: int, remaining: int | None,
             chunk, hashes = _joined(chunk, hashes, state.pos, chunks)
             state.pos = 0
     finally:
-        if aio:  # so that close cancels the reads still in flight, if any
+        if queue.kind == hotloop.AIO:
             backend.inflight = state.inflight
     result.max_inflight, result.last_done = state.max_inflight, state.last_done
     if state.stalled and _STALLED not in result.notes:
@@ -855,9 +821,11 @@ def _native_async(async_loop, backend, batch: int, remaining: int | None,
         if state.fault == hotloop.BAD_DATA:
             slot = state.fault_a
             checksum.raise_refused(rows[slot], int(state.slots[1, slot]),
-                             state.hashes[slot])
+                                   state.hashes[slot])
+        if state.fault == BAD_RESULT and queue.kind == hotloop.SYNC:
+            raise read_error(state.fault_a, state.fault_b, queue.block)
         # io_getevents fails, io_submit falls short
-        call = ("io_uring_enter" if not aio else
+        call = ("io_uring_enter" if queue.kind == hotloop.URING else
                 "io_getevents" if state.fault == CALL_FAILED else "io_submit")
         raise async_error(state.fault, state.fault_a, state.fault_b, call)
 
@@ -885,8 +853,10 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                             "reads timed on the Python loop")
 
     if engine.kind not in ASYNC_KINDS:
-        per = max(1, fill.CHECK_CHUNK_BYTES // block)  # blocks per check
-        bufs, rows = _arena(1 if checksum is None else per, block)
+        # rows for a batch of verified reads on the Python loop
+        per = (1 if checksum is None or lib is not None
+               else max(1, fill.CHECK_CHUNK_BYTES // block))
+        bufs, rows = _arena(per, block)
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
@@ -896,8 +866,10 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                           deadline, stop, result)
         else:
             result.loop = "native"
-            _native_reads(lib.rb_read_loop, handle, flags, chunks, rows,
-                          warm_end, deadline, stop, result)
+            _native_async(lib.rb_async_loop,
+                          hotloop.Queue.sync(handle.fd, block, flags), 1,
+                          remaining, chunks, rows, warm_end, deadline, stop,
+                          result)
         return
 
     depth, batch = engine.queue_size, engine.batch_size
@@ -908,8 +880,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         if lib is not None and type(backend) in (aio_native.AioQueue,
                                                  uring_native.UringQueue):
             result.loop = "native"
-            _native_async(lib.rb_async_loop, backend, batch, remaining,
-                          chunks, rows, warm_end, deadline, stop, result)
+            _native_async(lib.rb_async_loop, backend.loop_queue(), batch,
+                          remaining, chunks, rows, warm_end, deadline, stop,
+                          result, backend)
         else:
             _python_async(backend, batch, remaining, chunks, rows, warm_end,
                           deadline, stop, result)

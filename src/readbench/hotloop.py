@@ -1,16 +1,17 @@
-"""The compiled loops: ``rb_read_loop``, that of the sync, polled and pool
-engines, and ``rb_async_loop``, that of the aio and uring engines on a
-kernel queue, for real files; ``rb_sim_loop``, that of every engine on a
-simulated device, which replays ``engines._simulate`` and the scheduler of
-:mod:`readbench.devicesim` bit for bit.
+"""The compiled loops: ``rb_async_loop``, that of every engine on a real
+file, over a kernel queue (aio, uring) or a depth-1 sync queue (sync,
+polled, pool; :meth:`Queue.sync`); ``rb_sim_loop``, that of every engine on
+a simulated device, which replays ``engines._simulate`` and the scheduler
+of :mod:`readbench.devicesim` bit for bit.
 
 :func:`load` builds ``_hotloop.c`` with the system ``cc`` at first use, never
-at import, into ``$XDG_CACHE_HOME/readbench/<CRC-32 of the source>.so`` (default
-``~/.cache``): under a temporary name there, then renamed into place, so a
-process never loads a library another one is still writing.  Where that
-directory is not writable, it builds into a temporary directory of this
-process.  Without a compiler the engines run on the Python loops; a
-real-file record says so.
+at import, into ``$XDG_CACHE_HOME/readbench/<key>.so`` (default
+``~/.cache``), the key a CRC-32 of the compiler flags, the libraries and the
+source: under a temporary name there, then renamed into place, so a process
+never loads a library another one is still writing.  Where that directory
+is not writable, it builds into a temporary directory of this process.
+Without a compiler the engines run on the Python loops; a real-file record
+says so.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ _LIBS = ("-lm",)
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 
-_READ_ARGTYPES = (ctypes.c_int, _PTR, ctypes.c_long, _PTR, ctypes.c_long,
-                  ctypes.c_int, _I64, _I64, _PTR, _PTR, _PTR, _PTR,
-                  ctypes.c_long, _PTR)
-
 #: what ended a call of ``rb_async_loop``: nothing in flight, a refill that
 #: needs the next offset chunk, a wait that came back empty once the run was
 #: stopped, or a fault (``AsyncState.fault``, an ``errors.async_error`` kind
@@ -54,20 +51,33 @@ DONE, MORE, STOPPED, FAILED = range(4)
 #: ``AsyncState.fault_a``: ``fill.check_blocks`` names what is wrong with it
 BAD_DATA = 7
 
+#: what a queue is, ``Queue.kind``
+AIO, URING, SYNC = range(3)
+
 
 class Queue(ctypes.Structure):
-    """A kernel AIO context or ring as ``rb_async_loop`` works it (``struct
-    rb_queue``): slot i's request block, written once but for its offset,
-    has that offset at ``off + i * stride``.  Made by the queues'
-    ``loop_queue``; the queue must outlive it."""
+    """A queue as ``rb_async_loop`` works it (``struct rb_queue``): a kernel
+    queue's ``loop_queue``, which it must outlive, slot i's offset at ``off
+    + i * stride`` in its request block; or a sync queue (:meth:`sync`)."""
 
-    _fields_ = [("uring", _I64), ("handle", _I64), ("depth", _I64),
-                ("block", _I64), ("kernel_poll", _I64), ("off", _PTR),
-                ("stride", _I64), ("iocbs", _PTR), ("ptrs", _PTR),
-                ("events", _PTR), ("sq_tail", _PTR), ("sq_flags", _PTR),
-                ("sq_array", _PTR), ("cq_head", _PTR), ("cq_tail", _PTR),
-                ("cq_overflow", _PTR), ("cqes", _PTR), ("sq_mask", _I64),
-                ("cq_mask", _I64)]
+    _fields_ = [("kind", _I64), ("handle", _I64), ("depth", _I64),
+                ("block", _I64), ("kernel_poll", _I64), ("flags", _I64),
+                ("off", _PTR), ("stride", _I64), ("iocbs", _PTR),
+                ("ptrs", _PTR), ("events", _PTR), ("sq_tail", _PTR),
+                ("sq_flags", _PTR), ("sq_array", _PTR), ("cq_head", _PTR),
+                ("cq_tail", _PTR), ("cq_overflow", _PTR), ("cqes", _PTR),
+                ("sq_mask", _I64), ("cq_mask", _I64)]
+
+    @classmethod
+    def sync(cls, fd: int, block: int, flags: int) -> "Queue":
+        """A depth-1 queue on the file at fd: its submit reads the slot into
+        row 0 of the arena with one ``preadv2(flags)``, its reap takes that
+        read's result."""
+        words = np.zeros(5, dtype=np.int64)  # offset, then (slot, -, res, -)
+        queue = cls(kind=SYNC, handle=fd, depth=1, block=block, flags=flags,
+                    off=words.ctypes.data, events=words[1:].ctypes.data)
+        queue.words = words  # kept as long as the queue
+        return queue
 
 
 class AsyncState(ctypes.Structure):
@@ -196,7 +206,7 @@ def _compile(directory: Path, name: str) -> Path:
 @functools.cache
 def load():
     """(the library, its path), or (None, why it is unavailable).  Its
-    ``rb_read_loop``, ``rb_async_loop`` and ``rb_sim_loop`` are declared.
+    ``rb_async_loop`` and ``rb_sim_loop`` are declared.
     Built once per source and cache directory, loaded once per process."""
     try:
         # a CRC, not a cryptographic hash: the cache is the user's own, and
@@ -216,8 +226,6 @@ def load():
         lib = ctypes.CDLL(str(path))
     except (BuildError, OSError, subprocess.SubprocessError) as exc:
         return None, str(exc)
-    lib.rb_read_loop.argtypes = _READ_ARGTYPES
-    lib.rb_read_loop.restype = ctypes.c_long
     lib.rb_async_loop.argtypes = (
         ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR, _PTR,
         ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR)

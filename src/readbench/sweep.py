@@ -111,7 +111,8 @@ def whole_scan(target: TargetHandle, block: int,
                window_bytes: int | None = None) -> ScanTimeline:
     """Read the full capacity sequentially at depth 1; report MB/s per
     window.  ``block`` is a run block size: a power of two in 4 KiB..64 MiB
-    that divides the capacity."""
+    that divides the capacity.  A window's time is at least the log's unit,
+    1 us, as cached reads can each round to 0 us."""
     workload = WorkloadSpec(target=target, pattern="sequential",
                             block_size=block,
                             request_budget=target.capacity // block)
@@ -124,7 +125,7 @@ def whole_scan(target: TargetHandle, block: int,
     elapsed: list[float] = []
     for i in range(0, len(lat_us), per_window):
         chunk = lat_us[i:i + per_window]
-        t = sum(chunk) / 1e6
+        t = max(sum(chunk), 1) / 1e6
         elapsed.append(t)
         mb_s.append(len(chunk) * block / t / 1e6)
     return ScanTimeline(window_bytes=per_window * block, window_mb_s=mb_s,

@@ -288,7 +288,7 @@ class UringQueue:
     def loop_queue(self) -> hotloop.Queue:
         """This ring as the compiled async loop works it."""
         return hotloop.Queue(
-            uring=1, handle=self.ring_fd, depth=len(self._buffers),
+            kind=hotloop.URING, handle=self.ring_fd, depth=len(self._buffers),
             block=len(self._buffers[0]), kernel_poll=self.kernel_poll,
             off=self._sqe_off.ctypes.data, stride=self._sqe_off.strides[0],
             sq_tail=ctypes.addressof(self._sq_tail),

@@ -9,6 +9,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -1785,7 +1786,6 @@ class TestNativeLoop:
             return lambda *args: loop(*args[:-1], zeros.ctypes.data)
 
         monkeypatch.setattr(hotloop, "load", lambda: (SimpleNamespace(
-            rb_read_loop=lying(lib.rb_read_loop),
             rb_async_loop=lying(lib.rb_async_loop)), where))
         threads = 2 if name == "pool" else 1
         engine = (EngineConfig(kind=name) if name in ("sync", "pool")
@@ -1799,6 +1799,17 @@ class TestNativeLoop:
         assert re.fullmatch(r"the compiled loop refused the block at byte "
                             r"offset \d+, which fill.check_blocks passes",
                             str(cause))
+
+    def test_polled_flags_reach_preadv2(self, real, monkeypatch):
+        # an RWF bit no kernel defines: each loop passes the polled flags to
+        # preadv2, which refuses them, and the run names that refusal
+        monkeypatch.setattr(engines, "polled_flags", lambda *args: 0x40000000)
+        w = workload(real, request_budget=8)
+        native, python = on_both_loops(
+            monkeypatch, lambda: run(w, EngineConfig(kind="polled")))
+        same_error(native, python, AbortedRun)
+        assert type(native.__cause__) is OSError
+        assert native.__cause__.errno == errno.EOPNOTSUPP
 
     def test_stop_word_ends_a_pool_run(self, real, monkeypatch):
         # worker 1's first read comes up short; worker 0 reads block 0 in
@@ -2126,6 +2137,68 @@ def test_loop_source_compiles_without_warnings():
     proc = subprocess.run(
         [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
          str(hotloop.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: runs of every compiled path, each checked for its read count and loop, in
+#: a child whose loops are built with the flags given as its arguments
+_SANITIZED_RUNS = """
+import sys
+from readbench import aio_native, hotloop, uring_native
+from readbench.devicesim import preset_model
+from readbench.engines import EngineConfig, WorkloadSpec, run
+from readbench.target import open_target, prepare_target, simulated_target
+
+hotloop._CFLAGS += tuple(sys.argv[2:])
+hotloop.load.cache_clear()
+lib, detail = hotloop.load()
+if lib is None:
+    sys.exit(f"unbuilt: {detail}")
+configs = [EngineConfig(kind="sync"), EngineConfig(kind="polled"),
+           EngineConfig(kind="pool")]
+if aio_native.probe()[0]:
+    configs.append(EngineConfig(kind="aio", queue_size=4, batch_size=2))
+if uring_native.probe(fixed_buffers=True)[0]:
+    configs += [EngineConfig(kind="uring", queue_size=4, batch_size=2),
+                EngineConfig(kind="uring", queue_size=4, batch_size=2,
+                             fixed_files=True, fixed_buffers=True)]
+prepare_target(sys.argv[1], size=1 << 20, seed=3).close()
+with open_target(sys.argv[1], seed=3, direct=False) as real:
+    for verify in (False, True):
+        for engine in configs:
+            threads = 2 if engine.kind == "pool" else 1
+            rec = run(WorkloadSpec(target=real, threads=threads, seed=3,
+                                   request_budget=5000 * threads,
+                                   verify=verify), engine)
+            assert rec.latency.count == 5000 * threads, engine
+            assert rec.extra["loop"] == "native", engine
+        for model in ("hdd", "ull"):
+            with simulated_target(preset_model(model), 1 << 26) as sim:
+                rec = run(WorkloadSpec(target=sim, request_budget=5000,
+                                       verify=verify),
+                          EngineConfig(kind="aio", queue_size=4,
+                                       batch_size=2))
+            assert rec.latency.count == 5000, model
+"""
+
+
+def test_loops_clean_under_ubsan(tmp_path):
+    # every compiled path, built with UBSan, which aborts the child at its
+    # first report; skips only where cc cannot build the loops so
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler: cc is not on PATH")
+    src = os.path.dirname(os.path.dirname(engines.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_RUNS, str(tmp_path / "real.dat"),
+         "-fsanitize=undefined", "-fno-sanitize-recover=all"],
+        env=env, capture_output=True, text=True, timeout=300)
+    if proc.stderr.startswith("unbuilt: "):
+        pytest.skip(f"cc cannot build the loops with UBSan: "
+                    f"{proc.stderr[9:].strip()}")
     assert proc.returncode == 0, proc.stderr
 
 

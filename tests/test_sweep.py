@@ -1,9 +1,11 @@
 """Sweep plans, whole-target scans, and best-record selection."""
 
 import random
+from array import array
 
 import pytest
 
+from readbench import sweep
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import EngineConfig, RunRecord, WorkloadSpec
 from readbench.errors import NoSuchPreset
@@ -142,6 +144,17 @@ class TestWholeScan:
         assert len(tl.window_mb_s) == 4
         assert tl.total_bytes == 4 << 20
         assert all(mb > 0 for mb in tl.window_mb_s)
+
+    def test_reads_rounding_to_zero(self, monkeypatch):
+        # cached reads of a window can all round to 0 us: each window then
+        # takes the log's unit, 1 us, where it divided by zero
+        monkeypatch.setattr(sweep, "duration_log",
+                            lambda wl, eng: array("q", bytes(8 * 64)))
+        with simulated_target(flat_model(), 1 << 18, seed=2) as h:
+            tl = whole_scan(h, block=4096, window_bytes=4096)
+        assert tl.window_elapsed_s == [1e-6] * 64
+        assert tl.window_mb_s == [4096 / 1e-6 / 1e6] * 64
+        assert tl.total_s == pytest.approx(64e-6)
 
     def test_block_must_divide_capacity(self):
         with simulated_target(flat_model(), (1 << 24) + 4096, seed=1) as h:
