@@ -41,14 +41,15 @@ Where the compiled loops build, ``engines._simulate`` runs on
 scheduler in C, in the same order and on the same draws
 (``rng.uniform_chunks``), so it gives the same completions bit for bit.
 This module is then the fallback where there is no C compiler, and the
-reference the tests compare the compiled loop with.
+reference the tests compare the compiled loop with.  Both take a state's
+service terms from ``SimState.terms``, derived once when the state is made.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator
 
@@ -213,14 +214,24 @@ def read_key_values(path: str, parsers: dict[str, Callable]) -> dict:
     return settings
 
 
+#: what :func:`_fill_slots` computes with, named as in ``struct rb_sim``;
+#: uniform jitter has the heavy tail's mean, and twice it as its maximum
+Terms = namedtuple("Terms", (
+    "hdd parallelism base per_byte jitter uniform two_scale cap power "
+    "spike_p spike_us seek_min seek_span rotation outer rate_span "
+    "bandwidth degraded_until degraded_factor"))
+
+
 @dataclass
 class SimState:
-    """Mutable device state; confine one instance to one scheduler context."""
+    """Mutable device state; confine one instance to one scheduler context.
+    ``terms`` is derived once: ``polled`` is set for a run, never after."""
 
     model: DeviceModel
     capacity: int
     polled: bool = False  # every read takes the polled completion path
     draws: Iterator[float] = field(init=False)  # rng.uniform_floats
+    terms: Terms = field(init=False)
     clock: float = 0.0
     head_position: int = 0
     last_end: int = 0
@@ -234,7 +245,22 @@ class SimState:
     _seq: int = 0
 
     def __post_init__(self):
-        self.draws = uniform_floats(self.model.rng_seed)
+        m = self.model
+        self.draws = uniform_floats(m.rng_seed)
+        self.terms = Terms(
+            hdd=m.kind == "hdd", parallelism=m.parallelism,
+            base=m.base_latency_us, per_byte=m.per_byte_us,
+            jitter=m.jitter_kind != "none" and m.jitter_scale_us > 0,
+            uniform=m.jitter_kind == "uniform" or self.polled,
+            two_scale=2.0 * m.jitter_scale_us, power=HEAVY_TAIL_POWER,
+            cap=(HEAVY_TAIL_POWER + 1) * m.jitter_scale_us,
+            spike_p=m.spike_probability, spike_us=m.spike_duration_us,
+            seek_min=m.seek_min_us, seek_span=m.seek_max_us - m.seek_min_us,
+            rotation=m.rotation_period_us, outer=m.outer_rate_bps,
+            rate_span=m.inner_rate_bps - m.outer_rate_bps,
+            bandwidth=m.bandwidth_limit_bps,
+            degraded_until=m.degraded_until_us,
+            degraded_factor=m.degraded_factor)
 
 
 def submit(state: SimState, offset: int, length: int, submit_time: float,
@@ -245,33 +271,22 @@ def submit(state: SimState, offset: int, length: int, submit_time: float,
     depends on what is pending at the time."""
     if offset < 0 or offset + length > state.capacity:
         raise ValueError("request outside device capacity")
-    pending = state.pending
-    free = state.model.parallelism - state.active
+    pending, terms = state.pending, state.terms
+    free = terms.parallelism - state.active
     # requests that free slots will take at the next advance are not queued
     if len(pending) - free >= state.pending_bound:
         raise Backpressure(f"more than {state.pending_bound} requests queued")
     pending.append((offset, length, submit_time, tag))
-    if free > 0 and state.model.kind == "hdd":
+    if free > 0 and terms.hdd:
         _fill_slots(state)
 
 
 def _fill_slots(state: SimState) -> None:
     """Start pending requests while slots are free, at the current clock or
     their submit time if later: the one service loop of the model."""
-    m = state.model
-    hdd = m.kind == "hdd"
-    parallelism, bandwidth = m.parallelism, m.bandwidth_limit_bps
-    degraded_until, degraded_factor = m.degraded_until_us, m.degraded_factor
-    base, per_byte = m.base_latency_us, m.per_byte_us
-    jitter = m.jitter_kind != "none" and m.jitter_scale_us > 0
-    uniform = m.jitter_kind == "uniform" or state.polled
-    # uniform jitter has the heavy tail's mean and twice it as its maximum
-    two_scale = 2.0 * m.jitter_scale_us
-    cap = (HEAVY_TAIL_POWER + 1) * m.jitter_scale_us
-    spike_p, spike_us = m.spike_probability, m.spike_duration_us
-    seek_min, seek_span = m.seek_min_us, m.seek_max_us - m.seek_min_us
-    rotation_us = m.rotation_period_us
-    outer, rate_span = m.outer_rate_bps, m.inner_rate_bps - m.outer_rate_bps
+    (hdd, parallelism, base, per_byte, jitter, uniform, two_scale, cap, power,
+     spike_p, spike_us, seek_min, seek_span, rotation, outer, rate_span,
+     bandwidth, degraded_until, degraded_factor) = state.terms
     capacity = state.capacity
     draw = state.draws.__next__
     pending, in_flight = state.pending, state.in_flight
@@ -294,7 +309,7 @@ def _fill_slots(state: SimState) -> None:
                 access = 0.0
             else:
                 seek = seek_min + seek_span * (abs(offset - head) / capacity)
-                access = seek + rotation_us * draw()
+                access = seek + rotation * draw()
             rate = outer + rate_span * (offset / capacity)
             total = access + length / rate * 1e6
             head = last_end = offset + length
@@ -306,7 +321,7 @@ def _fill_slots(state: SimState) -> None:
                 if uniform:
                     total += two_scale * u
                 else:
-                    total += cap * u ** HEAVY_TAIL_POWER
+                    total += cap * u ** power
             if spike_p > 0 and draw() < spike_p:
                 total += spike_us
         start = clock if clock > submitted else submitted
@@ -342,8 +357,7 @@ def advance(state: SimState, ready: list[int] | None = None,
     when nothing is in flight.
     """
     pending, in_flight = state.pending, state.in_flight
-    parallelism = state.model.parallelism
-    hdd = state.model.kind == "hdd"
+    parallelism, hdd = state.terms.parallelism, state.terms.hdd
     heappop = heapq.heappop
     done: list = []
     full = False

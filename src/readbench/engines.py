@@ -15,7 +15,7 @@ Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit;
 that loop runs in C where :mod:`readbench.hotloop` builds, and else in
-Python over :mod:`readbench.devicesim`, with the same records.
+Python over :mod:`readbench.devicesim`, with the same steps and records.
 Real-file targets use actual threads and the native syscall backends, on
 one loop in C where :mod:`readbench.hotloop` builds: it refills the slots
 of each harvest with the next slice of a chunk, checks each completion's
@@ -25,9 +25,10 @@ without the interpreter, one call per piece of a chunk, on a kernel queue
 sync loop makes one :func:`read_block` per offset, and a Python async
 loop the compiled loop's refills and checks.  Every loop takes the
 per-worker int64 offset chunks, each refused whole (:func:`check_offsets`)
-before any of its reads.  All stamp time in integer ns of the clock of
-``time.perf_counter_ns``, round durations as :func:`read_block` does, and
-fold them into the worker's :class:`LatencyCounts` a chunk at a time.
+before any of its reads, and counts its own request budget.  All stamp
+time in integer ns of the clock of ``time.perf_counter_ns``, round
+durations as :func:`read_block` does, and fold them into the worker's
+:class:`LatencyCounts` a chunk at a time.
 Verified reads, at page-aligned offsets, check against the page hashes
 drawn with each piece, in C on the compiled loop; :func:`fill.check_blocks`
 names a bad block.  Scattered
@@ -147,6 +148,10 @@ class WorkloadSpec:
             raise ValueError("set exactly one of duration_s / request_budget")
         if self.request_budget is not None and self.request_budget < 1:
             raise ValueError("request_budget must be >= 1")
+        if not 0 <= self.warmup_s < math.inf:  # NaN fails every test
+            raise ValueError("warmup_s must be finite and >= 0")
+        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be finite and > 0")
 
     def describe(self) -> dict:
         """The record form: every field, the target as its description."""
@@ -294,18 +299,6 @@ class _Checksum:
 # simulated execution (virtual time, no threads)
 # ---------------------------------------------------------------------------
 
-class _SimWorker:
-    __slots__ = ("tag", "stream", "remaining", "outstanding",
-                 "max_outstanding")
-
-    def __init__(self, tag, stream, remaining):
-        self.tag = tag
-        self.stream = stream
-        self.remaining = remaining  # None in duration mode
-        self.outstanding = 0
-        self.max_outstanding = 0
-
-
 def _simulate(workload: WorkloadSpec, engine: EngineConfig, sink,
               offsets: list[int] | None = None):
     """Run the workload in virtual time, the logged durations passed to
@@ -325,64 +318,62 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig, sink,
     # simulated reads return no data: digest the submitted offsets
     checksum = _Checksum(workload) if workload.verify else None
     lib, _ = hotloop.load()
+    args = (workload, engine, state, sink, offsets, budgets, window, checksum)
     # C divides offsets by the capacity as doubles, which Python's int
     # division matches only below 2^53
-    if lib is None or state.capacity >> 53:
-        last_completion, max_inflight = _python_sim(
-            workload, engine, state, sink, offsets, budgets, window, checksum)
-    else:
-        last_completion, max_inflight = _native_sim(
-            lib.rb_sim_loop, workload, engine, state, sink, offsets, budgets,
-            window, checksum)
+    last_completion, max_inflight = (
+        _python_sim(*args) if lib is None or state.capacity >> 53
+        else _native_sim(lib.rb_sim_loop, *args))
     elapsed_s = max(last_completion - warmup_us, 1e-9) / 1e6
-    notes = ["simulated"]
-    extra = {"max_inflight": max_inflight, "short_harvests": 0}
     digest = "" if checksum is None else fill.hexdigest(checksum.digest())
-    return elapsed_s, digest, notes, extra
+    return elapsed_s, digest, ["simulated"], {"max_inflight": max_inflight,
+                                              "short_harvests": 0}
 
 
 def _python_sim(workload: WorkloadSpec, engine: EngineConfig,
                 state: SimState, sink, offsets: list[int] | None,
                 budgets: list, window: tuple[float, float],
                 checksum: _Checksum | None) -> tuple[float, int]:
-    """The simulated loop in Python, over :mod:`readbench.devicesim`: the
-    time of the last logged completion, and the most reads a worker had in
-    flight."""
+    """The simulated loop in Python, over :mod:`readbench.devicesim`, in the
+    steps of ``rb_sim_loop``: the time of the last logged completion, and
+    the most reads a worker had in flight."""
     depth, batch = engine.queue_size, engine.batch_size
     block = workload.block_size
     budget_mode = budgets[0] is not None
     warmup_us, window_end = window
-    workers = [_SimWorker(w, offset_stream(workload, w, offsets), remaining)
-               for w, remaining in enumerate(budgets)]
+    workers = range(workload.threads)
+    streams = [offset_stream(workload, w, offsets) for w in workers]
+    # per worker, as rb_sim_loop keeps them: budget left, reads to refill
+    # (depth at first), reads in flight, most in flight, and reads ready
+    left, owed = list(budgets), [depth] * len(budgets)
+    out, most, ready = ([0] * len(budgets) for _ in range(3))
     outstanding = 0
-
-    def refill(wk: _SimWorker, n: int, now: float) -> None:
-        """Submit up to n more requests for one worker at virtual time now."""
-        nonlocal outstanding
-        if budget_mode:
-            n = min(n, wk.remaining)
-            wk.remaining -= n
-        elif now >= window_end:
-            return
-        tag = wk.tag
-        offsets = list(itertools.islice(wk.stream, n))
-        for offset in offsets:
-            submit(state, offset, block, now, tag)
-        if checksum is not None:
-            checksum.keep(offsets)
-        wk.outstanding += n
-        outstanding += n
-        if wk.outstanding > wk.max_outstanding:
-            wk.max_outstanding = wk.outstanding
-
-    for wk in workers:
-        refill(wk, depth, 0.0)
-
     log = array("q")  # the durations logged since the last call of sink
     last_completion = warmup_us
-    ready = [0] * len(workers)  # per worker: completed, not yet harvested
+    now = state.clock
 
-    while outstanding:
+    while True:
+        for w in workers:
+            n = owed[w]
+            if not n:  # an empty refill would still slice and keep
+                continue
+            owed[w] = 0
+            if budget_mode:
+                n = min(n, left[w])
+                left[w] -= n
+            elif now >= window_end:
+                continue
+            fresh = list(itertools.islice(streams[w], n))
+            for offset in fresh:
+                submit(state, offset, block, now, w)
+            if checksum is not None:
+                checksum.keep(fresh)
+            out[w] += n
+            outstanding += n
+            if out[w] > most[w]:
+                most[w] = out[w]
+        if not outstanding:
+            break
         # up to the first event that leaves a worker batch ready completions:
         # the next submit comes no earlier, and a draining worker submits
         # nothing, so when it harvests changes nothing
@@ -393,20 +384,20 @@ def _python_sim(workload: WorkloadSpec, engine: EngineConfig,
         if len(log) >= _OFFSET_CHUNK:
             sink(log)
             del log[:]
-        now = state.clock
-        for wk in workers:
+        now = state.clock  # of this harvest and the refills after it
+        for w in workers:
             # harvest once >= batch completions are ready, or on final drain
             # when nothing more will be submitted; that is never a short
             # harvest, so simulated runs report none
-            n = ready[wk.tag]
-            if n and (n >= batch or (wk.remaining == 0 if budget_mode
+            n = ready[w]
+            if n and (n >= batch or (left[w] == 0 if budget_mode
                                      else now >= window_end)):
-                ready[wk.tag] = 0
-                wk.outstanding -= n
+                ready[w] = 0
+                out[w] -= n
                 outstanding -= n
-                refill(wk, n, now)
+                owed[w] = n
     sink(log)
-    return last_completion, max(wk.max_outstanding for wk in workers)
+    return last_completion, max(most)
 
 
 def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
@@ -594,18 +585,6 @@ class _RealWorkerResult:
         self.loop = "python"  # or "native": the compiled loop read
 
 
-def _trimmed(chunks: Iterator[np.ndarray],
-             n: int | None) -> Iterator[np.ndarray]:
-    """The offset chunks, cut to n offsets in all; every one if n is None."""
-    if n is None:
-        yield from chunks
-        return
-    while n > 0:
-        chunk = next(chunks)[:n]
-        n -= len(chunk)
-        yield chunk
-
-
 #: a piece of an offset chunk, and the page hashes of its blocks, a row per
 #: offset, or None in an unverified run
 _Chunk = tuple[np.ndarray, "np.ndarray | None"]
@@ -637,22 +616,26 @@ def _joined(chunk: np.ndarray, hashes, pos: int,
             else np.concatenate((hashes[pos:], more_hashes)))
 
 
-def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
-                  bufs, rows: np.ndarray, warm_end: float, deadline: float,
-                  stop: _Stop, result: _RealWorkerResult) -> None:
-    """The sync-family loop in Python, one :func:`read_block` per offset.
-    Each read is timed in read_block, after the window test.  A verified
+def _python_reads(handle: TargetHandle, flags: int, remaining: int | None,
+                  chunks: Iterator[_Chunk], bufs, rows: np.ndarray,
+                  warm_end: float, deadline: float, stop: _Stop,
+                  result: _RealWorkerResult) -> None:
+    """The sync-family loop in Python: at most ``remaining`` reads, one
+    :func:`read_block` each, timed in it after the window test.  A verified
     run checks a row of the arena's reads at a time, and a piece's last."""
     durations, checksum = array("q"), result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
     nslots = len(bufs)
+    left = 2 ** 63 - 1 if remaining is None else remaining
     took = last = None
 
     def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
         checksum.add(rows[:hi - lo], chunk[lo:hi], hashes[lo:hi])
 
-    for chunk, hashes in chunks:
+    while left > 0:
+        chunk, hashes = next(chunks)
+        chunk = chunk[:left]  # cut to the budget's last read
         done = lo = 0  # reads of this chunk, and the first not checked
         for offset in chunk.tolist():
             now = clock()
@@ -672,6 +655,7 @@ def _python_reads(handle: TargetHandle, flags: int, chunks: Iterator[_Chunk],
         del durations[:]
         if done < len(chunk):
             break
+        left -= done
     if last is not None:  # the last read was logged
         result.last_done = last + took * 1000
     result.max_inflight = int(took is not None)
@@ -787,8 +771,7 @@ def _native_async(async_loop, queue: hotloop.Queue, batch: int,
     each harvest checked against them in C.  ``backend``, the AIO queue the
     kernel queue is, gets the reads left in flight, so that its close
     cancels them."""
-    # a pool worker's share of a budget may be no reads at all
-    chunk, hashes = next(chunks, (np.empty(0, dtype=np.int64), None))
+    chunk, hashes = next(chunks)
     pages = 0 if hashes is None else hashes.shape[1]
     left = 2 ** 63 - 1 if remaining is None else remaining
     state = hotloop.AsyncState(queue.depth, batch, left, rows, pages)
@@ -845,8 +828,8 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     if checksum is not None and offsets is not None and any(
             o % fill.PAGE for o in offsets):
         raise ValueError("verified reads need page-aligned offsets")
-    chunks = _offset_chunks(workload, w, offsets)
-    seed = None if checksum is None else checksum.seed
+    chunks = _checked(handle, _offset_chunks(workload, w, offsets), block,
+                      None if checksum is None else checksum.seed)
     lib, detail = hotloop.load()
     if lib is None:
         result.notes.append(f"native loop unavailable ({detail}), "
@@ -860,10 +843,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
-        chunks = _checked(handle, _trimmed(chunks, remaining), block, seed)
         if lib is None:
-            _python_reads(handle, flags, chunks, bufs, rows, warm_end,
-                          deadline, stop, result)
+            _python_reads(handle, flags, remaining, chunks, bufs, rows,
+                          warm_end, deadline, stop, result)
         else:
             result.loop = "native"
             _native_async(lib.rb_async_loop,
@@ -874,7 +856,6 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
 
     depth, batch = engine.queue_size, engine.batch_size
     bufs, rows = _arena(depth, block)
-    chunks = _checked(handle, chunks, block, seed)
     backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
     try:
         if lib is not None and type(backend) in (aio_native.AioQueue,
@@ -932,11 +913,7 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig, counts):
     # workers' digests merge by adding lanes, mod 2^64
     checksum = (fill.hexdigest(sum(r.checksum.digest() for r in results))
                 if workload.verify else "")
-    notes: list[str] = []
-    for r in results:
-        for n in r.notes:
-            if n not in notes:
-                notes.append(n)
+    notes = list(dict.fromkeys(n for r in results for n in r.notes))
     extra = {"max_inflight": max(r.max_inflight for r in results),
              "loop": results[0].loop}
     return elapsed, checksum, notes, extra
@@ -1071,10 +1048,8 @@ def probe_engines() -> dict[str, dict]:
     ok, err = uring_native.probe()
     entry = {"available": ok, "detail": err or "submission/completion ring"}
     if ok:
-        for feature, kwargs in (("fixed_buffers", {"fixed_buffers": True}),
-                                ("kernel_poll", {"kernel_poll": True})):
-            fok, ferr = uring_native.probe(**kwargs)
-            entry[feature] = fok
+        for feature in ("fixed_buffers", "kernel_poll"):
+            entry[feature] = uring_native.probe(**{feature: True})[0]
     info["uring"] = entry
     loop, detail = hotloop.load()
     info["loop"] = {"native": loop is not None, "detail": detail}

@@ -2,7 +2,9 @@
 file, over a kernel queue (aio, uring) or a depth-1 sync queue (sync,
 polled, pool; :meth:`Queue.sync`); ``rb_sim_loop``, that of every engine on
 a simulated device, which replays ``engines._simulate`` and the scheduler
-of :mod:`readbench.devicesim` bit for bit.
+of :mod:`readbench.devicesim` bit for bit, on the service terms that a
+``devicesim.SimState`` derives (:class:`SimLoop`).  Each ``ctypes``
+structure here mirrors a struct of ``_hotloop.c`` field for field.
 
 :func:`load` builds ``_hotloop.c`` with the system ``cc`` at first use, never
 at import, into ``$XDG_CACHE_HOME/readbench/<key>.so`` (default
@@ -27,8 +29,6 @@ import zlib
 from pathlib import Path
 
 import numpy as np
-
-from . import devicesim
 
 SOURCE = Path(__file__).with_name("_hotloop.c")
 # vectorised, a page's check takes about half the time; no fused
@@ -114,11 +114,15 @@ OUTSIDE, BACKPRESSURE = 8, 9
 
 class SimLoop(ctypes.Structure):
     """One simulated run as ``rb_sim_loop`` keeps it across calls (``struct
-    rb_sim``): the terms of the state's model as ``devicesim._fill_slots``
-    derives them, the device state, and per worker (a column of
-    ``workers``) its budget left, reads in flight, most in flight, reads
-    ready, reads to refill, and the next of its ``len`` offsets at
-    ``addrs``.  Every worker owes a refill of ``depth`` at first."""
+    rb_sim``): the terms of a ``devicesim.SimState`` (``SimState.terms``),
+    the device state, and per worker (a column of ``workers``) its budget
+    left, reads in flight, most in flight, reads ready, reads to refill, and
+    the next of its ``len`` offsets at ``addrs``.  Every worker owes a
+    refill of ``depth`` at first."""
+
+    #: rows of ``workers``, each a pointer of the struct
+    ROWS = ("left", "out", "most", "ready", "owed", "pos", "len")
+    LEFT, OUT, MOST, READY, OWED, POS, LEN = range(len(ROWS))
 
     _fields_ = ([(name, ctypes.c_double) for name in (
         "base", "per_byte", "two_scale", "cap", "power", "spike_p",
@@ -131,18 +135,14 @@ class SimLoop(ctypes.Structure):
             "last_end", "active", "seq", "outstanding")]
         + [("pending", _PTR), ("mask", _I64), ("first", _I64),
            ("npending", _I64), ("heap", _PTR)]
-        + [(name, _PTR) for name in ("left", "out", "most", "ready", "owed",
-                                     "pos", "len", "off")]
+        + [(name, _PTR) for name in (*ROWS, "off")]
         + [("draws", _PTR), ("ndraws", _I64), ("dpos", _I64), ("log", _PTR),
            ("nlog", _I64), ("logged", _I64), ("fault", _I64)])
 
-    #: rows of ``workers``
-    LEFT, OUT, MOST, READY, OWED, POS, LEN = range(7)
-
     def __init__(self, state, block: int, depth: int, batch: int,
                  budgets: list, warmup: float, window_end: float):
-        m, threads = state.model, len(budgets)
-        self.workers = np.zeros((7, threads), dtype=np.int64)
+        threads = len(budgets)
+        self.workers = np.zeros((len(self.ROWS), threads), dtype=np.int64)
         self.workers[self.OWED] = depth
         if budgets[0] is not None:
             self.workers[self.LEFT] = budgets
@@ -153,24 +153,9 @@ class SimLoop(ctypes.Structure):
         self.events = np.zeros(4 * n, dtype=np.int64)
         base, row = self.workers.ctypes.data, self.workers.strides[0]
         super().__init__(
-            **{name: base + i * row for i, name in enumerate(
-                ("left", "out", "most", "ready", "owed", "pos", "len"))},
-            base=m.base_latency_us, per_byte=m.per_byte_us,
-            two_scale=2.0 * m.jitter_scale_us,
-            cap=(devicesim.HEAVY_TAIL_POWER + 1) * m.jitter_scale_us,
-            power=devicesim.HEAVY_TAIL_POWER, spike_p=m.spike_probability,
-            spike_us=m.spike_duration_us, seek_min=m.seek_min_us,
-            seek_span=m.seek_max_us - m.seek_min_us,
-            rotation=m.rotation_period_us, outer=m.outer_rate_bps,
-            rate_span=m.inner_rate_bps - m.outer_rate_bps,
-            bandwidth=m.bandwidth_limit_bps,
-            degraded_until=m.degraded_until_us,
-            degraded_factor=m.degraded_factor, warmup=warmup,
-            window_end=window_end, last_completion=warmup,
-            hdd=m.kind == "hdd",
-            jitter=m.jitter_kind != "none" and m.jitter_scale_us > 0,
-            uniform=m.jitter_kind == "uniform" or state.polled,
-            parallelism=m.parallelism, capacity=state.capacity, block=block,
+            **{name: base + i * row for i, name in enumerate(self.ROWS)},
+            **state.terms._asdict(), warmup=warmup, window_end=window_end,
+            last_completion=warmup, capacity=state.capacity, block=block,
             threads=threads, depth=depth, batch=batch,
             budget=budgets[0] is not None, pending_bound=state.pending_bound,
             pending=self.ring.ctypes.data,

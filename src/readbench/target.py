@@ -5,9 +5,10 @@ Real-file content is the offset-derived fill pattern from
 target holds only a device model: the engines replay it in virtual time
 and never read it through :func:`read_block`, which refuses a handle
 without an open file.  A polled run takes its read flags, once, from
-:func:`polled_flags`.  The engines' compiled read loop refuses offsets with
-:func:`check_offsets` and names a failed read with :func:`read_error`, as
-:func:`read_block` does.
+:func:`polled_flags`.  The engines refuse each offset chunk with
+:func:`check_offsets` before any loop reads from it, and their compiled
+loop names a failed read with :func:`read_error`, as :func:`read_block`
+does.
 """
 
 from __future__ import annotations

@@ -106,6 +106,17 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             workload(sim, pattern="zigzag")
 
+    @pytest.mark.parametrize("name,value", [
+        ("warmup_s", math.nan), ("warmup_s", math.inf), ("warmup_s", -0.5),
+        ("duration_s", math.nan), ("duration_s", math.inf),
+        ("duration_s", 0.0), ("duration_s", -1.0)])
+    def test_window_out_of_range_refused(self, sim, name, value):
+        # only constructed, never run: a simulated run with a NaN duration
+        # never ends, and a negative warm-up inflates its elapsed time
+        window = {"duration_s": 1.0, "request_budget": None, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            workload(sim, **window)
+
 
 class TestOffsets:
     def test_random_in_bounds_and_aligned(self, sim):
@@ -143,6 +154,26 @@ class TestOffsets:
         want = [list(itertools.islice(offset_stream(w, k), 4100))
                 for k in range(threads)]
         assert sorted(b.offsets for b in trickled) == sorted(want)
+
+    @pytest.mark.parametrize("kind,threads,budget", [
+        ("sync", 1, 1), ("sync", 1, 4096), ("sync", 1, 4097),
+        ("pool", 2, 8193)])
+    def test_sync_loop_reads_its_budget(self, real, python_loop, monkeypatch,
+                                        kind, threads, budget):
+        # the Python sync loop cuts the budget's last offset chunk itself
+        reads = {}
+
+        def record(handle, offset, buf, flags):
+            reads.setdefault(threading.current_thread(), []).append(offset)
+            return target.read_block(handle, offset, buf, flags)
+
+        monkeypatch.setattr(engines, "read_block", record)
+        w = workload(real, threads=threads, request_budget=budget)
+        run(w, EngineConfig(kind=kind))
+        want = [list(itertools.islice(offset_stream(w, k),
+                                      split_budget(budget, threads, k)))
+                for k in range(threads)]
+        assert sorted(reads.values()) == sorted(want)
 
     def test_scattered_reads_submit_the_given_offsets(self, real, trickled):
         offsets = [12288, 0, 4096]
@@ -1627,14 +1658,18 @@ class TestNativeLoop:
                 assert "short read at 1048576: 2048 of 4096 bytes" in str(
                     native)
 
-    @pytest.mark.parametrize("offsets,error,match", [
-        ([0, 4096, 1 << 20], IoError, "beyond capacity"),
-        ([0, -4096], IoError, "beyond capacity"),
-        ([0, 6144], AlignmentError, "aligned")], ids=["past-end", "negative", "misaligned"])
+    @pytest.mark.parametrize("offsets,error,match,budget", [
+        ([0, 4096, 1 << 20], IoError, "beyond capacity", 10),
+        ([0, -4096], IoError, "beyond capacity", 10),
+        ([0, 6144], AlignmentError, "aligned", 10),
+        ([0, 1 << 20], IoError, "beyond capacity", 1)],
+        ids=["past-end", "negative", "misaligned", "past-the-budget"])
     def test_refused_offsets_named(self, real, monkeypatch, offsets, error,
-                                   match):
+                                   match, budget):
+        # a chunk is refused whole, before any read, even where the budget
+        # ends before its bad offset
         real.direct = True  # the refusals come before any read
-        w = workload(real, request_budget=10)
+        w = workload(real, request_budget=budget)
         native, python = on_both_loops(monkeypatch, lambda: engines.duration_log(
             w, EngineConfig(), offsets=offsets))
         same_error(native, python, error)
@@ -2138,6 +2173,36 @@ def test_loop_source_compiles_without_warnings():
         [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
          str(hotloop.SOURCE)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: each ctypes mirror of a struct of the compiled loops, and its C name
+MIRRORS = {hotloop.Queue: "rb_queue", hotloop.AsyncState: "rb_async",
+           hotloop.SimLoop: "rb_sim"}
+
+
+def test_ctypes_mirrors_match_the_structs(tmp_path):
+    # a probe built with the loop source prints each struct's size and the
+    # offset of every field the mirror names; skips only where there is no cc
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler: cc is not on PATH")
+    lines = [f'printf("%zu\\n", sizeof(struct {c}));\n' + "".join(
+        f'printf("%zu\\n", offsetof(struct {c}, {name}));\n'
+        for name, _ in mirror._fields_) for mirror, c in MIRRORS.items()]
+    probe = tmp_path / "probe.c"
+    probe.write_text(f'#include "{hotloop.SOURCE}"\n#include <stddef.h>\n'
+                     f'#include <stdio.h>\nint main(void)\n{{\n'
+                     f'{"".join(lines)}return 0;\n}}\n')
+    built = subprocess.run(
+        [cc, "-o", str(tmp_path / "probe"), str(probe), "-lm"],
+        capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    printed = subprocess.run([str(tmp_path / "probe")], capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+    want = [n for mirror in MIRRORS for n in (
+        ctypes.sizeof(mirror),
+        *(getattr(mirror, name).offset for name, _ in mirror._fields_))]
+    assert list(map(int, printed.split())) == want
 
 
 #: runs of every compiled path, each checked for its read count and loop, in
