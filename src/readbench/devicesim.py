@@ -38,8 +38,9 @@ Model components:
 
 Where the compiled loops build, ``engines._simulate`` runs on
 ``rb_sim_loop`` in ``_hotloop.c``, which makes each operation of this
-scheduler in C, in the same order and on the same draws
-(``rng.uniform_chunks``), so it gives the same completions bit for bit.
+scheduler in C, in the same order and on the same draws, which it computes
+itself from ``rng_seed`` as ``rng.uniform_floats`` does, so it gives the
+same completions bit for bit.
 This module is then the fallback where there is no C compiler, and the
 reference the tests compare the compiled loop with.  Both take a state's
 service terms from ``SimState.terms``, derived once when the state is made.

@@ -14,8 +14,9 @@ Engine kinds:
 Simulated targets never spawn threads: workers become logical entities in
 a single deterministic event-driven loop over the device scheduler, so a
 re-run with identical seeds reproduces identical statistics bit for bit;
-that loop runs in C where :mod:`readbench.hotloop` builds, and else in
-Python over :mod:`readbench.devicesim`, with the same steps and records.
+that loop runs in C where :mod:`readbench.hotloop` builds, on the offset
+streams and device draws it computes itself, and else in Python over
+:mod:`readbench.devicesim`, with the same steps, streams and records.
 Real-file targets use actual threads and the native syscall backends, on
 one loop in C where :mod:`readbench.hotloop` builds: it refills the slots
 of each harvest with the next slice of a chunk, checks each completion's
@@ -58,7 +59,7 @@ from .errors import (BAD_RESULT, CALL_FAILED, STALLED, UNKNOWN_SLOT,
 from .measurement import (CpuUsage, LatencyCounts, LatencyStats,
                           aggregate_latencies, compute_throughput,
                           from_fields, measure_cpu, snapshot_cpu)
-from .rng import u64_chunks, uniform_chunks, worker_seed
+from .rng import u64_chunks, worker_seed
 from .target import (TargetHandle, alloc_aligned, check_offsets, polled_flags,
                      read_block, read_error)
 
@@ -405,43 +406,38 @@ def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
                 budgets: list, window: tuple[float, float],
                 checksum: _Checksum | None) -> tuple[float, int]:
     """The loop of :func:`_python_sim` in C (:mod:`readbench.hotloop`), on
-    the model of ``state``.  Before each call, a worker short of offsets
-    has the rest of its chunk joined to its next, the offsets it consumed
-    digested if verified, and the draws, the stream ``devicesim`` draws
-    from, are topped up to what ``rb_sim_loop`` needs for a pass."""
-    depth, threads = engine.queue_size, workload.threads
-    sim = hotloop.SimLoop(state, workload.block_size, depth,
-                          engine.batch_size, budgets, *window)
-    pos, lens = sim.workers[sim.POS], sim.workers[sim.LEN]
-    streams = [_offset_chunks(workload, w, offsets) for w in range(threads)]
-    chunks = [np.empty(0, dtype=np.int64)] * threads
-    draw_chunks, draws = uniform_chunks(state.model.rng_seed), np.empty(0)
-    log = np.empty(threads * depth + _OFFSET_CHUNK, dtype=np.int64)
-    sim.log, sim.nlog = log.ctypes.data, len(log)
+    the model of ``state``.  C draws each worker's offsets as
+    :func:`_offset_chunks` does and the device's draws as ``devicesim``
+    does; after each call Python passes on its log and, if verified, the
+    offsets it submitted."""
+    threads, block = workload.threads, workload.block_size
+    random = workload.pattern == "random"
+    if offsets is not None:  # each worker from the list's start
+        starts = [0] * threads
+    elif random:
+        starts = [worker_seed(workload.seed, w) for w in range(threads)]
+    else:  # each worker from its share of the device
+        share = workload.target.capacity // block // threads
+        starts = [share * w for w in range(threads)]
+    sim = hotloop.SimLoop(state, block, engine.queue_size, engine.batch_size,
+                          budgets, *window, random, starts, offsets)
+    # the durations logged and the offsets submitted
+    room = threads * engine.queue_size + _OFFSET_CHUNK
+    log = np.empty((1 if checksum is None else 2, room), dtype=np.int64)
+    sim.log, sim.nlog = log[0].ctypes.data, room
+    if checksum is not None:
+        sim.submitted, sim.nsubmitted = log[1].ctypes.data, room
     while True:
-        for w, chunk in enumerate(chunks):
-            if lens[w] - pos[w] < depth:
-                if checksum is not None:
-                    checksum.keep(chunk[:pos[w]])
-                chunks[w] = chunk = np.concatenate((chunk[pos[w]:],
-                                                    next(streams[w])))
-                pos[w], lens[w] = 0, len(chunk)
-                sim.addrs[w] = chunk.ctypes.data
-        while sim.ndraws - sim.dpos < 2 * threads * depth:
-            draws = np.concatenate((draws[sim.dpos:], next(draw_chunks)))
-            sim.draws, sim.ndraws, sim.dpos = (draws.ctypes.data,
-                                               len(draws), 0)
         status = sim_loop(sim)
-        sink(log[:sim.logged])
+        sink(log[0, :sim.logged])
+        if checksum is not None:
+            checksum.keep(log[1, :sim.kept])
         if status != hotloop.MORE:
             break
     if status == hotloop.FAILED:
         if sim.fault == hotloop.OUTSIDE:
             raise ValueError("request outside device capacity")
         raise Backpressure(f"more than {state.pending_bound} requests queued")
-    if checksum is not None:
-        for w, chunk in enumerate(chunks):
-            checksum.keep(chunk[:pos[w]])
     return sim.last_completion, int(sim.workers[sim.MOST].max())
 
 
@@ -616,18 +612,17 @@ def _joined(chunk: np.ndarray, hashes, pos: int,
             else np.concatenate((hashes[pos:], more_hashes)))
 
 
-def _python_reads(handle: TargetHandle, flags: int, remaining: int | None,
+def _python_reads(handle: TargetHandle, flags: int, left: int,
                   chunks: Iterator[_Chunk], bufs, rows: np.ndarray,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
-    """The sync-family loop in Python: at most ``remaining`` reads, one
+    """The sync-family loop in Python: at most ``left`` reads, one
     :func:`read_block` each, timed in it after the window test.  A verified
     run checks a row of the arena's reads at a time, and a piece's last."""
     durations, checksum = array("q"), result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
     nslots = len(bufs)
-    left = 2 ** 63 - 1 if remaining is None else remaining
     took = last = None
 
     def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
@@ -666,7 +661,7 @@ def _ns(t: float) -> int:
     return int(min(max(t, -2 ** 63), 2 ** 63 - 1))
 
 
-def _python_async(backend, batch: int, remaining: int | None,
+def _python_async(backend, batch: int, remaining: int,
                   chunks: Iterator[_Chunk], rows: np.ndarray,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
@@ -694,7 +689,7 @@ def _python_async(backend, batch: int, remaining: int | None,
     issued = inflight = warming = 0  # warming: in flight from warm-up
     while True:
         now = clock()
-        n = len(got) if remaining is None else min(len(got), remaining - issued)
+        n = min(len(got), remaining - issued)
         if n and (now >= deadline or stopped()):
             n = 0
         if n < len(got):  # slots not refilled now never will be
@@ -760,7 +755,7 @@ def _python_async(backend, batch: int, remaining: int | None,
 
 
 def _native_async(async_loop, queue: hotloop.Queue, batch: int,
-                  remaining: int | None, chunks: Iterator[_Chunk],
+                  left: int, chunks: Iterator[_Chunk],
                   rows: np.ndarray, warm_end: float, deadline: float,
                   stop: _Stop, result: _RealWorkerResult,
                   backend=None) -> None:
@@ -773,7 +768,6 @@ def _native_async(async_loop, queue: hotloop.Queue, batch: int,
     cancels them."""
     chunk, hashes = next(chunks)
     pages = 0 if hashes is None else hashes.shape[1]
-    left = 2 ** 63 - 1 if remaining is None else remaining
     state = hotloop.AsyncState(queue.depth, batch, left, rows, pages)
     checksum = result.checksum
     try:
@@ -822,8 +816,9 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     Verify each block only if the result has a checksum."""
     handle = workload.target
     block = workload.block_size
-    remaining = (split_budget(workload.request_budget, workload.threads, w)
-                 if workload.request_budget is not None else None)
+    # reads the budget allows, all there can be without one
+    remaining = (2 ** 63 - 1 if workload.request_budget is None else
+                 split_budget(workload.request_budget, workload.threads, w))
     checksum = result.checksum
     if checksum is not None and offsets is not None and any(
             o % fill.PAGE for o in offsets):

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rng import MASK64
+
 SOURCE = Path(__file__).with_name("_hotloop.c")
 # vectorised, a page's check takes about half the time; no fused
 # multiply-add (the default on aarch64), which would round the simulator's
@@ -115,14 +117,16 @@ OUTSIDE, BACKPRESSURE = 8, 9
 class SimLoop(ctypes.Structure):
     """One simulated run as ``rb_sim_loop`` keeps it across calls (``struct
     rb_sim``): the terms of a ``devicesim.SimState`` (``SimState.terms``),
-    the device state, and per worker (a column of ``workers``) its budget
-    left, reads in flight, most in flight, reads ready, reads to refill, and
-    the next of its ``len`` offsets at ``addrs``.  Every worker owes a
-    refill of ``depth`` at first."""
+    the device state and its draw stream, and per worker (a column of
+    ``workers``) its budget left, reads in flight, most in flight, reads
+    ready and reads to refill, and its offset stream's state (``streams``).
+    Every worker owes a refill of ``depth`` at first.  A worker's stream
+    starts at ``starts[w]``: with ``offsets``, the index in that list; else
+    the seed of its random words, or the block it reads first."""
 
     #: rows of ``workers``, each a pointer of the struct
-    ROWS = ("left", "out", "most", "ready", "owed", "pos", "len")
-    LEFT, OUT, MOST, READY, OWED, POS, LEN = range(len(ROWS))
+    ROWS = ("left", "out", "most", "ready", "owed")
+    LEFT, OUT, MOST, READY, OWED = range(len(ROWS))
 
     _fields_ = ([(name, ctypes.c_double) for name in (
         "base", "per_byte", "two_scale", "cap", "power", "spike_p",
@@ -135,18 +139,23 @@ class SimLoop(ctypes.Structure):
             "last_end", "active", "seq", "outstanding")]
         + [("pending", _PTR), ("mask", _I64), ("first", _I64),
            ("npending", _I64), ("heap", _PTR)]
-        + [(name, _PTR) for name in (*ROWS, "off")]
-        + [("draws", _PTR), ("ndraws", _I64), ("dpos", _I64), ("log", _PTR),
-           ("nlog", _I64), ("logged", _I64), ("fault", _I64)])
+        + [(name, _PTR) for name in (*ROWS, "stream", "list")]
+        + [("nlist", _I64), ("nblocks", _I64), ("random", _I64),
+           ("draw", ctypes.c_uint64), ("log", _PTR), ("nlog", _I64),
+           ("logged", _I64), ("submitted", _PTR), ("nsubmitted", _I64),
+           ("kept", _I64), ("fault", _I64)])
 
     def __init__(self, state, block: int, depth: int, batch: int,
-                 budgets: list, warmup: float, window_end: float):
+                 budgets: list, warmup: float, window_end: float,
+                 random: bool, starts: list, offsets: list | None = None):
         threads = len(budgets)
         self.workers = np.zeros((len(self.ROWS), threads), dtype=np.int64)
         self.workers[self.OWED] = depth
         if budgets[0] is not None:
             self.workers[self.LEFT] = budgets
-        self.addrs = np.zeros(threads, dtype=np.uintp)  # each worker's chunk
+        self.streams = np.array(starts, dtype=np.uint64)
+        self.offsets = (None if offsets is None
+                        else np.array(offsets, dtype=np.int64))
         n = threads * depth
         # 24 B a queued request, a ring of 2^k >= n; 32 B one in service
         self.ring = np.zeros(3 << (n - 1).bit_length(), dtype=np.int64)
@@ -160,7 +169,11 @@ class SimLoop(ctypes.Structure):
             budget=budgets[0] is not None, pending_bound=state.pending_bound,
             pending=self.ring.ctypes.data,
             mask=(1 << (n - 1).bit_length()) - 1, heap=self.events.ctypes.data,
-            off=self.addrs.ctypes.data)
+            stream=self.streams.ctypes.data,
+            list=None if offsets is None else self.offsets.ctypes.data,
+            nlist=0 if offsets is None else len(offsets),
+            nblocks=state.capacity // block, random=random,
+            draw=state.model.rng_seed & MASK64)
 
 
 class BuildError(Exception):

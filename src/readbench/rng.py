@@ -76,16 +76,11 @@ def u64_chunks(seed: int, n: int) -> Iterator[np.ndarray]:
         seed = (seed + n * GOLDEN) & MASK64
 
 
-def uniform_chunks(seed: int) -> Iterator[np.ndarray]:
-    """Endless uniform floats ``SplitMix64(seed).next_u64() / 2**64``, as
-    float64 arrays of FLOAT_CHUNK."""
-    return (words / _TWO64 for words in u64_chunks(seed, FLOAT_CHUNK))
-
-
 def uniform_floats(seed: int) -> Iterator[float]:
-    """The floats of :func:`uniform_chunks`, one at a time."""
+    """Endless uniform floats ``SplitMix64(seed).next_u64() / 2**64``,
+    computed FLOAT_CHUNK at a time."""
     return itertools.chain.from_iterable(
-        chunk.tolist() for chunk in uniform_chunks(seed))
+        (words / _TWO64).tolist() for words in u64_chunks(seed, FLOAT_CHUNK))
 
 
 def worker_seed(seed: int, worker: int) -> int:

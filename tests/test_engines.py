@@ -389,6 +389,84 @@ def test_simulated_loops_agree(native_loop, case):
             == simulated_outcome("python", w, engine, offsets)
 
 
+def simulated_log(w, engine, offsets=None):
+    """A simulated run's ordered log, and what _simulate returns."""
+    log = []
+    got = engines._simulate(w, engine, lambda c: log.extend(c), offsets)
+    return log, got
+
+
+@pytest.mark.parametrize("pattern,listed,threads,verify", [
+    ("random", False, 1, False), ("random", False, 2, True),
+    ("sequential", False, 1, True), ("sequential", False, 2, False),
+    ("random", True, 1, False), ("random", True, 2, True)],
+    ids=["random", "random-T2-verify", "sequential-verify", "sequential-T2",
+         "list", "list-T2-verify"])
+def test_compiled_simulator_draws_its_own_streams(native_loop, monkeypatch,
+                                                  pattern, listed, threads,
+                                                  verify):
+    # the compiled loop computes every offset and device draw itself, so it
+    # returns only to hand over a full log (or a full list of the offsets it
+    # submitted), and its run is the Python scheduler's
+    engine = EngineConfig(kind="uring", queue_size=16, batch_size=4)
+    offsets = [(b * 7919 % 4096) * 4096 for b in range(300)] if listed \
+        else None
+    with simulated_target(RANDOM_SSD, 1 << 28, seed=3) as h:
+        w = WorkloadSpec(target=h, pattern=pattern, threads=threads, seed=5,
+                         request_budget=200_000, verify=verify)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hotloop, "load", lambda: (None, "pinned by a test"))
+            want = simulated_log(w, engine, offsets)
+
+        def drawn(*args):  # a generator, so only drawing from it raises
+            raise AssertionError("a chunk was computed in numpy")
+            yield
+
+        calls = []
+
+        class Counted:  # the library, its rb_sim_loop calls counted
+            def rb_sim_loop(self, sim):
+                calls.append(sim)
+                return native_loop.rb_sim_loop(sim)
+
+        monkeypatch.setattr(engines, "_offset_chunks", drawn)
+        monkeypatch.setattr(rng, "u64_chunks", drawn)
+        monkeypatch.setattr(hotloop, "load", lambda: (Counted(), "counted"))
+        got = simulated_log(w, engine, offsets)
+    assert got == want
+    room = engines._OFFSET_CHUNK  # the log's room, less threads * depth
+    assert len(calls) <= -(-len(want[0]) // room) + 1
+
+
+#: a model of every draw: heavy-tailed jitter and frequent spikes
+SPIKY = DeviceModel(kind="custom", base_latency_us=30.0, parallelism=4,
+                    jitter_kind="heavy-tail", jitter_scale_us=5.0,
+                    spike_probability=0.3, spike_duration_us=200.0)
+
+
+@pytest.mark.parametrize("model,capacity,fields,offsets", [
+    (replace(SPIKY, rng_seed=2 ** 63), 1 << 26, {}, None),
+    (replace(SPIKY, rng_seed=2 ** 64 - 1), 1 << 26, {}, None),
+    (replace(preset_model("hdd"), rng_seed=2 ** 64 - 1), 1 << 26, {}, None),
+    (SPIKY, 1 << 26, dict(seed=2 ** 64 - 1, threads=3), None),
+    (SPIKY, 1001 * 4096, dict(threads=2), None),
+    (SPIKY, 1001 * 4096, dict(pattern="sequential", threads=3), None),
+    (SPIKY, 1 << 26, dict(threads=2), [12288])],
+    ids=["rng-seed-2^63", "rng-seed-2^64-1", "hdd-rng-seed-2^64-1",
+         "worker-seeds-wrap", "random-blocks-not-a-power-of-2",
+         "sequential-uneven-shares", "one-offset"])
+def test_simulated_edge_seeds_agree(native_loop, model, capacity, fields,
+                                    offsets):
+    # seeds and stream states are 64-bit words that wrap: the compiled
+    # loop's draws and offsets are the Python scheduler's at their edges
+    engine = EngineConfig(kind="aio", queue_size=8, batch_size=2)
+    with simulated_target(model, capacity, seed=3) as h:
+        w = WorkloadSpec(target=h, request_budget=4000, verify=True,
+                         **fields)
+        assert simulated_outcome("native", w, engine, offsets) \
+            == simulated_outcome("python", w, engine, offsets)
+
+
 @pytest.mark.parametrize("capacity,submits", [
     ((1 << 53) - 4096, 0), (1 << 53, 20)], ids=["below-2^53", "2^53"])
 def test_capacity_past_2_53_runs_in_python(native_loop, monkeypatch,
@@ -2164,14 +2242,17 @@ def test_no_compiler_falls_back_with_a_note(real, tmp_path, monkeypatch):
     assert not (tmp_path / "cache").exists()
 
 
-def test_loop_source_compiles_without_warnings():
-    # skips only where there is no cc, as the native_loop fixture does
+def test_loop_source_compiles_without_warnings(tmp_path):
+    # built as load builds it, since some warnings (-Wmaybe-uninitialized)
+    # fire only once optimised; skips only where there is no cc, as the
+    # native_loop fixture does
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler: cc is not on PATH")
     proc = subprocess.run(
-        [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         str(hotloop.SOURCE)], capture_output=True, text=True, timeout=120)
+        [cc, *hotloop._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+         str(tmp_path / "loop.so"), str(hotloop.SOURCE), *hotloop._LIBS],
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -2211,7 +2292,7 @@ _SANITIZED_RUNS = """
 import sys
 from readbench import aio_native, hotloop, uring_native
 from readbench.devicesim import preset_model
-from readbench.engines import EngineConfig, WorkloadSpec, run
+from readbench.engines import EngineConfig, WorkloadSpec, duration_log, run
 from readbench.target import open_target, prepare_target, simulated_target
 
 hotloop._CFLAGS += tuple(sys.argv[2:])
@@ -2239,11 +2320,20 @@ with open_target(sys.argv[1], seed=3, direct=False) as real:
             assert rec.extra["loop"] == "native", engine
         for model in ("hdd", "ull"):
             with simulated_target(preset_model(model), 1 << 26) as sim:
-                rec = run(WorkloadSpec(target=sim, request_budget=5000,
-                                       verify=verify),
-                          EngineConfig(kind="aio", queue_size=4,
-                                       batch_size=2))
-            assert rec.latency.count == 5000, model
+                for pattern in ("random", "sequential"):
+                    for threads in (1, 2):
+                        rec = run(WorkloadSpec(
+                            target=sim, pattern=pattern, threads=threads,
+                            request_budget=5000 * threads, verify=verify),
+                            EngineConfig(kind="aio", queue_size=4,
+                                         batch_size=2))
+                        assert rec.latency.count == 5000 * threads, model
+                log = duration_log(
+                    WorkloadSpec(target=sim, request_budget=5000,
+                                 verify=verify),
+                    EngineConfig(kind="aio", queue_size=4, batch_size=2),
+                    [0, 8192, 4096])
+                assert len(log) == 5000, model
 """
 
 
