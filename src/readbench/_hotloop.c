@@ -428,9 +428,8 @@ static uint64_t mix64(uint64_t x)
 
 /* Worker w's next offset, as engines._offset_chunks draws it: the next of
  * the list, cycled; else the block of the next splitmix64 word of its
- * seed, mix64(seed + k * GOLDEN) for the k-th from 1, modulo nblocks (a
- * mask where that is a power of two, the usual case, and faster); else the
- * next block from its share of the device, wrapping at its end. */
+ * seed, mix64(seed + k * GOLDEN) for the k-th from 1, modulo nblocks; else
+ * the next block from its share of the device, wrapping at its end. */
 static int64_t next_offset(struct rb_sim *s, int64_t w)
 {
     const uint64_t nblocks = (uint64_t)s->nblocks;
@@ -442,9 +441,7 @@ static int64_t next_offset(struct rb_sim *s, int64_t w)
     }
     if (s->random) {
         s->stream[w] = k += GOLDEN;
-        k = mix64(k);
-        k = nblocks & (nblocks - 1) ? k % nblocks : k & (nblocks - 1);
-        return (int64_t)k * s->block;
+        return (int64_t)(mix64(k) % nblocks) * s->block;
     }
     s->stream[w] = k + 1 == nblocks ? 0 : k + 1;
     return (int64_t)k * s->block;

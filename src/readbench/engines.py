@@ -208,6 +208,20 @@ def _copied(value):
     return value
 
 
+def _streams(workload: WorkloadSpec,
+             offsets: list[int] | None = None) -> tuple[int, list[int]]:
+    """The target's blocks, and where each worker's offset stream starts:
+    at the first of ``offsets``, if given; else at the seed of its random
+    words, or at the block it reads first, the start of its share."""
+    nblocks = workload.target.capacity // workload.block_size
+    workers = range(workload.threads)
+    if offsets is not None:
+        return nblocks, [0 for _ in workers]
+    if workload.pattern == "random":
+        return nblocks, [worker_seed(workload.seed, w) for w in workers]
+    return nblocks, [nblocks // workload.threads * w for w in workers]
+
+
 def _offset_chunks(workload: WorkloadSpec, worker: int,
                    offsets: list[int] | None = None) -> Iterator[np.ndarray]:
     """Per-worker block-aligned offsets, as int64 arrays of _OFFSET_CHUNK.
@@ -224,14 +238,13 @@ def _offset_chunks(workload: WorkloadSpec, worker: int,
         while True:
             yield chunk
     block = workload.block_size
-    nblocks = workload.target.capacity // block
+    nblocks, starts = _streams(workload)
     if workload.pattern == "random":
-        for words in u64_chunks(worker_seed(workload.seed, worker),
-                                _OFFSET_CHUNK):
+        for words in u64_chunks(starts[worker], _OFFSET_CHUNK):
             yield ((words % np.uint64(nblocks))
                    * np.uint64(block)).astype(np.int64)
     else:
-        first = (nblocks // workload.threads) * worker
+        first = starts[worker]
         steps = np.arange(_OFFSET_CHUNK, dtype=np.int64)
         while True:
             yield (first + steps) % nblocks * block
@@ -410,19 +423,12 @@ def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
     :func:`_offset_chunks` does and the device's draws as ``devicesim``
     does; after each call Python passes on its log and, if verified, the
     offsets it submitted."""
-    threads, block = workload.threads, workload.block_size
-    random = workload.pattern == "random"
-    if offsets is not None:  # each worker from the list's start
-        starts = [0] * threads
-    elif random:
-        starts = [worker_seed(workload.seed, w) for w in range(threads)]
-    else:  # each worker from its share of the device
-        share = workload.target.capacity // block // threads
-        starts = [share * w for w in range(threads)]
-    sim = hotloop.SimLoop(state, block, engine.queue_size, engine.batch_size,
-                          budgets, *window, random, starts, offsets)
+    sim = hotloop.SimLoop(state, workload.block_size, engine.queue_size,
+                          engine.batch_size, budgets, *window,
+                          workload.pattern == "random",
+                          *_streams(workload, offsets), offsets)
     # the durations logged and the offsets submitted
-    room = threads * engine.queue_size + _OFFSET_CHUNK
+    room = workload.threads * engine.queue_size + _OFFSET_CHUNK
     log = np.empty((1 if checksum is None else 2, room), dtype=np.int64)
     sim.log, sim.nlog = log[0].ctypes.data, room
     if checksum is not None:

@@ -30,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import MASK64
-
 SOURCE = Path(__file__).with_name("_hotloop.c")
 # vectorised, a page's check takes about half the time; no fused
 # multiply-add (the default on aarch64), which would round the simulator's
@@ -120,9 +118,10 @@ class SimLoop(ctypes.Structure):
     the device state and its draw stream, and per worker (a column of
     ``workers``) its budget left, reads in flight, most in flight, reads
     ready and reads to refill, and its offset stream's state (``streams``).
-    Every worker owes a refill of ``depth`` at first.  A worker's stream
-    starts at ``starts[w]``: with ``offsets``, the index in that list; else
-    the seed of its random words, or the block it reads first."""
+    Every worker owes a refill of ``depth`` at first.  ``nblocks`` and
+    ``starts`` are ``engines._streams``: a worker's stream starts at
+    ``starts[w]``, with ``offsets`` the index in that list, else the seed of
+    its random words or the block it reads first."""
 
     #: rows of ``workers``, each a pointer of the struct
     ROWS = ("left", "out", "most", "ready", "owed")
@@ -147,7 +146,8 @@ class SimLoop(ctypes.Structure):
 
     def __init__(self, state, block: int, depth: int, batch: int,
                  budgets: list, warmup: float, window_end: float,
-                 random: bool, starts: list, offsets: list | None = None):
+                 random: bool, nblocks: int, starts: list,
+                 offsets: list | None = None):
         threads = len(budgets)
         self.workers = np.zeros((len(self.ROWS), threads), dtype=np.int64)
         self.workers[self.OWED] = depth
@@ -172,8 +172,8 @@ class SimLoop(ctypes.Structure):
             stream=self.streams.ctypes.data,
             list=None if offsets is None else self.offsets.ctypes.data,
             nlist=0 if offsets is None else len(offsets),
-            nblocks=state.capacity // block, random=random,
-            draw=state.model.rng_seed & MASK64)
+            nblocks=nblocks, random=random,
+            draw=state.model.rng_seed)  # c_uint64 keeps it mod 2^64
 
 
 class BuildError(Exception):
