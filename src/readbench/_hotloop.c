@@ -3,9 +3,10 @@
  * uring) or a depth-1 sync queue (sync, polled, pool), and rb_sim_loop for
  * every engine on a simulated device.  rb_async_loop times a read from the
  * top of the pass that submits it to the reap that takes it, on
- * CLOCK_MONOTONIC, the clock of Python's perf_counter_ns, and logs a
- * duration in us rounded to the nearest (halves up).  The simulated loop
- * replays readbench.engines._simulate and the scheduler of
+ * CLOCK_MONOTONIC, the clock of Python's perf_counter_ns, logs a duration
+ * in us rounded to the nearest (halves up), and checks a verified read
+ * against the fill pattern, hashing each page from the fill seed.  The
+ * simulated loop replays readbench.engines._simulate and the scheduler of
  * readbench.devicesim in virtual time, bit for bit, on the offset streams
  * and the device draws, both splitmix64, that it computes itself.
  */
@@ -14,7 +15,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/uio.h>
@@ -38,17 +38,29 @@ static int64_t now_ns(void)
     return (int64_t)ts.tv_sec * NS + ts.tv_nsec;
 }
 
-/* The first of a block's pages whose words, less ramp, are not all that
- * page's hash (hashes[p] for page p, page_words words a page): its index,
- * or -1.  The hashes and the ramp come from readbench.fill, which alone
- * knows the fill pattern. */
-static long bad_page(const uint64_t *words, const uint64_t *hashes,
+/* readbench.rng.mix64, the splitmix64 finalizer */
+static uint64_t mix64(uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
+    return x ^ (x >> 31);
+}
+
+/* The first of the pages of the block read at off whose words, less ramp,
+ * are not all that page's hash, mix64(seed ^ (off + 4096 * p)) for page p
+ * (readbench.fill.page_hashes), page_words words a page: its index, or -1.
+ * Not inlined, and aligned to a cache line, so that where its page loop
+ * falls depends on it alone: inlined into rb_async_loop, that loop crossed
+ * a 32-byte boundary, and verified reads were ~4% slower (2-core x86-64).
+ */
+__attribute__((noinline, aligned(64)))
+static long bad_page(const uint64_t *words, uint64_t seed, int64_t off,
                      long pages, long page_words, const uint64_t *ramp)
 {
     long p, j;
 
     for (p = 0; p < pages; p++, words += page_words) {
-        uint64_t h = hashes[p], diff = 0;
+        uint64_t h = mix64(seed ^ (uint64_t)(off + 4096 * p)), diff = 0;
 
         for (j = 0; j < page_words; j++)
             diff |= (words[j] - ramp[j]) ^ h;
@@ -103,10 +115,9 @@ struct rb_async {
     int64_t stalled;    /* a wait ran out its timeout */
     int64_t fault, fault_a, fault_b;
     /* slot i's block at rows + i * block, where a sync queue reads it;
-     * with pages, checked against the pages hashes at slot_hash + i *
-     * pages, copied at its submit */
+     * with pages, its pages are checked against the fill of seed */
     uint64_t *rows;
-    uint64_t *slot_hash;
+    uint64_t seed;
     int64_t pages;
     int64_t checked;    /* offsets checked by this call */
 };
@@ -266,9 +277,8 @@ static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
  * after timeout_ns, and the run after stall_ns without one; check every
  * completion; log the duration of each read submitted at or after
  * warm_end, from its submit stamp to the stamp after its harvest.  With
- * s->pages, offset i's block has the hashes at hashes + i * s->pages, and
- * each slot of a harvest is checked (bad_page) before it is refilled, its
- * offset then written to checked.
+ * s->pages, each slot of a harvest is checked (bad_page) before it is
+ * refilled, its offset then written to checked.
  *
  * Returns RB_MORE when a refill needs offsets past off[n) (Python joins the
  * rest to the next chunk), RB_DONE once nothing is in flight, RB_STOPPED
@@ -277,14 +287,12 @@ static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
  * checked, each with room for n + depth.  A slot reaped in a harvest that
  * failed is not in flight.
  *
- * Aligned to a cache line, so that where its loops fall does not move with
- * the code the compiler places before it (the simulator's fill): on a
- * 2-core x86-64 VM, a 352-byte shift of that code made verified aio and
- * uring reads ~5% slower.
+ * Aligned to a cache line, as bad_page is, so that where its loops fall
+ * does not move with the code the compiler places before it.
  */
 __attribute__((aligned(64)))
 int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
-                  const int64_t *off, const uint64_t *hashes, long n,
+                  const int64_t *off, long n,
                   int64_t warm_end, int64_t deadline, const int *stop,
                   int64_t timeout_ns, int64_t stall_ns, int64_t *durations,
                   int64_t *checked, const uint64_t *ramp)
@@ -307,9 +315,6 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
             s->slot_off[slot] = o;
             s->slot_ns[slot] = now;
             s->busy[slot] = 1;
-            if (s->pages)
-                memcpy(s->slot_hash + slot * s->pages,
-                       hashes + (s->pos + i) * s->pages, 8 * s->pages);
         }
         if (k) {
             r = submit(q, s, k);
@@ -360,9 +365,8 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
         for (i = 0; s->pages && i < s->nrefill; i++) {
             int64_t slot = s->refill[i];
 
-            if (bad_page(s->rows + slot * words,
-                         s->slot_hash + slot * s->pages, s->pages,
-                         words / s->pages, ramp) >= 0)
+            if (bad_page(s->rows + slot * words, s->seed, s->slot_off[slot],
+                         s->pages, words / s->pages, ramp) >= 0)
                 return fail(s, RB_BAD_DATA, slot, 0);
             checked[s->checked++] = s->slot_off[slot];
         }
@@ -417,14 +421,6 @@ struct rb_sim {
 };
 
 #define GOLDEN 0x9E3779B97F4A7C15u
-
-/* readbench.rng.mix64, the splitmix64 finalizer */
-static uint64_t mix64(uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
-    return x ^ (x >> 31);
-}
 
 /* Worker w's next offset, as engines._offset_chunks draws it: the next of
  * the list, cycled; else the block of the next splitmix64 word of its

@@ -21,7 +21,7 @@ Real-file targets use actual threads and the native syscall backends, on
 one loop in C where :mod:`readbench.hotloop` builds: it refills the slots
 of each harvest with the next slice of a chunk, checks each completion's
 slot against the slots in flight, and submits, waits, checks and stamps
-without the interpreter, one call per piece of a chunk, on a kernel queue
+without the interpreter, one call per offset chunk, on a kernel queue
 (aio, uring) or a depth-1 sync queue (sync, polled, pool).  Else a Python
 sync loop makes one :func:`read_block` per offset, and a Python async
 loop the compiled loop's refills and checks.  Every loop takes the
@@ -30,9 +30,9 @@ before any of its reads, and counts its own request budget.  All stamp
 time in integer ns of the clock of ``time.perf_counter_ns``, round
 durations as :func:`read_block` does, and fold them into the worker's
 :class:`LatencyCounts` a chunk at a time.
-Verified reads, at page-aligned offsets, check against the page hashes
-drawn with each piece, in C on the compiled loop; :func:`fill.check_blocks`
-names a bad block.  Scattered
+Verified reads, at page-aligned offsets, check against the fill pattern:
+in C on the compiled loop, which hashes each page from the fill seed, and
+else by :func:`fill.check_blocks`, which also names a bad block.  Scattered
 reads and whole-target scans keep theirs in order, by :func:`duration_log`.
 """
 
@@ -79,9 +79,6 @@ STALL_LIMIT_S = 30.0
 
 #: offsets are drawn this many at a time
 _OFFSET_CHUNK = 4096
-
-#: the most page hashes a piece of an offset chunk draws (1 MiB of them)
-_HASH_PIECE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -278,9 +275,9 @@ class _Checksum:
         self.undigested = array("q")
         self.scratch = fill.new_scratch()
 
-    def add(self, rows: np.ndarray, offsets: np.ndarray, hashes) -> None:
+    def add(self, rows: np.ndarray, offsets: np.ndarray) -> None:
         """Verify one batch of read blocks, then keep their offsets."""
-        fill.check_blocks(rows, offsets, self.seed, self.scratch, hashes)
+        fill.check_blocks(rows, offsets, self.seed, self.scratch)
         self.keep(offsets)
 
     def keep(self, offsets) -> None:
@@ -292,12 +289,11 @@ class _Checksum:
         if len(self.undigested) >= _OFFSET_CHUNK:
             self.digest()
 
-    def raise_refused(self, row: np.ndarray, offset: int, hashes) -> None:
+    def raise_refused(self, row: np.ndarray, offset: int) -> None:
         """Raise the error of a block that failed the compiled loop's page
         check: :func:`fill.check_blocks`'s VerifyError, or, should that pass
         the block, an error naming the two checks' disagreement."""
-        fill.check_blocks(row[None, :], (offset,), self.seed, self.scratch,
-                          hashes)
+        fill.check_blocks(row[None, :], (offset,), self.seed, self.scratch)
         raise RuntimeError(f"the compiled loop refused the block at byte "
                            f"offset {offset}, which fill.check_blocks passes")
 
@@ -587,44 +583,23 @@ class _RealWorkerResult:
         self.loop = "python"  # or "native": the compiled loop read
 
 
-#: a piece of an offset chunk, and the page hashes of its blocks, a row per
-#: offset, or None in an unverified run
-_Chunk = tuple[np.ndarray, "np.ndarray | None"]
-
-
-def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray], block: int,
-             seed: int | None) -> Iterator[_Chunk]:
+def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray],
+             block: int) -> Iterator[np.ndarray]:
     """The offset chunks as contiguous int64, each refused whole
-    (:func:`check_offsets`) before any of its offsets is read, in pieces of
-    at most _OFFSET_CHUNK offsets and _HASH_PIECE page hashes, each with its
-    :func:`fill.page_hashes` for the fill seed ``seed``, if given."""
-    pages = block // fill.PAGE
-    step = min(_OFFSET_CHUNK, max(1, _HASH_PIECE // pages))
+    (:func:`check_offsets`) before any of its offsets is read."""
     for chunk in chunks:
         chunk = np.ascontiguousarray(chunk, dtype=np.int64)
         check_offsets(handle, chunk, block)
-        for i in range(0, len(chunk), step):
-            piece = chunk[i:i + step]
-            yield piece, (None if seed is None else fill.page_hashes(
-                piece, block, seed).reshape(len(piece), pages))
-
-
-def _joined(chunk: np.ndarray, hashes, pos: int,
-            chunks: Iterator[_Chunk]) -> _Chunk:
-    """The rest of an offset piece from pos, and of its hashes, each joined
-    to the next piece's."""
-    more, more_hashes = next(chunks)
-    return (np.concatenate((chunk[pos:], more)), None if hashes is None
-            else np.concatenate((hashes[pos:], more_hashes)))
+        yield chunk
 
 
 def _python_reads(handle: TargetHandle, flags: int, left: int,
-                  chunks: Iterator[_Chunk], bufs, rows: np.ndarray,
+                  chunks: Iterator[np.ndarray], bufs, rows: np.ndarray,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
     """The sync-family loop in Python: at most ``left`` reads, one
     :func:`read_block` each, timed in it after the window test.  A verified
-    run checks a row of the arena's reads at a time, and a piece's last."""
+    run checks a row of the arena's reads at a time, and a chunk's last."""
     durations, checksum = array("q"), result.checksum
     # looked up once per run, so that patches and tracers in place apply
     clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
@@ -632,11 +607,10 @@ def _python_reads(handle: TargetHandle, flags: int, left: int,
     took = last = None
 
     def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
-        checksum.add(rows[:hi - lo], chunk[lo:hi], hashes[lo:hi])
+        checksum.add(rows[:hi - lo], chunk[lo:hi])
 
     while left > 0:
-        chunk, hashes = next(chunks)
-        chunk = chunk[:left]  # cut to the budget's last read
+        chunk = next(chunks)[:left]  # cut to the budget's last read
         done = lo = 0  # reads of this chunk, and the first not checked
         for offset in chunk.tolist():
             now = clock()
@@ -652,7 +626,7 @@ def _python_reads(handle: TargetHandle, flags: int, left: int,
                 lo = done
         if checksum is not None and done > lo:
             check(lo, done)
-        result.sink(durations)  # a piece's, at its end
+        result.sink(durations)  # a chunk's, at its end
         del durations[:]
         if done < len(chunk):
             break
@@ -668,7 +642,7 @@ def _ns(t: float) -> int:
 
 
 def _python_async(backend, batch: int, remaining: int,
-                  chunks: Iterator[_Chunk], rows: np.ndarray,
+                  chunks: Iterator[np.ndarray], rows: np.ndarray,
                   warm_end: float, deadline: float, stop: _Stop,
                   result: _RealWorkerResult) -> None:
     """The async loop in Python, a slot per row of the arena: refill each
@@ -682,7 +656,6 @@ def _python_async(backend, batch: int, remaining: int,
     picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
     submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
     slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
-    slot_hash = np.zeros((depth, block // fill.PAGE), np.uint64)  # hashes
     # reap time + 500 and ns per us: 0-d, so numpy takes its fast path
     reaped, us = np.zeros((), dtype=np.int64), np.array(1000, np.int64)
     full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
@@ -690,8 +663,8 @@ def _python_async(backend, batch: int, remaining: int,
     slots, got = np.arange(depth), list(range(depth))
     # the slots in flight, and the last harvest's until the refill
     busy = set(got)
-    # offsets drawn with their page hashes, and the next one's index
-    (chunk, hashes), pos = next(chunks), 0
+    # the offsets drawn, and the next one's index
+    chunk, pos = next(chunks), 0
     issued = inflight = warming = 0  # warming: in flight from warm-up
     while True:
         now = clock()
@@ -702,16 +675,14 @@ def _python_async(backend, batch: int, remaining: int,
             busy.difference_update(got[n:])
         if n:
             slots = slots[:n]
-            while pos + n > len(chunk):  # this piece's rest, then the next
-                (chunk, hashes), pos = _joined(chunk, hashes, pos, chunks), 0
+            while pos + n > len(chunk):  # this chunk's rest, then the next
+                chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
             offsets = chunk[pos:pos + n]
             pos += n
             submit_ns[slots] = now
             if now < warm_end:
                 warming += n
             slot_off[slots] = offsets
-            if checksum is not None:
-                slot_hash[slots] = hashes[pos - n:pos]
             backend.submit_reads(slots, offsets)
             issued += n
             inflight += n
@@ -756,34 +727,34 @@ def _python_async(backend, batch: int, remaining: int,
                 checksum.add(rows[group] if whole else
                              np.take(rows, group, axis=0, mode="clip",
                                      out=picked[:len(group)]),
-                             slot_off[group], slot_hash[group])
+                             slot_off[group])
     result.sink(durations)
 
 
 def _native_async(async_loop, queue: hotloop.Queue, batch: int,
-                  left: int, chunks: Iterator[_Chunk],
+                  left: int, chunks: Iterator[np.ndarray],
                   rows: np.ndarray, warm_end: float, deadline: float,
                   stop: _Stop, result: _RealWorkerResult,
                   backend=None) -> None:
     """The loop of :func:`_python_async` in C (:mod:`readbench.hotloop`),
     over ``queue``, a kernel queue's or a sync one: one call per offset
-    piece, whose rest a refill that crosses its end joins to the next, as
-    in Python, so the refills are the same.  A piece with page hashes has
-    each harvest checked against them in C.  ``backend``, the AIO queue the
-    kernel queue is, gets the reads left in flight, so that its close
-    cancels them."""
-    chunk, hashes = next(chunks)
-    pages = 0 if hashes is None else hashes.shape[1]
-    state = hotloop.AsyncState(queue.depth, batch, left, rows, pages)
+    chunk, whose rest a refill that crosses its end joins to the next, as
+    in Python, so the refills are the same.  A verified run has each
+    harvest checked in C against the fill seed's pattern.  ``backend``, the
+    AIO queue the kernel queue is, gets the reads left in flight, so that
+    its close cancels them."""
     checksum = result.checksum
+    pages, seed = ((0, 0) if checksum is None
+                   else (queue.block // fill.PAGE, checksum.seed))
+    state = hotloop.AsyncState(queue.depth, batch, left, rows, pages, seed)
+    chunk = next(chunks)
     try:
         while True:
             # the durations logged and the offsets checked
             log = np.empty((2, len(chunk) + queue.depth), dtype=np.int64)
             # the limits are read at each call, so that patches apply
             status = async_loop(
-                queue, state, chunk.ctypes.data,
-                None if hashes is None else hashes.ctypes.data, len(chunk),
+                queue, state, chunk.ctypes.data, len(chunk),
                 _ns(warm_end), _ns(deadline), stop.address,
                 round(HARVEST_TIMEOUT_S * 1e9), round(STALL_LIMIT_S * 1e9),
                 log[0].ctypes.data, log[1].ctypes.data, fill.RAMP.ctypes.data)
@@ -792,7 +763,7 @@ def _native_async(async_loop, queue: hotloop.Queue, batch: int,
                 checksum.keep(log[1, :state.checked])
             if status != hotloop.MORE:
                 break
-            chunk, hashes = _joined(chunk, hashes, state.pos, chunks)
+            chunk = np.concatenate((chunk[state.pos:], next(chunks)))
             state.pos = 0
     finally:
         if queue.kind == hotloop.AIO:
@@ -803,8 +774,7 @@ def _native_async(async_loop, queue: hotloop.Queue, batch: int,
     if status == hotloop.FAILED:
         if state.fault == hotloop.BAD_DATA:
             slot = state.fault_a
-            checksum.raise_refused(rows[slot], int(state.slots[1, slot]),
-                                   state.hashes[slot])
+            checksum.raise_refused(rows[slot], int(state.slots[1, slot]))
         if state.fault == BAD_RESULT and queue.kind == hotloop.SYNC:
             raise read_error(state.fault_a, state.fault_b, queue.block)
         # io_getevents fails, io_submit falls short
@@ -829,8 +799,7 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     if checksum is not None and offsets is not None and any(
             o % fill.PAGE for o in offsets):
         raise ValueError("verified reads need page-aligned offsets")
-    chunks = _checked(handle, _offset_chunks(workload, w, offsets), block,
-                      None if checksum is None else checksum.seed)
+    chunks = _checked(handle, _offset_chunks(workload, w, offsets), block)
     lib, detail = hotloop.load()
     if lib is None:
         result.notes.append(f"native loop unavailable ({detail}), "

@@ -4,8 +4,9 @@ The 64-bit word at byte offset ``o`` (a multiple of 8) is ``mix64(seed XOR
 (o & ~4095)) + ((o & 4095) >> 3) * GOLDEN`` mod 2^64, little-endian: the
 hash of its 4 KiB page (:func:`page_hashes`) plus a ramp, recomputable from
 (seed, offset) alone.  Whole pages at page-aligned offsets check in three
-numpy passes against their hashes, which a caller may draw with the
-offsets, and other blocks word by word.  A file of earlier versions
+numpy passes against their hashes, and other blocks word by word; the
+compiled loop of :mod:`readbench.hotloop` computes the same page hashes
+and makes the same page check in C.  A file of earlier versions
 (``mix64(seed XOR o)`` in every word) fails the check with a VerifyError
 that says to prepare it again.
 
@@ -93,34 +94,27 @@ def _mismatch(value: int, offset: int, seed: int) -> VerifyError:
     return VerifyError(offset)
 
 
-def check_blocks(rows, offsets, seed: int, scratch: np.ndarray | None = None,
-                 hashes: np.ndarray | None = None) -> None:
+def check_blocks(rows, offsets, seed: int,
+                 scratch: np.ndarray | None = None) -> None:
     """Verify a batch of blocks, at most CHECK_CHUNK_BYTES per numpy pass.
 
     ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
     ``offsets`` the n target byte offsets they were read from, ``scratch``
     one from :func:`new_scratch` (a fresh one when omitted).  Whole-page
-    rows at page-aligned offsets check page by page against ``hashes``,
-    their :func:`page_hashes` in any shape, drawn here when None; any other
-    batch against its pattern.  Raises VerifyError naming the first bad
-    word's byte offset, in row order, and whether it holds the old pattern;
-    ValueError if a given hash is not its page's, or if hashes are given for
-    rows that are not whole pages.
+    rows at page-aligned offsets check page by page against their
+    :func:`page_hashes`; any other batch against its pattern.  Raises
+    VerifyError naming the first bad word's byte offset, in row order, and
+    whether it holds the old pattern.
     """
     if scratch is None:
         scratch = new_scratch()
     words = rows.shape[1]
-    if hashes is None:
-        offs = np.asarray(offsets, dtype=np.uint64)
-        if not (words % _PAGE_WORDS
-                or int(np.bitwise_or.reduce(offs)) % PAGE):
-            hashes = page_hashes(offs, words * WORD, seed)
-    elif words % _PAGE_WORDS:
-        raise ValueError("page hashes need rows of whole pages")
-    if hashes is not None:
+    offs = np.asarray(offsets, dtype=np.uint64)
+    if not (words % _PAGE_WORDS or int(np.bitwise_or.reduce(offs)) % PAGE):
+        hashes = page_hashes(offs, words * WORD, seed)  # one per page
         per = words // _PAGE_WORDS
-        if per != 1:  # one page per row, one hash per page
-            rows, hashes = rows.reshape(-1, _PAGE_WORDS), hashes.reshape(-1)
+        if per != 1:  # one page per row
+            rows = rows.reshape(-1, _PAGE_WORDS)
         n, step = len(rows), len(scratch)
         for lo in range(0, n, step):  # a batch that fits is not sliced
             part, want = ((rows, hashes) if n <= step else
@@ -134,10 +128,8 @@ def check_blocks(rows, offsets, seed: int, scratch: np.ndarray | None = None,
             bad = int(np.flatnonzero(x != want.reshape(-1, 1))[0])
             page, word = divmod(bad, _PAGE_WORDS)
             row, k = divmod(lo + page, per)
-            first = int(offsets[row]) + k * PAGE
-            if first % PAGE or want.item(page) != mix64(seed ^ first):
-                raise ValueError("page hashes do not match the offsets")
-            raise _mismatch(int(part[page, word]), first + word * WORD, seed)
+            raise _mismatch(int(part[page, word]),
+                            int(offsets[row]) + k * PAGE + word * WORD, seed)
         return
     # rows that fit the scratch a batch at a time, a longer row in pieces
     step, width = max(1, _CHUNK_WORDS // words), min(words, _CHUNK_WORDS)

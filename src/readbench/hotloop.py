@@ -83,28 +83,27 @@ class Queue(ctypes.Structure):
 class AsyncState(ctypes.Structure):
     """One worker's ``rb_async_loop`` across its calls (``struct rb_async``):
     every slot is to be submitted, and ``left`` reads more at most.  Slot
-    i's block is row i of ``rows``; with ``pages`` hashes a block, it is
-    checked against those it was submitted with, row i of ``hashes``."""
+    i's block is row i of ``rows``; with ``pages`` pages a block, each page
+    is checked against the fill pattern of fill seed ``seed``, whose page
+    hashes the loop computes as ``fill.page_hashes`` does."""
 
     _fields_ = [("slot_ns", _PTR), ("slot_off", _PTR), ("busy", _PTR),
                 ("refill", _PTR), ("nrefill", _I64), ("left", _I64),
                 ("pos", _I64), ("batch", _I64), ("inflight", _I64),
                 ("max_inflight", _I64), ("last_done", _I64), ("logged", _I64),
                 ("stalled", _I64), ("fault", _I64), ("fault_a", _I64),
-                ("fault_b", _I64), ("rows", _PTR), ("slot_hash", _PTR),
+                ("fault_b", _I64), ("rows", _PTR), ("seed", ctypes.c_uint64),
                 ("pages", _I64), ("checked", _I64)]
 
     def __init__(self, depth: int, batch: int, left: int, rows: np.ndarray,
-                 pages: int):
+                 pages: int, seed: int):
         # per slot: submit stamp, offset, in flight, and the refill order
         self.slots = np.zeros((4, depth), dtype=np.int64)
         self.slots[3] = np.arange(depth)
-        self.hashes = np.zeros((depth, pages), dtype=np.uint64)
         base, row = self.slots.ctypes.data, self.slots.strides[0]
         super().__init__(*(base + i * row for i in range(4)),
                          nrefill=depth, left=left, batch=batch,
-                         rows=rows.ctypes.data,
-                         slot_hash=self.hashes.ctypes.data, pages=pages)
+                         rows=rows.ctypes.data, seed=seed, pages=pages)
 
 
 #: the fault of a refused simulated submit, ``SimLoop.fault``: a request
@@ -225,7 +224,7 @@ def load():
     except (BuildError, OSError, subprocess.SubprocessError) as exc:
         return None, str(exc)
     lib.rb_async_loop.argtypes = (
-        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR, _PTR,
+        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR,
         ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
     lib.rb_async_loop.restype = ctypes.c_int
     lib.rb_sim_loop.argtypes = (ctypes.POINTER(SimLoop),)

@@ -76,7 +76,8 @@ def run_plan(plan: ExperimentPlan, store=None) -> list[RunRecord | PlanError]:
     """One run per axis value (times repeat), in order; errors are recorded
     in place and the plan continues, except EngineUnsupported, which every
     value would meet alike and so ends the plan.  Successful records are
-    appended to the store as they finish, when one is given."""
+    appended to the store as they finish, when one is given; a record the
+    store cannot take is a PlanError in its place."""
     out: list[RunRecord | PlanError] = []
     for value in plan.values:
         for rep in range(plan.repeat):
@@ -86,9 +87,9 @@ def run_plan(plan: ExperimentPlan, store=None) -> list[RunRecord | PlanError]:
                 record.extra.setdefault("plan", plan.name)
                 record.extra.setdefault("axis", plan.axis)
                 record.extra.setdefault("axis_value", value)
-                out.append(record)
                 if store is not None:
                     store.append(record)
+                out.append(record)
             except EngineUnsupported:
                 raise
             except (ReadBenchError, ValueError, OSError) as exc:

@@ -679,8 +679,8 @@ class TestFaults:
     def test_full_harvest_checked_by_slot(self, real, monkeypatch):
         # each wait returns every slot, shuffled, and the read of block 16
         # gets the next block's last page in its last page: a harvest of
-        # every slot is checked where it lies, so rows, offsets and page
-        # hashes must pair by slot and by page
+        # every slot is checked where it lies, so rows and offsets must pair
+        # by slot, and each page be checked against its own hash
         class Shuffling(TrickleBackend):
             def wait(self, min_nr, timeout_s=None):
                 done = []
@@ -1249,10 +1249,9 @@ class TestRealFile:
 
 @pytest.mark.parametrize("kind,threads", [("sync", 1), ("pool", 2)])
 def test_flip_past_an_offset_chunk_named(tmp_path, kind, threads):
-    # a worker checks 32 reads at a time against one slice of the page
-    # hashes drawn with its offsets.  Read k of worker 0 is block k, so the
-    # batch after the first chunk's end checks against the next chunk's
-    # hashes and the batch after that holds the flipped block; worker 1
+    # a worker checks 32 reads at a time.  Read k of worker 0 is block k,
+    # so the batch after the first chunk's end reads the next chunk's
+    # offsets and the batch after that holds the flipped block; worker 1
     # reads blocks 4224 to 8423 and never the flipped one
     bad, budget = engines._OFFSET_CHUNK + 40, 4200
     assert bad < budget < 4224
@@ -1277,9 +1276,9 @@ def test_flip_past_an_offset_chunk_named(tmp_path, kind, threads):
     ids=["sync", "aio-q8b2"])
 def test_verified_batches_cross_offset_chunks(real, engine):
     # 3 offsets tile a chunk of 4098, so batches and refills cross its end
-    # and take their page hashes from two chunks; hashes paired with other
-    # offsets or pages are refused.  8 KiB blocks at page-aligned offsets
-    # that are not block-aligned draw two hashes per offset
+    # and take their offsets from two chunks, each block checked against
+    # its own offset's pages.  8 KiB blocks at page-aligned offsets that
+    # are not block-aligned check two pages per offset
     for block, offsets in ((4096, [0, 8192, 4096]),
                            (8192, [4096, 20480, 12288])):
         log = engines.duration_log(workload(real, block_size=block,
@@ -1833,8 +1832,8 @@ class TestNativeLoop:
                                       "uring-fixed"])
     def test_verified_loop_needs_hashes(self, cached, monkeypatch, name,
                                         block):
-        # every verified run draws page hashes with its offsets, whatever
-        # the block size, and checks in C: the stream and page-aligned
+        # every verified run checks in C, whatever the block size, hashing
+        # each page from the fill seed there: the stream and page-aligned
         # explicit offsets read on the compiled loop, with the Python loop's
         # digest; offsets off the page are refused on both loops, before
         # any arena or queue is made
@@ -1868,9 +1867,9 @@ class TestNativeLoop:
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
     def test_refills_span_hash_pieces(self, cached, monkeypatch, name, block,
                                       piece):
-        # pieces of 3 offsets, or of 1, give the compiled loops a call each,
-        # and make every refill of 8 join several of them: both loops read
-        # what a run on whole pieces reads, across an offset chunk's end
+        # offset chunks of 3 or of 16 give the compiled loops a call each,
+        # and make refills of 8 join several of them or cross their ends:
+        # both loops read what a run on chunks of 4096 reads
         threads = 2 if name == "pool" else 1
         engine = (EngineConfig(kind=name) if name in ("sync", "pool")
                   else async_engine(name, 32, 8))
@@ -1879,7 +1878,7 @@ class TestNativeLoop:
                              request_budget=4200 * threads, seed=4,
                              verify=True)
             whole = run(w, engine)
-            monkeypatch.setattr(engines, "_HASH_PIECE", piece)
+            monkeypatch.setattr(engines, "_OFFSET_CHUNK", piece)
             native, python = on_both_loops(monkeypatch, lambda: run(w, engine))
         assert (native.extra["loop"], python.extra["loop"]) == (
             "native", "python")
@@ -1887,6 +1886,34 @@ class TestNativeLoop:
             assert rec.data_checksum == whole.data_checksum != ""
             assert rec.latency.count == whole.latency.count == 4200 * threads
             assert rec.extra["max_inflight"] == whole.extra["max_inflight"]
+
+    @pytest.mark.parametrize("block", [4096, 1 << 20])
+    @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
+    def test_compiled_check_draws_no_page_hashes(self, cached, monkeypatch,
+                                                 name, block):
+        # the compiled loop hashes each page from the fill seed itself: with
+        # fill.page_hashes refusing once the file is prepared, a verified
+        # run on it reads and digests what the Python loop does
+        threads = 2 if name == "pool" else 1
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 32, 8))
+        budget = (4200 if block == 4096 else 40) * threads
+        with open_target(cached, seed=7, direct=False) as h:
+            w = WorkloadSpec(target=h, block_size=block, threads=threads,
+                             request_budget=budget, seed=4, verify=True)
+            with monkeypatch.context() as m:
+                m.setattr(hotloop, "load", lambda: (None, "pinned"))
+                python = run(w, engine)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("page hashes drawn in Python")
+
+            monkeypatch.setattr(fill, "page_hashes", refuse)
+            native = run(w, engine)
+        assert (native.extra["loop"], python.extra["loop"]) == (
+            "native", "python")
+        assert native.latency.count == python.latency.count == budget
+        assert native.data_checksum == python.data_checksum != ""
 
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
     def test_disagreeing_checks_named(self, real, monkeypatch, name):
@@ -1965,11 +1992,11 @@ class TestNativeLoop:
     def test_async_records_agree(self, cached, monkeypatch, name, queue,
                                  batch, threads):
         # 5000 reads a worker cross an offset chunk's end, and refills of 3
-        # split one across it, with its page hashes when verified.  A
-        # deadline already past submits nothing; a warm-up end still ahead
-        # fills the queue and logs nothing; an open window logs every read,
-        # the last one done after it opened.  A verified run, checked in C
-        # on the compiled loop, digests every read it made, logged or not
+        # split one across it.  A deadline already past submits nothing; a
+        # warm-up end still ahead fills the queue and logs nothing; an open
+        # window logs every read, the last one done after it opened.  A
+        # verified run, checked in C on the compiled loop, digests every
+        # read it made, logged or not
         engine = async_engine(name, queue, batch)
         now = time.perf_counter_ns()
         for verify in (False, True):
@@ -2308,8 +2335,16 @@ if uring_native.probe(fixed_buffers=True)[0]:
     configs += [EngineConfig(kind="uring", queue_size=4, batch_size=2),
                 EngineConfig(kind="uring", queue_size=4, batch_size=2,
                              fixed_files=True, fixed_buffers=True)]
-prepare_target(sys.argv[1], size=1 << 20, seed=3).close()
+prepare_target(sys.argv[1], size=1 << 22, seed=3).close()
 with open_target(sys.argv[1], seed=3, direct=False) as real:
+    for engine in configs:  # the check hashes 256 pages of a 1 MiB block
+        threads = 2 if engine.kind == "pool" else 1
+        rec = run(WorkloadSpec(target=real, block_size=1 << 20,
+                               threads=threads, seed=3,
+                               request_budget=40 * threads, verify=True),
+                  engine)
+        assert rec.latency.count == 40 * threads, engine
+        assert rec.extra["loop"] == "native", engine
     for verify in (False, True):
         for engine in configs:
             threads = 2 if engine.kind == "pool" else 1

@@ -7,7 +7,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readbench import target
@@ -253,71 +253,49 @@ def test_page_corruption_named(seed, block, byte_index, bit):
     assert mismatch(buf, offset, seed) == offset + byte_index // 8 * 8
 
 
-def page_hashes(seed, offsets):
-    """mix64(seed ^ o) of each page-aligned offset o, as uint64."""
-    return np.array([mix64_oracle(seed ^ o) for o in offsets], np.uint64)
+#: one-page rows that one pass of the check's scratch holds
+FITS = CHECK_CHUNK_BYTES // 4096
 
 
 @given(st.integers(min_value=0, max_value=MASK64),
        st.integers(min_value=0, max_value=2**40),
        st.sampled_from([1, 2, 4, 32, 40]),
-       st.booleans(),
+       st.sampled_from([1, 2, FITS, FITS + 8]),
        st.integers(min_value=0, max_value=40 * 4096 - 1),
        st.integers(min_value=0, max_value=7))
+@example(seed=9, block=0, pages=1, nrows=FITS + 8, byte_index=0, bit=0)
 @settings(max_examples=100, deadline=None)
-def test_page_hashes_name_the_first_bad_word(seed, block, pages, given,
+def test_page_hashes_name_the_first_bad_word(seed, block, pages, nrows,
                                              byte_index, bit):
-    # rows of whole pages are checked page by page against hashes given or
-    # drawn here (two rows of 40 pages cross the scratch twice), and a
-    # failure is still named by its first bad word
+    # rows of whole pages are checked page by page against their hashes, in
+    # batches of one row, of the rows the scratch fits, and of more (two
+    # rows of 40 pages cross the scratch twice), and a failure in the last
+    # row is still named by its first bad word
     nbytes = pages * 4096
-    offsets = [(block + 9 * pages) * 4096, block * 4096]
-    hashes = (page_hashes(seed, [o + 4096 * k for o in offsets
-                                 for k in range(pages)]) if given else None)
+    offsets = [(block + 9 * pages * (nrows - 1 - r)) * 4096
+               for r in range(nrows)]
     rows = pattern_rows(seed, offsets, nbytes)
-    check_blocks(rows, offsets, seed, hashes=hashes)
+    check_blocks(rows, offsets, seed)
     byte_index %= nbytes
-    rows.view(np.uint8)[1, byte_index] ^= 1 << bit
+    rows.view(np.uint8)[-1, byte_index] ^= 1 << bit
     with pytest.raises(VerifyError) as ei:
-        check_blocks(rows, offsets, seed, hashes=hashes)
-    assert ei.value.offset == offsets[1] + byte_index // 8 * 8
+        check_blocks(rows, offsets, seed)
+    assert ei.value.offset == offsets[-1] + byte_index // 8 * 8
     assert "old fill pattern" not in str(ei.value)
     # an old-pattern word there (an odd word: word 0 of a page is the same
     # in both patterns) is named as one
-    rows.view(np.uint8)[1, byte_index] ^= 1 << bit
+    rows.view(np.uint8)[-1, byte_index] ^= 1 << bit
     word = byte_index // 8 | 1
-    rows[1, word] = mix64_oracle(seed ^ (offsets[1] + 8 * word))
+    rows[-1, word] = mix64_oracle(seed ^ (offsets[-1] + 8 * word))
     with pytest.raises(VerifyError, match="old fill pattern") as ei:
-        check_blocks(rows, offsets, seed, hashes=hashes)
-    assert ei.value.offset == offsets[1] + 8 * word
-
-
-def test_page_hashes_refused_or_left_unused():
-    seed = 9
-    fits = CHECK_CHUNK_BYTES // 4096
-    offsets = [4096 * k for k in range(fits + 8)]
-    hashes = page_hashes(seed, offsets + [4096 * (fits + 8)])
-    # right data with the hashes of other offsets is a caller's fault, at
-    # every batch size, the scratch's and larger ones included
-    for n in (1, fits, fits + 8):
-        rows = pattern_rows(seed, offsets[:n], 4096)
-        check_blocks(rows, offsets[:n], seed, hashes=hashes[:n])
-        with pytest.raises(ValueError, match="page hashes do not match"):
-            check_blocks(rows, offsets[:n], seed, hashes=hashes[1:n + 1])
-    # and on multi-page rows, with the two page hashes of each row swapped
-    rows = pattern_rows(seed, offsets[::2], 8192)
-    check_blocks(rows, offsets[::2], seed, hashes=hashes[:len(offsets)])
-    wrong = hashes[:len(offsets)].reshape(-1, 2)[:, ::-1].copy()
-    with pytest.raises(ValueError, match="page hashes do not match"):
-        check_blocks(rows, offsets[::2], seed, hashes=wrong)
-    # hashes for rows that are not whole pages are refused
-    with pytest.raises(ValueError, match="whole pages"):
-        check_blocks(rows[:2, :256], offsets[:4:2], seed, hashes=hashes[:2])
-    # the old pattern is still named from its first bad word
-    old = np.frombuffer(old_pattern(seed, 4096), dtype="<u8")[None]
+        check_blocks(rows, offsets, seed)
+    assert ei.value.offset == offsets[-1] + 8 * word
+    # and so is a whole page of it, from its word 1
+    rows[-1, :512] = [mix64_oracle(seed ^ (offsets[-1] + 8 * j))
+                      for j in range(512)]
     with pytest.raises(VerifyError, match="old fill pattern") as ei:
-        check_blocks(old, [0], seed, hashes=page_hashes(seed, [0]))
-    assert ei.value.offset == 8
+        check_blocks(rows, offsets, seed)
+    assert ei.value.offset == offsets[-1] + 8
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,16 @@ class TestPlans:
             assert isinstance(out[1], PlanError)
             assert out[1].axis_value == 1 << 27
 
+    def test_refused_store_append_keeps_no_record(self, tmp_path):
+        # a store under a missing directory refuses the record: the value
+        # is one PlanError, and no record is kept for it
+        with simulated_target(flat_model(), 1 << 24, seed=1) as h:
+            store = ResultStore(str(tmp_path / "missing" / "runs.jsonl"))
+            out = run_plan(self.plan(h, values=[4]), store=store)
+        assert len(out) == 1 and isinstance(out[0], PlanError)
+        assert out[0].axis_value == 4
+        assert out[0].error.startswith("FileNotFoundError: ")
+
     def test_repeat(self):
         with simulated_target(flat_model(), 1 << 24, seed=1) as h:
             out = run_plan(self.plan(h, values=[4], repeat=3))
