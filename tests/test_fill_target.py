@@ -298,6 +298,40 @@ def test_page_hashes_name_the_first_bad_word(seed, block, pages, nrows,
     assert ei.value.offset == offsets[-1] + 8
 
 
+def test_page_hashes_refused_or_left_unused():
+    seed = 9
+    offsets = [4096 * k for k in range(FITS + 9)]
+    # the right pages read at the wrong offsets fail their page hashes, at
+    # every batch size, the scratch's and larger ones included, from the
+    # first word of the first row
+    for n in (1, FITS, FITS + 8):
+        rows = pattern_rows(seed, offsets[1:n + 1], 4096)
+        check_blocks(rows, offsets[1:n + 1], seed)
+        with pytest.raises(VerifyError) as ei:
+            check_blocks(rows, offsets[:n], seed)
+        assert ei.value.offset == 0
+    # and so do multi-page rows with the two pages of each row swapped
+    rows = pattern_rows(seed, offsets[::2], 8192)
+    check_blocks(rows, offsets[::2], seed)
+    swapped = rows.reshape(len(rows), 2, -1)[:, ::-1].reshape(rows.shape)
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(swapped.copy(), offsets[::2], seed)
+    assert ei.value.offset == 0
+    # rows that are not whole pages leave page hashes unused: they check
+    # against their pattern, and a bad word is still named
+    part = pattern_rows(seed, offsets[:4:2], 2048)
+    check_blocks(part, offsets[:4:2], seed)
+    part[1, 3] ^= 1
+    with pytest.raises(VerifyError) as ei:
+        check_blocks(part, offsets[:4:2], seed)
+    assert ei.value.offset == offsets[2] + 24
+    # the old pattern is still named from its first bad word
+    old = np.frombuffer(old_pattern(seed, 4096), dtype="<u8")[None]
+    with pytest.raises(VerifyError, match="old fill pattern") as ei:
+        check_blocks(old, [0], seed)
+    assert ei.value.offset == 8
+
+
 # ---------------------------------------------------------------------------
 # offset digest
 # ---------------------------------------------------------------------------
