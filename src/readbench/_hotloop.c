@@ -7,8 +7,9 @@
  * in us rounded to the nearest (halves up), and checks a verified read
  * against the fill pattern, hashing each page from the fill seed.  The
  * simulated loop replays readbench.engines._simulate and the scheduler of
- * readbench.devicesim in virtual time, bit for bit, on the offset streams
- * and the device draws, both splitmix64, that it computes itself.
+ * readbench.devicesim in virtual time, bit for bit, on the device draws,
+ * splitmix64, that it computes itself.  Both draw their offsets with
+ * next_offset.
  */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -70,6 +71,36 @@ static long bad_page(const uint64_t *words, uint64_t seed, int64_t off,
     return -1;
 }
 
+#define GOLDEN 0x9E3779B97F4A7C15u
+
+/* A run's offset streams: the nlist offsets at list, if any, else the
+ * nblocks blocks of block bytes of the target, at random or in sequence. */
+struct rb_streams {
+    const int64_t *list;
+    int64_t nlist, nblocks, random, block;
+};
+
+/* The next offset of a stream whose state is *state, as
+ * engines._offset_chunks draws it: the next of the list, cycled; else the
+ * block of the next splitmix64 word of its seed, mix64(seed + k * GOLDEN)
+ * for the k-th from 1, modulo nblocks; else the next block from its share
+ * of the target, wrapping at its end. */
+static int64_t next_offset(const struct rb_streams *d, uint64_t *state)
+{
+    uint64_t k = *state;
+
+    if (d->nlist) {
+        *state = k + 1 == (uint64_t)d->nlist ? 0 : k + 1;
+        return d->list[k];
+    }
+    if (d->random) {
+        *state = k += GOLDEN;
+        return (int64_t)(mix64(k) % (uint64_t)d->nblocks) * d->block;
+    }
+    *state = k + 1 == (uint64_t)d->nblocks ? 0 : k + 1;
+    return (int64_t)k * d->block;
+}
+
 /* What ended a call of rb_async_loop; and the fault that failed it, with
  * the numbers of readbench.hotloop and readbench.errors.async_error. */
 enum { RB_DONE, RB_MORE, RB_STOPPED, RB_FAILED };
@@ -108,10 +139,8 @@ struct rb_async {
     int64_t *refill;    /* the slots to submit next, nrefill of them */
     int64_t nrefill;
     int64_t left;       /* reads the budget still allows */
-    int64_t pos;        /* the index in off of the next offset */
     int64_t batch, inflight, max_inflight;
     int64_t last_done;  /* the reap stamp of the last read logged */
-    int64_t logged;     /* durations logged by this call */
     int64_t stalled;    /* a wait ran out its timeout */
     int64_t fault, fault_a, fault_b;
     /* slot i's block at rows + i * block, where a sync queue reads it;
@@ -119,7 +148,12 @@ struct rb_async {
     uint64_t *rows;
     uint64_t seed;
     int64_t pages;
-    int64_t checked;    /* offsets checked by this call */
+    /* room for nlog durations, then for nlog offsets: the logged durations
+     * of this call, then the offsets of the checked reads it checked */
+    int64_t *log;
+    int64_t nlog, logged, checked;
+    struct rb_streams streams;
+    uint64_t stream;    /* the worker's stream state (next_offset) */
 };
 
 static int fail(struct rb_async *s, int64_t fault, int64_t a, int64_t b)
@@ -271,31 +305,29 @@ static long reap(const struct rb_queue *q, struct rb_async *s, long min_nr,
     return r;
 }
 
-/* Keep the queue's slots reading off[s->pos..n): refill the slots
+/* Keep the queue's slots reading the worker's stream: refill the slots
  * harvested, at most s->left more, none once deadline has passed or *stop
  * is nonzero; wait for min(batch, in flight) completions, each wait ending
  * after timeout_ns, and the run after stall_ns without one; check every
  * completion; log the duration of each read submitted at or after
  * warm_end, from its submit stamp to the stamp after its harvest.  With
  * s->pages, each slot of a harvest is checked (bad_page) before it is
- * refilled, its offset then written to checked.
+ * refilled, its offset then kept after the durations.
  *
- * Returns RB_MORE when a refill needs offsets past off[n) (Python joins the
- * rest to the next chunk), RB_DONE once nothing is in flight, RB_STOPPED
- * when a wait came back empty with *stop set, or RB_FAILED with the fault
- * in s.  s->logged durations went to durations and s->checked offsets to
- * checked, each with room for n + depth.  A slot reaped in a harvest that
- * failed is not in flight.
+ * Returns RB_MORE at the top of the loop while the log has less room than
+ * depth durations or depth offsets (Python passes them on and calls again),
+ * RB_DONE once nothing is in flight, RB_STOPPED when a wait came back
+ * empty with *stop set, or RB_FAILED with the fault in s.  This call
+ * logged s->logged durations and kept s->checked offsets.  A slot reaped
+ * in a harvest that failed is not in flight.
  *
  * Aligned to a cache line, as bad_page is, so that where its loops fall
  * does not move with the code the compiler places before it.
  */
 __attribute__((aligned(64)))
 int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
-                  const int64_t *off, long n,
                   int64_t warm_end, int64_t deadline, const int *stop,
-                  int64_t timeout_ns, int64_t stall_ns, int64_t *durations,
-                  int64_t *checked, const uint64_t *ramp)
+                  int64_t timeout_ns, int64_t stall_ns, const uint64_t *ramp)
 {
     const long words = q->block / 8;
 
@@ -304,12 +336,13 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
         int64_t now = now_ns(), since, bad = -1, bad_res = 0, want, got;
         long i, k = s->nrefill < s->left ? s->nrefill : s->left, r;
 
+        if (s->nlog - s->logged < q->depth || s->nlog - s->checked < q->depth)
+            return RB_MORE;
         if (k && (now >= deadline || __atomic_load_n(stop, __ATOMIC_RELAXED)))
             k = 0;
-        if (s->pos + k > n)
-            return RB_MORE;
         for (i = 0; i < k; i++) {
-            int64_t slot = s->refill[i], o = off[s->pos + i];
+            int64_t slot = s->refill[i];
+            int64_t o = next_offset(&s->streams, &s->stream);
 
             *(int64_t *)(q->off + slot * q->stride) = o;
             s->slot_off[slot] = o;
@@ -324,7 +357,6 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
                 return q->kind == RB_URING && r < 0
                        ? fail(s, RB_CALL_FAILED, -r, 0)
                        : fail(s, RB_SHORT_SUBMIT, r, k);
-            s->pos += k;
             s->left -= k;
             if (s->inflight > s->max_inflight)
                 s->max_inflight = s->inflight;
@@ -358,7 +390,7 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
             int64_t start = s->slot_ns[s->refill[i]];
 
             if (start >= warm_end)
-                durations[s->logged++] = (now - start + 500) / 1000;
+                s->log[s->logged++] = (now - start + 500) / 1000;
         }
         if (s->logged > k)
             s->last_done = now;
@@ -368,7 +400,7 @@ int rb_async_loop(const struct rb_queue *q, struct rb_async *s,
             if (bad_page(s->rows + slot * words, s->seed, s->slot_off[slot],
                          s->pages, words / s->pages, ramp) >= 0)
                 return fail(s, RB_BAD_DATA, slot, 0);
-            checked[s->checked++] = s->slot_off[slot];
+            s->log[s->nlog + s->checked++] = s->slot_off[slot];
         }
     }
 }
@@ -397,7 +429,7 @@ struct rb_sim {
     double bandwidth, degraded_until, degraded_factor;
     double warmup, window_end; /* logged iff warmup <= submit < window_end */
     double clock, channel_free, last_completion;
-    int64_t hdd, jitter, uniform, parallelism, capacity, block;
+    int64_t hdd, jitter, uniform, parallelism, capacity;
     int64_t threads, depth, batch, budget, pending_bound;
     int64_t head, last_end, active, seq, outstanding;
     struct rb_req *pending; /* queued: (first + i) & mask, i < npending */
@@ -406,42 +438,14 @@ struct rb_sim {
     /* per worker: reads its budget allows, in flight, most in flight, ready
      * to harvest, and to refill at the top of the loop */
     int64_t *left, *out, *most, *ready, *owed;
-    /* per worker, its offset stream's state (next_offset): over the nlist
-     * offsets at list, if given, else over nblocks, random or in sequence */
-    uint64_t *stream;
-    const int64_t *list;
-    int64_t nlist, nblocks, random;
+    struct rb_streams streams;
+    uint64_t *stream;       /* per worker, its stream's state (next_offset) */
     uint64_t draw;          /* the draw stream's state (next_draw) */
-    int64_t *log;           /* the nlog durations this call may log */
-    int64_t nlog, logged;
-    int64_t *submitted;     /* verified: the nsubmitted offsets this call may
-                             * keep, in submit order; else NULL */
-    int64_t nsubmitted, kept;
+    int64_t *log;           /* room for nlog durations, then, if verified,
+                             * for nlog offsets, kept in submit order */
+    int64_t nlog, logged, verified, kept;
     int64_t fault;
 };
-
-#define GOLDEN 0x9E3779B97F4A7C15u
-
-/* Worker w's next offset, as engines._offset_chunks draws it: the next of
- * the list, cycled; else the block of the next splitmix64 word of its
- * seed, mix64(seed + k * GOLDEN) for the k-th from 1, modulo nblocks; else
- * the next block from its share of the device, wrapping at its end. */
-static int64_t next_offset(struct rb_sim *s, int64_t w)
-{
-    const uint64_t nblocks = (uint64_t)s->nblocks;
-    uint64_t k = s->stream[w];
-
-    if (s->list) {
-        s->stream[w] = k + 1 == (uint64_t)s->nlist ? 0 : k + 1;
-        return s->list[k];
-    }
-    if (s->random) {
-        s->stream[w] = k += GOLDEN;
-        return (int64_t)(mix64(k) % nblocks) * s->block;
-    }
-    s->stream[w] = k + 1 == nblocks ? 0 : k + 1;
-    return (int64_t)k * s->block;
-}
 
 /* The device's next draw, rng.uniform_floats(rng_seed): the k-th, from 1,
  * is mix64(rng_seed + k * GOLDEN) / 2^64.  The word is rounded to a double
@@ -493,7 +497,7 @@ static struct rb_event pop(struct rb_sim *s)
  * operation in the order Python makes it. */
 static void fill(struct rb_sim *s)
 {
-    const double length = (double)s->block;
+    const double length = (double)s->streams.block;
 
     while (s->active < s->parallelism && s->npending) {
         struct rb_req r;
@@ -518,7 +522,7 @@ static void fill(struct rb_sim *s)
             }
             total += length / (s->outer + s->rate_span
                                * ((double)r.off / (double)s->capacity)) * 1e6;
-            s->head = s->last_end = r.off + s->block;
+            s->head = s->last_end = r.off + s->streams.block;
         } else {
             r = PENDING(s, 0);
             total = s->base + length * s->per_byte;
@@ -557,7 +561,7 @@ static int sim_submit(struct rb_sim *s, int64_t off, int64_t tag)
 {
     int64_t free = s->parallelism - s->active;
 
-    if (off < 0 || off > s->capacity - s->block) {
+    if (off < 0 || off > s->capacity - s->streams.block) {
         s->fault = RB_OUTSIDE;
         return 1;
     }
@@ -608,10 +612,10 @@ static void advance(struct rb_sim *s)
  * the start, depth) from its offset stream, from its budget and only
  * before window_end; advance; then harvest each worker with batch ready,
  * or with any ready once it will submit no more.  Returns RB_DONE once
- * nothing is in flight; RB_MORE at the top of the loop while the log, or a
- * verified run's submitted, has less room than one entry for each of
- * threads * depth requests (Python passes them on and calls again);
- * RB_FAILED, the fault in s, where devicesim.submit raises. */
+ * nothing is in flight; RB_MORE at the top of the loop while the log has
+ * less room than threads * depth durations or, verified, offsets (Python
+ * passes them on and calls again); RB_FAILED, the fault in s, where
+ * devicesim.submit raises. */
 int rb_sim_loop(struct rb_sim *s)
 {
     const int64_t most = s->threads * s->depth;
@@ -620,7 +624,7 @@ int rb_sim_loop(struct rb_sim *s)
     s->logged = s->kept = 0;
     for (;;) {
         if (s->nlog - s->logged < most
-            || (s->submitted && s->nsubmitted - s->kept < most))
+            || (s->verified && s->nlog - s->kept < most))
             return RB_MORE;
         for (w = 0; w < s->threads; w++) {
             n = s->owed[w];
@@ -632,12 +636,12 @@ int rb_sim_loop(struct rb_sim *s)
                 n = 0;
             }
             for (i = 0; i < n; i++) {
-                int64_t off = next_offset(s, w);
+                int64_t off = next_offset(&s->streams, &s->stream[w]);
 
                 if (sim_submit(s, off, w))
                     return RB_FAILED;
-                if (s->submitted)
-                    s->submitted[s->kept++] = off;
+                if (s->verified)
+                    s->log[s->nlog + s->kept++] = off;
             }
             s->out[w] += n;
             s->outstanding += n;

@@ -18,16 +18,18 @@ that loop runs in C where :mod:`readbench.hotloop` builds, on the offset
 streams and device draws it computes itself, and else in Python over
 :mod:`readbench.devicesim`, with the same steps, streams and records.
 Real-file targets use actual threads and the native syscall backends, on
-one loop in C where :mod:`readbench.hotloop` builds: it refills the slots
-of each harvest with the next slice of a chunk, checks each completion's
-slot against the slots in flight, and submits, waits, checks and stamps
-without the interpreter, one call per offset chunk, on a kernel queue
-(aio, uring) or a depth-1 sync queue (sync, polled, pool).  Else a Python
-sync loop makes one :func:`read_block` per offset, and a Python async
-loop the compiled loop's refills and checks.  Every loop takes the
-per-worker int64 offset chunks, each refused whole (:func:`check_offsets`)
-before any of its reads, and counts its own request budget.  All stamp
-time in integer ns of the clock of ``time.perf_counter_ns``, round
+one loop in C where :mod:`readbench.hotloop` builds: it draws each
+refill's offsets from the worker's stream itself, as the simulated loop
+does, checks each completion's slot against the slots in flight, and
+submits, waits, checks and stamps without the interpreter, returning only
+to hand over its log, on a kernel queue (aio, uring) or a depth-1 sync
+queue (sync, polled, pool).  Else a Python sync loop makes one
+:func:`read_block` per offset, and a Python async loop the compiled loop's
+refills and checks, both on the per-worker int64 chunks of
+:func:`_offset_chunks`.  Drawn offsets are in range and aligned by
+construction; a given list is refused whole (:func:`check_offsets`),
+once, before any read.  Every loop counts its own request budget.  All
+stamp time in integer ns of the clock of ``time.perf_counter_ns``, round
 durations as :func:`read_block` does, and fold them into the worker's
 :class:`LatencyCounts` a chunk at a time.
 Verified reads, at page-aligned offsets, check against the fill pattern:
@@ -205,18 +207,24 @@ def _copied(value):
     return value
 
 
-def _streams(workload: WorkloadSpec,
-             offsets: list[int] | None = None) -> tuple[int, list[int]]:
-    """The target's blocks, and where each worker's offset stream starts:
-    at the first of ``offsets``, if given; else at the seed of its random
-    words, or at the block it reads first, the start of its share."""
+def _streams(workload: WorkloadSpec, offsets: list[int] | None = None
+             ) -> tuple[hotloop.Streams, list[int]]:
+    """The run's offset streams, as the compiled loops draw from them, and
+    where each worker's starts: at the first of ``offsets``, if given; else
+    at the seed of its random words, or at the block it reads first, the
+    start of its share."""
     nblocks = workload.target.capacity // workload.block_size
+    listed = np.array(() if offsets is None else offsets, dtype=np.int64)
+    streams = hotloop.Streams(listed.ctypes.data, len(listed), nblocks,
+                              workload.pattern == "random",
+                              workload.block_size)
+    streams.offsets = listed
     workers = range(workload.threads)
     if offsets is not None:
-        return nblocks, [0 for _ in workers]
+        return streams, [0 for _ in workers]
     if workload.pattern == "random":
-        return nblocks, [worker_seed(workload.seed, w) for w in workers]
-    return nblocks, [nblocks // workload.threads * w for w in workers]
+        return streams, [worker_seed(workload.seed, w) for w in workers]
+    return streams, [nblocks // workload.threads * w for w in workers]
 
 
 def _offset_chunks(workload: WorkloadSpec, worker: int,
@@ -229,19 +237,17 @@ def _offset_chunks(workload: WorkloadSpec, worker: int,
     ``offsets``, when given, replace them: the list tiled whole to at least
     _OFFSET_CHUNK, that chunk repeated, so the list recurs in order.
     """
-    if offsets is not None:
-        chunk = np.tile(np.array(offsets, dtype=np.int64),
-                        -(-_OFFSET_CHUNK // len(offsets)))
+    streams, starts = _streams(workload, offsets)
+    nblocks, block, first = streams.nblocks, streams.block, starts[worker]
+    if streams.nlist:
+        chunk = np.tile(streams.offsets, -(-_OFFSET_CHUNK // streams.nlist))
         while True:
             yield chunk
-    block = workload.block_size
-    nblocks, starts = _streams(workload)
-    if workload.pattern == "random":
-        for words in u64_chunks(starts[worker], _OFFSET_CHUNK):
+    elif streams.random:
+        for words in u64_chunks(first, _OFFSET_CHUNK):
             yield ((words % np.uint64(nblocks))
                    * np.uint64(block)).astype(np.int64)
     else:
-        first = starts[worker]
         steps = np.arange(_OFFSET_CHUNK, dtype=np.int64)
         while True:
             yield (first + steps) % nblocks * block
@@ -419,16 +425,13 @@ def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
     :func:`_offset_chunks` does and the device's draws as ``devicesim``
     does; after each call Python passes on its log and, if verified, the
     offsets it submitted."""
-    sim = hotloop.SimLoop(state, workload.block_size, engine.queue_size,
-                          engine.batch_size, budgets, *window,
-                          workload.pattern == "random",
-                          *_streams(workload, offsets), offsets)
-    # the durations logged and the offsets submitted
+    sim = hotloop.SimLoop(state, engine.queue_size, engine.batch_size,
+                          budgets, *window, *_streams(workload, offsets))
+    # the durations logged and, verified, the offsets submitted
+    verified = checksum is not None
     room = workload.threads * engine.queue_size + _OFFSET_CHUNK
-    log = np.empty((1 if checksum is None else 2, room), dtype=np.int64)
-    sim.log, sim.nlog = log[0].ctypes.data, room
-    if checksum is not None:
-        sim.submitted, sim.nsubmitted = log[1].ctypes.data, room
+    log = np.empty((1 + verified, room), dtype=np.int64)
+    sim.log, sim.nlog, sim.verified = log.ctypes.data, room, verified
     while True:
         status = sim_loop(sim)
         sink(log[0, :sim.logged])
@@ -583,16 +586,6 @@ class _RealWorkerResult:
         self.loop = "python"  # or "native": the compiled loop read
 
 
-def _checked(handle: TargetHandle, chunks: Iterator[np.ndarray],
-             block: int) -> Iterator[np.ndarray]:
-    """The offset chunks as contiguous int64, each refused whole
-    (:func:`check_offsets`) before any of its offsets is read."""
-    for chunk in chunks:
-        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-        check_offsets(handle, chunk, block)
-        yield chunk
-
-
 def _python_reads(handle: TargetHandle, flags: int, left: int,
                   chunks: Iterator[np.ndarray], bufs, rows: np.ndarray,
                   warm_end: float, deadline: float, stop: _Stop,
@@ -732,39 +725,39 @@ def _python_async(backend, batch: int, remaining: int,
 
 
 def _native_async(async_loop, queue: hotloop.Queue, batch: int,
-                  left: int, chunks: Iterator[np.ndarray],
+                  left: int, streams: hotloop.Streams, start: int,
                   rows: np.ndarray, warm_end: float, deadline: float,
                   stop: _Stop, result: _RealWorkerResult,
                   backend=None) -> None:
     """The loop of :func:`_python_async` in C (:mod:`readbench.hotloop`),
-    over ``queue``, a kernel queue's or a sync one: one call per offset
-    chunk, whose rest a refill that crosses its end joins to the next, as
-    in Python, so the refills are the same.  A verified run has each
-    harvest checked in C against the fill seed's pattern.  ``backend``, the
-    AIO queue the kernel queue is, gets the reads left in flight, so that
-    its close cancels them."""
+    over ``queue``, a kernel queue's or a sync one.  C draws the worker's
+    offsets from ``streams`` at ``start`` (:func:`_streams`) as
+    :func:`_offset_chunks` does, so the refills are the Python loop's; it
+    returns only to pass on a full log.  A verified run has each harvest
+    checked in C against the fill seed's pattern.  ``backend``, the AIO
+    queue the kernel queue is, gets the reads left in flight, so that its
+    close cancels them."""
     checksum = result.checksum
     pages, seed = ((0, 0) if checksum is None
                    else (queue.block // fill.PAGE, checksum.seed))
-    state = hotloop.AsyncState(queue.depth, batch, left, rows, pages, seed)
-    chunk = next(chunks)
+    state = hotloop.AsyncState(queue.depth, batch, left, rows, pages, seed,
+                               streams, start)
+    # the durations logged and the offsets checked
+    room = _OFFSET_CHUNK + queue.depth
+    log = np.empty((2, room), dtype=np.int64)
+    state.log, state.nlog = log.ctypes.data, room
     try:
         while True:
-            # the durations logged and the offsets checked
-            log = np.empty((2, len(chunk) + queue.depth), dtype=np.int64)
             # the limits are read at each call, so that patches apply
             status = async_loop(
-                queue, state, chunk.ctypes.data, len(chunk),
-                _ns(warm_end), _ns(deadline), stop.address,
+                queue, state, _ns(warm_end), _ns(deadline), stop.address,
                 round(HARVEST_TIMEOUT_S * 1e9), round(STALL_LIMIT_S * 1e9),
-                log[0].ctypes.data, log[1].ctypes.data, fill.RAMP.ctypes.data)
+                fill.RAMP.ctypes.data)
             result.sink(log[0, :state.logged])
             if state.checked:
                 checksum.keep(log[1, :state.checked])
             if status != hotloop.MORE:
                 break
-            chunk = np.concatenate((chunk[state.pos:], next(chunks)))
-            state.pos = 0
     finally:
         if queue.kind == hotloop.AIO:
             backend.inflight = state.inflight
@@ -796,10 +789,11 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     remaining = (2 ** 63 - 1 if workload.request_budget is None else
                  split_budget(workload.request_budget, workload.threads, w))
     checksum = result.checksum
-    if checksum is not None and offsets is not None and any(
-            o % fill.PAGE for o in offsets):
+    # drawn offsets are aligned and in range; a given list is refused whole
+    streams, starts = _streams(workload, offsets)
+    if checksum is not None and (streams.offsets % fill.PAGE).any():
         raise ValueError("verified reads need page-aligned offsets")
-    chunks = _checked(handle, _offset_chunks(workload, w, offsets), block)
+    check_offsets(handle, streams.offsets, block)
     lib, detail = hotloop.load()
     if lib is None:
         result.notes.append(f"native loop unavailable ({detail}), "
@@ -814,14 +808,15 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
         if lib is None:
-            _python_reads(handle, flags, remaining, chunks, bufs, rows,
+            _python_reads(handle, flags, remaining,
+                          _offset_chunks(workload, w, offsets), bufs, rows,
                           warm_end, deadline, stop, result)
         else:
             result.loop = "native"
             _native_async(lib.rb_async_loop,
                           hotloop.Queue.sync(handle.fd, block, flags), 1,
-                          remaining, chunks, rows, warm_end, deadline, stop,
-                          result)
+                          remaining, streams, starts[w], rows, warm_end,
+                          deadline, stop, result)
         return
 
     depth, batch = engine.queue_size, engine.batch_size
@@ -832,11 +827,12 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
                                                  uring_native.UringQueue):
             result.loop = "native"
             _native_async(lib.rb_async_loop, backend.loop_queue(), batch,
-                          remaining, chunks, rows, warm_end, deadline, stop,
-                          result, backend)
+                          remaining, streams, starts[w], rows, warm_end,
+                          deadline, stop, result, backend)
         else:
-            _python_async(backend, batch, remaining, chunks, rows, warm_end,
-                          deadline, stop, result)
+            _python_async(backend, batch, remaining,
+                          _offset_chunks(workload, w, offsets), rows,
+                          warm_end, deadline, stop, result)
     finally:
         backend.close()
 
@@ -962,6 +958,9 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     """Per-request latencies (us), in harvest order, of a single-worker
     request-budget run without warm-up; ``offsets``, when given, replace
     the offset stream, repeated in order."""
+    if workload.threads != 1 or workload.duration_s or workload.warmup_s:
+        raise ValueError("duration_log runs one worker to a request budget "
+                         "without warm-up")
     if offsets is not None and not len(offsets):
         raise ValueError("the offset list is empty")
     log = array("q")

@@ -41,10 +41,10 @@ _LIBS = ("-lm",)
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 
-#: what ended a call of ``rb_async_loop``: nothing in flight, a refill that
-#: needs the next offset chunk, a wait that came back empty once the run was
-#: stopped, or a fault (``AsyncState.fault``, an ``errors.async_error`` kind
-#: or BAD_DATA)
+#: what ended a call of a compiled loop: nothing in flight, a log too full
+#: for the next pass (the caller passes it on and calls again), a wait that
+#: came back empty once the run was stopped, or a fault (``AsyncState.fault``,
+#: an ``errors.async_error`` kind or BAD_DATA; ``SimLoop.fault``)
 DONE, MORE, STOPPED, FAILED = range(4)
 
 #: the fault of a block that failed the loop's page check, slot
@@ -80,30 +80,47 @@ class Queue(ctypes.Structure):
         return queue
 
 
+class Streams(ctypes.Structure):
+    """A run's offset streams, which both loops draw from with
+    ``next_offset`` (``struct rb_streams``): the ``nlist`` offsets at
+    ``list``, if any, cycled, else the ``nblocks`` blocks of ``block`` bytes
+    of the target, at random or in sequence.  The int64 array at ``list``
+    is ``offsets``, which a loop given the streams keeps as long as
+    itself."""
+
+    _fields_ = [("list", _PTR), ("nlist", _I64), ("nblocks", _I64),
+                ("random", _I64), ("block", _I64)]
+
+
 class AsyncState(ctypes.Structure):
     """One worker's ``rb_async_loop`` across its calls (``struct rb_async``):
-    every slot is to be submitted, and ``left`` reads more at most.  Slot
-    i's block is row i of ``rows``; with ``pages`` pages a block, each page
-    is checked against the fill pattern of fill seed ``seed``, whose page
-    hashes the loop computes as ``fill.page_hashes`` does."""
+    every slot is to be submitted, and ``left`` reads more at most, at the
+    offsets of ``streams`` from ``start`` (``engines._streams``).  Slot i's
+    block is row i of ``rows``; with ``pages`` pages a block, each page is
+    checked against the fill pattern of fill seed ``seed``, whose page
+    hashes the loop computes as ``fill.page_hashes`` does.  ``log`` has room
+    for ``nlog`` durations, then for ``nlog`` offsets checked."""
 
     _fields_ = [("slot_ns", _PTR), ("slot_off", _PTR), ("busy", _PTR),
                 ("refill", _PTR), ("nrefill", _I64), ("left", _I64),
-                ("pos", _I64), ("batch", _I64), ("inflight", _I64),
-                ("max_inflight", _I64), ("last_done", _I64), ("logged", _I64),
-                ("stalled", _I64), ("fault", _I64), ("fault_a", _I64),
-                ("fault_b", _I64), ("rows", _PTR), ("seed", ctypes.c_uint64),
-                ("pages", _I64), ("checked", _I64)]
+                ("batch", _I64), ("inflight", _I64), ("max_inflight", _I64),
+                ("last_done", _I64), ("stalled", _I64), ("fault", _I64),
+                ("fault_a", _I64), ("fault_b", _I64), ("rows", _PTR),
+                ("seed", ctypes.c_uint64), ("pages", _I64), ("log", _PTR),
+                ("nlog", _I64), ("logged", _I64), ("checked", _I64),
+                ("streams", Streams), ("stream", ctypes.c_uint64)]
 
     def __init__(self, depth: int, batch: int, left: int, rows: np.ndarray,
-                 pages: int, seed: int):
+                 pages: int, seed: int, streams: Streams, start: int):
         # per slot: submit stamp, offset, in flight, and the refill order
         self.slots = np.zeros((4, depth), dtype=np.int64)
         self.slots[3] = np.arange(depth)
+        self.offsets = streams.offsets
         base, row = self.slots.ctypes.data, self.slots.strides[0]
         super().__init__(*(base + i * row for i in range(4)),
                          nrefill=depth, left=left, batch=batch,
-                         rows=rows.ctypes.data, seed=seed, pages=pages)
+                         rows=rows.ctypes.data, seed=seed, pages=pages,
+                         streams=streams, stream=start)
 
 
 #: the fault of a refused simulated submit, ``SimLoop.fault``: a request
@@ -116,11 +133,11 @@ class SimLoop(ctypes.Structure):
     rb_sim``): the terms of a ``devicesim.SimState`` (``SimState.terms``),
     the device state and its draw stream, and per worker (a column of
     ``workers``) its budget left, reads in flight, most in flight, reads
-    ready and reads to refill, and its offset stream's state (``streams``).
-    Every worker owes a refill of ``depth`` at first.  ``nblocks`` and
-    ``starts`` are ``engines._streams``: a worker's stream starts at
-    ``starts[w]``, with ``offsets`` the index in that list, else the seed of
-    its random words or the block it reads first."""
+    ready and reads to refill, and the state of its stream of ``streams``
+    (``states``).  Every worker owes a refill of ``depth`` at first.  Worker
+    w's stream starts at ``starts[w]`` (``engines._streams``): with a given
+    list the index in it, else the seed of its random words or the block it
+    reads first."""
 
     #: rows of ``workers``, each a pointer of the struct
     ROWS = ("left", "out", "most", "ready", "owed")
@@ -132,29 +149,26 @@ class SimLoop(ctypes.Structure):
         "bandwidth", "degraded_until", "degraded_factor", "warmup",
         "window_end", "clock", "channel_free", "last_completion")]
         + [(name, _I64) for name in (
-            "hdd", "jitter", "uniform", "parallelism", "capacity", "block",
-            "threads", "depth", "batch", "budget", "pending_bound", "head",
-            "last_end", "active", "seq", "outstanding")]
+            "hdd", "jitter", "uniform", "parallelism", "capacity", "threads",
+            "depth", "batch", "budget", "pending_bound", "head", "last_end",
+            "active", "seq", "outstanding")]
         + [("pending", _PTR), ("mask", _I64), ("first", _I64),
            ("npending", _I64), ("heap", _PTR)]
-        + [(name, _PTR) for name in (*ROWS, "stream", "list")]
-        + [("nlist", _I64), ("nblocks", _I64), ("random", _I64),
-           ("draw", ctypes.c_uint64), ("log", _PTR), ("nlog", _I64),
-           ("logged", _I64), ("submitted", _PTR), ("nsubmitted", _I64),
-           ("kept", _I64), ("fault", _I64)])
+        + [(name, _PTR) for name in ROWS]
+        + [("streams", Streams), ("stream", _PTR), ("draw", ctypes.c_uint64),
+           ("log", _PTR), ("nlog", _I64), ("logged", _I64),
+           ("verified", _I64), ("kept", _I64), ("fault", _I64)])
 
-    def __init__(self, state, block: int, depth: int, batch: int,
-                 budgets: list, warmup: float, window_end: float,
-                 random: bool, nblocks: int, starts: list,
-                 offsets: list | None = None):
+    def __init__(self, state, depth: int, batch: int, budgets: list,
+                 warmup: float, window_end: float, streams: Streams,
+                 starts: list):
         threads = len(budgets)
         self.workers = np.zeros((len(self.ROWS), threads), dtype=np.int64)
         self.workers[self.OWED] = depth
         if budgets[0] is not None:
             self.workers[self.LEFT] = budgets
-        self.streams = np.array(starts, dtype=np.uint64)
-        self.offsets = (None if offsets is None
-                        else np.array(offsets, dtype=np.int64))
+        self.states = np.array(starts, dtype=np.uint64)
+        self.offsets = streams.offsets
         n = threads * depth
         # 24 B a queued request, a ring of 2^k >= n; 32 B one in service
         self.ring = np.zeros(3 << (n - 1).bit_length(), dtype=np.int64)
@@ -163,15 +177,12 @@ class SimLoop(ctypes.Structure):
         super().__init__(
             **{name: base + i * row for i, name in enumerate(self.ROWS)},
             **state.terms._asdict(), warmup=warmup, window_end=window_end,
-            last_completion=warmup, capacity=state.capacity, block=block,
-            threads=threads, depth=depth, batch=batch,
+            last_completion=warmup, capacity=state.capacity, threads=threads,
+            depth=depth, batch=batch,
             budget=budgets[0] is not None, pending_bound=state.pending_bound,
             pending=self.ring.ctypes.data,
             mask=(1 << (n - 1).bit_length()) - 1, heap=self.events.ctypes.data,
-            stream=self.streams.ctypes.data,
-            list=None if offsets is None else self.offsets.ctypes.data,
-            nlist=0 if offsets is None else len(offsets),
-            nblocks=nblocks, random=random,
+            streams=streams, stream=self.states.ctypes.data,
             draw=state.model.rng_seed)  # c_uint64 keeps it mod 2^64
 
 
@@ -224,8 +235,8 @@ def load():
     except (BuildError, OSError, subprocess.SubprocessError) as exc:
         return None, str(exc)
     lib.rb_async_loop.argtypes = (
-        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _PTR,
-        ctypes.c_long, _I64, _I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
+        ctypes.POINTER(Queue), ctypes.POINTER(AsyncState), _I64, _I64, _PTR,
+        _I64, _I64, _PTR)
     lib.rb_async_loop.restype = ctypes.c_int
     lib.rb_sim_loop.argtypes = (ctypes.POINTER(SimLoop),)
     lib.rb_sim_loop.restype = ctypes.c_int

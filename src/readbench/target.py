@@ -5,10 +5,10 @@ Real-file content is the offset-derived fill pattern from
 target holds only a device model: the engines replay it in virtual time
 and never read it through :func:`read_block`, which refuses a handle
 without an open file.  A polled run takes its read flags, once, from
-:func:`polled_flags`.  The engines refuse each offset chunk with
-:func:`check_offsets` before any loop reads from it, and their compiled
-loop names a failed read with :func:`read_error`, as :func:`read_block`
-does.
+:func:`polled_flags`.  The engines refuse a closed handle or a given
+offset list with :func:`check_offsets` before any loop reads, and their
+compiled loop names a failed read with :func:`read_error`, as
+:func:`read_block` does.
 """
 
 from __future__ import annotations
@@ -155,11 +155,13 @@ def read_block(handle: TargetHandle, offset: int, buffer, flags: int = 0) -> int
 def check_offsets(handle: TargetHandle, offsets: np.ndarray,
                   length: int) -> None:
     """:func:`_check_bounds` over an int64 array of offsets in one
-    vectorised test; raises the error of the first it refuses."""
+    vectorised test; raises the error of the first it refuses, or, with no
+    offsets too, of a handle without an open file."""
+    _require_file(handle)
     bad = (offsets < 0) | (offsets > handle.capacity - length)
     if handle.direct:
         bad |= (offsets | length) % ALIGNMENT != 0
-    if handle.fd is None or bad.any():
+    if bad.any():
         _check_bounds(handle, int(offsets[bad.argmax()]), length)
 
 

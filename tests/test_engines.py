@@ -216,6 +216,25 @@ class TestOffsets:
                  EngineConfig(kind="aio", queue_size=4, batch_size=4),
                  offsets=[])
 
+    @pytest.mark.parametrize("where", ["simulated", "real"])
+    @pytest.mark.parametrize("over", [
+        dict(threads=2), dict(request_budget=None, duration_s=0.5),
+        dict(warmup_s=0.1)], ids=["T2", "duration", "warm-up"])
+    def test_duration_log_contract_refused(self, real, sim, monkeypatch,
+                                           where, over):
+        # refused before any read: on a file a duration run would never
+        # end, and a second worker's reads would go unlogged
+        def refuse(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(engines, "_real_worker", refuse)
+        monkeypatch.setattr(engines, "_simulate", refuse)
+        with pytest.raises(ValueError, match="^duration_log runs one worker "
+                           "to a request budget without warm-up$"):
+            engines.duration_log(
+                workload(sim if where == "simulated" else real, **over),
+                EngineConfig(kind="pool"))
+
     def test_split_budget_sums(self):
         for total in (1, 7, 100, 101):
             for threads in (1, 3, 8):
@@ -1867,9 +1886,10 @@ class TestNativeLoop:
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
     def test_refills_span_hash_pieces(self, cached, monkeypatch, name, block,
                                       piece):
-        # offset chunks of 3 or of 16 give the compiled loops a call each,
-        # and make refills of 8 join several of them or cross their ends:
-        # both loops read what a run on chunks of 4096 reads
+        # offset chunks of 3 or of 16 make the Python loops' refills of 8
+        # join several of them or cross their ends, and the compiled loops
+        # hand over a log of 3 or 16 and a queue's depth: both loops read
+        # what a run on chunks of 4096 reads
         threads = 2 if name == "pool" else 1
         engine = (EngineConfig(kind=name) if name in ("sync", "pool")
                   else async_engine(name, 32, 8))
@@ -1951,14 +1971,82 @@ class TestNativeLoop:
         assert type(native.__cause__) is OSError
         assert native.__cause__.errno == errno.EOPNOTSUPP
 
+    @pytest.mark.parametrize("kind", ["sync", "aio", "uring"])
+    def test_closed_target_refused_before_any_arena(self, real, monkeypatch,
+                                                    kind):
+        # the compiled loop checks no drawn offset, so the one check of the
+        # offsets refuses a closed handle too, before the arena is made
+        made = []
+        monkeypatch.setattr(engines, "_arena",
+                            lambda *args: made.append(args))
+        real.close()
+        engine = (EngineConfig(kind=kind) if kind == "sync"
+                  else async_engine(kind, 4, 2))
+        native, python = on_both_loops(
+            monkeypatch, lambda: run(workload(real), engine))
+        same_error(native, python, AbortedRun)
+        assert type(native.__cause__) is IoError
+        assert str(native.__cause__).startswith("target has no open file")
+        assert made == []
+
+    @pytest.mark.parametrize("stream", ["random", "sequential", "list"])
+    @pytest.mark.parametrize("name,threads", [
+        ("sync", 1), ("pool", 1), ("pool", 2), ("aio", 1), ("aio", 2),
+        ("uring", 1), ("uring", 2)])
+    def test_compiled_file_loop_draws_its_own_streams(
+            self, cached, monkeypatch, name, threads, stream):
+        # the compiled loop draws each worker's offsets itself: with the
+        # Python draws refusing, it returns only to hand over a full log,
+        # and its run is the Python loop's, in reads, checksum and most in
+        # flight.  A sequential worker wraps the file's 4096 blocks
+        engine = (EngineConfig(kind=name) if name in ("sync", "pool")
+                  else async_engine(name, 32, 8))
+        if stream == "list":
+            listed = [(b * 7919 % 4096) * 4096 for b in range(300)]
+            worker_offsets(monkeypatch, lambda w: listed)
+        lib, where = hotloop.load()
+        seen = {}  # per worker's state: it, its calls, durations logged
+
+        def counted(queue, state, *args):
+            status = lib.rb_async_loop(queue, state, *args)
+            entry = seen.setdefault(id(state), [state, 0, 0])
+            entry[1] += 1
+            entry[2] += state.logged
+            return status
+
+        def refuse(*args):
+            raise AssertionError("offsets were drawn in numpy")
+
+        for verify in (False, True):
+            with open_target(cached, seed=7, direct=False) as h:
+                w = WorkloadSpec(target=h, threads=threads, seed=4,
+                                 pattern=("sequential" if stream == "sequential"
+                                          else "random"),
+                                 request_budget=5000 * threads, verify=verify)
+                with monkeypatch.context() as m:
+                    m.setattr(hotloop, "load", lambda: (None, "pinned"))
+                    python = run(w, engine)
+                with monkeypatch.context() as m:
+                    m.setattr(engines, "_offset_chunks", refuse)
+                    m.setattr(rng, "u64_chunks", refuse)
+                    m.setattr(hotloop, "load", lambda: (SimpleNamespace(
+                        rb_async_loop=counted), where))
+                    native = run(w, engine)
+            assert native.extra == {**python.extra, "loop": "native"}
+            assert (native.latency.count == python.latency.count
+                    == 5000 * threads)
+            assert native.data_checksum == python.data_checksum
+            assert bool(native.data_checksum) == verify
+        assert len(seen) == 2 * threads
+        for _, calls, logged in seen.values():
+            assert logged == 5000
+            assert calls <= -(-logged // engines._OFFSET_CHUNK) + 1
+
     def test_stop_word_ends_a_pool_run(self, real, monkeypatch):
         # worker 1's first read comes up short; worker 0 reads block 0 in
         # the compiled loop, which only the stop word ends before 30 s
         real.capacity += 4096
-        chunks = engines._offset_chunks
-        monkeypatch.setattr(engines, "_offset_chunks",
-                            lambda wl, w, offsets=None: chunks(
-                                wl, w, [1 << 20 if w else 0]))
+        worker_offsets(monkeypatch, lambda w: [1 << 20 if w else 0])
         w = workload(real, request_budget=None, duration_s=30.0, threads=2)
         t0 = time.monotonic()
         with pytest.raises(AbortedRun, match="^1 worker.*short read"):
@@ -2071,10 +2159,7 @@ class TestNativeLoop:
 
         monkeypatch.setattr(aio_native, "_destroy", recording)
         monkeypatch.setattr(engines, "check_offsets", lambda *args: None)
-        chunks = engines._offset_chunks
-        monkeypatch.setattr(engines, "_offset_chunks",
-                            lambda wl, w, offsets=None: chunks(
-                                wl, w, [0, -4096] if w else None))
+        worker_offsets(monkeypatch, lambda w: [0, -4096] if w else None)
         w = workload(real, request_budget=None, duration_s=30.0, threads=2)
         with pytest.raises(AbortedRun,
                            match="^1 worker.*io_submit submitted 1 of 4"):
@@ -2086,10 +2171,7 @@ class TestNativeLoop:
         # in the compiled loop, which only the stop word ends before 30 s
         _native_or_skip("uring")
         real.capacity += 4096
-        chunks = engines._offset_chunks
-        monkeypatch.setattr(engines, "_offset_chunks",
-                            lambda wl, w, offsets=None: chunks(
-                                wl, w, [1 << 20 if w else 0]))
+        worker_offsets(monkeypatch, lambda w: [1 << 20 if w else 0])
         w = workload(real, request_budget=None, duration_s=30.0, threads=2)
         t0 = time.monotonic()
         with pytest.raises(AbortedRun, match="^1 worker.*async read at "
@@ -2208,15 +2290,13 @@ class TestNativeLoop:
         # worker 0 must leave its wait at once, not after STALL_LIMIT_S, and
         # not count as a second failure
         _native_or_skip("uring")
-        chunks = engines._offset_chunks
 
-        def failing(wl, w, offsets=None):
+        def failing(w):
             if w:
                 time.sleep(0.2)
                 raise IoError("injected offset error")
-            yield from chunks(wl, w, offsets)
 
-        monkeypatch.setattr(engines, "_offset_chunks", failing)
+        worker_offsets(monkeypatch, failing)
         monkeypatch.setattr(engines, "HARVEST_TIMEOUT_S", 0.05)
         monkeypatch.setattr(engines, "STALL_LIMIT_S", 5.0)
         w = workload(real, request_budget=None, duration_s=30.0, threads=2)
@@ -2224,6 +2304,15 @@ class TestNativeLoop:
         with pytest.raises(AbortedRun, match="^1 worker.*injected offset"):
             run(w, EngineConfig(kind="uring", queue_size=4))
         assert time.monotonic() - t0 < 2.0
+
+
+def worker_offsets(monkeypatch, given):
+    """Has worker w of each real run read the offsets ``given(w)``: a list,
+    or None for its own stream; an error it raises is the worker's."""
+    worker = engines._real_worker
+    monkeypatch.setattr(engines, "_real_worker",
+                        lambda workload, engine, w, *args: worker(
+                            workload, engine, w, *args, given(w)))
 
 
 @pytest.fixture
@@ -2285,7 +2374,7 @@ def test_loop_source_compiles_without_warnings(tmp_path):
 
 #: each ctypes mirror of a struct of the compiled loops, and its C name
 MIRRORS = {hotloop.Queue: "rb_queue", hotloop.AsyncState: "rb_async",
-           hotloop.SimLoop: "rb_sim"}
+           hotloop.SimLoop: "rb_sim", hotloop.Streams: "rb_streams"}
 
 
 def test_ctypes_mirrors_match_the_structs(tmp_path):
@@ -2346,13 +2435,20 @@ with open_target(sys.argv[1], seed=3, direct=False) as real:
         assert rec.latency.count == 40 * threads, engine
         assert rec.extra["loop"] == "native", engine
     for verify in (False, True):
-        for engine in configs:
-            threads = 2 if engine.kind == "pool" else 1
-            rec = run(WorkloadSpec(target=real, threads=threads, seed=3,
-                                   request_budget=5000 * threads,
-                                   verify=verify), engine)
-            assert rec.latency.count == 5000 * threads, engine
-            assert rec.extra["loop"] == "native", engine
+        for engine in configs:  # each stream, one worker and two if it can
+            for pattern in ("random", "sequential"):
+                for threads in ((1,) if engine.kind in ("sync", "polled")
+                                else (1, 2)):
+                    rec = run(WorkloadSpec(
+                        target=real, pattern=pattern, threads=threads,
+                        seed=3, request_budget=5000 * threads,
+                        verify=verify), engine)
+                    assert rec.latency.count == 5000 * threads, engine
+                    assert rec.extra["loop"] == "native", engine
+            log = duration_log(WorkloadSpec(target=real, request_budget=5000,
+                                            verify=verify),
+                               engine, [0, 8192, 4096])
+            assert len(log) == 5000, engine
         for model in ("hdd", "ull"):
             with simulated_target(preset_model(model), 1 << 26) as sim:
                 for pattern in ("random", "sequential"):
