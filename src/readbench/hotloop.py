@@ -137,7 +137,10 @@ class SimLoop(ctypes.Structure):
     (``states``).  Every worker owes a refill of ``depth`` at first.  Worker
     w's stream starts at ``starts[w]`` (``engines._streams``): with a given
     list the index in it, else the seed of its random words or the block it
-    reads first."""
+    reads first.  The requests queued are a ring in ``ring``.  Those in
+    service, in ``service``, are a ring whose head is at ``served`` where
+    the model has a bandwidth limit, since they then complete in the order
+    they start, and a binary heap where it has none."""
 
     #: rows of ``workers``, each a pointer of the struct
     ROWS = ("left", "out", "most", "ready", "owed")
@@ -153,7 +156,7 @@ class SimLoop(ctypes.Structure):
             "depth", "batch", "budget", "pending_bound", "head", "last_end",
             "active", "seq", "outstanding")]
         + [("pending", _PTR), ("mask", _I64), ("first", _I64),
-           ("npending", _I64), ("heap", _PTR)]
+           ("npending", _I64), ("events", _PTR), ("served", _I64)]
         + [(name, _PTR) for name in ROWS]
         + [("streams", Streams), ("stream", _PTR), ("draw", ctypes.c_uint64),
            ("log", _PTR), ("nlog", _I64), ("logged", _I64),
@@ -170,9 +173,11 @@ class SimLoop(ctypes.Structure):
         self.states = np.array(starts, dtype=np.uint64)
         self.offsets = streams.offsets
         n = threads * depth
-        # 24 B a queued request, a ring of 2^k >= n; 32 B one in service
-        self.ring = np.zeros(3 << (n - 1).bit_length(), dtype=np.int64)
-        self.events = np.zeros(4 * n, dtype=np.int64)
+        # 24 B a queued request and 32 B one in service, each in a ring of
+        # 2^k >= n (a heap's first n where there is no bandwidth limit)
+        k = (n - 1).bit_length()
+        self.ring = np.zeros(3 << k, dtype=np.int64)
+        self.service = np.zeros(4 << k, dtype=np.int64)
         base, row = self.workers.ctypes.data, self.workers.strides[0]
         super().__init__(
             **{name: base + i * row for i, name in enumerate(self.ROWS)},
@@ -181,7 +186,7 @@ class SimLoop(ctypes.Structure):
             depth=depth, batch=batch,
             budget=budgets[0] is not None, pending_bound=state.pending_bound,
             pending=self.ring.ctypes.data,
-            mask=(1 << (n - 1).bit_length()) - 1, heap=self.events.ctypes.data,
+            mask=(1 << k) - 1, events=self.service.ctypes.data,
             streams=streams, stream=self.states.ctypes.data,
             draw=state.model.rng_seed)  # c_uint64 keeps it mod 2^64
 

@@ -177,6 +177,7 @@ class UringQueue:
                 sqes["buf_index"] = np.arange(depth)
             self._sqe_off = sqes["off"]
         except Exception:
+            sqes = None  # a view of a mapping, which close() would refuse
             self.close()
             raise
 

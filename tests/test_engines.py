@@ -338,9 +338,20 @@ RANDOM_SSD = DeviceModel(kind="custom", base_latency_us=40.0,
                          degraded_factor=4.0, rng_seed=17)
 
 #: every preset, the model above, and one without draws whose queued
-#: durations are whole or half µs, so that rounding halves to even shows
+#: durations are whole or half µs, so that rounding halves to even shows;
+#: then one without a bandwidth limit whose jitter, 40 times its base,
+#: reorders the requests in service, so that they complete out of the order
+#: they start; and one whose channel is so fast that a transfer rounds away,
+#: so that a request clamped to the channel ties with the one before it and
+#: only the order they start in breaks the tie
 SIM_MODELS = [*map(preset_model, ("hdd", "sata-ssd", "nvme-ssd", "ull")),
-              RANDOM_SSD, flat_model(latency_us=20.5, parallelism=2)]
+              RANDOM_SSD, flat_model(latency_us=20.5, parallelism=2),
+              flat_model(latency_us=5.0, parallelism=16,
+                         jitter_kind="uniform", jitter_scale_us=200.0,
+                         rng_seed=23),
+              flat_model(latency_us=30.0, jitter_kind="uniform",
+                         jitter_scale_us=20.0, bandwidth_limit_bps=1e300,
+                         rng_seed=29)]
 
 
 def simulated_outcome(loop, w, engine, offsets, chunk=None):
@@ -1092,6 +1103,25 @@ class TestAsyncBackends:
         del leaked
         q.close()
         assert all(m.closed for m in maps)
+
+    def test_uring_setup_failure_raised_as_itself(self, monkeypatch):
+        # a failure after the rings are mapped (here a file descriptor of
+        # None) comes out as itself, not as the BufferError of a close that
+        # a view of the mapping outlived; the ring and mappings are closed
+        _native_or_skip("uring")
+        closed, close = [], uring_native.UringQueue.close
+
+        def recording(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(uring_native.UringQueue, "close", recording)
+        with pytest.raises(TypeError) as ei:
+            uring_native.UringQueue(None, 4, buffers(4))
+        assert ei.value.__context__ is None
+        [q] = closed
+        assert q.ring_fd == -1
+        assert len(q._mmaps) == 2 and all(m.closed for m in q._mmaps)
 
     def test_uring_kernel_poll_alone_registers_no_file(self, real,
                                                         monkeypatch):
@@ -2407,7 +2437,7 @@ def test_ctypes_mirrors_match_the_structs(tmp_path):
 _SANITIZED_RUNS = """
 import sys
 from readbench import aio_native, hotloop, uring_native
-from readbench.devicesim import preset_model
+from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import EngineConfig, WorkloadSpec, duration_log, run
 from readbench.target import open_target, prepare_target, simulated_target
 
@@ -2449,8 +2479,13 @@ with open_target(sys.argv[1], seed=3, direct=False) as real:
                                             verify=verify),
                                engine, [0, 8192, 4096])
             assert len(log) == 5000, engine
-        for model in ("hdd", "ull"):
-            with simulated_target(preset_model(model), 1 << 26) as sim:
+        # the disk, a model whose requests in service are a ring (ull), and
+        # one whose jitter reorders them in the heap, 8 deep at two workers
+        for model in (preset_model("hdd"), preset_model("ull"),
+                      DeviceModel(kind="custom", base_latency_us=5.0,
+                                  parallelism=16, jitter_kind="uniform",
+                                  jitter_scale_us=200.0, rng_seed=23)):
+            with simulated_target(model, 1 << 26) as sim:
                 for pattern in ("random", "sequential"):
                     for threads in (1, 2):
                         rec = run(WorkloadSpec(
