@@ -8,11 +8,13 @@
  * against the fill pattern, hashing each page from the fill seed.  The
  * simulated loop replays readbench.engines._simulate and the scheduler of
  * readbench.devicesim in virtual time, bit for bit, on the device draws,
- * splitmix64, that it computes itself.  Both draw their offsets with
- * next_offset.
+ * splitmix64, that it computes itself, its heavy-tail jitter u^9 in x87
+ * extended precision, with pow only where that cannot be sure of pow's
+ * bits (heavy_tail).  Both draw their offsets with next_offset.
  */
 #define _GNU_SOURCE
 #include <errno.h>
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -471,6 +473,52 @@ SIM_TEXT static double next_draw(struct rb_sim *s)
            / 18446744073709551616.0;
 }
 
+/* Python's u ** power, as devicesim's heavy-tail jitter takes it, bit for
+ * bit, in about half the time of pow: with x87's 64-bit long double, at the
+ * power 9 of every preset, y = ((u^2)^2)^2 * u is rounded once to r, which
+ * is returned where r's significand is not all zero and |y - r| <= 0.45 of
+ * the gap d from r to the next double up; everywhere else (~10% of draws,
+ * u <= 0, r a power of two, y near a midpoint, another power or machine)
+ * pow is called.  Why r is then what pow returns:
+ *  - u > 0 is a draw, k / 2^64, so u >= 2^-64 and u^9 >= 2^-576 is a normal
+ *    double; no long double product under- or overflows;
+ *  - each of the four products rounds to 64 bits, so y is u^9 within a
+ *    relative 8 * 2^-64 = 2^-61, and d > 2^-53 * u^9 (u^9, as y, lies in
+ *    r's binade, r being no power of two), so y is u^9 within 2^-8 d;
+ *  - y - r is exact in long double (y and r lie within a factor of 2);
+ *  - so u^9 lies within 0.45 d + 2^-8 d < 0.454 d of r, d is the gap on
+ *    either side of r, and every other double is over 0.546 d from u^9;
+ *  - the pow of glibc (since 2.28) and of musl, the same code, errs by at
+ *    most 0.511 ULP (its exp) + |9 log u| * 1.5 * 2^-68 * 2^53 (its log),
+ *    by its source's own bound: under 0.53 ULP, as |9 log u| <= 400 here
+ *    (0.54 at its largest argument), so it must return r.
+ * Only on Linux, whose pow that is, and whose x87 rounds to 64 bits.  The
+ * loop calls it directly; rb_heavy_tail exports it for tests. */
+SIM_TEXT static double heavy_tail(double u, double power)
+{
+#if LDBL_MANT_DIG == 64 && defined(__linux__)
+    if (power == 9.0 && u > 0) {
+        long double u2 = (long double)u * u, u4 = u2 * u2, y = u4 * u4 * u;
+        union { double d; uint64_t bits; } r = {(double)y}, up;
+
+        up.bits = r.bits + 1;
+        if (r.bits << 12 && fabsl(y - r.d) <= 0.45L * (up.d - r.d))
+            return r.d;
+    }
+#endif
+    return pow(u, power);
+}
+
+/* heavy_tail(u[i], power) into out[i], i < n */
+SIM_TEXT void rb_heavy_tail(const double *u, double *out, int64_t n,
+                            double power)
+{
+    int64_t i;
+
+    for (i = 0; i < n; i++)
+        out[i] = heavy_tail(u[i], power);
+}
+
 #define PENDING(s, i) ((s)->pending[((s)->first + (i)) & (s)->mask])
 
 #define NEXT(s) ((s)->events[(s)->served & (s)->mask])
@@ -560,13 +608,13 @@ static TWICE void fill_with(struct rb_sim *s, int ring)
             r = PENDING(s, 0);
             total = s->base + length * s->per_byte;
             if (s->jitter) {
-                /* pow is about half the time of a request under a
-                 * bandwidth limit (~20 of ~39 ns, nvme-ssd, uring q64 b8,
-                 * 2-core x86-64), but no shortcut equals Python's
-                 * u ** power bit for bit */
+                /* heavy_tail, not pow for every draw: pow is about half
+                 * the time of a request under a bandwidth limit (~20 of
+                 * ~39 ns, nvme-ssd, uring q64 b8, 2-core x86-64) */
                 double u = next_draw(s);
 
-                total += s->uniform ? s->two_scale * u : s->cap * pow(u, s->power);
+                total += s->uniform ? s->two_scale * u
+                                    : s->cap * heavy_tail(u, s->power);
             }
             if (s->spike_p > 0 && next_draw(s) < s->spike_p)
                 total += s->spike_us;

@@ -60,7 +60,9 @@ from .rng import uniform_floats
 MODEL_SCHEMA_VERSION = 1
 
 #: heavy-tail jitter is cap * U^HEAVY_TAIL_POWER: mean = cap/(power+1),
-#: 99.9th percentile ~ 0.99 * cap, maximum -> cap.
+#: 99.9th percentile ~ 0.99 * cap, maximum -> cap.  The compiled simulator's
+#: fast path for U^power (``_hotloop.c``'s heavy_tail) assumes the value 9;
+#: at any other it calls pow, as ``u ** power`` does.
 HEAVY_TAIL_POWER = 9
 
 

@@ -863,10 +863,16 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig, counts):
         for t in threads:
             t.join()
 
-    for r in results:
-        if isinstance(r.error, VerifyError):
-            raise r.error
     failed = [r.error for r in results if r.error is not None]
+    # the lowest worker's VerifyError (a worker raises one at most), not the
+    # first to be raised, and how many other workers failed
+    for w, r in enumerate(results):
+        if isinstance(r.error, VerifyError):
+            if len(failed) == 1:
+                raise r.error
+            raise VerifyError(r.error.offset, f"{r.error} (worker {w}; "
+                              f"{len(failed) - 1} other worker(s) failed "
+                              "too)") from r.error
     if failed:
         if isinstance(failed[0], EngineUnsupported):
             raise failed[0]

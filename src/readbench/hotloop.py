@@ -36,7 +36,7 @@ SOURCE = Path(__file__).with_name("_hotloop.c")
 # ``base + length * per_byte`` and channel arithmetic once where Python
 # rounds twice
 _CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC", "-ffp-contract=off")
-# pow, for the simulator's heavy-tail jitter, is in libm
+# pow, the fallback of the simulator's heavy-tail jitter, is in libm
 _LIBS = ("-lm",)
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
@@ -219,7 +219,7 @@ def _compile(directory: Path, name: str) -> Path:
 @functools.cache
 def load():
     """(the library, its path), or (None, why it is unavailable).  Its
-    ``rb_async_loop`` and ``rb_sim_loop`` are declared.
+    ``rb_async_loop``, ``rb_sim_loop`` and ``rb_heavy_tail`` are declared.
     Built once per source and cache directory, loaded once per process."""
     try:
         # a CRC, not a cryptographic hash: the cache is the user's own, and
@@ -245,4 +245,7 @@ def load():
     lib.rb_async_loop.restype = ctypes.c_int
     lib.rb_sim_loop.argtypes = (ctypes.POINTER(SimLoop),)
     lib.rb_sim_loop.restype = ctypes.c_int
+    # (draws, out, n, power): out[i] = draws[i] ** power, as the loop has it
+    lib.rb_heavy_tail.argtypes = (_PTR, _PTR, _I64, ctypes.c_double)
+    lib.rb_heavy_tail.restype = None
     return lib, str(path)

@@ -8,6 +8,7 @@ import mmap
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -22,8 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from readbench import (aio_native, engines, fill, hotloop, rng, target,
-                       uring_native)
+from readbench import (aio_native, devicesim, engines, fill, hotloop, rng,
+                       target, uring_native)
 from readbench.devicesim import DeviceModel, preset_model, submit
 from readbench.engines import (EngineConfig, RunRecord, WorkloadSpec,
                                offset_stream, probe_engines, read_scattered,
@@ -419,6 +420,61 @@ def test_simulated_loops_agree(native_loop, case):
             == simulated_outcome("python", w, engine, offsets)
 
 
+def heavy_tail_bytes(lib, draws, power=devicesim.HEAVY_TAIL_POWER):
+    """The bytes of the compiled simulator's u ** power for each draw u, and
+    of Python's, each packed as little-endian doubles."""
+    u = np.array(draws, dtype=np.float64)
+    got = np.empty_like(u)
+    lib.rb_heavy_tail(u.ctypes.data, got.ctypes.data, len(u), power)
+    return (struct.pack(f"<{len(u)}d", *got.tolist()),
+            struct.pack(f"<{len(u)}d", *(x ** power for x in draws)))
+
+
+def midpoint_distance(u):
+    """How far the exact u ** 9 lies from the nearest midpoint between two
+    doubles, in units of the gap between them (a normal double's, as every
+    u ** 9 of a draw u > 0 is)."""
+    exact = u.as_integer_ratio()[0] ** 9  # over a power of two
+    shift = exact.bit_length() - 53  # its bits below a double's last
+    rest = exact & ((1 << shift) - 1)
+    return abs(2 * rest - (1 << shift)) / (2 << shift)
+
+
+def test_heavy_tail_is_pythons_pow_bit_for_bit(native_loop):
+    # the fast path's last bit is below the whole-us log's sight, so it is
+    # compared here: 10^6 draws of each heavy-tail preset's seed, where ~10%
+    # fall back to pow; the extremes; draws whose u^9 lies nearest a
+    # midpoint, where y's rounding could differ from pow's; another power
+    seeds = {preset_model(name).rng_seed for name in devicesim.preset_names()
+             if preset_model(name).jitter_kind == "heavy-tail"}
+    assert seeds
+    for seed in seeds:
+        draws = list(itertools.islice(rng.uniform_floats(seed), 10 ** 6))
+        got, want = heavy_tail_bytes(native_loop, draws)
+        assert got == want, seed
+    extremes = [0.0, 2.0 ** -64, 0.5, 1 - 2.0 ** -53, 1.0]
+    got, want = heavy_tail_bytes(native_loop, extremes)
+    assert got == want
+    near = sorted(itertools.islice(rng.uniform_floats(5), 200_000),
+                  key=midpoint_distance)[:40]
+    assert max(map(midpoint_distance, near)) < 1e-3
+    got, want = heavy_tail_bytes(native_loop, near)
+    assert got == want
+    draws = list(itertools.islice(rng.uniform_floats(1), 1000))
+    got, want = heavy_tail_bytes(native_loop, draws, 2.5)
+    assert got == want
+
+
+def test_simulator_code_after_the_file_loop(native_loop):
+    # the simulator's code sits after rb_async_loop, so that it does not
+    # move the file loop as it changes (which cost verified reads ~2%)
+    def address(name):
+        return ctypes.cast(getattr(native_loop, name), ctypes.c_void_p).value
+
+    for name in ("rb_sim_loop", "rb_heavy_tail"):
+        assert address(name) > address("rb_async_loop"), name
+
+
 def simulated_log(w, engine, offsets=None):
     """A simulated run's ordered log, and what _simulate returns."""
     log = []
@@ -756,6 +812,31 @@ class TestFaults:
                 EngineConfig(kind="aio", queue_size=8, batch_size=3))
         assert ei.value.offset == 4499 % 256 * 4096  # the 4500th block read
         assert "old fill pattern" not in str(ei.value)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_lowest_worker_verify_error_named(self, real, monkeypatch,
+                                              first):
+        # both workers fail their check, worker `first` before the other:
+        # worker 0's offset is named either way, though worker 1's is lower,
+        # and worker 1 is counted
+        raised = threading.Event()
+
+        def failing(workload, engine, w, *args):
+            if w != first:
+                assert raised.wait(10)
+            try:
+                raise VerifyError(4096 * (2 - w))
+            finally:
+                raised.set()
+
+        monkeypatch.setattr(engines, "_real_worker", failing)
+        with pytest.raises(VerifyError) as ei:
+            run(workload(real, threads=2, verify=True),
+                EngineConfig(kind="pool"))
+        assert ei.value.offset == 8192
+        assert str(ei.value) == ("data mismatch at byte offset 8192 (worker "
+                                 "0; 1 other worker(s) failed too)")
+        assert ei.value.__cause__.offset == 8192
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("slot", [4, -1])
@@ -1822,9 +1903,11 @@ class TestNativeLoop:
         # a byte of the first, a middle or the last word of each page of
         # block 2 flipped in turn (of the first two, a middle and the last
         # two pages above 128 KiB): the compiled loop checks in C, then
-        # fill.check_blocks names the word, as on the Python loop
+        # fill.check_blocks names the word, as on the Python loop; worker 1
+        # of pool starts at the second half, past block 2, so that only
+        # worker 0 meets the flip
         path = str(tmp_path / "flip.dat")
-        prepare_target(path, size=max(1 << 20, 4 * block), seed=5).close()
+        prepare_target(path, size=max(1 << 20, 8 * block), seed=5).close()
         n = block // 4096
         pages = range(n) if n <= 32 else (0, 1, n // 2, n - 2, n - 1)
         threads = 2 if name == "pool" else 1
@@ -2432,11 +2515,13 @@ def test_ctypes_mirrors_match_the_structs(tmp_path):
     assert list(map(int, printed.split())) == want
 
 
-#: runs of every compiled path, each checked for its read count and loop, in
-#: a child whose loops are built with the flags given as its arguments
+#: runs of every compiled path, each checked for its read count and loop,
+#: and the heavy-tail jitter of 5000 draws, checked against Python's, in a
+#: child whose loops are built with the flags given as its arguments
 _SANITIZED_RUNS = """
-import sys
-from readbench import aio_native, hotloop, uring_native
+import itertools, sys
+import numpy as np
+from readbench import aio_native, hotloop, rng, uring_native
 from readbench.devicesim import DeviceModel, preset_model
 from readbench.engines import EngineConfig, WorkloadSpec, duration_log, run
 from readbench.target import open_target, prepare_target, simulated_target
@@ -2446,6 +2531,11 @@ hotloop.load.cache_clear()
 lib, detail = hotloop.load()
 if lib is None:
     sys.exit(f"unbuilt: {detail}")
+draws = np.array([0.0, 2.0 ** -64, 1 - 2.0 ** -53, 1.0,
+                  *itertools.islice(rng.uniform_floats(1), 5000)])
+got = np.empty_like(draws)
+lib.rb_heavy_tail(draws.ctypes.data, got.ctypes.data, len(draws), 9.0)
+assert got.tobytes() == np.array([u ** 9 for u in draws.tolist()]).tobytes()
 configs = [EngineConfig(kind="sync"), EngineConfig(kind="polled"),
            EngineConfig(kind="pool")]
 if aio_native.probe()[0]:
