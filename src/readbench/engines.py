@@ -863,16 +863,10 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig, counts):
         for t in threads:
             t.join()
 
-    failed = [r.error for r in results if r.error is not None]
-    # the lowest worker's VerifyError (a worker raises one at most), not the
-    # first to be raised, and how many other workers failed
-    for w, r in enumerate(results):
+    for r in results:
         if isinstance(r.error, VerifyError):
-            if len(failed) == 1:
-                raise r.error
-            raise VerifyError(r.error.offset, f"{r.error} (worker {w}; "
-                              f"{len(failed) - 1} other worker(s) failed "
-                              "too)") from r.error
+            raise r.error
+    failed = [r.error for r in results if r.error is not None]
     if failed:
         if isinstance(failed[0], EngineUnsupported):
             raise failed[0]
