@@ -281,6 +281,11 @@ def _cmd_report(args) -> int:
     records, skipped = store.read()
     if skipped:
         print(f"warning: skipped {skipped} corrupt line(s)", file=sys.stderr)
+    python = sum(rec.extra.get("loop") == "python" for rec in records)
+    if python:
+        print(f"warning: {python} record(s) timed on the Python loop (no C "
+              "compiler): their latencies include the interpreter",
+              file=sys.stderr)
     if not records:
         print("no records", file=sys.stderr)
         return 1

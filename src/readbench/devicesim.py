@@ -49,6 +49,7 @@ service terms from ``SimState.terms``, derived once when the state is made.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, fields
@@ -91,6 +92,10 @@ class DeviceModel:
     rng_seed: int = 1
 
     def __post_init__(self):
+        # a NaN event time never pops, so a run on it would never end
+        for f in fields(self):
+            if f.type == "float" and not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
         if self.seek_min_us > self.seek_max_us:
             raise ValueError("seek_min_us must be <= seek_max_us")
         if self.parallelism < 1:

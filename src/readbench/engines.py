@@ -18,20 +18,21 @@ that loop runs in C where :mod:`readbench.hotloop` builds, on the offset
 streams and device draws it computes itself, and else in Python over
 :mod:`readbench.devicesim`, with the same steps, streams and records.
 Real-file targets use actual threads and the native syscall backends, on
-one loop in C where :mod:`readbench.hotloop` builds: it draws each
-refill's offsets from the worker's stream itself, as the simulated loop
-does, checks each completion's slot against the slots in flight, and
-submits, waits, checks and stamps without the interpreter, returning only
-to hand over its log, on a kernel queue (aio, uring) or a depth-1 sync
-queue (sync, polled, pool).  Else a Python sync loop makes one
-:func:`read_block` per offset, and a Python async loop the compiled loop's
-refills and checks, both on the per-worker int64 chunks of
-:func:`_offset_chunks`.  Drawn offsets are in range and aligned by
+one loop over a queue: a kernel queue (aio, uring) or a depth-1 sync
+queue (sync, polled, pool; :class:`_SyncQueue`).  The loop runs in C
+where :mod:`readbench.hotloop` builds: it draws each refill's offsets from
+the worker's stream itself, as the simulated loop does, checks each
+completion's slot against the slots in flight, and submits, waits, checks
+and stamps without the interpreter, returning only to hand over its log.
+Else :func:`_python_loop` takes the same steps in Python, over the
+queue's ``submit_reads`` and ``wait``, on the offsets of
+:func:`offset_stream`.  Drawn offsets are in range and aligned by
 construction; a given list is refused whole (:func:`check_offsets`),
-once, before any read.  Every loop counts its own request budget.  All
-stamp time in integer ns of the clock of ``time.perf_counter_ns``, round
-durations as :func:`read_block` does, and fold them into the worker's
-:class:`LatencyCounts` a chunk at a time.
+once, before any read.  Every loop counts its own request budget.  Both
+time a read from the top of the pass that submits it to the stamp after
+the harvest that reaps it, in integer ns of the clock of
+``time.perf_counter_ns``, round durations to the nearest us, halves up,
+and fold them into the worker's :class:`LatencyCounts` a chunk at a time.
 Verified reads, at page-aligned offsets, check against the fill pattern:
 in C on the compiled loop, which hashes each page from the fill seed, and
 else by :func:`fill.check_blocks`, which also names a bad block.  Scattered
@@ -498,6 +499,44 @@ class _EmulatedAsyncQueue:
             t.join()
 
 
+class _SyncQueue:
+    """The depth-1 queue of the sync family: its submit makes one
+    :func:`read_block` per slot, looked up at each call, so that patches
+    and tracers see every read, and its wait returns those reads.  A read
+    that fails raises :func:`read_block`'s error, the error the compiled
+    loop's sync queue names (:meth:`loop_queue`)."""
+
+    def __init__(self, handle: TargetHandle, flags: int, buffers):
+        self.handle, self.flags, self.buffers = handle, flags, buffers
+        self.done = []  # (slot, res) of each read not yet waited for
+
+    def submit_reads(self, slots, offsets):
+        for slot, offset in zip(slots.tolist(), offsets.tolist()):
+            buffer = self.buffers[slot]
+            read_block(self.handle, offset, buffer, self.flags)
+            self.done.append((slot, len(buffer)))
+
+    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
+        """Every read submitted since the last wait; each is done."""
+        done, self.done = self.done, []
+        return np.array(done, dtype=np.int64).reshape(-1, 2)
+
+    def loop_queue(self) -> hotloop.Queue:
+        """This queue as the compiled loop works it: its submit reads the
+        slot into row 0 of the arena with one ``preadv2(flags)``, its reap
+        takes that read's result."""
+        words = np.zeros(5, dtype=np.int64)  # offset, then (slot, -, res, -)
+        queue = hotloop.Queue(
+            kind=hotloop.SYNC, handle=self.handle.fd, depth=1,
+            block=len(self.buffers[0]), flags=self.flags,
+            off=words.ctypes.data, events=words[1:].ctypes.data)
+        queue.words = words  # kept as long as the queue
+        return queue
+
+    def close(self):
+        pass
+
+
 def _make_async_backend(engine: EngineConfig, handle: TargetHandle,
                         depth: int, buffers, notes: list[str]):
     try:
@@ -527,9 +566,9 @@ _NO_ROWS = np.empty((0, 2), dtype=np.int64)
 
 
 class _Stop:
-    """A run's stop flag, set by the first worker to fail.  The Python loops
-    test it before each read or harvest; the compiled loop reads its word,
-    at ``address``, before each refill and after an empty wait."""
+    """A run's stop flag, set by the first worker to fail.  Both loops test
+    it before each refill and after an empty wait; the compiled loop reads
+    its word, at ``address``."""
 
     __slots__ = ("word", "address")
 
@@ -586,98 +625,39 @@ class _RealWorkerResult:
         self.loop = "python"  # or "native": the compiled loop read
 
 
-def _python_reads(handle: TargetHandle, flags: int, left: int,
-                  chunks: Iterator[np.ndarray], bufs, rows: np.ndarray,
-                  warm_end: float, deadline: float, stop: _Stop,
-                  result: _RealWorkerResult) -> None:
-    """The sync-family loop in Python: at most ``left`` reads, one
-    :func:`read_block` each, timed in it after the window test.  A verified
-    run checks a row of the arena's reads at a time, and a chunk's last."""
-    durations, checksum = array("q"), result.checksum
-    # looked up once per run, so that patches and tracers in place apply
-    clock, stopped, read = time.perf_counter_ns, stop.is_set, read_block
-    nslots = len(bufs)
-    took = last = None
-
-    def check(lo: int, hi: int) -> None:  # reads lo to hi of the chunk
-        checksum.add(rows[:hi - lo], chunk[lo:hi])
-
-    while left > 0:
-        chunk = next(chunks)[:left]  # cut to the budget's last read
-        done = lo = 0  # reads of this chunk, and the first not checked
-        for offset in chunk.tolist():
-            now = clock()
-            if now >= deadline or stopped():
-                break
-            took = read(handle, offset, bufs[done % nslots], flags)
-            if now >= warm_end:
-                durations.append(took)
-                last = now  # submit time of the last logged read
-            done += 1
-            if checksum is not None and done - lo == nslots:
-                check(lo, done)
-                lo = done
-        if checksum is not None and done > lo:
-            check(lo, done)
-        result.sink(durations)  # a chunk's, at its end
-        del durations[:]
-        if done < len(chunk):
-            break
-        left -= done
-    if last is not None:  # the last read was logged
-        result.last_done = last + took * 1000
-    result.max_inflight = int(took is not None)
-
-
 def _ns(t: float) -> int:
     """A window edge as int64 ns, the infinite ones clamped."""
     return int(min(max(t, -2 ** 63), 2 ** 63 - 1))
 
 
-def _python_async(backend, batch: int, remaining: int,
-                  chunks: Iterator[np.ndarray], rows: np.ndarray,
-                  warm_end: float, deadline: float, stop: _Stop,
-                  result: _RealWorkerResult) -> None:
-    """The async loop in Python, a slot per row of the arena: refill each
-    harvest's slots, at most ``remaining`` reads in all, and check and log
-    its reads; verify them if the result has a checksum."""
+def _python_loop(backend, batch: int, left: int, offsets: Iterator[int],
+                 rows: np.ndarray, warm_end: float, deadline: float,
+                 stop: _Stop, result: _RealWorkerResult) -> None:
+    """The steps of ``rb_async_loop`` in Python, over ``backend``'s
+    ``submit_reads`` and ``wait``, a slot per row of the arena: refill each
+    harvest's slots from ``offsets``, at most ``left`` reads in all, and
+    check, log and, if the result has a checksum, verify its reads."""
     durations, checksum = array("q"), result.checksum
     clock, stopped = time.perf_counter_ns, stop.is_set
     depth, block = rows.shape[0], rows.shape[1] * fill.WORD
     per = max(1, fill.CHECK_CHUNK_BYTES // block)  # blocks per check
-    # a partial harvest's rows are gathered here for verification
-    picked = np.empty((min(depth, per), rows.shape[1]), dtype=rows.dtype)
-    submit_ns = np.zeros(depth, dtype=np.int64)  # per slot: submit time
-    slot_off = np.zeros(depth, dtype=np.int64)  # per slot: offset
-    # reap time + 500 and ns per us: 0-d, so numpy takes its fast path
-    reaped, us = np.zeros((), dtype=np.int64), np.array(1000, np.int64)
-    full = np.full(depth, block, dtype=np.int64).tobytes()  # res, all good
-    # to submit: all at first, then a harvest's, as an array and a list
-    slots, got = np.arange(depth), list(range(depth))
-    # the slots in flight, and the last harvest's until the refill
-    busy = set(got)
-    # the offsets drawn, and the next one's index
-    chunk, pos = next(chunks), 0
-    issued = inflight = warming = 0  # warming: in flight from warm-up
+    # per slot: submit stamp, offset, in flight; the slots to submit next
+    slot_ns, slot_off, busy = [0] * depth, [0] * depth, [False] * depth
+    refill = list(range(depth))
+    inflight = 0
     while True:
         now = clock()
-        n = min(len(got), remaining - issued)
+        n = min(len(refill), left)
         if n and (now >= deadline or stopped()):
             n = 0
-        if n < len(got):  # slots not refilled now never will be
-            busy.difference_update(got[n:])
         if n:
-            slots = slots[:n]
-            while pos + n > len(chunk):  # this chunk's rest, then the next
-                chunk, pos = np.concatenate((chunk[pos:], next(chunks))), 0
-            offsets = chunk[pos:pos + n]
-            pos += n
-            submit_ns[slots] = now
-            if now < warm_end:
-                warming += n
-            slot_off[slots] = offsets
-            backend.submit_reads(slots, offsets)
-            issued += n
+            slots = refill[:n]
+            fresh = list(itertools.islice(offsets, n))
+            for slot, offset in zip(slots, fresh):
+                slot_ns[slot], slot_off[slot], busy[slot] = now, offset, True
+            backend.submit_reads(np.array(slots, dtype=np.int64),
+                                 np.array(fresh, dtype=np.int64))
+            left -= n
             inflight += n
             result.max_inflight = max(result.max_inflight, inflight)
         if not inflight:
@@ -686,57 +666,46 @@ def _python_async(backend, batch: int, remaining: int,
         if done is None:  # another worker failed
             break
         now = clock()
-        inflight -= len(done)
-        # a contiguous copy: numpy indexes by it several times faster
-        slots, res = done[:, 0].copy(), done[:, 1]
-        got = slots.tolist()
-        harvested = set(got)
-        # a slot out of range is never in flight
-        if len(harvested) < len(got) or not harvested <= busy:
-            stray = next(s for i, s in enumerate(got)
-                         if s not in busy or s in got[:i])
-            raise async_error(UNKNOWN_SLOT, stray, depth)
-        if res.tobytes() != full[:res.nbytes]:
-            i = np.flatnonzero(res != block)[0]
-            raise async_error(BAD_RESULT, slot_off[slots[i]], res[i])
-        started = submit_ns[slots]
-        if warming:  # log only the reads submitted from warm_end on
-            late = started >= warm_end
-            warming -= len(late) - np.count_nonzero(late)
-            started = started[late]
-        # to the nearest us, halves up, as target.read_block rounds
-        reaped[()] = now + 500
-        durations.frombytes(((reaped - started) // us).tobytes())
-        if len(started):
+        refill, bad = [], None  # the slots not refilled at once never are
+        for slot, res in done.tolist():
+            if not 0 <= slot < depth or not busy[slot]:
+                raise async_error(UNKNOWN_SLOT, slot, depth)
+            busy[slot] = False
+            refill.append(slot)
+            if res != block and bad is None:
+                bad = (slot_off[slot], res)
+        inflight -= len(refill)
+        if bad is not None:
+            raise async_error(BAD_RESULT, *bad)
+        logged = len(durations)
+        for slot in refill:  # to the nearest us, halves up
+            if slot_ns[slot] >= warm_end:
+                durations.append((now - slot_ns[slot] + 500) // 1000)
+        if len(durations) > logged:
             result.last_done = now
         if len(durations) >= _OFFSET_CHUNK:
             result.sink(durations)
             del durations[:]
-        if checksum is not None:
-            # before the refill; a harvest of every slot where it lies
-            whole = len(got) == depth
-            for i in range(0, len(slots), per):
-                group = slice(i, i + per) if whole else slots[i:i + per]
-                checksum.add(rows[group] if whole else
-                             np.take(rows, group, axis=0, mode="clip",
-                                     out=picked[:len(group)]),
-                             slot_off[group])
+        if checksum is not None:  # before the refill
+            for i in range(0, len(refill), per):
+                group = refill[i:i + per]
+                checksum.add(rows[group], [slot_off[s] for s in group])
     result.sink(durations)
 
 
-def _native_async(async_loop, queue: hotloop.Queue, batch: int,
-                  left: int, streams: hotloop.Streams, start: int,
-                  rows: np.ndarray, warm_end: float, deadline: float,
-                  stop: _Stop, result: _RealWorkerResult,
-                  backend=None) -> None:
-    """The loop of :func:`_python_async` in C (:mod:`readbench.hotloop`),
-    over ``queue``, a kernel queue's or a sync one.  C draws the worker's
-    offsets from ``streams`` at ``start`` (:func:`_streams`) as
-    :func:`_offset_chunks` does, so the refills are the Python loop's; it
-    returns only to pass on a full log.  A verified run has each harvest
-    checked in C against the fill seed's pattern.  ``backend``, the AIO
-    queue the kernel queue is, gets the reads left in flight, so that its
+def _native_async(async_loop, backend, batch: int, left: int,
+                  streams: hotloop.Streams, start: int, rows: np.ndarray,
+                  warm_end: float, deadline: float, stop: _Stop,
+                  result: _RealWorkerResult) -> None:
+    """The loop of :func:`_python_loop` in C (:mod:`readbench.hotloop`),
+    over the ``loop_queue`` of ``backend``, a kernel queue or a
+    :class:`_SyncQueue`.  C draws the worker's offsets from ``streams`` at
+    ``start`` (:func:`_streams`) as :func:`offset_stream` does, so the
+    refills are the Python loop's; it returns only to pass on a full log.
+    A verified run has each harvest checked in C against the fill seed's
+    pattern.  An AIO ``backend`` gets the reads left in flight, so that its
     close cancels them."""
+    queue = backend.loop_queue()
     checksum = result.checksum
     pages, seed = ((0, 0) if checksum is None
                    else (queue.block // fill.PAGE, checksum.seed))
@@ -788,51 +757,35 @@ def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
     # reads the budget allows, all there can be without one
     remaining = (2 ** 63 - 1 if workload.request_budget is None else
                  split_budget(workload.request_budget, workload.threads, w))
-    checksum = result.checksum
     # drawn offsets are aligned and in range; a given list is refused whole
     streams, starts = _streams(workload, offsets)
-    if checksum is not None and (streams.offsets % fill.PAGE).any():
+    if result.checksum is not None and (streams.offsets % fill.PAGE).any():
         raise ValueError("verified reads need page-aligned offsets")
     check_offsets(handle, streams.offsets, block)
     lib, detail = hotloop.load()
     if lib is None:
         result.notes.append(f"native loop unavailable ({detail}), "
                             "reads timed on the Python loop")
-
-    if engine.kind not in ASYNC_KINDS:
-        # rows for a batch of verified reads on the Python loop
-        per = (1 if checksum is None or lib is not None
-               else max(1, fill.CHECK_CHUNK_BYTES // block))
-        bufs, rows = _arena(per, block)
+    bufs, rows = _arena(engine.queue_size, block)
+    if engine.kind in ASYNC_KINDS:
+        backend = _make_async_backend(engine, handle, engine.queue_size,
+                                      bufs, result.notes)
+    else:
         flags = polled_flags(handle, bufs[0]) if engine.kind == "polled" else 0
         if engine.kind == "polled" and not flags:
             result.notes.append("polled reads unsupported, fell back to plain reads")
-        if lib is None:
-            _python_reads(handle, flags, remaining,
-                          _offset_chunks(workload, w, offsets), bufs, rows,
-                          warm_end, deadline, stop, result)
-        else:
+        backend = _SyncQueue(handle, flags, bufs)
+    try:
+        if lib is not None and type(backend) in (
+                _SyncQueue, aio_native.AioQueue, uring_native.UringQueue):
             result.loop = "native"
-            _native_async(lib.rb_async_loop,
-                          hotloop.Queue.sync(handle.fd, block, flags), 1,
+            _native_async(lib.rb_async_loop, backend, engine.batch_size,
                           remaining, streams, starts[w], rows, warm_end,
                           deadline, stop, result)
-        return
-
-    depth, batch = engine.queue_size, engine.batch_size
-    bufs, rows = _arena(depth, block)
-    backend = _make_async_backend(engine, handle, depth, bufs, result.notes)
-    try:
-        if lib is not None and type(backend) in (aio_native.AioQueue,
-                                                 uring_native.UringQueue):
-            result.loop = "native"
-            _native_async(lib.rb_async_loop, backend.loop_queue(), batch,
-                          remaining, streams, starts[w], rows, warm_end,
-                          deadline, stop, result, backend)
         else:
-            _python_async(backend, batch, remaining,
-                          _offset_chunks(workload, w, offsets), rows,
-                          warm_end, deadline, stop, result)
+            _python_loop(backend, engine.batch_size, remaining,
+                         offset_stream(workload, w, offsets), rows, warm_end,
+                         deadline, stop, result)
     finally:
         backend.close()
 

@@ -1,10 +1,11 @@
 """The compiled loops: ``rb_async_loop``, that of every engine on a real
 file, over a kernel queue (aio, uring) or a depth-1 sync queue (sync,
-polled, pool; :meth:`Queue.sync`); ``rb_sim_loop``, that of every engine on
-a simulated device, which replays ``engines._simulate`` and the scheduler
-of :mod:`readbench.devicesim` bit for bit, on the service terms that a
-``devicesim.SimState`` derives (:class:`SimLoop`).  Each ``ctypes``
-structure here mirrors a struct of ``_hotloop.c`` field for field.
+polled, pool), each described by a :class:`Queue`; ``rb_sim_loop``, that
+of every engine on a simulated device, which replays ``engines._simulate``
+and the scheduler of :mod:`readbench.devicesim` bit for bit, on the
+service terms that a ``devicesim.SimState`` derives (:class:`SimLoop`).
+Each ``ctypes`` structure here mirrors a struct of ``_hotloop.c`` field
+for field.
 
 :func:`load` builds ``_hotloop.c`` with the system ``cc`` at first use, never
 at import, into ``$XDG_CACHE_HOME/readbench/<key>.so`` (default
@@ -12,8 +13,9 @@ at import, into ``$XDG_CACHE_HOME/readbench/<key>.so`` (default
 source: under a temporary name there, then renamed into place, so a process
 never loads a library another one is still writing.  Where that directory
 is not writable, it builds into a temporary directory of this process.
-Without a compiler the engines run on the Python loops; a real-file record
-says so.
+Without a compiler the engines run on the Python loops, one for real files
+(``engines._python_loop``, the steps of ``rb_async_loop``) and one for
+simulated devices; a real-file record says so.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ AIO, URING, SYNC = range(3)
 
 
 class Queue(ctypes.Structure):
-    """A queue as ``rb_async_loop`` works it (``struct rb_queue``): a kernel
-    queue's ``loop_queue``, which it must outlive, slot i's offset at ``off
-    + i * stride`` in its request block; or a sync queue (:meth:`sync`)."""
+    """A queue as ``rb_async_loop`` works it (``struct rb_queue``), made by
+    the ``loop_queue`` of the queue it describes, which it must outlive: a
+    kernel queue, slot i's offset at ``off + i * stride`` in its request
+    block, or a depth-1 sync queue (``engines._SyncQueue``)."""
 
     _fields_ = [("kind", _I64), ("handle", _I64), ("depth", _I64),
                 ("block", _I64), ("kernel_poll", _I64), ("flags", _I64),
@@ -67,17 +70,6 @@ class Queue(ctypes.Structure):
                 ("sq_flags", _PTR), ("sq_array", _PTR), ("cq_head", _PTR),
                 ("cq_tail", _PTR), ("cq_overflow", _PTR), ("cqes", _PTR),
                 ("sq_mask", _I64), ("cq_mask", _I64)]
-
-    @classmethod
-    def sync(cls, fd: int, block: int, flags: int) -> "Queue":
-        """A depth-1 queue on the file at fd: its submit reads the slot into
-        row 0 of the arena with one ``preadv2(flags)``, its reap takes that
-        read's result."""
-        words = np.zeros(5, dtype=np.int64)  # offset, then (slot, -, res, -)
-        queue = cls(kind=SYNC, handle=fd, depth=1, block=block, flags=flags,
-                    off=words.ctypes.data, events=words[1:].ctypes.data)
-        queue.words = words  # kept as long as the queue
-        return queue
 
 
 class Streams(ctypes.Structure):

@@ -109,12 +109,13 @@ class ResultStore:
             f.write(json.dumps(d, sort_keys=True) + "\n")
 
     def read(self) -> tuple[list[RunRecord], int]:
-        """All valid records plus the count of skipped lines: corrupt JSON,
-        missing or mistyped fields, or values that fail validation."""
+        """All valid records plus the count of skipped lines: not UTF-8,
+        corrupt or too deeply nested JSON, missing or mistyped fields, or
+        values that fail validation."""
         records: list[RunRecord] = []
         skipped = 0
         try:
-            f = open(self.path)
+            f = open(self.path, "rb")  # each line decoded in the try
         except FileNotFoundError:
             return [], 0
         with f:
@@ -123,10 +124,11 @@ class ResultStore:
                 if not line:
                     continue
                 try:
-                    d = json.loads(line)
+                    d = json.loads(line.decode())
                     d.pop("schema_version", None)
                     records.append(RunRecord.from_dict(d))
-                except (ValueError, KeyError, TypeError, AttributeError):
+                except (ValueError, KeyError, TypeError, AttributeError,
+                        RecursionError):
                     skipped += 1
         return records, skipped
 

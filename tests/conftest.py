@@ -21,8 +21,10 @@ def loop_cache(tmp_path_factory):
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    """Pin every engine to its Python loop, for tests that stub its hooks
-    (read_block, the clocks, os.preadv, a queue's wait or syscalls)."""
+    """Pin every engine to its Python loop, for tests that stub its hooks:
+    on a file, one loop over every queue, whose stubs are read_block or
+    os.preadv under the sync queue, a kernel queue's wait or syscalls, and
+    the clocks; on a simulated device, the loop over devicesim."""
     monkeypatch.setattr(hotloop, "load", lambda: (None, "pinned by a test"))
 
 

@@ -113,6 +113,26 @@ class TestSweepReport:
         assert open(svg + ".csv").readline().startswith("label,")
         assert open(table).readline().startswith("block_size,")
 
+    def test_report_warns_of_python_loop_records(self, tmp_path, capsys,
+                                                 python_loop):
+        # a simulated record has no loop; a real one pinned to the Python
+        # loop was timed on the interpreter, and the report says so
+        out = str(tmp_path / "runs.jsonl")
+        assert run_cli("run", "--model", "nvme", "--capacity", str(1 << 24),
+                       "--requests", "50", "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--in", out) == 0
+        assert "Python loop" not in capsys.readouterr().err
+        path = str(tmp_path / "t.dat")
+        run_cli("prepare", "--path", path, "--size", str(1 << 20))
+        assert run_cli("run", "--path", path, "--buffered", "--requests",
+                       "50", "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--in", out) == 0
+        assert ("warning: 1 record(s) timed on the Python loop (no C "
+                "compiler): their latencies include the interpreter\n"
+                ) in capsys.readouterr().err
+
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "p.plan"
         plan.write_text("name=tiny\naxis=block_size\nvalues=4096,8192\n")

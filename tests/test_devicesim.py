@@ -249,6 +249,21 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             flat_model(jitter_kind="gaussian")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(DeviceModel) if f.type == "float"])
+    def test_float_field_must_be_finite_and_not_negative(self, tmp_path,
+                                                         name, value):
+        # a NaN term made both simulated loops spin forever, as no event
+        # time equals NaN; inf overflowed, and a negative term failed only
+        # once the run had started
+        p = tmp_path / "dev.model"
+        p.write_text(f"kind = custom\nbase_latency_us = 5\nparallelism = 4\n"
+                     f"{name} = {value}\n")
+        with pytest.raises(ValueError) as ei:
+            load_model(str(p))
+        assert str(ei.value) == f"{str(p)!r}: {name} must be finite and >= 0"
+
 
 class TestAdvanceToReady:
     def test_stops_after_the_event_that_fills_a_tag(self):

@@ -1545,14 +1545,25 @@ class TestRealWindow:
     def test_durations_round_to_nearest_us(self, real, monkeypatch,
                                            python_loop):
         # a 1700 ns sync read and a 2**-19 s (1.907 us, exact in binary)
-        # harvest each log 2 us, not a truncated 1; the sync reads are
-        # timed on the Python loop, whose clocks are stubbed
-        ns = itertools.cycle((0, 1700))
-        monkeypatch.setattr(target, "time",
-                            SimpleNamespace(perf_counter_ns=lambda: next(ns)))
-        log = engines.duration_log(workload(real, request_budget=3),
-                                   EngineConfig())
-        assert list(log) == [2, 2, 2]
+        # harvest each log 2 us, not a truncated 1.  A sync read is timed on
+        # the loop's clock, from its pass's stamp to its reap's, not by
+        # read_block, whose clock stands still: a 1500 ns read logs 2 us,
+        # not 0
+        for step in (1700, 1500):
+            with monkeypatch.context() as m:
+                clock = NsClock((step,), 0)
+                m.setattr(engines, "time", clock)
+                m.setattr(target, "time",
+                          SimpleNamespace(perf_counter_ns=lambda: 0))
+
+                def preadv(fd, buffers, offset, flags=0):
+                    clock.tick()
+                    return len(buffers[0])
+
+                m.setattr(target, "os", SimpleNamespace(preadv=preadv))
+                log = engines.duration_log(workload(real, request_budget=3),
+                                           EngineConfig())
+            assert list(log) == [2, 2, 2], step
         clock = FakeClock((2.0 ** -19,), self.START)
         monkeypatch.setattr(engines, "time", clock)
         backend = ClockedBackend(clock, False)
@@ -1972,10 +1983,10 @@ class TestNativeLoop:
     @pytest.mark.parametrize("name", ["sync", "pool", "aio", "uring"])
     def test_refills_span_hash_pieces(self, cached, monkeypatch, name, block,
                                       piece):
-        # offset chunks of 3 or of 16 make the Python loops' refills of 8
-        # join several of them or cross their ends, and the compiled loops
-        # hand over a log of 3 or 16 and a queue's depth: both loops read
-        # what a run on chunks of 4096 reads
+        # offset chunks of 3 or of 16 make the Python loop's refills of 8
+        # take their offsets from several of them or across their ends, and
+        # the compiled loops hand over a log of 3 or 16 and a queue's depth:
+        # both loops read what a run on chunks of 4096 reads
         threads = 2 if name == "pool" else 1
         engine = (EngineConfig(kind=name) if name in ("sync", "pool")
                   else async_engine(name, 32, 8))

@@ -202,19 +202,24 @@ class TestResultStore:
         assert skipped == 1
         assert len(back) == 2
 
-    @pytest.mark.parametrize("engine", [{"kind": "nvme"}, {"queue_size": 0},
-                                        None])
+    @pytest.mark.parametrize("engine", [
+        {"kind": "nvme"}, {"queue_size": 0}, None,
+        pytest.param(b"[" * 100_000, id="deep"),
+        pytest.param(b"\xff\xfe not utf-8", id="not-utf-8")])
     def test_invalid_lines_skipped(self, tmp_path, engine):
+        # a raw line is written as it is: one nested past the parser's
+        # recursion limit, or one that does not decode
         path = tmp_path / "runs.jsonl"
         store = ResultStore(str(path))
         store.append(make_record())
         bad = make_record().as_dict()
         if engine is None:
             bad = 5  # valid JSON, but not an object
-        else:
+        elif isinstance(engine, dict):
             bad["engine"].update(engine)
-        with open(path, "a") as f:
-            f.write(json.dumps(bad) + "\n")
+        with open(path, "ab") as f:
+            f.write((engine if isinstance(engine, bytes)
+                     else json.dumps(bad).encode()) + b"\n")
         store.append(make_record(label="PT2", kind="pool"))
         back, skipped = store.read()
         assert skipped == 1
