@@ -7,7 +7,8 @@ the interface works (synchronously inside the kernel) on buffered ones too.
 
 iocb i reads slot i's buffer; io_submit copies the iocbs, so a submit
 writes just offsets, through a numpy view, or in the compiled loop
-(:meth:`AioQueue.loop_queue`).
+(:meth:`AioQueue.loop_queue`).  Slots and offsets go in, and (slot, res)
+pairs come out, as lists of ints.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class AioQueue:
         self._ts = _Timespec()  # a timed wait's argument, made once
         self._ts_arg = ctypes.byref(self._ts)
 
-    def submit_reads(self, slots: np.ndarray, offsets: np.ndarray) -> None:
+    def submit_reads(self, slots: list[int], offsets: list[int]) -> None:
         """Submit one read per slot, at the matching offset, in one
         syscall; IoError if the kernel takes fewer than all of them."""
         n = len(slots)
@@ -110,9 +111,9 @@ class AioQueue:
             raise async_error(SHORT_SUBMIT, ret if ret >= 0
                               else -ctypes.get_errno(), n, "io_submit")
 
-    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
+    def wait(self, min_nr: int, timeout_s: float) -> list[list[int]]:
         """Block for at least min_nr completions, fewer if timeout_s runs
-        out first; returns a (k, 2) int64 array of (slot, res) rows."""
+        out first; returns their (slot, res) pairs."""
         self._ts.tv_sec, self._ts.tv_nsec = int(timeout_s), int(timeout_s % 1 * 1e9)
         while True:
             ret = _libc.syscall(_SYS_io_getevents, self._ctx, min_nr,
@@ -123,7 +124,7 @@ class AioQueue:
             if err != errno.EINTR:
                 raise async_error(CALL_FAILED, err, call="io_getevents")
         self.inflight -= ret
-        return self._events[:ret, ::2].copy()  # data and res
+        return self._events[:ret, ::2].tolist()  # data and res
 
     def loop_queue(self) -> hotloop.Queue:
         """This queue as the compiled async loop works it.  That loop

@@ -230,6 +230,41 @@ Terms = namedtuple("Terms", (
     "bandwidth degraded_until degraded_factor"))
 
 
+#: the longest service one read may take, in us: 2^53 ns keeps every sum of
+#: virtual times exact in a double and in an int64 of ns
+MAX_SERVICE_US = 2 ** 53 / 1e3
+
+
+def check_service(terms: Terms, length: int) -> None:
+    """Refuse, naming the field, a model that could keep a read of length
+    bytes in service beyond MAX_SERVICE_US, so that a run on it would never
+    end: its base plus transfer plus the largest jitter and spike it can
+    draw, or a disk's longest seek, rotation and transfer, times
+    degraded_factor, plus the channel transfer."""
+    if terms.hdd:
+        slower = "outer_rate_bps" if terms.rate_span > 0 else "inner_rate_bps"
+        rate = min(terms.outer, terms.outer + terms.rate_span)  # may round to 0
+        parts = {"seek_max_us": terms.seek_min + terms.seek_span,
+                 "rotation_period_us": terms.rotation,
+                 slower: length / rate * 1e6 if rate > 0 else math.inf}
+    else:
+        jitter = terms.two_scale if terms.uniform else terms.cap
+        parts = {"base_latency_us": terms.base,
+                 "per_byte_us": length * terms.per_byte,
+                 "jitter_scale_us": jitter if terms.jitter else 0,
+                 "spike_duration_us": terms.spike_us if terms.spike_p else 0}
+    if terms.degraded_until > 0 and terms.degraded_factor > 1:
+        parts["degraded_factor"] = (sum(parts.values())
+                                    * (terms.degraded_factor - 1))
+    if terms.bandwidth > 0:
+        parts["bandwidth_limit_bps"] = length / terms.bandwidth * 1e6
+    longest = sum(parts.values())
+    if not longest <= MAX_SERVICE_US:
+        name = max(parts, key=parts.get)
+        raise ValueError(f"{name} lets one {length}-byte read take "
+                         f"{longest:.3g} us, more than 2^53 ns")
+
+
 @dataclass
 class SimState:
     """Mutable device state; confine one instance to one scheduler context.

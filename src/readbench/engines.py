@@ -41,10 +41,10 @@ reads and whole-target scans keep theirs in order, by :func:`duration_log`.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import os
-import queue as queue_mod
 import threading
 import time
 from array import array
@@ -55,10 +55,10 @@ from typing import Iterator
 import numpy as np
 
 from . import aio_native, fill, hotloop, uring_native
-from .devicesim import SimState, advance, submit
-from .errors import (BAD_RESULT, CALL_FAILED, STALLED, UNKNOWN_SLOT,
-                     AbortedRun, Backpressure, EngineUnsupported, VerifyError,
-                     async_error)
+from .devicesim import SimState, advance, check_service, submit
+from .errors import (BAD_DATA, BAD_RESULT, CALL_FAILED, OUTSIDE, STALLED,
+                     UNKNOWN_SLOT, AbortedRun, Backpressure, EngineUnsupported,
+                     VerifyError, async_error)
 from .measurement import (CpuUsage, LatencyCounts, LatencyStats,
                           aggregate_latencies, compute_throughput,
                           from_fields, measure_cpu, snapshot_cpu)
@@ -228,38 +228,25 @@ def _streams(workload: WorkloadSpec, offsets: list[int] | None = None
     return streams, [nblocks // workload.threads * w for w in workers]
 
 
-def _offset_chunks(workload: WorkloadSpec, worker: int,
-                   offsets: list[int] | None = None) -> Iterator[np.ndarray]:
-    """Per-worker block-aligned offsets, as int64 arrays of _OFFSET_CHUNK.
+def offset_stream(workload: WorkloadSpec, worker: int,
+                  offsets: list[int] | None = None) -> Iterator[int]:
+    """Per-worker block-aligned offsets, one int at a time.
 
     Random offsets are ``(SplitMix64(worker_seed).next_u64() % nblocks) *
-    block_size``, the k-th word being ``mix64(seed + k * GOLDEN)``;
-    sequential ones start at the worker's share of the target and wrap.
-    ``offsets``, when given, replace them: the list tiled whole to at least
-    _OFFSET_CHUNK, that chunk repeated, so the list recurs in order.
+    block_size``, the k-th word being ``mix64(seed + k * GOLDEN)``, drawn
+    _OFFSET_CHUNK at a time; sequential ones start at the worker's share of
+    the target and wrap.  ``offsets``, when given, replace them, cycled in
+    order.
     """
     streams, starts = _streams(workload, offsets)
     nblocks, block, first = streams.nblocks, streams.block, starts[worker]
     if streams.nlist:
-        chunk = np.tile(streams.offsets, -(-_OFFSET_CHUNK // streams.nlist))
-        while True:
-            yield chunk
-    elif streams.random:
-        for words in u64_chunks(first, _OFFSET_CHUNK):
-            yield ((words % np.uint64(nblocks))
-                   * np.uint64(block)).astype(np.int64)
-    else:
-        steps = np.arange(_OFFSET_CHUNK, dtype=np.int64)
-        while True:
-            yield (first + steps) % nblocks * block
-            first = (first + _OFFSET_CHUNK) % nblocks
-
-
-def offset_stream(workload: WorkloadSpec, worker: int,
-                  offsets: list[int] | None = None) -> Iterator[int]:
-    """The offsets of :func:`_offset_chunks`, one int at a time."""
+        return itertools.cycle(streams.offsets.tolist())
+    if not streams.random:
+        return (b % nblocks * block for b in itertools.count(first))
     return itertools.chain.from_iterable(
-        chunk.tolist() for chunk in _offset_chunks(workload, worker, offsets))
+        ((words % np.uint64(nblocks)) * np.uint64(block)).tolist()
+        for words in u64_chunks(first, _OFFSET_CHUNK))
 
 
 def split_budget(total: int, threads: int, worker: int) -> int:
@@ -325,6 +312,7 @@ def _simulate(workload: WorkloadSpec, engine: EngineConfig, sink,
     Python; both give the same log in the same order."""
     state = SimState(workload.target.model, workload.target.capacity,
                      polled=engine.kind == "polled")
+    check_service(state.terms, workload.block_size)
     budget_mode = workload.request_budget is not None
     # a request is logged iff warmup_us <= its submit time < window_end
     warmup_us = workload.warmup_s * 1e6
@@ -423,7 +411,7 @@ def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
                 checksum: _Checksum | None) -> tuple[float, int]:
     """The loop of :func:`_python_sim` in C (:mod:`readbench.hotloop`), on
     the model of ``state``.  C draws each worker's offsets as
-    :func:`_offset_chunks` does and the device's draws as ``devicesim``
+    :func:`offset_stream` does and the device's draws as ``devicesim``
     does; after each call Python passes on its log and, if verified, the
     offsets it submitted."""
     sim = hotloop.SimLoop(state, engine.queue_size, engine.batch_size,
@@ -441,7 +429,7 @@ def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
         if status != hotloop.MORE:
             break
     if status == hotloop.FAILED:
-        if sim.fault == hotloop.OUTSIDE:
+        if sim.fault == OUTSIDE:
             raise ValueError("request outside device capacity")
         raise Backpressure(f"more than {state.pending_bound} requests queued")
     return sim.last_completion, int(sim.workers[sim.MOST].max())
@@ -453,50 +441,37 @@ def _native_sim(sim_loop, workload: WorkloadSpec, engine: EngineConfig,
 
 class _EmulatedAsyncQueue:
     """Thread-pool stand-in for a kernel async queue, used as an explicit
-    fallback when the native interface is unavailable."""
+    fallback when the native interface is unavailable: a pool of ``depth``
+    threads that makes each read a task, and the tasks not yet waited
+    for."""
 
     def __init__(self, handle: TargetHandle, depth: int, buffers):
-        self.handle = handle
-        self.buffers = buffers
-        self._work: queue_mod.Queue = queue_mod.Queue()
-        self._done: queue_mod.Queue = queue_mod.Queue()
-        self._threads = [threading.Thread(target=self._serve, daemon=True)
-                         for _ in range(depth)]
-        for t in self._threads:
-            t.start()
+        # imported here, not at module import, which it would slow by ~7 ms
+        from concurrent import futures
+        self.handle, self.buffers, self.futures = handle, buffers, futures
+        self.pool = futures.ThreadPoolExecutor(depth)
+        self.pending = set()
 
-    def _serve(self):
-        while True:
-            item = self._work.get()
-            if item is None:
-                return
-            slot, offset = item
-            try:
-                n = os.preadv(self.handle.fd, [self.buffers[slot]], offset)
-                self._done.put((slot, n))
-            except OSError as exc:
-                self._done.put((slot, -exc.errno))
+    def _read(self, slot: int, offset: int) -> tuple[int, int]:
+        try:
+            return slot, os.preadv(self.handle.fd, [self.buffers[slot]],
+                                   offset)
+        except OSError as exc:
+            return slot, -exc.errno
 
     def submit_reads(self, slots, offsets):
-        for item in zip(slots.tolist(), offsets.tolist()):
-            self._work.put(item)
+        for slot, offset in zip(slots, offsets):
+            self.pending.add(self.pool.submit(self._read, slot, offset))
 
-    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
-        """The first completion within timeout_s, then every one already
-        done; the caller waits again while it has fewer than min_nr."""
-        out = []
-        try:
-            out.append(self._done.get(timeout=timeout_s))
-            while True:
-                out.append(self._done.get_nowait())
-        except queue_mod.Empty:
-            return np.array(out, dtype=np.int64).reshape(-1, 2)
+    def wait(self, min_nr: int, timeout_s: float) -> list[tuple[int, int]]:
+        """Every read done by the first to end within timeout_s; the caller
+        waits again while it has fewer than min_nr."""
+        done, self.pending = self.futures.wait(
+            self.pending, timeout_s, self.futures.FIRST_COMPLETED)
+        return [f.result() for f in done]
 
     def close(self):
-        for _ in self._threads:
-            self._work.put(None)
-        for t in self._threads:
-            t.join()
+        self.pool.shutdown()
 
 
 class _SyncQueue:
@@ -511,15 +486,15 @@ class _SyncQueue:
         self.done = []  # (slot, res) of each read not yet waited for
 
     def submit_reads(self, slots, offsets):
-        for slot, offset in zip(slots.tolist(), offsets.tolist()):
+        for slot, offset in zip(slots, offsets):
             buffer = self.buffers[slot]
             read_block(self.handle, offset, buffer, self.flags)
             self.done.append((slot, len(buffer)))
 
-    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
+    def wait(self, min_nr: int, timeout_s: float) -> list[tuple[int, int]]:
         """Every read submitted since the last wait; each is done."""
         done, self.done = self.done, []
-        return np.array(done, dtype=np.int64).reshape(-1, 2)
+        return done
 
     def loop_queue(self) -> hotloop.Queue:
         """This queue as the compiled loop works it: its submit reads the
@@ -562,45 +537,24 @@ def _arena(n: int, block: int) -> tuple[list[memoryview], np.ndarray]:
     return slots, np.frombuffer(mem, dtype="<u8").reshape(n, block // fill.WORD)
 
 
-_NO_ROWS = np.empty((0, 2), dtype=np.int64)
-
-
-class _Stop:
-    """A run's stop flag, set by the first worker to fail.  Both loops test
-    it before each refill and after an empty wait; the compiled loop reads
-    its word, at ``address``."""
-
-    __slots__ = ("word", "address")
-
-    def __init__(self):
-        self.word = array("i", [0])
-        self.address = self.word.buffer_info()[0]
-
-    def set(self) -> None:
-        self.word[0] = 1
-
-    def is_set(self) -> bool:
-        return self.word[0] != 0
-
-
 #: the note of a run in which a harvest's wait ran out its timeout
 _STALLED = "harvest stalled beyond timeout"
 
 
 def _harvest(backend, min_nr: int, notes: list[str],
-             stop: _Stop) -> np.ndarray | None:
-    """Wait for at least min_nr completions, as (slot, res) rows; None once
+             stop: ctypes.c_int) -> list | None:
+    """Wait for at least min_nr completions, as (slot, res) pairs; None once
     stop is set and a wait came back empty; IoError once none arrived for
     STALL_LIMIT_S."""
-    done = _NO_ROWS
+    done = []
     start = time.perf_counter_ns()
     while len(done) < min_nr:
-        rows = backend.wait(min_nr - len(done), HARVEST_TIMEOUT_S)
-        if len(rows):
-            done = np.concatenate((done, rows)) if len(done) else rows
+        pairs = backend.wait(min_nr - len(done), HARVEST_TIMEOUT_S)
+        if pairs:
+            done += pairs
             start = time.perf_counter_ns()
             continue
-        if stop.is_set():
+        if stop.value:
             return None
         if _STALLED not in notes:
             notes.append(_STALLED)
@@ -632,13 +586,13 @@ def _ns(t: float) -> int:
 
 def _python_loop(backend, batch: int, left: int, offsets: Iterator[int],
                  rows: np.ndarray, warm_end: float, deadline: float,
-                 stop: _Stop, result: _RealWorkerResult) -> None:
+                 stop: ctypes.c_int, result: _RealWorkerResult) -> None:
     """The steps of ``rb_async_loop`` in Python, over ``backend``'s
     ``submit_reads`` and ``wait``, a slot per row of the arena: refill each
     harvest's slots from ``offsets``, at most ``left`` reads in all, and
     check, log and, if the result has a checksum, verify its reads."""
     durations, checksum = array("q"), result.checksum
-    clock, stopped = time.perf_counter_ns, stop.is_set
+    clock = time.perf_counter_ns
     depth, block = rows.shape[0], rows.shape[1] * fill.WORD
     per = max(1, fill.CHECK_CHUNK_BYTES // block)  # blocks per check
     # per slot: submit stamp, offset, in flight; the slots to submit next
@@ -648,15 +602,14 @@ def _python_loop(backend, batch: int, left: int, offsets: Iterator[int],
     while True:
         now = clock()
         n = min(len(refill), left)
-        if n and (now >= deadline or stopped()):
+        if n and (now >= deadline or stop.value):
             n = 0
         if n:
             slots = refill[:n]
             fresh = list(itertools.islice(offsets, n))
             for slot, offset in zip(slots, fresh):
                 slot_ns[slot], slot_off[slot], busy[slot] = now, offset, True
-            backend.submit_reads(np.array(slots, dtype=np.int64),
-                                 np.array(fresh, dtype=np.int64))
+            backend.submit_reads(slots, fresh)
             left -= n
             inflight += n
             result.max_inflight = max(result.max_inflight, inflight)
@@ -667,7 +620,7 @@ def _python_loop(backend, batch: int, left: int, offsets: Iterator[int],
             break
         now = clock()
         refill, bad = [], None  # the slots not refilled at once never are
-        for slot, res in done.tolist():
+        for slot, res in done:
             if not 0 <= slot < depth or not busy[slot]:
                 raise async_error(UNKNOWN_SLOT, slot, depth)
             busy[slot] = False
@@ -695,7 +648,7 @@ def _python_loop(backend, batch: int, left: int, offsets: Iterator[int],
 
 def _native_async(async_loop, backend, batch: int, left: int,
                   streams: hotloop.Streams, start: int, rows: np.ndarray,
-                  warm_end: float, deadline: float, stop: _Stop,
+                  warm_end: float, deadline: float, stop: ctypes.c_int,
                   result: _RealWorkerResult) -> None:
     """The loop of :func:`_python_loop` in C (:mod:`readbench.hotloop`),
     over the ``loop_queue`` of ``backend``, a kernel queue or a
@@ -719,7 +672,8 @@ def _native_async(async_loop, backend, batch: int, left: int,
         while True:
             # the limits are read at each call, so that patches apply
             status = async_loop(
-                queue, state, _ns(warm_end), _ns(deadline), stop.address,
+                queue, state, _ns(warm_end), _ns(deadline),
+                ctypes.addressof(stop),
                 round(HARVEST_TIMEOUT_S * 1e9), round(STALL_LIMIT_S * 1e9),
                 fill.RAMP.ctypes.data)
             result.sink(log[0, :state.logged])
@@ -734,7 +688,7 @@ def _native_async(async_loop, backend, batch: int, left: int,
     if state.stalled and _STALLED not in result.notes:
         result.notes.append(_STALLED)
     if status == hotloop.FAILED:
-        if state.fault == hotloop.BAD_DATA:
+        if state.fault == BAD_DATA:
             slot = state.fault_a
             checksum.raise_refused(rows[slot], int(state.slots[1, slot]))
         if state.fault == BAD_RESULT and queue.kind == hotloop.SYNC:
@@ -746,7 +700,7 @@ def _native_async(async_loop, backend, batch: int, left: int,
 
 
 def _real_worker(workload: WorkloadSpec, engine: EngineConfig, w: int,
-                 warm_end: float, deadline: float, stop: _Stop,
+                 warm_end: float, deadline: float, stop: ctypes.c_int,
                  result: _RealWorkerResult,
                  offsets: list[int] | None = None) -> None:
     """Log each read submitted at or after warm_end, and submit none at or
@@ -796,7 +750,9 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig, counts):
     deadline = (math.inf if workload.duration_s is None
                 else warm_end + round(workload.duration_s * 1e9))
     results = [_RealWorkerResult(workload) for _ in range(workload.threads)]
-    stop = _Stop()
+    # set by the first worker to fail; both loops test it before each refill
+    # and after an empty wait, the compiled one at its address
+    stop = ctypes.c_int(0)
 
     def runner(w: int) -> None:
         try:
@@ -804,15 +760,22 @@ def _run_real(workload: WorkloadSpec, engine: EngineConfig, counts):
                          results[w])
         except BaseException as exc:  # collected and re-raised by the parent
             results[w].error = exc
-            stop.set()
+            stop.value = 1
 
     if workload.threads == 1:
         runner(0)
     else:
-        threads = [threading.Thread(target=runner, args=(w,))
-                   for w in range(workload.threads)]
-        for t in threads:
-            t.start()
+        threads = []
+        for w in range(workload.threads):
+            threads.append(threading.Thread(target=runner, args=(w,)))
+            try:
+                threads[-1].start()
+            except Exception as exc:  # the started workers stop first
+                stop.value = 1
+                for t in threads[:-1]:
+                    t.join()
+                raise AbortedRun(f"worker {w} of {workload.threads} did not "
+                                 f"start: {exc!r}") from exc
         for t in threads:
             t.join()
 
@@ -924,8 +887,9 @@ def duration_log(workload: WorkloadSpec, engine: EngineConfig,
     if workload.target.is_simulated:
         _simulate(workload, engine, keep, offsets)
     else:
-        _real_worker(workload, engine, 0, -math.inf, math.inf, _Stop(),
-                     _RealWorkerResult(workload, keep), offsets)
+        _real_worker(workload, engine, 0, -math.inf, math.inf,
+                     ctypes.c_int(), _RealWorkerResult(workload, keep),
+                     offsets)
     return log
 
 

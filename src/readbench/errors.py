@@ -36,10 +36,13 @@ class IoError(ReadBenchError):
     """A read returned fewer bytes than requested or failed outright."""
 
 
-#: the faults that end an async read loop, numbered as ``_hotloop.c``
-#: reports them
-UNKNOWN_SLOT, BAD_RESULT, RING_OVERFLOW, STALLED, SHORT_SUBMIT, CALL_FAILED = \
-    range(1, 7)
+#: every fault ``_hotloop.c`` reports, numbered as it reports them: those
+#: that end an async read loop (:func:`async_error`, and BAD_DATA, a block
+#: that failed the loop's page check, which ``fill.check_blocks`` names),
+#: and those of a refused simulated submit, a request outside the device
+#: (OUTSIDE) or more queued than ``SimState.pending_bound`` (BACKPRESSURE)
+(UNKNOWN_SLOT, BAD_RESULT, RING_OVERFLOW, STALLED, SHORT_SUBMIT, CALL_FAILED,
+ BAD_DATA, OUTSIDE, BACKPRESSURE) = range(1, 10)
 
 
 def async_error(fault: int, a: int, b: int = 0,

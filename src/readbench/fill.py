@@ -3,8 +3,9 @@
 The 64-bit word at byte offset ``o`` (a multiple of 8) is ``mix64(seed XOR
 (o & ~4095)) + ((o & 4095) >> 3) * GOLDEN`` mod 2^64, little-endian: the
 hash of its 4 KiB page (:func:`page_hashes`) plus a ramp, recomputable from
-(seed, offset) alone.  Whole pages at page-aligned offsets check in three
-numpy passes against their hashes, and other blocks word by word; the
+(seed, offset) alone.  A batch of whole pages at page-aligned offsets
+checks in three numpy passes against their hashes (:func:`check_blocks`),
+and one block of any shape against its pattern (:func:`check_block`); the
 compiled loop of :mod:`readbench.hotloop` computes the same page hashes
 and makes the same page check in C.  A file of earlier versions
 (``mix64(seed XOR o)`` in every word) fails the check with a VerifyError
@@ -36,7 +37,6 @@ _PAGE_WORDS = PAGE // WORD
 #: check_blocks works on at most this many bytes per numpy pass (a longer
 #: row in pieces), which bounds its scratch whatever the batch or block size
 CHECK_CHUNK_BYTES = 1 << 17
-_CHUNK_WORDS = CHECK_CHUNK_BYTES // WORD
 
 #: uint64 lanes of a digest; its hex form is LANES * 16 characters
 LANES = 4
@@ -96,55 +96,43 @@ def _mismatch(value: int, offset: int, seed: int) -> VerifyError:
 
 def check_blocks(rows, offsets, seed: int,
                  scratch: np.ndarray | None = None) -> None:
-    """Verify a batch of blocks, at most CHECK_CHUNK_BYTES per numpy pass.
+    """Verify a batch of whole-page blocks at page-aligned offsets, page by
+    page against their :func:`page_hashes`, at most CHECK_CHUNK_BYTES per
+    numpy pass.
 
     ``rows`` is an (n, words) uint64 array holding n blocks of equal length,
     ``offsets`` the n target byte offsets they were read from, ``scratch``
-    one from :func:`new_scratch` (a fresh one when omitted).  Whole-page
-    rows at page-aligned offsets check page by page against their
-    :func:`page_hashes`; any other batch against its pattern.  Raises
+    one from :func:`new_scratch` (a fresh one when omitted).  Raises
     VerifyError naming the first bad word's byte offset, in row order, and
-    whether it holds the old pattern.
+    whether it holds the old pattern; ValueError for a batch of any other
+    shape, which :func:`check_block` checks a block at a time.
     """
-    if scratch is None:
-        scratch = new_scratch()
     words = rows.shape[1]
     offs = np.asarray(offsets, dtype=np.uint64)
-    if not (words % _PAGE_WORDS or int(np.bitwise_or.reduce(offs)) % PAGE):
-        hashes = page_hashes(offs, words * WORD, seed)  # one per page
-        per = words // _PAGE_WORDS
-        if per != 1:  # one page per row
-            rows = rows.reshape(-1, _PAGE_WORDS)
-        n, step = len(rows), len(scratch)
-        for lo in range(0, n, step):  # a batch that fits is not sliced
-            part, want = ((rows, hashes) if n <= step else
-                          (rows[lo:lo + step], hashes[lo:lo + step]))
-            x = scratch[:len(part)]
-            # less the ramp, each word of a page is the page's hash
-            np.subtract(part, RAMP, out=x)
-            if (x.max(axis=1).tobytes() == want.tobytes()
-                    == x.min(axis=1).tobytes()):
-                continue
-            bad = int(np.flatnonzero(x != want.reshape(-1, 1))[0])
-            page, word = divmod(bad, _PAGE_WORDS)
-            row, k = divmod(lo + page, per)
-            raise _mismatch(int(part[page, word]),
-                            int(offsets[row]) + k * PAGE + word * WORD, seed)
-        return
-    # rows that fit the scratch a batch at a time, a longer row in pieces
-    step, width = max(1, _CHUNK_WORDS // words), min(words, _CHUNK_WORDS)
-    for r in range(0, len(rows), step):
-        for lo in range(0, words, width):
-            part = rows[r:r + step, lo:lo + width]
-            x = scratch.reshape(-1)[:part.size].reshape(part.shape)
-            pattern_rows(seed, (offs[r:r + step] + _U(lo * WORD)).tolist(),
-                         part[0].nbytes, out=x)
-            x ^= part
-            if not x.max():  # faster than any() on uint64
-                continue
-            row, word = divmod(int(np.flatnonzero(x)[0]), part.shape[1])
-            raise _mismatch(int(part[row, word]),
-                            int(offs[r + row]) + (lo + word) * WORD, seed)
+    if words % _PAGE_WORDS or int(np.bitwise_or.reduce(offs)) % PAGE:
+        raise ValueError("check_blocks takes whole pages at page-aligned "
+                         "offsets")
+    if scratch is None:
+        scratch = new_scratch()
+    hashes = page_hashes(offs, words * WORD, seed)  # one per page
+    per = words // _PAGE_WORDS
+    if per != 1:  # one page per row
+        rows = rows.reshape(-1, _PAGE_WORDS)
+    n, step = len(rows), len(scratch)
+    for lo in range(0, n, step):  # a batch that fits is not sliced
+        part, want = ((rows, hashes) if n <= step else
+                      (rows[lo:lo + step], hashes[lo:lo + step]))
+        x = scratch[:len(part)]
+        # less the ramp, each word of a page is the page's hash
+        np.subtract(part, RAMP, out=x)
+        if (x.max(axis=1).tobytes() == want.tobytes()
+                == x.min(axis=1).tobytes()):
+            continue
+        bad = int(np.flatnonzero(x != want.reshape(-1, 1))[0])
+        page, word = divmod(bad, _PAGE_WORDS)
+        row, k = divmod(lo + page, per)
+        raise _mismatch(int(part[page, word]),
+                        int(offsets[row]) + k * PAGE + word * WORD, seed)
 
 
 @functools.lru_cache(maxsize=64)
@@ -177,7 +165,10 @@ def hexdigest(lanes: np.ndarray) -> str:
 
 
 def check_block(buffer, offset: int, seed: int) -> None:
-    """Raise VerifyError naming the first bad offset on any mismatch."""
-    if offset % WORD:
-        raise ValueError("offset must be a multiple of 8")
-    check_blocks(np.frombuffer(buffer, dtype="<u8")[None, :], (offset,), seed)
+    """Compare one block, whole words at a word-aligned offset, with its
+    pattern; raise VerifyError naming the first bad word's byte offset."""
+    got = np.frombuffer(buffer, dtype="<u8")
+    bad = np.flatnonzero(got != pattern_rows(seed, (offset,), got.nbytes)[0])
+    if len(bad):
+        word = int(bad[0])
+        raise _mismatch(int(got[word]), offset + word * WORD, seed)

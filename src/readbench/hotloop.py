@@ -45,13 +45,9 @@ _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 
 #: what ended a call of a compiled loop: nothing in flight, a log too full
 #: for the next pass (the caller passes it on and calls again), a wait that
-#: came back empty once the run was stopped, or a fault (``AsyncState.fault``,
-#: an ``errors.async_error`` kind or BAD_DATA; ``SimLoop.fault``)
+#: came back empty once the run was stopped, or a fault (``AsyncState.fault``
+#: or ``SimLoop.fault``, numbered in :mod:`readbench.errors`)
 DONE, MORE, STOPPED, FAILED = range(4)
-
-#: the fault of a block that failed the loop's page check, slot
-#: ``AsyncState.fault_a``: ``fill.check_blocks`` names what is wrong with it
-BAD_DATA = 7
 
 #: what a queue is, ``Queue.kind``
 AIO, URING, SYNC = range(3)
@@ -113,11 +109,6 @@ class AsyncState(ctypes.Structure):
                          nrefill=depth, left=left, batch=batch,
                          rows=rows.ctypes.data, seed=seed, pages=pages,
                          streams=streams, stream=start)
-
-
-#: the fault of a refused simulated submit, ``SimLoop.fault``: a request
-#: outside the device, or more queued than ``SimState.pending_bound``
-OUTSIDE, BACKPRESSURE = 8, 9
 
 
 class SimLoop(ctypes.Structure):

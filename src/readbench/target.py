@@ -140,10 +140,7 @@ def read_block(handle: TargetHandle, offset: int, buffer, flags: int = 0) -> int
     ``flags`` to preadv2; returns observed latency in us, rounded to the
     nearest (halves up)."""
     length = len(buffer)
-    # _check_bounds in one expression; it runs only to raise its error
-    if (handle.fd is None or not 0 <= offset <= handle.capacity - length
-            or handle.direct and (offset | length) % ALIGNMENT):
-        _check_bounds(handle, offset, length)
+    _check_bounds(handle, offset, length)
     t0 = time.perf_counter_ns()
     n = os.preadv(handle.fd, [buffer], offset, flags)
     t1 = time.perf_counter_ns()
@@ -201,7 +198,9 @@ def verify_file(handle: TargetHandle, block: int = 1 << 20) -> None:
         if got != n:
             raise IoError(f"short read at {offset}: {got} of {n} bytes")
         whole = n - n % fill.WORD
-        if whole:
+        if whole % fill.PAGE or offset % fill.PAGE:
+            fill.check_block(view[:whole], offset, handle.fill_seed)
+        elif whole:
             fill.check_blocks(np.frombuffer(view[:whole], dtype="<u8")[None],
                               (offset,), handle.fill_seed, scratch)
         if whole < n:  # the last 1-7 bytes, part of one word

@@ -6,7 +6,8 @@ registered buffers, and the kernel-side submission poll thread.
 
 SQE i reads slot i's buffer; the kernel reads an SQE only while submitting
 it, so a submit writes just offsets and SQ indices, through numpy views, or
-in the compiled loop (:meth:`UringQueue.loop_queue`).
+in the compiled loop (:meth:`UringQueue.loop_queue`).  Slots and offsets go
+in, and (slot, res) pairs come out, as lists of ints.
 
 Ring memory is touched with plain stores; x86 total-store-order plus the
 acquire/release semantics of io_uring_enter make this safe for the
@@ -220,7 +221,7 @@ class UringQueue:
         sqes[...] = 0
         return sqes
 
-    def submit_reads(self, slots: np.ndarray, offsets: np.ndarray) -> None:
+    def submit_reads(self, slots: list[int], offsets: list[int]) -> None:
         """Post one read per slot, at the matching offset, and kick the
         kernel; IoError if it takes fewer than all of them."""
         n = len(slots)
@@ -263,22 +264,22 @@ class UringQueue:
             if err != errno.EINTR:
                 raise async_error(CALL_FAILED, err, call="io_uring_enter")
 
-    def _reap(self) -> np.ndarray:
-        """Every CQE posted so far, as (slot, res) rows."""
+    def _reap(self) -> list[list[int]]:
+        """Every CQE posted so far, as (slot, res) pairs."""
         head = self._cq_head.value
         n = (self._cq_tail.value - head) & _U32
         i = head & self._cq_mask
         k = min(n, len(self._cq_rows) - i)
-        out = self._cq_rows[i:i + k].astype(np.int64)
+        out = self._cq_rows[i:i + k].tolist()
         if k < n:  # the ring's end splits the entries
-            out = np.concatenate((out, self._cq_rows[:n - k]))
+            out += self._cq_rows[:n - k].tolist()
         self._cq_head.value = (head + n) & _U32
         return out
 
-    def wait(self, min_nr: int, timeout_s: float) -> np.ndarray:
+    def wait(self, min_nr: int, timeout_s: float) -> list[list[int]]:
         """Every completion posted, waiting once for min_nr of them; fewer
-        if timeout_s runs out first.  Returns a (k, 2) int64 array of
-        (slot, res) rows; IoError once the kernel has dropped one."""
+        if timeout_s runs out first.  Returns their (slot, res) pairs;
+        IoError once the kernel has dropped one."""
         if (self._cq_tail.value - self._cq_head.value) & _U32 < min_nr:
             # min_complete counts every CQE not yet reaped, these included
             self._enter(0, min_nr, _ENTER_GETEVENTS, timeout_s)

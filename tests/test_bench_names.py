@@ -30,6 +30,15 @@ def tracer(tracing):
     return tracing.Tracer()
 
 
+def test_traced_names_resolve(tracing):
+    # a missing name would show only as an AttributeError inside
+    # Tracer.__enter__, in every tracer test at once
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in tracing.FOLDED + tracing.SPANNED
+               if getattr(owner, attr, None) is None]
+    assert not missing, f"bench/tracing.py names what is gone: {missing}"
+
+
 def traced_simulated_run(tracer):
     """An aio q8 b2 run of 1000 simulated reads under the tracer."""
     with simulated_target(preset_model("nvme"), 1 << 26, seed=1) as h:

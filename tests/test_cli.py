@@ -87,6 +87,17 @@ class TestRun:
     def test_unknown_model_exit_code(self):
         assert run_cli("run", "--model", "tape", "--requests", "10") == 2
 
+    def test_endless_model_refused(self, tmp_path, capsys):
+        # a 4 KiB transfer at 1e-320 B/s never ends: refused before a read
+        path = tmp_path / "dev.model"
+        path.write_text("kind = custom\nbase_latency_us = 5\n"
+                        "per_byte_us = 0.001\nparallelism = 4\n"
+                        "bandwidth_limit_bps = 1e-320\n")
+        assert run_cli("run", "--model", str(path), "--capacity",
+                       str(1 << 26), "--requests", "100") == 1
+        assert "bandwidth_limit_bps lets one 4096-byte read take inf us" \
+            in capsys.readouterr().err
+
     def test_bad_engine_params(self):
         rc = run_cli("run", "--model", "nvme", "--engine", "sync",
                      "--queue", "8", "--requests", "10")

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from readbench.devicesim import (DeviceModel, SimState, advance, load_model,
-                                 preset_model, preset_names, save_model,
-                                 submit)
+from readbench.devicesim import (DeviceModel, SimState, advance,
+                                 check_service, load_model, preset_model,
+                                 preset_names, save_model, submit)
 from readbench.errors import Backpressure, NoSuchPreset
 from readbench.rng import SplitMix64
 
@@ -263,6 +263,43 @@ class TestModelValidation:
         with pytest.raises(ValueError) as ei:
             load_model(str(p))
         assert str(ei.value) == f"{str(p)!r}: {name} must be finite and >= 0"
+
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_serve_every_block(self, name):
+        for polled in (False, True):
+            terms = SimState(preset_model(name), 1 << 30, polled).terms
+            check_service(terms, 64 << 20)
+
+    @pytest.mark.parametrize("field,over", [
+        ("inner_rate_bps", dict(inner_rate_bps=1e-300)),
+        ("outer_rate_bps", dict(outer_rate_bps=1e-300)),
+        ("seek_max_us", dict(seek_max_us=1e13)),
+        ("rotation_period_us", dict(rotation_period_us=1e13)),
+        ("degraded_factor", dict(degraded_until_us=1.0, degraded_factor=1e9)),
+        ("bandwidth_limit_bps", dict(bandwidth_limit_bps=1e-6))])
+    def test_endless_disk_names_its_field(self, field, over):
+        # the longest read of a disk: its slower rate, the longest seek
+        # and a whole rotation, degraded, then through the channel
+        model = dataclasses.replace(preset_model("hdd"), **over)
+        with pytest.raises(ValueError, match=f"^{field} lets one 4096-byte"):
+            check_service(SimState(model, 1 << 30).terms, 4096)
+
+    @pytest.mark.parametrize("field,over", [
+        ("jitter_scale_us", dict(jitter_kind="heavy-tail",
+                                 jitter_scale_us=1e12)),
+        ("jitter_scale_us", dict(jitter_kind="uniform", jitter_scale_us=5e12)),
+        ("spike_duration_us", dict(spike_probability=1e-9,
+                                   spike_duration_us=1e13)),
+        ("degraded_factor", dict(degraded_until_us=1.0, degraded_factor=1e12))])
+    def test_endless_solid_state_names_its_field(self, field, over):
+        model = flat_model(latency_us=10.0, **over)
+        with pytest.raises(ValueError, match=f"^{field} lets one 4096-byte"):
+            check_service(SimState(model, 1 << 30).terms, 4096)
+        # the same terms that no read can reach pass
+        calm = dataclasses.replace(model, spike_probability=0.0,
+                                   jitter_kind="none", degraded_until_us=0.0)
+        check_service(SimState(calm, 1 << 30).terms, 4096)
 
 
 class TestAdvanceToReady:

@@ -515,7 +515,7 @@ def test_compiled_simulator_draws_its_own_streams(native_loop, monkeypatch,
                 calls.append(sim)
                 return native_loop.rb_sim_loop(sim)
 
-        monkeypatch.setattr(engines, "_offset_chunks", drawn)
+        monkeypatch.setattr(engines, "offset_stream", drawn)
         monkeypatch.setattr(rng, "u64_chunks", drawn)
         monkeypatch.setattr(hotloop, "load", lambda: (Counted(), "counted"))
         got = simulated_log(w, engine, offsets)
@@ -595,6 +595,40 @@ def test_queue_beyond_pending_bound_refused(sim, request, loop):
         run(w, EngineConfig(kind="aio", queue_size=4096, batch_size=64))
 
 
+#: models on which one 4 KiB read would outlast 2^53 ns, by the field that
+#: makes it so: the first is infinite, the others finite
+ENDLESS = {"bandwidth_limit_bps": dict(bandwidth_limit_bps=1e-320),
+           "base_latency_us": dict(base_latency_us=1e300),
+           "per_byte_us": dict(per_byte_us=1e300)}
+
+
+@pytest.mark.parametrize("loop", ["python", "native"])
+@pytest.mark.parametrize("field", ENDLESS)
+def test_endless_model_refused(request, loop, field):
+    # the first spun the compiled loop forever and overflowed the Python
+    # one; the others ended in measurement's "duration must be >= 0".  A
+    # daemon thread turns a hang into a failure instead of a hung suite
+    request.getfixturevalue(f"{loop}_loop")
+    model = DeviceModel(kind="custom", **{
+        "base_latency_us": 5.0, "per_byte_us": 0.001, "parallelism": 4,
+        "bandwidth_limit_bps": 1e9, **ENDLESS[field]})
+    out = {}
+
+    def attempt():
+        with simulated_target(model, 1 << 26) as h:
+            try:
+                run(workload(h, request_budget=100), EngineConfig())
+            except ValueError as exc:
+                out["error"] = exc
+
+    t0 = time.monotonic()
+    attempt_thread = threading.Thread(target=attempt, daemon=True)
+    attempt_thread.start()
+    attempt_thread.join(5.0)
+    assert time.monotonic() - t0 < 1.0
+    assert str(out["error"]).startswith(f"{field} lets one 4096-byte read")
+
+
 class TestScattered:
     def test_parallel_device_single_makespan(self):
         with simulated_target(flat_model(latency_us=100.0, parallelism=32),
@@ -615,10 +649,10 @@ class TestScattered:
     def test_failed_completion_raises(self, tmp_path, monkeypatch):
         class FailingBackend:
             def submit_reads(self, slots, offsets):
-                self.slots = slots.tolist()
+                self.slots = slots
 
             def wait(self, min_nr, timeout_s=None):
-                return np.array([(slot, -5) for slot in self.slots])
+                return [(slot, -5) for slot in self.slots]
 
             def close(self):
                 pass
@@ -640,7 +674,7 @@ class StalledBackend:
         pass
 
     def wait(self, min_nr, timeout_s=None):
-        return np.empty((0, 2), dtype=np.int64)
+        return []
 
     def close(self):
         pass
@@ -659,15 +693,15 @@ class TrickleBackend:
 
     def submit_reads(self, slots, offsets):
         self.submits.append(len(slots))
-        self.offsets.extend(offsets.tolist())
-        self.queued.extend(zip(slots.tolist(), offsets.tolist()))
+        self.offsets.extend(offsets)
+        self.queued.extend(zip(slots, offsets))
 
     def wait(self, min_nr, timeout_s=None):
         slot, offset = self.queued.popleft()
         buf = self.buffers[slot]
         if self.fd is not None:
             os.preadv(self.fd, [buf], offset)
-        return np.array([(slot, len(buf))])
+        return [(slot, len(buf))]
 
     def close(self):
         pass
@@ -779,7 +813,7 @@ class TestFaults:
                                   offset + 2 * len(buf) - 4096)
                     done.append((slot, len(buf)))
                 order = np.random.default_rng(len(self.submits))
-                return np.array(done)[order.permutation(len(done))]
+                return [done[i] for i in order.permutation(len(done))]
 
         monkeypatch.setattr(engines, "_make_async_backend",
                             lambda *args: Shuffling(args[3], real.fd))
@@ -821,9 +855,8 @@ class TestFaults:
         # negative one passes as another slot's completion
         class Misnumbered(TrickleBackend):
             def wait(self, min_nr, timeout_s):
-                rows = super().wait(min_nr, timeout_s)
-                rows[:, 0] = slot
-                return rows
+                return [(slot, res) for _, res in
+                        super().wait(min_nr, timeout_s)]
 
         monkeypatch.setattr(engines, "_make_async_backend",
                             lambda *args: Misnumbered(args[3]))
@@ -846,9 +879,9 @@ class TestFaults:
             def wait(self, min_nr, timeout_s):
                 rows = super().wait(min_nr, timeout_s)
                 if repeat == "in-one-wait":
-                    return np.concatenate((rows, rows))
+                    return rows + rows
                 if repeat == "never-submitted":
-                    rows[:, 0] = 5
+                    rows = [(5, res) for _, res in rows]
                 elif not hasattr(self, "repeated"):
                     self.repeated = True
                     self.queued.appendleft(tuple(rows[0]))
@@ -929,7 +962,7 @@ class TestFaults:
         try:
             monkeypatch.setattr(q, "_enter", lambda *args: 1)
             with pytest.raises(IoError, match="submitted 1 of 2"):
-                q.submit_reads(np.arange(2), np.array([0, 4096]))
+                q.submit_reads([0, 1], [0, 4096])
         finally:
             monkeypatch.undo()
             q.close()
@@ -945,6 +978,13 @@ class TestFaults:
         rec = run(w, EngineConfig(kind="uring", queue_size=4,
                                   allow_fallback=True))
         assert rec.latency.count == 8 and "emulated" in rec.notes
+        # the emulated queue's reads verify, to the digest of the same reads
+        # on the sync engine
+        w = workload(real, request_budget=40, verify=True)
+        rec = run(w, EngineConfig(kind="uring", queue_size=4, batch_size=2,
+                                  allow_fallback=True))
+        assert rec.data_checksum == run(w, EngineConfig()).data_checksum
+        assert rec.latency.count == 40 and rec.extra["loop"] == "python"
 
     def test_emulated_queue_wait_honours_timeout(self, real):
         buf = memoryview(bytearray(4096))
@@ -953,8 +993,8 @@ class TestFaults:
             t0 = time.monotonic()
             assert len(q.wait(1, 0.1)) == 0
             assert time.monotonic() - t0 < 0.2
-            q.submit_reads(np.array([0]), np.array([8192]))
-            assert q.wait(1, 5.0).tolist() == [[0, 4096]]
+            q.submit_reads([0], [8192])
+            assert list(q.wait(1, 5.0)) == [(0, 4096)]
         finally:
             q.close()
 
@@ -977,12 +1017,12 @@ class TestFaults:
 
         q = aio_native.AioQueue(real.fd, 4, buffers(4))
         try:
-            q.submit_reads(np.arange(2), np.array([0, 4096]))
+            q.submit_reads([0, 1], [0, 4096])
             fake = Interrupting()
             monkeypatch.setattr(aio_native, "_libc", fake)
             done = []
             while len(done) < 2:
-                done += q.wait(2 - len(done), 1.0).tolist()
+                done += q.wait(2 - len(done), 1.0)
             assert fake.interrupted == 1
             assert sorted(done) == [[0, 4096], [1, 4096]]
         finally:
@@ -1018,8 +1058,9 @@ def wait_for(q, n):
     deadline = time.monotonic() + 5.0
     while len(rows) < n and time.monotonic() < deadline:
         got = q.wait(n - len(rows), 1.0)
-        assert got.dtype == np.int64 and got.shape == (len(got), 2)
-        rows += got.tolist()
+        assert all(len(pair) == 2 and all(type(v) is int for v in pair)
+                   for pair in got)
+        rows += map(list, got)
     return rows
 
 
@@ -1029,7 +1070,7 @@ class TestAsyncBackends:
         bufs = buffers(4)
         q = make_queue(name, real, bufs)
         try:
-            q.submit_reads(np.array([2, 0, 3]), np.array([8192, 0, 28672]))
+            q.submit_reads([2, 0, 3], [8192, 0, 28672])
             rows = wait_for(q, 3)
         finally:
             q.close()
@@ -1043,12 +1084,12 @@ class TestAsyncBackends:
         # returns both by the end of its timeout and loses neither
         q = make_queue(name, real, buffers(4))
         try:
-            q.submit_reads(np.array([1, 3]), np.array([4096, 0]))
+            q.submit_reads([1, 3], [4096, 0])
             time.sleep(0.05)  # cached reads complete meanwhile
             t0 = time.monotonic()
-            rows = q.wait(3, 0.3).tolist()
+            rows = list(map(list, q.wait(3, 0.3)))
             took = time.monotonic() - t0
-            q.submit_reads(np.array([0]), np.array([8192]))
+            q.submit_reads([0], [8192])
             later = wait_for(q, 1)
         finally:
             q.close()
@@ -1061,8 +1102,8 @@ class TestAsyncBackends:
             is short."""
 
             def submit_reads(self, slots, offsets):
-                self.rows = np.array([(s, 4096) for s in slots.tolist()[::-1]])
-                self.rows[len(self.rows) // 2, 1] = 100
+                self.rows = [[s, 4096] for s in slots[::-1]]
+                self.rows[len(self.rows) // 2][1] = 100
 
             def wait(self, min_nr, timeout_s=None):
                 return self.rows
@@ -1098,7 +1139,7 @@ class TestAsyncBackends:
         try:
             monkeypatch.setattr(aio_native, "_libc", Partial())
             with pytest.raises(IoError, match="submitted 1 of 3"):
-                q.submit_reads(np.arange(3), np.array([0, 4096, 8192]))
+                q.submit_reads([0, 1, 2], [0, 4096, 8192])
             assert q.inflight == 1
         finally:
             q.close()
@@ -1124,7 +1165,7 @@ class TestAsyncBackends:
 
         monkeypatch.setattr(aio_native, "_libc", Recording())
         q = aio_native.AioQueue(real.fd, 4, buffers(4))
-        q.submit_reads(np.arange(2), np.array([0, 4096]))
+        q.submit_reads([0, 1], [0, 4096])
         assert len(wait_for(q, 2)) == 2
         q.close()
         blocked = not returned  # close returned before its io_destroy did
@@ -1137,14 +1178,14 @@ class TestAsyncBackends:
         # reads in flight: destroyed here, so the buffers outlive them
         destroyed.clear()
         q = aio_native.AioQueue(real.fd, 4, buffers(4))
-        q.submit_reads(np.arange(2), np.array([0, 4096]))
+        q.submit_reads([0, 1], [0, 4096])
         q.close()
         assert destroyed == [threading.current_thread()]
 
     @pytest.mark.parametrize("name", ["uring", "uring-fixed", "uring-sqpoll"])
     def test_uring_close_unmaps_every_mapping(self, real, name):
         q = make_queue(name, real, buffers(4))
-        q.submit_reads(np.arange(4), np.arange(4) * 4096)
+        q.submit_reads([0, 1, 2, 3], [0, 4096, 8192, 12288])
         assert len(wait_for(q, 4)) == 4
         maps = list(q._mmaps)
         q.close()
@@ -1194,7 +1235,7 @@ class TestAsyncBackends:
         bufs = buffers(4)
         q = make_queue("uring-sqpoll", real, bufs)
         try:
-            q.submit_reads(np.array([2]), np.array([8192]))
+            q.submit_reads([2], [8192])
             rows = wait_for(q, 1)
         finally:
             q.close()
@@ -1466,7 +1507,7 @@ class ClockedBackend:
         self.reads = []
 
     def submit_reads(self, slots, offsets):
-        self.queued.extend((slot, self.clock.t) for slot in slots.tolist())
+        self.queued.extend((slot, self.clock.t) for slot in slots)
 
     def wait(self, min_nr, timeout_s=None):
         done = self.clock.tick()
@@ -1475,7 +1516,7 @@ class ClockedBackend:
             slot, submitted = self.pop()
             rows.append((slot, 4096))
             self.reads.append((submitted, done))
-        return np.array(rows, dtype=np.int64)
+        return rows
 
     def close(self):
         pass
@@ -1751,6 +1792,34 @@ def test_failed_worker_stops_a_stalled_harvest(real, monkeypatch):
     assert time.monotonic() - t0 < 2.0
 
 
+@pytest.mark.parametrize("loop", ["python", "native"])
+def test_failed_worker_start_stops_the_started(real, request, monkeypatch,
+                                               loop):
+    # the 2nd of 3 worker starts fails: the 1st worker, which would read to
+    # a 30 s deadline, is stopped and joined before the run raises, naming
+    # the start that failed
+    request.getfixturevalue(f"{loop}_loop")
+    start, starts = threading.Thread.start, itertools.count(1)
+
+    def failing(self):
+        if next(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", failing)
+    before = threading.active_count()
+    t0 = time.monotonic()
+    with pytest.raises(AbortedRun, match=re.escape(
+            "worker 1 of 3 did not start: "
+            "RuntimeError(\"can't start new thread\")")) as ei:
+        run(workload(real, request_budget=None, duration_s=30.0, threads=3),
+            EngineConfig(kind="pool"))
+    assert time.monotonic() - t0 < 2.0
+    assert threading.active_count() == before
+    assert next(starts) == 3  # the 3rd worker was never started
+    assert isinstance(ei.value.__cause__, RuntimeError)
+
+
 def on_both_loops(monkeypatch, make):
     """(make() on the compiled loop, make() on the Python loop); each
     returns what make returns, or the error it raised."""
@@ -1778,7 +1847,7 @@ def window_run(w, engine, warm_end, deadline, after, offsets=None):
     logged, its max in flight, whether its last logged read ended after
     ``after``, its digest or None unverified, its loop)."""
     result = engines._RealWorkerResult(w)
-    engines._real_worker(w, engine, 0, warm_end, deadline, engines._Stop(),
+    engines._real_worker(w, engine, 0, warm_end, deadline, ctypes.c_int(),
                          result, offsets)
     digest = result.checksum and fill.hexdigest(result.checksum.digest())
     return (len(result.counts), result.max_inflight,
@@ -2124,7 +2193,7 @@ class TestNativeLoop:
                     m.setattr(hotloop, "load", lambda: (None, "pinned"))
                     python = run(w, engine)
                 with monkeypatch.context() as m:
-                    m.setattr(engines, "_offset_chunks", refuse)
+                    m.setattr(engines, "offset_stream", refuse)
                     m.setattr(rng, "u64_chunks", refuse)
                     m.setattr(hotloop, "load", lambda: (SimpleNamespace(
                         rb_async_loop=counted), where))
@@ -2589,7 +2658,8 @@ def test_loops_clean_under_ubsan(tmp_path):
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-c", _SANITIZED_RUNS, str(tmp_path / "real.dat"),
-         "-fsanitize=undefined", "-fno-sanitize-recover=all"],
+         "-fsanitize=undefined,float-cast-overflow",
+         "-fno-sanitize-recover=all"],
         env=env, capture_output=True, text=True, timeout=300)
     if proc.stderr.startswith("unbuilt: "):
         pytest.skip(f"cc cannot build the loops with UBSan: "

@@ -93,11 +93,22 @@ def test_pattern_words_offset_consistency():
     assert whole[2048:] == part
 
 
-def mismatch(buf, offset, seed):  # the offset check_blocks names, or None
-    try:
-        check_blocks(np.frombuffer(buf, dtype="<u8")[None], [offset], seed)
-    except VerifyError as exc:
-        return exc.offset
+def mismatch(buf, offset, seed):
+    """The offset check_block names, or None; check_blocks, which takes
+    whole pages at page-aligned offsets, names the same."""
+    checks = [check_block]
+    if not (len(buf) % 4096 or offset % 4096):
+        checks.append(lambda buf, offset, seed: check_blocks(
+            np.frombuffer(buf, dtype="<u8")[None], [offset], seed))
+    named = []
+    for check in checks:
+        try:
+            check(buf, offset, seed)
+            named.append(None)
+        except VerifyError as exc:
+            named.append(exc.offset)
+    assert len(set(named)) == 1, named
+    return named[0]
 
 
 def test_verify_and_mismatch():
@@ -317,13 +328,18 @@ def test_page_hashes_refused_or_left_unused():
     with pytest.raises(VerifyError) as ei:
         check_blocks(swapped.copy(), offsets[::2], seed)
     assert ei.value.offset == 0
-    # rows that are not whole pages leave page hashes unused: they check
-    # against their pattern, and a bad word is still named
+    # rows that are not whole pages, or not at page-aligned offsets, are
+    # refused; check_block compares such a block with its pattern, and
+    # names a bad word
     part = pattern_rows(seed, offsets[:4:2], 2048)
-    check_blocks(part, offsets[:4:2], seed)
+    for rows, at in ((part, offsets[:4:2]), (pattern_rows(seed, [8], 4096),
+                                             [8])):
+        with pytest.raises(ValueError, match="whole pages at page-aligned"):
+            check_blocks(rows, at, seed)
+    check_block(part[1], offsets[2], seed)
     part[1, 3] ^= 1
     with pytest.raises(VerifyError) as ei:
-        check_blocks(part, offsets[:4:2], seed)
+        check_block(part[1], offsets[2], seed)
     assert ei.value.offset == offsets[2] + 24
     # the old pattern is still named from its first bad word
     old = np.frombuffer(old_pattern(seed, 4096), dtype="<u8")[None]
@@ -419,10 +435,13 @@ class TestFileTarget:
         with open_target(path, seed=11, direct=False) as h:
             verify_file(h)
 
-    @pytest.mark.parametrize("size,block", [(4100, 1 << 20), (4099, 4096)])
+    @pytest.mark.parametrize("size,block", [(4100, 1 << 20), (4099, 4096),
+                                            (6004, 1 << 20), (12290, 6000)])
     def test_verify_file_checks_a_partial_last_word(self, tmp_path, size, block):
         # the last 1-7 bytes of a file whose size is not a multiple of 8,
-        # inside the first verify chunk or alone in the last one
+        # inside the first verify chunk or alone in the last one; chunks
+        # that are not whole pages at page-aligned offsets check word by
+        # word
         path = tmp_path / "odd.dat"
         good = pattern_bytes(9, 0, (size + 7) // 8 * 8)[:size]
 
@@ -439,6 +458,10 @@ class TestFileTarget:
         with pytest.raises(VerifyError) as ei:
             verify(good[:last] + bytes([good[last] ^ 1]) + good[last + 1:])
         assert ei.value.offset == last
+        mid = size // 2
+        with pytest.raises(VerifyError) as ei:
+            verify(good[:mid] + bytes([good[mid] ^ 1]) + good[mid + 1:])
+        assert ei.value.offset == mid // 8 * 8
 
     def test_reopen_and_bounds(self, tmp_path):
         path = str(tmp_path / "bench.dat")

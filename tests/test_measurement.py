@@ -187,8 +187,8 @@ class TestCpu:
         try:
             q = uring_native.UringQueue(fd, 1, [buf], kernel_poll=True)
             try:
-                q.submit_reads(np.array([0]), np.array([0]))
-                assert q.wait(1, 5.0).tolist() == [[0, 4096]]
+                q.submit_reads([0], [0])
+                assert q.wait(1, 5.0) == [[0, 4096]]
                 # this thread sleeps; the poll thread keeps spinning until
                 # its idle time runs out
                 before = snapshot_cpu()
